@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import KernelSpan, h_closed_form, kernel_convolve
+from .kernel import KernelSpan, h_closed_form, h_factor_terms, kernel_convolve
 from .model import Direction, InitialState, WavepacketN, _permanent
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box
 
@@ -365,14 +365,96 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
     return xi0 + (g1 * s_left_1 + g2 * s_left_2 + g1 * g2 * t2_term) / _SQRT2
 
 
+# Row blocks of the exponential grid fill: at most this many entries per
+# temporary, and at most this time span of rows, so that the rescaled
+# chain factors of h_factor_terms stay below exp(_BLOCK_SPAN).
+_BLOCK_ENTRIES = 4_000_000
+_BLOCK_SPAN = 256.0
+
+
+def _exp_pair_grid(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
+                   t: float) -> np.ndarray:
+    """Channel amplitudes of two exponential photons on ax1 x ax2.
+
+    The same sum as :func:`exp_pair_channel_values`, built from one-time
+    factors.  The input and spectator terms are products of a function
+    of tau1 and a function of tau2 on the whole plane; the chain term
+    h(lo, 0) h(hi, lo) is such a product on each triangle (tau1 <= tau2
+    and tau1 > tau2) once h(hi, lo) is split by :func:`h_factor_terms`.
+    Each row block is one small matmul per triangle, merged by the mask
+    tau1 > tau2.  Exponential envelopes are real, so the factors are
+    float64.
+    """
+    slots = tuple(Direction.RIGHT if c == "R" else Direction.LEFT for c in channel)
+    scale = w.separable_normalization() / (_SQRT2 if slots[0] is slots[1] else 1.0)
+    profiles = [p for p, _ in w.entries]
+    dirs = [d for _, d in w.entries]
+    gammas = [p.gamma_bw for p in profiles]
+    gate1 = (ax1 <= t).astype(float)
+    gate2 = (ax2 <= t).astype(float)
+    env = [(p.value(ax1).real, p.value(ax2).real) for p in profiles]
+    kern = [(h_closed_form(ax1, np.zeros_like(ax1), g),
+             h_closed_form(ax2, np.zeros_like(ax2), g)) for g in gammas]
+    pairs = ((0, 1), (1, 0))
+
+    rows, cols = [], []
+    for a, b in pairs:
+        if dirs[a] is slots[0] and dirs[b] is slots[1]:
+            # neither photon touched the atom
+            rows.append(env[a][0])
+            cols.append(env[b][1])
+        if dirs[b] is slots[1]:
+            # a re-emitted at tau1, b passes to the second slot
+            rows.append(-gate1 * kern[a][0])
+            cols.append(env[b][1])
+        if dirs[a] is slots[0]:
+            # b re-emitted at tau2, a passes to the first slot
+            rows.append(env[a][0])
+            cols.append(-gate2 * kern[b][1])
+    shared_rows = np.stack(rows, axis=1) if rows else np.zeros((ax1.size, 0))
+    shared_cols = np.stack(cols) if cols else np.zeros((0, ax2.size))
+
+    values = np.empty((ax1.size, ax2.size), dtype=complex)
+    if values.size == 0:
+        return values
+    block = max(1, _BLOCK_ENTRIES // ax2.size)
+    i0 = 0
+    while i0 < ax1.size:
+        i1 = min(i0 + block,
+                 int(np.searchsorted(ax1, ax1[i0] + _BLOCK_SPAN, side="right")))
+        i1 = max(i1, i0 + 1)
+        t1 = ax1[i0:i1]
+        g1 = gate1[i0:i1]
+        # ordered chain, emissions at lo <= hi; each triangle's columns are
+        # clamped into the range it keeps so discarded entries stay finite
+        upper_hi = np.maximum(ax2, t1[0])
+        lower_lo = np.minimum(ax2, t1[-1])
+        up_rows, up_cols = [shared_rows[i0:i1]], [shared_cols]
+        low_rows, low_cols = [shared_rows[i0:i1]], [shared_cols]
+        for a, b in pairs:
+            for f_hi, g_lo in h_factor_terms(upper_hi, t1, gammas[b]):
+                up_rows.append((g1 * kern[a][0][i0:i1] * g_lo)[:, None])
+                up_cols.append((gate2 * f_hi)[None, :])
+            for f_hi, g_lo in h_factor_terms(t1, lower_lo, gammas[b]):
+                low_rows.append((g1 * f_hi)[:, None])
+                low_cols.append((gate2 * kern[a][1] * g_lo)[None, :])
+        upper = np.hstack(up_rows) @ np.vstack(up_cols)
+        lower = np.hstack(low_rows) @ np.vstack(low_cols)
+        np.copyto(upper, lower, where=t1[:, None] > ax2[None, :])
+        upper *= scale
+        values[i0:i1] = upper
+        i0 = i1
+    return values
+
+
 def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float,
                             quad: QuadratureSpec = DEFAULT_QUAD) -> "AmplitudeGrid":
     """Channel amplitude tensor over axis1 x axis2 at dynamical time t.
 
-    Vectorized closed-form evaluation when every envelope is exponential
-    (processed in row blocks to bound temporaries); otherwise falls back
-    to the pointwise engine (slow, intended for small grids and
-    correlated inputs).
+    When every envelope is exponential the tensor is filled from
+    one-time factors, row blocks at a time to bound temporaries (see
+    :func:`_exp_pair_grid`); otherwise it falls back to the pointwise
+    engine (slow, intended for small grids and correlated inputs).
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")
@@ -381,12 +463,7 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     if np.any(ax1 < 0.0) or np.any(ax2 < 0.0):
         raise ValueError("detection-time axes must be >= 0")
     if w.all_exponential and w.n_photons == 2:
-        values = np.empty((ax1.size, ax2.size), dtype=complex)
-        block = max(1, int(4_000_000 // max(ax2.size, 1)))
-        for i0 in range(0, ax1.size, block):
-            rows = ax1[i0:i0 + block, None]
-            values[i0:i0 + block] = exp_pair_channel_values(
-                w, channel, rows, ax2[None, :], t)
+        values = _exp_pair_grid(w, channel, ax1, ax2, t)
     else:
         values = np.empty((ax1.size, ax2.size), dtype=complex)
         for i, t1 in enumerate(ax1):

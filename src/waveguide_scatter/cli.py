@@ -11,7 +11,8 @@ Subcommands:
 
 Options may come from a JSON config file (keys are the option names
 with underscores); explicit flags override the file.  Exit codes: 0 on
-success, 1 when a validation suite fails, 2 for configuration errors.
+success, 1 when a validation suite fails, 2 for bad input, configuration
+errors and quadrature that does not converge.
 CSV cells carry 12 significant digits so repeated runs are
 byte-identical.  Thread fan-out honors the SCATTER_THREADS environment
 variable.
@@ -30,6 +31,7 @@ import numpy as np
 
 from .amplitudes import CHANNELS, two_photon_channel_grid, write_grid_csv
 from .model import Direction, PulseProfile, WavepacketN
+from .quadrature import ConvergenceError
 from .observables import (
     excitation_trace,
     reflection_probability_closed,
@@ -358,6 +360,9 @@ def main(argv=None) -> int:
         return _RUNNERS[args.command](opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ConvergenceError as exc:
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 2
 
 

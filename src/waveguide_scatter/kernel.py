@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PulseProfile
+from .model import PulseProfile, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
 # Width of the series branch around the degenerate bandwidth g = 2.
@@ -77,8 +77,7 @@ def h_closed_form(tau_i, tau_prev, gamma_bw: float):
     which matches the generic branch to O((1 - g/2)^2) and keeps the
     switch at |1 - g/2| = GAMMA_DEGENERATE_TOL continuous.
     """
-    if gamma_bw <= 0.0:
-        raise ValueError("gamma_bw must be positive")
+    check_bandwidth(gamma_bw)
     ti = np.asarray(tau_i, dtype=float)
     tp = np.asarray(tau_prev, dtype=float)
     if np.any(tp > ti):
@@ -96,6 +95,32 @@ def h_closed_form(tau_i, tau_prev, gamma_bw: float):
     return out
 
 
+def h_factor_terms(hi, lo, gamma_bw: float):
+    """h(hi, lo; g) split into two products of one-time factors.
+
+    Returns ((F1, G1), (F2, G2)), 1-D arrays with F on ``hi`` and G on
+    ``lo``, such that h(hi[i], lo[j]) = F1[i] G1[j] + F2[i] G2[j] for
+    every pair with lo[j] <= hi[i]; other pairs carry no meaning.  The
+    generic branch writes exp(-hi + x lo) as exp(x r - hi) exp(x (lo - r))
+    with the reference r at the end of ``lo`` that keeps G2 <= 1, so F2
+    stays below exp(max(x, 0) (max lo - min hi)): callers keep that span
+    short (their rows in blocks, their columns clamped into the kept
+    range).  The degenerate branch splits its polynomial the same way.
+    """
+    g = check_bandwidth(gamma_bw)
+    hi = np.asarray(hi, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    x = 1.0 - 0.5 * g
+    root = math.sqrt(g)
+    if abs(x) < GAMMA_DEGENERATE_TOL:
+        decay = np.exp(-hi)
+        return ((root * decay * (hi + 0.5 * x * hi * hi), np.ones_like(lo)),
+                (-root * decay, lo + 0.5 * x * lo * lo))
+    ref = float(np.max(lo)) if x > 0.0 else float(np.min(lo))
+    return ((root / x * np.exp(-0.5 * g * hi), np.ones_like(lo)),
+            (-root / x * np.exp(x * ref - hi), np.exp(x * (lo - ref))))
+
+
 def weighted_h_norm_integral(m: int, gamma_bw: float, tau_prev: float) -> float:
     """integral_{tau_prev}^inf exp(-m g tau) |h(tau, tau_prev; g)|^2 dtau.
 
@@ -108,10 +133,8 @@ def weighted_h_norm_integral(m: int, gamma_bw: float, tau_prev: float) -> float:
     """
     if m < 0:
         raise ValueError("weight index m must be >= 0")
-    if gamma_bw <= 0.0:
-        raise ValueError("gamma_bw must be positive")
+    g = check_bandwidth(gamma_bw)
     if tau_prev < 0.0:
         raise ValueError("tau_prev must be >= 0")
-    g = gamma_bw
     return (4.0 * math.exp(-(1 + m) * g * tau_prev)
             / ((1 + m) * (2.0 + m * g) * (2.0 + g + 2.0 * m * g)))

@@ -60,6 +60,13 @@ def _as_direction(d) -> "Direction":
     raise ValueError(f"unknown propagation direction: {d!r}")
 
 
+def check_bandwidth(gamma_bw) -> float:
+    """The bandwidth as a float; ValueError unless it is finite and > 0."""
+    if gamma_bw is None or not (gamma_bw > 0.0 and math.isfinite(gamma_bw)):
+        raise ValueError(f"bandwidth must be finite and positive, got {gamma_bw!r}")
+    return float(gamma_bw)
+
+
 def default_horizon(gamma_bw: float) -> float:
     """Truncation horizon for an exponential pulse of bandwidth gamma_bw.
 
@@ -94,8 +101,7 @@ class PulseProfile:
         self._values = values
         self._func = func
         if kind == "exponential":
-            if gamma_bw is None or gamma_bw <= 0.0:
-                raise ValueError("exponential profile needs gamma_bw > 0")
+            check_bandwidth(gamma_bw)
             self.timescale = min(1.0, 1.0 / gamma_bw)
         elif kind == "sampled":
             if grid is None or values is None:
@@ -126,8 +132,7 @@ class PulseProfile:
     def exponential(cls, gamma_bw: float, t_max: float | None = None,
                     norm_tol: float = DEFAULT_NORM_TOL) -> "PulseProfile":
         """sqrt(gamma) * exp(-t gamma / 2), unit norm on [0, inf)."""
-        if gamma_bw <= 0.0:
-            raise ValueError("bandwidth gamma_bw must be positive")
+        check_bandwidth(gamma_bw)
         if t_max is None:
             t_max = default_horizon(gamma_bw)
         return cls("exponential", t_max, gamma_bw=gamma_bw, norm_tol=norm_tol)

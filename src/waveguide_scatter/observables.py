@@ -25,11 +25,10 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator
 
 from .amplitudes import exp_pair_channel_values, ordered_emission_amplitude
 from .kernel import h_closed_form, kernel_convolve, KernelSpan
-from .model import Direction, WavepacketN
+from .model import Direction, WavepacketN, check_bandwidth
 from .quadrature import (
     DEFAULT_QUAD,
     QuadratureSpec,
@@ -260,10 +259,8 @@ def reflection_probability_closed(n_photons: int, gamma_bw: float) -> float:
     """
     if n_photons < 1 or n_photons != int(n_photons):
         raise ValueError("photon number must be a positive integer")
-    if gamma_bw <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    g = check_bandwidth(gamma_bw)
     n = int(n_photons)
-    g = float(gamma_bw)
     log_r = math.lgamma(n + 1)
     for m in range(n):
         log_r += math.log(4.0) - math.log(1.0 + m)
@@ -288,9 +285,12 @@ class ReflectionResult:
 class _LogLayer:
     """Chebyshev tabulation of a positive decaying layer, stored as logs.
 
-    Evaluations beyond the tabulated span return zero: the span is sized
-    so the outer integrand has already decayed by ~exp(-45) there, and
-    values past the representable range underflow anyway.
+    The logs are interpolated in barycentric form on the
+    Chebyshev-Lobatto nodes, whose weights are known in closed form:
+    (-1)^k, halved at both ends.  Evaluations beyond the tabulated span
+    return zero: the span is sized so the outer integrand has already
+    decayed by ~exp(-45) there, and values past the representable range
+    underflow anyway.
     """
 
     def __init__(self, evaluator, t_span: float, n_nodes: int = _CHEB_NODES):
@@ -313,8 +313,21 @@ class _LogLayer:
         for i, x in enumerate(nodes):
             val = evaluator(float(x))
             logs[i] = math.log(max(val, _LOG_FLOOR))
-        self._interp = BarycentricInterpolator(nodes, logs)
+        self._nodes = nodes
+        self._logs = logs
+        self._weights = (-1.0) ** k
+        self._weights[[0, -1]] *= 0.5
         self.rate = max(0.0, (logs[0] - logs[-1]) / max(self.t_span, 1e-300))
+
+    def _interp(self, tau: np.ndarray) -> np.ndarray:
+        diff = tau[:, None] - self._nodes[None, :]
+        # a point on a node takes its sample
+        row, col = np.nonzero(diff == 0.0)
+        diff[row, col] = 1.0
+        c = self._weights / diff
+        out = (c @ self._logs) / c.sum(axis=1)
+        out[row] = self._logs[col]
+        return out
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -337,10 +350,8 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
     if not 1 <= n_photons <= _MAX_NUMERIC_PHOTONS or n_photons != int(n_photons):
         raise ValueError(
             f"numeric route supports 1..{_MAX_NUMERIC_PHOTONS} photons")
-    if gamma_bw <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    g = check_bandwidth(gamma_bw)
     n = int(n_photons)
-    g = float(gamma_bw)
     base_rate = min(2.0, g)
 
     def layer_integral(tau_prev: float, inner, rho: float) -> float:

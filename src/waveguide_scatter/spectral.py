@@ -11,10 +11,12 @@ Frequency conventions used throughout:
 
 The bridge evaluates the transform of sampled time grids two ways: a
 plain unitary FFT when the caller accepts the natural conjugate axes
-(exactly norm-preserving on the samples), and an endpoint-corrected
-Simpson summation at caller-chosen frequencies.  Two-photon time grids
-carry a slope break along the equal-time diagonal, so the Simpson
-weights are rebuilt row by row with the break as a segment boundary.
+(exactly norm-preserving on the samples), and an end-corrected
+trapezoid (Gregory) summation at caller-chosen frequencies.  Two-photon
+time grids carry a slope break along the equal-time diagonal, so each row's
+weights take the break as a segment boundary; since those weights
+differ from one only near the ends and the break, the rows are summed
+as one matmul plus a banded correction.
 """
 
 from __future__ import annotations
@@ -25,10 +27,9 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RectBivariateSpline
 
 from .amplitudes import AmplitudeGrid, two_photon_channel_grid
-from .model import Direction, PulseProfile, WavepacketN
+from .model import Direction, PulseProfile, WavepacketN, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
 __all__ = [
@@ -72,8 +73,7 @@ def lorentzian_mode(gamma_bw: float):
     Returns a vectorized callable w -> sqrt(gamma/2 pi) / (gamma/2 - i w),
     normalized so the squared modulus integrates to one.
     """
-    if gamma_bw <= 0.0:
-        raise ValueError("bandwidth must be positive")
+    check_bandwidth(gamma_bw)
     amp = math.sqrt(gamma_bw / _TWO_PI)
 
     def mode(omega):
@@ -142,6 +142,7 @@ class FreqAmplitudeGrid:
             out = re + 1j * im
             return complex(out) if om.ndim == 0 else out
         if self._splines is None:
+            from scipy.interpolate import RectBivariateSpline
             object.__setattr__(self, "_splines", (
                 RectBivariateSpline(self.axes[0], self.axes[1], self.values.real),
                 RectBivariateSpline(self.axes[0], self.axes[1], self.values.imag)))
@@ -261,16 +262,48 @@ def _check_alias(omega: np.ndarray, dt: float) -> None:
             f"band {limit:.3g} of the sampling step {dt:.3g}")
 
 
+def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray) -> np.ndarray:
+    """Row transforms sum_j w_i[j] f[i, j] kern[j] with w_i = _row_weights(n, i).
+
+    w_i - 1 vanishes except at the two ends and within the end-stencil
+    reach of the break at i, and away from the edges that pattern only
+    shifts with i.  So the sum is one matmul with unit weights plus a
+    banded correction read off one middle row's weights; rows near an
+    edge, where short segments change the stencils, take their exact
+    weights.
+    """
+    n = f.shape[1]
+    inner = f @ kern
+    stencil = len(_GREGORY_END_6)
+    reach = stencil - 1
+    # rows whose two segments both get the full end stencils
+    mid = np.arange(2 * stencil - 1, n - 2 * stencil + 1)
+    if mid.size:
+        ref = int(mid[mid.size // 2])
+        corr = _row_weights(n, ref) - 1.0
+        band = corr[ref - reach:ref + reach + 1].copy()
+        corr[ref - reach:ref + reach + 1] = 0.0
+        ends = np.flatnonzero(corr)
+        inner[mid] += (f[np.ix_(mid, ends)] * corr[ends]) @ kern[ends]
+        for offset, c in zip(range(-reach, reach + 1), band):
+            inner[mid] += (c * f[mid, mid + offset])[:, None] * kern[mid + offset]
+    for i in np.setdiff1d(np.arange(f.shape[0]), mid):
+        inner[i] = (_row_weights(n, i) * f[i]) @ kern
+    return inner
+
+
 def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
     """Transform a sampled time grid to the frequency domain.
 
     With ``omega_axes`` omitted, uses the unitary FFT on the natural
     conjugate axes; the discrete norm (sum |f|^2 dtau) is then preserved
-    exactly.  With explicit axes, evaluates the transform by Simpson
-    summation at the requested frequencies, rebuilding the weights row
-    by row so the equal-time slope break never sits inside a Simpson
-    cell.  Guards reject non-uniform sampling, truncated windows, and
-    frequencies beyond the alias-safe band.
+    exactly.  With explicit axes, sums the sampled grid with
+    end-corrected weights at the requested frequencies.  On a square
+    grid each row's weights treat the equal-time slope break as a
+    segment edge, so the break never sits inside a stencil; the rows are
+    summed as one matmul plus a banded correction
+    (:func:`_diagonal_break_rows`).  Guards reject non-uniform sampling,
+    truncated windows, and frequencies beyond the alias-safe band.
     """
     if grid.ndim == 1:
         axis = grid.axes[0]
@@ -318,10 +351,10 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
     _check_alias(om2, dt2)
     same_axes = ax1.size == ax2.size and np.array_equal(ax1, ax2)
     kern2 = np.exp(1j * ax2[:, None] * om2[None, :])
-    inner = np.empty((ax1.size, om2.size), dtype=complex)
-    for i in range(ax1.size):
-        wrow = _row_weights(ax2.size, i if same_axes else None) * dt2
-        inner[i] = (wrow * f[i]) @ kern2
+    if same_axes:
+        inner = _diagonal_break_rows(f, kern2 * dt2)
+    else:
+        inner = f @ (kern2 * (_quad_segment(ax2.size) * dt2)[:, None])
     w1 = _quad_segment(ax1.size) * dt1
     kern1 = np.exp(1j * ax1[:, None] * om1[None, :])
     spec = (kern1 * w1[:, None]).T @ inner / _TWO_PI
@@ -400,31 +433,13 @@ def freq_two_photon_outputs(omega1: float, omega2: float, xi2,
     }
 
 
-def freq_channel_grid(channel: str, axis1, axis2, xi2,
-                      quad: QuadratureSpec = DEFAULT_QUAD,
-                      omega_span: float = DEFAULT_ANTIDIAG_SPAN) -> FreqAmplitudeGrid:
-    """Channel amplitude tensor on frequency axes.
-
-    The saturation correction depends only on the total detuning, so it
-    is evaluated once per anti-diagonal and broadcast across the grid.
-    """
-    if channel not in ("LL", "RL", "RR"):
-        raise ValueError("channel must be LL, RL or RR")
-    ax1 = np.asarray(axis1, dtype=float)
-    ax2 = np.asarray(axis2, dtype=float)
-    mode = _as_mode_callable(xi2)
-    r1, t1 = single_photon_r_t(ax1)
-    r2, t2 = single_photon_r_t(ax2)
-    w1 = ax1[:, None]
-    w2 = ax2[None, :]
-    xi = np.asarray(mode(np.broadcast_to(w1, (ax1.size, ax2.size)),
-                         np.broadcast_to(w2, (ax1.size, ax2.size))),
-                    dtype=complex)
-
+def _antidiagonal_convolution(ax1: np.ndarray, ax2: np.ndarray, xi2,
+                              quad: QuadratureSpec, omega_span: float) -> np.ndarray:
+    """Anti-diagonal convolution on ax1 x ax2, the same for every channel."""
     # group grid nodes by anti-diagonal: within a group the total
     # detuning varies only at floating-point level, and the convolution
     # is smooth on the line scale, so one evaluation per group suffices
-    sums = w1 + w2
+    sums = ax1[:, None] + ax2[None, :]
     conv = np.empty((ax1.size, ax2.size), dtype=complex)
     if ax1.size == ax2.size and np.allclose(np.diff(ax1), np.diff(ax1)[0]) \
             and np.array_equal(ax1, ax2):
@@ -443,7 +458,18 @@ def freq_channel_grid(channel: str, axis1, axis2, xi2,
                     cache[key] = _antidiagonal_integral(
                         key, xi2, quad, omega_span, tail_tol=1e-5)
                 conv[i, j] = cache[key]
+    return conv
 
+
+def _channel_from_convolution(channel: str, ax1: np.ndarray, ax2: np.ndarray,
+                              xi2, conv: np.ndarray) -> FreqAmplitudeGrid:
+    """Assemble one channel from the line and the shared convolution."""
+    mode = _as_mode_callable(xi2)
+    r1, t1 = single_photon_r_t(ax1)
+    r2, t2 = single_photon_r_t(ax2)
+    shape = (ax1.size, ax2.size)
+    xi = np.asarray(mode(np.broadcast_to(ax1[:, None], shape),
+                         np.broadcast_to(ax2[None, :], shape)), dtype=complex)
     b = (r1[:, None] + r2[None, :]) * conv / _TWO_PI
     if channel == "LL":
         vals = r1[:, None] * r2[None, :] * xi + b
@@ -452,6 +478,22 @@ def freq_channel_grid(channel: str, axis1, axis2, xi2,
     else:
         vals = t1[:, None] * t2[None, :] * xi + b
     return FreqAmplitudeGrid(axes=(ax1, ax2), values=vals, channel=channel)
+
+
+def freq_channel_grid(channel: str, axis1, axis2, xi2,
+                      quad: QuadratureSpec = DEFAULT_QUAD,
+                      omega_span: float = DEFAULT_ANTIDIAG_SPAN) -> FreqAmplitudeGrid:
+    """Channel amplitude tensor on frequency axes.
+
+    The saturation correction depends only on the total detuning, so it
+    is evaluated once per anti-diagonal and broadcast across the grid.
+    """
+    if channel not in ("LL", "RL", "RR"):
+        raise ValueError("channel must be LL, RL or RR")
+    ax1 = np.asarray(axis1, dtype=float)
+    ax2 = np.asarray(axis2, dtype=float)
+    conv = _antidiagonal_convolution(ax1, ax2, xi2, quad, omega_span)
+    return _channel_from_convolution(channel, ax1, ax2, xi2, conv)
 
 
 # ---------------------------------------------------------------------------
@@ -589,13 +631,15 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     def xi2(w1, w2):
         return mode(w1) * mode(w2)
 
+    # the convolution does not depend on the channel: one per comparison
+    conv = _antidiagonal_convolution(om, om, xi2, quad, DEFAULT_ANTIDIAG_SPAN)
     results = []
     for channel in ("LL", "RL", "RR"):
         tgrid = two_photon_channel_grid(w, channel, axis, axis, t=float(t_end),
                                         quad=quad)
         bridged = fourier_bridge(tgrid, (om, om))
         del tgrid
-        direct = freq_channel_grid(channel, om, om, xi2, quad=quad)
+        direct = _channel_from_convolution(channel, om, om, xi2, conv)
         err = np.abs(bridged.values - direct.values)
         results.append(ChannelComparison(
             channel=channel,

@@ -189,6 +189,30 @@ def test_channel_grid_matches_fast_path_and_is_symmetric():
     assert grid.max_asymmetry() <= 1e-13
 
 
+@pytest.mark.parametrize("gammas, dirs, ax1, ax2, t_obs", [
+    # slow pulse on its default horizon: rescaled chain factors
+    ((0.1, 0.1), "RR", np.linspace(0.0, 800.0, 641), None, 800.0),
+    # either side of the matched bandwidth: the degenerate polynomial split
+    ((2.0 - 1e-7, 2.0 - 1e-7), "RR", np.linspace(0.0, 20.0, 201), None, 20.0),
+    ((2.0 + 1e-7, 2.0 + 1e-7), "RR", np.linspace(0.0, 20.0, 201), None, 20.0),
+    # unequal pair, both and opposite directions, unequal axes
+    ((1.3, 2.7), "RR", np.linspace(0.0, 30.0, 151), np.linspace(0.0, 25.0, 97), 30.0),
+    ((1.3, 2.7), "RL", np.linspace(0.0, 30.0, 151), np.linspace(0.0, 25.0, 97), 30.0),
+    ((1.3, 2.7), "LR", np.linspace(0.5, 12.0, 83), np.linspace(0.0, 9.0, 120), 30.0),
+    # gate time inside the axes
+    ((0.8, 1.6), "RL", np.linspace(0.0, 10.0, 101), np.linspace(0.0, 12.0, 90), 4.3),
+])
+def test_channel_grid_fill_matches_pointwise_channels(gammas, dirs, ax1, ax2, t_obs):
+    ax2 = ax1 if ax2 is None else ax2
+    w = _pair(gammas[0], gammas[1], tuple(Direction.RIGHT if d == "R" else Direction.LEFT
+                                           for d in dirs))
+    for ch in CHANNELS:
+        grid = two_photon_channel_grid(w, ch, ax1, ax2, t_obs)
+        direct = exp_pair_channel_values(w, ch, ax1[:, None], ax2[None, :], t_obs)
+        assert np.all(np.isfinite(grid.values))
+        assert np.max(np.abs(grid.values - direct)) <= 1e-13, ch
+
+
 def test_grid_csv_round_trip(tmp_path):
     w = _pair(1.0, 2.0)
     ax1 = np.linspace(0.0, 3.0, 7)

@@ -15,7 +15,9 @@ from waveguide_scatter import (
     make_product_wavepacket,
     reflection_probability_closed,
 )
+from waveguide_scatter import cli
 from waveguide_scatter.cli import main
+from waveguide_scatter.quadrature import ConvergenceError
 
 
 def _read(path):
@@ -153,6 +155,32 @@ def test_bad_axis_spec_exits_2(capsys):
 def test_bad_photon_list_exits_2(capsys):
     assert main(["reflect", "--n-list", "0,2", "-o", "-"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reflect", "--gamma", "nan"],
+    ["reflect", "--gamma", "inf"],
+    ["excite", "--gamma", "nan"],
+])
+def test_non_finite_bandwidth_exits_2(argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "waveguide_scatter.cli"] + argv + ["-o", "-"],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_convergence_failure_exits_2(monkeypatch, capsys):
+    def fail(n, gamma):
+        raise ConvergenceError("integral over [0, 1] did not converge", 1e-3)
+
+    monkeypatch.setattr(cli, "reflection_probability_numeric", fail)
+    assert main(["reflect", "--n-list", "2", "--numeric", "-o", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "did not converge" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unknown_command_exits_via_argparse(capsys):

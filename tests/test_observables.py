@@ -1,6 +1,8 @@
 """Excitation dynamics, reversal probabilities and unitarity sums."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +13,12 @@ from waveguide_scatter import (
     WavepacketN,
     excitation_probability,
     excitation_trace,
+    h_closed_form,
+    lorentzian_mode,
     reflection_probability_closed,
     reflection_probability_numeric,
     unitarity_check_two_photon,
+    weighted_h_norm_integral,
     worker_count,
 )
 
@@ -142,6 +147,34 @@ def test_numeric_reversal_matches_closed(n, gamma):
     assert res.abs_err <= 1e-8
     assert res.closed == pytest.approx(reflection_probability_closed(n, gamma),
                                        abs=1e-14)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_bandwidth_must_be_finite_and_positive(gamma):
+    with pytest.raises(ValueError):
+        PulseProfile.exponential(gamma)
+    with pytest.raises(ValueError):
+        PulseProfile("exponential", 10.0, gamma_bw=gamma)
+    with pytest.raises(ValueError):
+        h_closed_form(1.0, 0.0, gamma)
+    with pytest.raises(ValueError):
+        weighted_h_norm_integral(1, gamma, 0.0)
+    with pytest.raises(ValueError):
+        lorentzian_mode(gamma)
+    with pytest.raises(ValueError):
+        reflection_probability_closed(1, gamma)
+    with pytest.raises(ValueError):
+        reflection_probability_numeric(1, gamma)
+
+
+def test_numeric_reversal_repeats_across_processes():
+    # nothing in the nested route may draw on process-global random state
+    code = ("from waveguide_scatter import reflection_probability_numeric as f; "
+            "print(repr(f(3, 1.0).numeric), repr(f(4, 0.5).numeric))")
+    outs = [subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, timeout=120, check=True).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1]
 
 
 def test_numeric_reversal_validates_photon_number():

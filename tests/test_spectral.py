@@ -25,6 +25,7 @@ from waveguide_scatter import (
     single_photon_reflection_freq,
     two_photon_channel_grid,
 )
+from waveguide_scatter import spectral
 from waveguide_scatter.spectral import _quad_segment, _row_weights
 
 _SQRT2 = math.sqrt(2.0)
@@ -142,6 +143,41 @@ def test_two_axis_native_bridge_preserves_discrete_norm():
            * (spec.axes[1][1] - spec.axes[1][0]))
     assert float(np.sum(np.abs(spec.values) ** 2) * dom) == pytest.approx(
         float(np.sum(np.abs(vals) ** 2) * dt), abs=1e-10)
+
+
+def _per_row_bridge(f, ax1, ax2, om1, om2):
+    """The 2-D bridge summed row by row with each row's own weights."""
+    same = ax1.size == ax2.size and np.array_equal(ax1, ax2)
+    dt1 = ax1[1] - ax1[0]
+    dt2 = ax2[1] - ax2[0]
+    kern2 = np.exp(1j * ax2[:, None] * om2[None, :])
+    inner = np.empty((ax1.size, om2.size), dtype=complex)
+    for i in range(ax1.size):
+        wrow = _row_weights(ax2.size, i if same else None) * dt2
+        inner[i] = (wrow * f[i]) @ kern2
+    kern1 = np.exp(1j * ax1[:, None] * om1[None, :])
+    w1 = _quad_segment(ax1.size) * dt1
+    return (kern1 * w1[:, None]).T @ inner / (2.0 * math.pi)
+
+
+@pytest.mark.parametrize("n2", [301, 263])
+def test_two_axis_bridge_matches_per_row_weights(n2):
+    # a grid with a slope break on the diagonal, plus noise so that no
+    # stencil error can hide in a smooth sample
+    rng = np.random.default_rng(5)
+    ax1 = np.linspace(0.0, 30.0, 301)
+    ax2 = ax1 if n2 == ax1.size else np.linspace(0.0, 30.0, n2)
+    f = (np.exp(-0.4 * ax1[:, None] - 0.7 * np.abs(ax1[:, None] - ax2[None, :]))
+         * (1.0 + 0.5j) + 1e-3 * rng.standard_normal((ax1.size, n2)))
+    f[-1, :] = 0.0
+    f[:, -1] = 0.0
+    grid = AmplitudeGrid(axes=(ax1, ax2), values=f, channel="",
+                         dynamical_time=0.0)
+    om1 = np.linspace(-4.0, 4.0, 9)
+    om2 = np.linspace(-3.0, 5.0, 6)
+    spec = fourier_bridge(grid, omega_axes=(om1, om2))
+    ref = _per_row_bridge(f, ax1, ax2, om1, om2)
+    assert np.max(np.abs(spec.values - ref)) <= 1e-14
 
 
 def test_bridge_guards():
@@ -285,6 +321,35 @@ def test_appendix_comparison_small_grid():
     assert set(parsed["channels"]) == {"LL", "RL", "RR"}
     assert parsed["passed"] is True
     assert parsed["gamma"] == 1.0
+
+
+def test_appendix_comparison_shares_one_convolution(monkeypatch):
+    # the channels assembled from one shared convolution equal the
+    # channels of freq_channel_grid called per channel, and the
+    # convolution runs once: one integral per anti-diagonal
+    gamma, n_omega, n_time = 1.0, 8, 512
+    calls = []
+    real_integrate = spectral.integrate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_integrate(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "integrate", counting)
+    report = appendix_comparison(gamma, n_omega=n_omega, n_time=n_time)
+    assert len(calls) == 2 * n_omega - 1
+    monkeypatch.undo()
+
+    p = PulseProfile.exponential(gamma)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    axis = np.linspace(0.0, report.t_end, n_time + 1)
+    om = np.linspace(-10.0, 10.0, n_omega)
+    for ch in report.channels:
+        tgrid = two_photon_channel_grid(w, ch.channel, axis, axis, report.t_end)
+        bridged = fourier_bridge(tgrid, omega_axes=(om, om))
+        direct = freq_channel_grid(ch.channel, om, om, _product_line(gamma))
+        err = float(np.max(np.abs(bridged.values - direct.values)))
+        assert ch.max_abs_err == pytest.approx(err, rel=0.0, abs=1e-15)
 
 
 def test_bridge_of_time_channels_matches_freq_route_spotwise():
