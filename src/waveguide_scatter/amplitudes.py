@@ -38,22 +38,38 @@ _SQRT2 = math.sqrt(2.0)
 CHANNELS = ("LL", "RL", "RR")
 
 
-def _effective_quad(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
-    """Floor the tolerance at the data resolution of interpolated states.
+def _resolution_floor(w: WavepacketN) -> float:
+    """Data-resolution error scale of a state: h^2 / 8 for sampled pairs.
 
     A sampled two-photon state enters integrands through bilinear
     interpolation, which carries an O(h^2) representation error on grid
-    spacing h.  Driving quadrature orders of magnitude below that floor
-    burns panels without gaining accuracy, so the engine tolerance is
-    clamped to the interpolation error scale.
+    spacing h.  Analytic states have no such floor (0).
     """
     if w.kind != "correlated2":
-        return quad
+        return 0.0
     h = float(np.max(np.diff(w.grid)))
-    floor = h * h / 8.0
+    return h * h / 8.0
+
+
+def _effective_quad(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
+    """Floor the tolerance at the data resolution of interpolated states.
+
+    Driving quadrature orders of magnitude below that floor burns panels
+    without gaining accuracy, so the engine tolerance is clamped to it.
+    """
+    floor = _resolution_floor(w)
     if quad.rel_tol >= floor:
         return quad
     return replace(quad, rel_tol=floor, abs_tol=max(quad.abs_tol, floor * 1e-3))
+
+
+def _panel_width(w: WavepacketN) -> float:
+    """Initial panel width of integrands built on w.
+
+    The grid step of a sampled pair sets its interpolation error, not a
+    feature scale, so its panels span eight steps.
+    """
+    return min(0.5, w.min_timescale * (8.0 if w.kind == "correlated2" else 1.0))
 
 
 def _validate_times(times) -> np.ndarray:
@@ -111,9 +127,8 @@ def _absorption_chain(spans, w: WavepacketN, quad: QuadratureSpec) -> complex:
         return (np.exp(-(span1.end - t1)) * np.exp(-(span2.end - t2))
                 * _double_extraction(w, t1, t2))
 
-    width = min(0.5, w.min_timescale * 8.0)
     val = integrate_2d_box(integrand, (span1.start, span1.end),
-                           (span2.start, span2.end), quad, panel_width=width)
+                           (span2.start, span2.end), quad, panel_width=_panel_width(w))
     return sign * val
 
 
@@ -166,10 +181,8 @@ def linear_beamsplitter_amplitude(tau1: float, tau2: float, w: WavepacketN,
 
     if tau1 == 0.0 or tau2 == 0.0:
         return 0.0 + 0.0j
-    width = min(0.5, w.min_timescale * 8.0) if w.kind == "correlated2" else min(
-        0.5, w.min_timescale)
     return integrate_2d_box(integrand, (0.0, tau1), (0.0, tau2), quad,
-                            panel_width=width)
+                            panel_width=_panel_width(w))
 
 
 def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
@@ -202,9 +215,8 @@ def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
         return (np.exp(-(lo - t1)) * np.exp(-(lo - t2))
                 * _double_extraction(w, t1, t2) / _SQRT2)
 
-    width = min(0.5, w.min_timescale * 8.0) if w.kind == "correlated2" else min(
-        0.5, w.min_timescale)
-    q = integrate_2d_box(integrand, (0.0, lo), (0.0, lo), quad, panel_width=width)
+    q = integrate_2d_box(integrand, (0.0, lo), (0.0, lo), quad,
+                         panel_width=_panel_width(w))
     return -math.exp(-(hi - lo)) * q
 
 
@@ -253,6 +265,141 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
 
 
 # -- two-photon output channels ----------------------------------------------
+#
+# Every two-photon quantity is the input plus the histories in which the
+# atom re-emits: one photon absorbed and re-emitted at tau_emit while the
+# other passes as a direction-d spectator at tau_spec, S(d, tau_emit,
+# tau_spec), or both absorbed in time order, T(lo, hi).  A kernel provider
+# supplies S and T; both take a gate mask and return zero where it is
+# closed (T a scalar 0.0 when it is closed everywhere).  T must not be
+# evaluated there: it is undefined for lo > hi.
+
+class _ClosedFormKernels:
+    """S and T in closed form for two exponential envelopes; vectorized."""
+
+    def __init__(self, w: WavepacketN):
+        (p1, d1), (p2, d2) = w.entries
+        self._cnorm = w.separable_normalization()
+        self._gammas = (p1.gamma_bw, p2.gamma_bw)
+        # (spectator profile, its direction, bandwidth of the re-emitted partner)
+        self._spectators = ((p1, d1, p2.gamma_bw), (p2, d2, p1.gamma_bw))
+
+    def spectator(self, d: Direction, tau_emit, tau_spec, gate):
+        total = 0.0
+        for p, dk, g_partner in self._spectators:
+            if dk is d:
+                total = total + (np.asarray(p.value(tau_spec), dtype=complex)
+                                 * h_closed_form(tau_emit, 0.0, g_partner))
+        return -self._cnorm * total * gate
+
+    def chain(self, lo, hi, gate):
+        if not np.any(gate):
+            return 0.0
+        lo = np.where(gate, lo, 0.0)
+        hi = np.where(gate, hi, 0.0)
+        g1, g2 = self._gammas
+        val = self._cnorm * (h_closed_form(lo, 0.0, g1) * h_closed_form(hi, lo, g2)
+                             + h_closed_form(lo, 0.0, g2) * h_closed_form(hi, lo, g1))
+        return np.where(gate, val, 0.0)
+
+    def outer_spec(self, quad: QuadratureSpec) -> QuadratureSpec:
+        """S and T are exact to rounding: outer integrals keep quad."""
+        return quad
+
+
+def _pointwise(func, gate, *args) -> np.ndarray:
+    """func(*args) at every point where gate is open, zero elsewhere."""
+    gate, *args = np.broadcast_arrays(gate, *args)
+    out = np.zeros(gate.shape, dtype=complex)
+    flat = out.reshape(-1)
+    for i in np.flatnonzero(gate):
+        flat[i] = func(*(float(a.flat[i]) for a in args))
+    return out
+
+
+class _QuadratureKernels:
+    """S and T by adaptive quadrature for any two-photon state; pointwise."""
+
+    def __init__(self, w: WavepacketN, quad: QuadratureSpec):
+        self._w = w
+        self._quad = _effective_quad(w, quad)
+        self._width = _panel_width(w)
+
+    def _emit_with_spectator(self, pair_fn, tau_emit: float, tau_spec: float) -> complex:
+        """S at one point: the photon absorbed over [0, tau_emit] re-emitted then."""
+        def integrand(s):
+            return np.exp(-(tau_emit - s)) * pair_fn(self._w, s, tau_spec)
+        return -integrate(integrand, 0.0, tau_emit, self._quad, panel_width=self._width)
+
+    def spectator(self, d: Direction, tau_emit, tau_spec, gate):
+        pair_fn = (_pair_with_right_spectator if d is Direction.RIGHT
+                   else _pair_with_left_spectator)
+        return _pointwise(lambda te, ts: self._emit_with_spectator(pair_fn, te, ts),
+                          gate, tau_emit, tau_spec)
+
+    def chain(self, lo, hi, gate):
+        return _pointwise(
+            lambda a, b: _absorption_chain([KernelSpan(0.0, a), KernelSpan(a, b)],
+                                           self._w, self._quad),
+            gate, lo, hi)
+
+    def outer_spec(self, quad: QuadratureSpec) -> QuadratureSpec:
+        """quad floored at the noise of the inner integrals.
+
+        Each S and T carries the inner engine's error (and the data
+        resolution of sampled states), so outer integrals must not chase
+        tolerances below it.
+        """
+        noise = _resolution_floor(self._w)
+        return replace(quad, rel_tol=max(quad.rel_tol, 1e-8, 4.0 * noise),
+                       abs_tol=max(quad.abs_tol, 1e-11, noise * 1e-2))
+
+
+def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> dict:
+    """Channel amplitudes at detection times (tau1, tau2) from a kernel provider.
+
+    A channel with slot directions (d1, d2) sums the input component with
+    that many right-movers, the re-emission at tau1 whose spectator leaves
+    in d2, the re-emission at tau2 whose spectator leaves in d1, and the
+    ordered chain.  Emissions are gated by theta(t - tau_i), boundary
+    included; same-direction channels carry the 1/sqrt(2) of their
+    normalization.  Each S and T is evaluated once for all channels.
+    """
+    T1, T2 = np.broadcast_arrays(np.asarray(tau1, dtype=float),
+                                 np.asarray(tau2, dtype=float))
+    g1 = T1 <= t
+    g2 = T2 <= t
+    chain = kernels.chain(np.minimum(T1, T2), np.maximum(T1, T2), g1 & g2)
+    spectators = {}
+
+    def spectator(d, emit_first):
+        if (d, emit_first) not in spectators:
+            spectators[d, emit_first] = (kernels.spectator(d, T1, T2, g1) if emit_first
+                                         else kernels.spectator(d, T2, T1, g2))
+        return spectators[d, emit_first]
+
+    out = {}
+    for channel in channels:
+        d1, d2 = (Direction.RIGHT if c == "R" else Direction.LEFT for c in channel)
+        emitted = spectator(d2, True) + spectator(d1, False) + chain
+        xi = w.component(channel.count("R"), (T1, T2))
+        out[channel] = xi + (emitted / _SQRT2 if d1 is d2 else emitted)
+    return out
+
+
+def _emitter_amplitudes(kernels, tau, t: float):
+    """(right, left) emitter amplitudes at t with one photon out at tau.
+
+    The photon out at tau is either the spectator, while the emitter
+    holds the other one, or the first of the ordered chain (tau <= t,
+    boundary included).  The emitter radiates into both directions with
+    equal coupling, so the chain feeds both branches alike.
+    """
+    tau = np.asarray(tau, dtype=float)
+    chain = kernels.chain(tau, t, tau <= t)
+    return tuple(kernels.spectator(d, t, tau, True) + chain
+                 for d in (Direction.RIGHT, Direction.LEFT))
+
 
 def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
                        quad: QuadratureSpec = DEFAULT_QUAD) -> dict:
@@ -268,36 +415,8 @@ def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
         raise ValueError("two-photon outputs need a two-photon input")
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("detection times must be >= 0")
-    quad = _effective_quad(w, quad)
-    g1 = 1.0 if tau1 <= t else 0.0
-    g2 = 1.0 if tau2 <= t else 0.0
-    xi0 = w.component(0, (tau1, tau2))
-    xi1 = w.component(1, (tau1, tau2))
-    xi2 = w.component(2, (tau1, tau2))
-    width = min(0.5, w.min_timescale * (8.0 if w.kind == "correlated2" else 1.0))
-
-    def emit_with_spectator(tau_a, pair_fn, tau_b):
-        if tau_a == 0.0:
-            return 0.0 + 0.0j
-        def integrand(s):
-            return np.exp(-(tau_a - s)) * pair_fn(w, s, tau_b)
-        return -integrate(integrand, 0.0, tau_a, quad, panel_width=width)
-
-    s_r1 = emit_with_spectator(tau1, _pair_with_right_spectator, tau2) if g1 else 0.0
-    s_r2 = emit_with_spectator(tau2, _pair_with_right_spectator, tau1) if g2 else 0.0
-    s_l1 = emit_with_spectator(tau1, _pair_with_left_spectator, tau2) if g1 else 0.0
-    s_l2 = emit_with_spectator(tau2, _pair_with_left_spectator, tau1) if g2 else 0.0
-
-    t2 = 0.0 + 0.0j
-    if g1 and g2:
-        lo, hi = sorted((tau1, tau2))
-        spans = [KernelSpan(0.0, lo), KernelSpan(lo, hi)]
-        t2 = _absorption_chain(spans, w, quad)
-
-    f2 = (_SQRT2 * xi2 + g1 * s_r1 + g2 * s_r2 + g1 * g2 * t2) / _SQRT2
-    f1 = xi1 + g1 * s_l1 + g2 * s_r2 + g1 * g2 * t2
-    f0 = (_SQRT2 * xi0 + g1 * s_l1 + g2 * s_l2 + g1 * g2 * t2) / _SQRT2
-    return {"LL": complex(f0), "RL": complex(f1), "RR": complex(f2)}
+    vals = _channel_sums(_QuadratureKernels(w, quad), w, CHANNELS, tau1, tau2, t)
+    return {ch: complex(v) for ch, v in vals.items()}
 
 
 def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) -> np.ndarray:
@@ -312,63 +431,13 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
         raise ValueError(f"channel must be one of {CHANNELS}")
     if not (w.all_exponential and w.n_photons == 2):
         raise ValueError("closed-form path needs two exponential envelopes")
-    (p1, d1), (p2, d2) = w.entries
-    cnorm = w.separable_normalization()
-    T1 = np.asarray(tau1, dtype=float)
-    T2 = np.asarray(tau2, dtype=float)
-    T1, T2 = np.broadcast_arrays(T1, T2)
-    zero1 = np.zeros_like(T1)
-    zero2 = np.zeros_like(T2)
-    g1 = (T1 <= t).astype(float)
-    g2 = (T2 <= t).astype(float)
-
-    k1_at1 = h_closed_form(T1, zero1, p1.gamma_bw)
-    k2_at1 = h_closed_form(T1, zero1, p2.gamma_bw)
-    k1_at2 = h_closed_form(T2, zero2, p1.gamma_bw)
-    k2_at2 = h_closed_form(T2, zero2, p2.gamma_bw)
-    v1_at1 = np.asarray(p1.value(T1), dtype=complex)
-    v2_at1 = np.asarray(p2.value(T1), dtype=complex)
-    v1_at2 = np.asarray(p1.value(T2), dtype=complex)
-    v2_at2 = np.asarray(p2.value(T2), dtype=complex)
-
-    def spectator_sum(direction, emit_first):
-        # emission re-radiates the partner of each spectator photon whose
-        # direction matches the observed channel slot
-        spec_vals = (v1_at2, v2_at2) if emit_first else (v1_at1, v2_at1)
-        kern_vals = (k2_at1, k1_at1) if emit_first else (k2_at2, k1_at2)
-        total = 0.0
-        for (dk, v_spec, k_partner) in zip((d1, d2), spec_vals, kern_vals):
-            if dk is direction:
-                total = total + v_spec * k_partner
-        return -cnorm * total
-
-    s_right_1 = spectator_sum(Direction.RIGHT, True)
-    s_left_1 = spectator_sum(Direction.LEFT, True)
-    s_right_2 = spectator_sum(Direction.RIGHT, False)
-    s_left_2 = spectator_sum(Direction.LEFT, False)
-
-    lo = np.minimum(T1, T2)
-    hi = np.maximum(T1, T2)
-    zl = np.zeros_like(lo)
-    t2_term = cnorm * (h_closed_form(lo, zl, p1.gamma_bw)
-                       * h_closed_form(hi, lo, p2.gamma_bw)
-                       + h_closed_form(lo, zl, p2.gamma_bw)
-                       * h_closed_form(hi, lo, p1.gamma_bw))
-
-    if channel == "RR":
-        xi2 = w.component(2, (T1, T2))
-        return xi2 + (g1 * s_right_1 + g2 * s_right_2 + g1 * g2 * t2_term) / _SQRT2
-    if channel == "RL":
-        xi1 = w.component(1, (T1, T2))
-        return xi1 + g1 * s_left_1 + g2 * s_right_2 + g1 * g2 * t2_term
-    xi0 = w.component(0, (T1, T2))
-    return xi0 + (g1 * s_left_1 + g2 * s_left_2 + g1 * g2 * t2_term) / _SQRT2
+    return _channel_sums(_ClosedFormKernels(w), w, (channel,), tau1, tau2, t)[channel]
 
 
 # Row blocks of the exponential grid fill: at most this many entries per
 # temporary, and at most this time span of rows, so that the rescaled
 # chain factors of h_factor_terms stay below exp(_BLOCK_SPAN).
-_BLOCK_ENTRIES = 4_000_000
+_BLOCK_ENTRIES = 1_000_000
 _BLOCK_SPAN = 256.0
 
 
@@ -453,8 +522,9 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
 
     When every envelope is exponential the tensor is filled from
     one-time factors, row blocks at a time to bound temporaries (see
-    :func:`_exp_pair_grid`); otherwise it falls back to the pointwise
-    engine (slow, intended for small grids and correlated inputs).
+    :func:`_exp_pair_grid`); otherwise it falls back to the quadrature
+    provider, point by point (slow, intended for small grids and
+    correlated inputs).
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")
@@ -465,10 +535,8 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     if w.all_exponential and w.n_photons == 2:
         values = _exp_pair_grid(w, channel, ax1, ax2, t)
     else:
-        values = np.empty((ax1.size, ax2.size), dtype=complex)
-        for i, t1 in enumerate(ax1):
-            for j, t2 in enumerate(ax2):
-                values[i, j] = two_photon_outputs(t1, t2, t, w, quad)[channel]
+        values = _channel_sums(_QuadratureKernels(w, quad), w, (channel,),
+                               ax1[:, None], ax2[None, :], t)[channel]
     return AmplitudeGrid(axes=(ax1, ax2), values=values, channel=channel,
                          dynamical_time=t)
 

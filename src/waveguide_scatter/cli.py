@@ -14,8 +14,7 @@ with underscores); explicit flags override the file.  Exit codes: 0 on
 success, 1 when a validation suite fails, 2 for bad input, configuration
 errors and quadrature that does not converge.
 CSV cells carry 12 significant digits so repeated runs are
-byte-identical.  Thread fan-out honors the SCATTER_THREADS environment
-variable.
+byte-identical.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -36,7 +34,6 @@ from .observables import (
     excitation_trace,
     reflection_probability_closed,
     reflection_probability_numeric,
-    worker_count,
 )
 from .spectral import (
     appendix_comparison,
@@ -237,18 +234,12 @@ def _cmd_figure3(opt: dict) -> int:
         raise ValueError("the numeric cross-check supports n <= 5")
     tasks = [(n, float(g)) for n in n_values for g in gammas]
     if numeric:
-        def work(task):
-            n, g = task
-            res = reflection_probability_numeric(n, g)
-            return [n, _FMT.format(g), _FMT.format(res.closed),
-                    _FMT.format(res.numeric), _FMT.format(res.abs_err)]
         header = ["n", "gamma", "closed", "numeric", "abs_err"]
-        workers = worker_count(len(tasks))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(work, tasks))
-        else:
-            rows = [work(t) for t in tasks]
+        rows = []
+        for n, g in tasks:
+            res = reflection_probability_numeric(n, g)
+            rows.append([n, _FMT.format(g), _FMT.format(res.closed),
+                         _FMT.format(res.numeric), _FMT.format(res.abs_err)])
     else:
         header = ["n", "gamma", "closed"]
         rows = [[n, _FMT.format(g),

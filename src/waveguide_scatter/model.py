@@ -193,14 +193,7 @@ class PulseProfile:
         n += n % 2
         t = np.linspace(0.0, self.t_max, n + 1)
         y = np.abs(np.asarray(self.value(t), dtype=complex)) ** 2
-        w = np.ones(n + 1)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return float(np.sum(w * y) * (t[1] - t[0]) / 3.0)
-
-
-def make_exponential_profile(gamma_bw: float, t_max: float | None = None) -> PulseProfile:
-    return PulseProfile.exponential(gamma_bw, t_max)
+        return float(np.sum(_simpson_pattern(n + 1) * y) * (t[1] - t[0]) / 3.0)
 
 
 def profile_overlap(p: PulseProfile, q: PulseProfile) -> complex:
@@ -216,10 +209,7 @@ def profile_overlap(p: PulseProfile, q: PulseProfile) -> complex:
     n += n % 2
     t = np.linspace(0.0, horizon, n + 1)
     y = np.conjugate(np.asarray(p.value(t), dtype=complex)) * np.asarray(q.value(t), dtype=complex)
-    w = np.ones(n + 1)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return complex(np.sum(w * y) * (t[1] - t[0]) / 3.0)
+    return complex(np.sum(_simpson_pattern(n + 1) * y) * (t[1] - t[0]) / 3.0)
 
 
 def _permanent(mat: np.ndarray) -> complex:
@@ -472,29 +462,28 @@ def _bilinear(grid: np.ndarray, arr: np.ndarray, x: np.ndarray, y: np.ndarray) -
     return np.where(inside, val, 0.0)
 
 
+def _simpson_pattern(npts: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 for an odd point count.
+
+    Multiply by step / 3 for the rule on a uniform grid.
+    """
+    w = np.ones(npts)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
+
+
 def _simpson_weights_nonuniform(x: np.ndarray) -> np.ndarray:
     """Composite Simpson weights if the grid is uniform, trapezoid otherwise."""
     d = np.diff(x)
     if d.size == 0:
         return np.zeros_like(x)
     if np.allclose(d, d[0], rtol=1e-12, atol=0.0) and d.size % 2 == 0:
-        w = np.ones_like(x)
-        w[1:-1:2] = 4.0
-        w[2:-1:2] = 2.0
-        return w * d[0] / 3.0
+        return _simpson_pattern(x.size) * d[0] / 3.0
     w = np.zeros_like(x)
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d
     return w
-
-
-def make_product_wavepacket(entries) -> WavepacketN:
-    """Separable N-photon state from (profile, direction) pairs."""
-    return WavepacketN.product(entries)
-
-
-def wavepacket_component(w: WavepacketN, n_right: int, times):
-    return w.component(n_right, times)
 
 
 @dataclass(frozen=True)
@@ -527,11 +516,6 @@ class InitialState:
         if self.c_g != 0:
             return self.field_g.n_photons
         return self.field_e.n_photons + 1
-
-
-def photons_in_ground(w: WavepacketN) -> InitialState:
-    """Atom in the ground state, field in w."""
-    return InitialState(c_g=1.0, field_g=w)
 
 
 def excited_atom(field_e: WavepacketN | None = None) -> InitialState:

@@ -20,15 +20,18 @@ interpolation is benign), which turns an O(q^N) cost into O(N q^2).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import exp_pair_channel_values, ordered_emission_amplitude
+from .amplitudes import (
+    _ClosedFormKernels,
+    _QuadratureKernels,
+    _emitter_amplitudes,
+    exp_pair_channel_values,
+)
 from .kernel import h_closed_form, kernel_convolve, KernelSpan
-from .model import Direction, WavepacketN, check_bandwidth
+from .model import WavepacketN, check_bandwidth
 from .quadrature import (
     DEFAULT_QUAD,
     QuadratureSpec,
@@ -45,7 +48,6 @@ __all__ = [
     "reflection_probability_closed",
     "reflection_probability_numeric",
     "unitarity_check_two_photon",
-    "worker_count",
 ]
 
 _MAX_NUMERIC_PHOTONS = 5
@@ -54,27 +56,6 @@ _MAX_NUMERIC_PHOTONS = 5
 _CHEB_NODES = 48
 _DECAY_FOLDINGS = 45.0
 _LOG_FLOOR = 1e-300
-
-
-def worker_count(task_count: int | None = None) -> int:
-    """Thread budget for embarrassingly parallel sweeps.
-
-    Honors the SCATTER_THREADS environment variable when set; falls back
-    to the CPU count.  Never exceeds the number of tasks.
-    """
-    raw = os.environ.get("SCATTER_THREADS")
-    if raw is None or raw.strip() == "":
-        n = os.cpu_count() or 1
-    else:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ValueError(
-                f"SCATTER_THREADS must be an integer, got {raw!r}") from exc
-    n = max(1, n)
-    if task_count is not None:
-        n = min(n, max(1, task_count))
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -113,103 +94,21 @@ def _excitation_one(t: float, w: WavepacketN, quad: QuadratureSpec) -> float:
     return abs(amp) ** 2
 
 
-def _pair_emission_amps_exp(w: WavepacketN, tau, t: float):
-    """Emitter amplitude at time t with one photon already out at tau.
-
-    Returns (right, left) spectator-direction amplitudes, vectorized in
-    tau.  Valid only for two exponential envelopes.
-    """
-    (p1, d1), (p2, d2) = w.entries
-    cnorm = w.separable_normalization()
-    tau = np.asarray(tau, dtype=float)
-    k1_t = complex(h_closed_form(t, 0.0, p1.gamma_bw))
-    k2_t = complex(h_closed_form(t, 0.0, p2.gamma_bw))
-
-    amp_right = np.zeros(tau.shape, dtype=complex)
-    amp_left = np.zeros(tau.shape, dtype=complex)
-    for (dk, v_spec, k_partner) in ((d1, p1.value(tau), k2_t),
-                                    (d2, p2.value(tau), k1_t)):
-        if dk is Direction.RIGHT:
-            amp_right = amp_right - cnorm * v_spec * k_partner
-        else:
-            amp_left = amp_left - cnorm * v_spec * k_partner
-
-    inside = tau <= t
-    if np.any(inside):
-        ts = np.where(inside, tau, 0.0)
-        zero = np.zeros_like(ts)
-        chain = cnorm * (h_closed_form(ts, zero, p1.gamma_bw)
-                         * h_closed_form(np.full_like(ts, t), ts, p2.gamma_bw)
-                         + h_closed_form(ts, zero, p2.gamma_bw)
-                         * h_closed_form(np.full_like(ts, t), ts, p1.gamma_bw))
-        chain = np.where(inside, chain, 0.0)
-        # the emitter radiates into both directions with equal coupling,
-        # so the ordered chain feeds the right and left branches alike
-        amp_right = amp_right + chain
-        amp_left = amp_left + chain
-    return amp_right, amp_left
-
-
-def _pair_emission_amps_generic(w: WavepacketN, tau: float, t: float,
-                                quad: QuadratureSpec):
-    """Pointwise (right, left) emitter amplitudes for arbitrary inputs."""
-    from .amplitudes import _pair_with_right_spectator, _pair_with_left_spectator
-
-    def emit(pair_fn):
-        def integrand(s):
-            return np.exp(-(t - s)) * pair_fn(w, s, tau)
-        scale = min(1.0, w.min_timescale)
-        return -integrate(integrand, 0.0, t, quad,
-                          panel_width=min(0.5, scale))
-
-    amp_r = emit(_pair_with_right_spectator)
-    amp_l = emit(_pair_with_left_spectator)
-    if tau <= t:
-        # the emitter radiates into both directions with equal coupling
-        chain = ordered_emission_amplitude(np.array([tau, t]), w, quad)
-        amp_r = amp_r + chain
-        amp_l = amp_l + chain
-    return amp_r, amp_l
-
-
 def _excitation_two(t: float, w: WavepacketN, quad: QuadratureSpec) -> float:
     if t == 0.0:
         return 0.0
-    if w.all_exponential and w.kind == "separable":
-        def integrand(tau):
-            amp_r, amp_l = _pair_emission_amps_exp(w, tau, t)
-            return np.abs(amp_r) ** 2 + np.abs(amp_l) ** 2
-        scale = min(1.0, w.min_timescale)
-        width = min(0.5, scale)
-        # kink at tau = t where the time-ordered chain switches on
-        total = integrate(integrand, 0.0, t, quad, panel_width=width)
-        total += integrate_semi_infinite(integrand, t, quad, scale=scale)
-        return float(total.real)
+    kernels = _ClosedFormKernels(w) if w.all_exponential else _QuadratureKernels(w, quad)
+    outer = kernels.outer_spec(quad)
 
-    def integrand(tau_arr):
-        tau_arr = np.atleast_1d(np.asarray(tau_arr, dtype=float))
-        out = np.empty(tau_arr.shape, dtype=float)
-        for i, tau in enumerate(tau_arr):
-            amp_r, amp_l = _pair_emission_amps_generic(w, float(tau), t, quad)
-            out[i] = abs(amp_r) ** 2 + abs(amp_l) ** 2
-        return out
+    def integrand(tau):
+        right, left = _emitter_amplitudes(kernels, tau, t)
+        return np.abs(right) ** 2 + np.abs(left) ** 2
 
-    # the pointwise amplitudes carry the inner engine's own error floor
-    # (data-resolution limited for sampled states), so the outer pass must
-    # not chase tolerances below that noise
-    if w.kind == "correlated2":
-        h = float(np.max(np.diff(w.grid)))
-        noise = h * h / 8.0
-        scale = 1.0
-    else:
-        noise = 0.0
-        scale = min(1.0, w.min_timescale)
-    coarse = QuadratureSpec(rule=quad.rule,
-                            rel_tol=max(quad.rel_tol, 1e-8, 4.0 * noise),
-                            abs_tol=max(quad.abs_tol, 1e-11, noise * 1e-2),
-                            max_subdivisions=quad.max_subdivisions)
-    total = integrate(integrand, 0.0, t, coarse, panel_width=min(0.5, scale))
-    total += integrate_semi_infinite(integrand, t, coarse, scale=scale)
+    # the grid step of a sampled pair is a resolution, not a decay scale
+    scale = 1.0 if w.kind == "correlated2" else min(1.0, w.min_timescale)
+    # kink at tau = t where the time-ordered chain switches on
+    total = integrate(integrand, 0.0, t, outer, panel_width=min(0.5, scale))
+    total += integrate_semi_infinite(integrand, t, outer, scale=scale)
     return float(np.real(total))
 
 
@@ -233,17 +132,11 @@ def excitation_probability(t: float, w: WavepacketN,
 
 def excitation_trace(times, w: WavepacketN,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> ExcitationTrace:
-    """Excitation probability on an array of times (thread-parallel)."""
+    """Excitation probability on an array of times."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a 1-D array")
-    workers = worker_count(times.size)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(
-                lambda t: excitation_probability(float(t), w, quad), times))
-    else:
-        vals = [excitation_probability(float(t), w, quad) for t in times]
+    vals = [excitation_probability(float(t), w, quad) for t in times]
     return ExcitationTrace(times=times, values=np.array(vals))
 
 

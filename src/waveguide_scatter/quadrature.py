@@ -1,9 +1,11 @@
 """Composite Gauss-Legendre quadrature with adaptive bisection.
 
 All amplitude integrands in this package are piecewise smooth with
-exponential decay, so a small embedded Gauss pair per panel plus
-bisection of offending panels converges fast.  Integrands must accept a
-numpy array of nodes and return an array (complex allowed).
+exponential decay, so two Gauss rules per panel plus bisection of
+offending panels converges fast.  The rules have 7 and 15 nodes and
+share only the midpoint; their difference is the error estimate.
+Integrands must accept a numpy array of nodes and return an array
+(complex allowed).
 
 Semi-infinite integrals march geometrically growing panels until the
 running tail stops contributing; callers pass a decay-scale hint so the
@@ -37,7 +39,6 @@ class ConvergenceError(RuntimeError):
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Engine parameters shared by all quadrature-backed operations."""
-    rule: str = "adaptive"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     max_subdivisions: int = 50
@@ -47,8 +48,6 @@ class QuadratureSpec:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.rule not in ("adaptive", "fixed"):
-            raise ValueError(f"unknown quadrature rule: {self.rule!r}")
 
 
 DEFAULT_QUAD = QuadratureSpec()
@@ -62,18 +61,14 @@ def gauss_legendre_nodes(order: int, a: float, b: float):
     return mid + half * x, half * w
 
 
-def panel_values(f, a: float, b: float, order: int = 15):
-    """Single Gauss-Legendre panel of the given order."""
-    x, w = _gl(order)
+def _panel_pair(f, a: float, b: float):
+    """(15-node value, |15-node - 7-node|) of the Gauss rules on one panel."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    return half * np.sum(w * np.asarray(f(mid + half * x)))
-
-
-def _panel_pair(f, a: float, b: float):
-    """(better estimate, error estimate) from an embedded 7/15 pair."""
-    coarse = panel_values(f, a, b, order=7)
-    fine = panel_values(f, a, b, order=15)
+    x7, w7 = _gl(7)
+    x15, w15 = _gl(15)
+    coarse = half * np.sum(w7 * np.asarray(f(mid + half * x7)))
+    fine = half * np.sum(w15 * np.asarray(f(mid + half * x15)))
     return fine, abs(fine - coarse)
 
 
@@ -83,8 +78,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
 
     ``panel_width`` seeds the initial subdivision; pass the shortest
     timescale of the integrand (the engine caps it at the interval
-    length).  Adaptive mode bisects the worst panels until the summed
-    error estimate meets abs_tol + rel_tol * |result|.
+    length).  The worst panels are bisected until the summed error
+    estimate meets abs_tol + rel_tol * |result|.
     """
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -99,8 +94,6 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
     for lo, hi in zip(edges[:-1], edges[1:]):
         val, err = _panel_pair(f, lo, hi)
         panels.append([lo, hi, val, err, 0])
-    if spec.rule == "fixed":
-        return sum(p[2] for p in panels)
     while True:
         total = sum(p[2] for p in panels)
         err_total = sum(p[3] for p in panels)

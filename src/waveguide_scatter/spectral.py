@@ -238,8 +238,15 @@ def _check_uniform(axis: np.ndarray) -> float:
     return dt
 
 
+# rows per block of the window guard's peak search: |values| of one block
+# is the only temporary, not of the whole grid
+_WINDOW_BLOCK_ROWS = 256
+
+
 def _check_window(values: np.ndarray, rel_tol: float = 1e-5) -> None:
-    peak = float(np.max(np.abs(values)))
+    rows = np.atleast_2d(values)
+    peak = max(float(np.max(np.abs(rows[i:i + _WINDOW_BLOCK_ROWS])))
+               for i in range(0, rows.shape[0], _WINDOW_BLOCK_ROWS))
     if peak == 0.0:
         return
     if values.ndim == 1:
@@ -413,6 +420,19 @@ def freq_nonlinear_correction(omega1, omega2, xi2,
     return (r1 + r2) * conv / _TWO_PI
 
 
+def _freq_channel(channel: str, r1, t1, r2, t2, xi, b):
+    """One channel from the coefficients acting on the line xi plus b.
+
+    LL reverses both photons, RL transmits the first and reverses the
+    second, RR transmits both (Shen & Fan, PRA 76, 062709 (2007)).
+    """
+    if channel == "LL":
+        return r1 * r2 * xi + b
+    if channel == "RL":
+        return _SQRT2 * (t1 * r2 * xi + b)
+    return t1 * t2 * xi + b
+
+
 def freq_two_photon_outputs(omega1: float, omega2: float, xi2,
                             quad: QuadratureSpec = DEFAULT_QUAD,
                             omega_span: float = DEFAULT_ANTIDIAG_SPAN) -> dict:
@@ -426,11 +446,7 @@ def freq_two_photon_outputs(omega1: float, omega2: float, xi2,
     r2, t2 = single_photon_r_t(omega2)
     xi = mode(omega1, omega2)
     b = freq_nonlinear_correction(omega1, omega2, xi2, quad, omega_span)
-    return {
-        "LL": r1 * r2 * xi + b,
-        "RL": _SQRT2 * (t1 * r2 * xi + b),
-        "RR": t1 * t2 * xi + b,
-    }
+    return {ch: _freq_channel(ch, r1, t1, r2, t2, xi, b) for ch in ("LL", "RL", "RR")}
 
 
 def _antidiagonal_convolution(ax1: np.ndarray, ax2: np.ndarray, xi2,
@@ -471,12 +487,7 @@ def _channel_from_convolution(channel: str, ax1: np.ndarray, ax2: np.ndarray,
     xi = np.asarray(mode(np.broadcast_to(ax1[:, None], shape),
                          np.broadcast_to(ax2[None, :], shape)), dtype=complex)
     b = (r1[:, None] + r2[None, :]) * conv / _TWO_PI
-    if channel == "LL":
-        vals = r1[:, None] * r2[None, :] * xi + b
-    elif channel == "RL":
-        vals = _SQRT2 * (t1[:, None] * r2[None, :] * xi + b)
-    else:
-        vals = t1[:, None] * t2[None, :] * xi + b
+    vals = _freq_channel(channel, r1[:, None], t1[:, None], r2[None, :], t2[None, :], xi, b)
     return FreqAmplitudeGrid(axes=(ax1, ax2), values=vals, channel=channel)
 
 

@@ -24,6 +24,14 @@ from waveguide_scatter import (
     write_grid_csv,
 )
 
+from waveguide_scatter.amplitudes import (
+    _ClosedFormKernels,
+    _QuadratureKernels,
+    _channel_sums,
+    _emitter_amplitudes,
+)
+from waveguide_scatter.quadrature import DEFAULT_QUAD
+
 from conftest import brute_reflection_f0
 
 _SQRT2 = math.sqrt(2.0)
@@ -154,6 +162,57 @@ def test_channel_fast_path_matches_pointwise_engine():
                 assert slow[ch] == pytest.approx(fast, abs=1e-9)
 
 
+class _Counted:
+    """A kernel provider that counts its evaluations."""
+
+    def __init__(self, kernels):
+        self.kernels = kernels
+        self.calls = {"spectator": 0, "chain": 0}
+
+    def spectator(self, *args):
+        self.calls["spectator"] += 1
+        return self.kernels.spectator(*args)
+
+    def chain(self, *args):
+        self.calls["chain"] += 1
+        return self.kernels.chain(*args)
+
+
+@pytest.mark.parametrize("dirs", [(Direction.RIGHT, Direction.RIGHT),
+                                  (Direction.RIGHT, Direction.LEFT)])
+def test_kernel_providers_agree_on_separable_exponential_pairs(dirs):
+    w = _pair(1.3, 2.7, dirs)
+    closed = _ClosedFormKernels(w)
+    quad = _QuadratureKernels(w, DEFAULT_QUAD)
+    t = 1.1
+    # before t, at t (closed gate, theta(0) = 1) and past t, where the
+    # chain's window is reversed and must not be evaluated at all
+    tau = np.array([0.4, t, 2.3])
+    gate = tau <= t
+    for d in (Direction.RIGHT, Direction.LEFT):
+        s_closed = closed.spectator(d, t, tau, True)
+        np.testing.assert_allclose(quad.spectator(d, t, tau, True), s_closed,
+                                   rtol=0.0, atol=1e-9)
+        assert np.all(closed.spectator(d, t, tau, False) == 0.0)
+    t_closed = closed.chain(tau, t, gate)
+    t_quad = quad.chain(tau, t, gate)
+    np.testing.assert_allclose(t_quad, t_closed, rtol=0.0, atol=1e-9)
+    assert abs(t_closed[0]) > 1e-3
+    assert t_closed[2] == 0.0 and t_quad[2] == 0.0
+    for a_quad, a_closed in zip(_emitter_amplitudes(quad, tau, t),
+                                _emitter_amplitudes(closed, tau, t)):
+        np.testing.assert_allclose(a_quad, a_closed, rtol=0.0, atol=1e-9)
+    # channel sums with an emission exactly at the observation time
+    for a, b in ((t, 0.4), (0.4, t), (t, t), (t, 2.3)):
+        counted = _Counted(quad)
+        by_quad = _channel_sums(counted, w, CHANNELS, a, b, t)
+        by_closed = _channel_sums(closed, w, CHANNELS, a, b, t)
+        for ch in CHANNELS:
+            assert complex(by_quad[ch]) == pytest.approx(complex(by_closed[ch]), abs=1e-9)
+        # four spectator terms and one chain serve all three channels
+        assert counted.calls == {"spectator": 4, "chain": 1}
+
+
 def test_channels_gate_past_observation_time():
     w = _pair(1.0)
     out = two_photon_outputs(1.0, 5.0, 3.0, w)
@@ -211,6 +270,22 @@ def test_channel_grid_fill_matches_pointwise_channels(gammas, dirs, ax1, ax2, t_
         direct = exp_pair_channel_values(w, ch, ax1[:, None], ax2[None, :], t_obs)
         assert np.all(np.isfinite(grid.values))
         assert np.max(np.abs(grid.values - direct)) <= 1e-13, ch
+
+
+def test_channel_grid_fallback_matches_pointwise_outputs():
+    # a sampled envelope takes the quadrature provider on the whole grid
+    t_samp = np.linspace(0.0, 30.0, 151)
+    p = PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2)
+    w = WavepacketN.product([(p, Direction.RIGHT), (PulseProfile.exponential(2.0),
+                                                    Direction.LEFT)])
+    ax1 = np.array([0.0, 0.6, 1.5])
+    ax2 = np.array([0.3, 1.5, 2.4])
+    for ch in CHANNELS:
+        grid = two_photon_channel_grid(w, ch, ax1, ax2, 1.5)
+        for i, t1 in enumerate(ax1):
+            for j, t2 in enumerate(ax2):
+                point = two_photon_outputs(float(t1), float(t2), 1.5, w)[ch]
+                assert grid.values[i, j] == pytest.approx(point, abs=1e-14)
 
 
 def test_grid_csv_round_trip(tmp_path):

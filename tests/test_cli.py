@@ -11,8 +11,8 @@ import pytest
 from waveguide_scatter import (
     exp_pair_channel_values,
     load_grid_csv,
-    make_exponential_profile,
-    make_product_wavepacket,
+    PulseProfile,
+    WavepacketN,
     reflection_probability_closed,
 )
 from waveguide_scatter import cli
@@ -80,8 +80,8 @@ def test_two_photon_grid_round_trips(tmp_path):
     grid = load_grid_csv(out, tmp_path / "grid.json")
     assert grid.channel == "RR"
     assert grid.dynamical_time == 4.0
-    p = make_exponential_profile(1.0)
-    w = make_product_wavepacket([(p, "R"), (p, "R")])
+    p = PulseProfile.exponential(1.0)
+    w = WavepacketN.product([(p, "R"), (p, "R")])
     ax = grid.axes[0]
     direct = exp_pair_channel_values(w, "RR", ax[:, None], ax[None, :], 4.0)
     np.testing.assert_allclose(grid.values, direct, atol=1e-9)
@@ -229,3 +229,13 @@ def test_console_entry_point_runs():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,gamma,closed"
+
+
+def test_import_loads_no_scipy_and_no_thread_pool():
+    # scipy is imported lazily where it is used, and nothing spawns threads
+    code = ("import sys, waveguide_scatter, waveguide_scatter.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('concurrent.futures')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"

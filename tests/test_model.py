@@ -14,9 +14,7 @@ from waveguide_scatter import (
     PulseProfile,
     WavepacketN,
     excited_atom,
-    photons_in_ground,
     profile_overlap,
-    wavepacket_component,
     wavepacket_from_json,
     wavepacket_to_json,
 )
@@ -93,11 +91,11 @@ def test_component_selects_direction_split():
     pl = PulseProfile.exponential(3.0)
     w = WavepacketN.product([(pr, Direction.RIGHT), (pl, Direction.LEFT)])
     a, b = 0.7, 1.9
-    val = wavepacket_component(w, 1, (a, b))
+    val = w.component(1, (a, b))
     assert val == pytest.approx(complex(pr.value(a)) * complex(pl.value(b)),
                                 abs=1e-12)
-    assert wavepacket_component(w, 0, (a, b)) == 0.0
-    assert wavepacket_component(w, 2, (a, b)) == 0.0
+    assert w.component(0, (a, b)) == 0.0
+    assert w.component(2, (a, b)) == 0.0
 
 
 def test_component_symmetrizes_same_direction_pair():
@@ -105,8 +103,8 @@ def test_component_symmetrizes_same_direction_pair():
     pb = PulseProfile.exponential(4.0)
     w = WavepacketN.product([(pa, Direction.RIGHT), (pb, Direction.RIGHT)])
     a, b = 0.3, 1.2
-    v_ab = wavepacket_component(w, 2, (a, b))
-    v_ba = wavepacket_component(w, 2, (b, a))
+    v_ab = w.component(2, (a, b))
+    v_ba = w.component(2, (b, a))
     assert v_ab == pytest.approx(v_ba, abs=1e-12)
     # permanent of the pair overlap matrix is 1 + |o|^2, and the
     # symmetrized sum carries 1/sqrt(2!)
@@ -138,10 +136,10 @@ def test_correlated_pair_checks_symmetry_and_norm():
     w = WavepacketN.correlated_pair(grid, xi2=sym, norm_tol=1e-5)
     assert w.n_photons == 2
     # interpolation reproduces the sampled tensor at the nodes
-    assert wavepacket_component(w, 2, (grid[4], grid[9])) == pytest.approx(
+    assert w.component(2, (grid[4], grid[9])) == pytest.approx(
         complex(sym[4, 9]), abs=1e-12)
     # outside the stored support the state vanishes
-    assert wavepacket_component(w, 2, (grid[-1] + 5.0, 1.0)) == 0.0
+    assert w.component(2, (grid[-1] + 5.0, 1.0)) == 0.0
 
 
 def test_initial_state_validation():
@@ -153,7 +151,7 @@ def test_initial_state_validation():
         # excited branch must carry one photon fewer than the ground branch
         InitialState(c_g=1 / math.sqrt(2), field_g=w1,
                      c_e=1 / math.sqrt(2), field_e=w1)
-    st = photons_in_ground(w1)
+    st = InitialState(c_g=1.0, field_g=w1)
     assert st.c_g == 1.0 and st.c_e == 0.0
     assert st.total_excitations == 1
     ex = excited_atom()
@@ -171,5 +169,5 @@ def test_wavepacket_json_round_trip():
     w2 = wavepacket_from_json(text)
     assert w2.n_photons == 2
     probe = (0.8, 2.1)
-    assert wavepacket_component(w2, 1, probe) == pytest.approx(
-        wavepacket_component(w, 1, probe), abs=1e-12)
+    assert w2.component(1, probe) == pytest.approx(
+        w.component(1, probe), abs=1e-12)

@@ -19,7 +19,6 @@ from waveguide_scatter import (
     reflection_probability_numeric,
     unitarity_check_two_photon,
     weighted_h_norm_integral,
-    worker_count,
 )
 
 from conftest import rk4_excitation
@@ -202,27 +201,3 @@ def test_unitarity_needs_two_exponential_photons():
                                Direction.RIGHT)])
     with pytest.raises(ValueError):
         unitarity_check_two_photon(w1)
-
-
-# -- thread-count plumbing -------------------------------------------------------
-
-def test_worker_count_env_control(monkeypatch):
-    monkeypatch.setenv("SCATTER_THREADS", "4")
-    assert worker_count() == 4
-    assert worker_count(2) == 2  # capped by the task count
-    monkeypatch.setenv("SCATTER_THREADS", "not-a-number")
-    with pytest.raises(ValueError):
-        worker_count()
-    monkeypatch.delenv("SCATTER_THREADS")
-    assert worker_count(1) == 1
-
-
-def test_trace_is_thread_invariant(monkeypatch):
-    p = PulseProfile.exponential(1.0)
-    w = WavepacketN.product([(p, Direction.RIGHT)])
-    times = np.linspace(0.0, 5.0, 11)
-    monkeypatch.setenv("SCATTER_THREADS", "1")
-    seq = excitation_trace(times, w)
-    monkeypatch.setenv("SCATTER_THREADS", "4")
-    par = excitation_trace(times, w)
-    np.testing.assert_array_equal(seq.values, par.values)

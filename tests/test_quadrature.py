@@ -23,8 +23,6 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(rule="romberg")
 
 
 def test_gauss_legendre_nodes_integrate_polynomials_exactly():

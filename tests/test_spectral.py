@@ -203,6 +203,26 @@ def test_bridge_guards():
                                      channel="", dynamical_time=0.0))
 
 
+def test_window_guard_scans_every_row_block_of_a_2d_grid():
+    # a bump late in a tall grid: its peak lies past the first row blocks
+    # of the guard's search
+    tau1 = np.linspace(0.0, 60.0, 601)
+    tau2 = np.linspace(0.0, 20.0, 41)
+    bump = np.exp(-0.5 * (tau1 - 52.0) ** 2)[:, None] * np.exp(-tau2)[None, :]
+    vals = (1e-4 * np.exp(-tau1)[:, None] * np.exp(-tau2)[None, :] + bump).astype(complex)
+    for undecayed in ((-1, slice(None)), (slice(None), -1)):
+        bad = vals.copy()
+        bad[undecayed] += 1e-3
+        with pytest.raises(ValueError, match="truncates"):
+            fourier_bridge(AmplitudeGrid(axes=(tau1, tau2), values=bad, channel="",
+                                         dynamical_time=0.0))
+    # edges 1e-4 of the first rows' values, ~1e-7 of the late peak: decayed
+    vals[-1, :] = 1e-7
+    vals[:, -1] = 1e-7
+    grid = AmplitudeGrid(axes=(tau1, tau2), values=vals, channel="", dynamical_time=0.0)
+    assert fourier_bridge(grid).values.shape == vals.shape
+
+
 # -- end-corrected weights -------------------------------------------------------
 
 def test_segment_weights_reproduce_interval_length():
