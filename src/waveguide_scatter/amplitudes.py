@@ -39,15 +39,20 @@ CHANNELS = ("LL", "RL", "RR")
 
 
 def _resolution_floor(w: WavepacketN) -> float:
-    """Data-resolution error scale of a state: h^2 / 8 for sampled pairs.
+    """Data-resolution error scale of a state: h^2 / 8 for sampled data.
 
-    A sampled two-photon state enters integrands through bilinear
-    interpolation, which carries an O(h^2) representation error on grid
-    spacing h.  Analytic states have no such floor (0).
+    Sampled data enter integrands through linear (profiles) or bilinear
+    (correlated pairs) interpolation, which carries an O(h^2)
+    representation error on the widest sample spacing h.  Analytic
+    states have no such floor (0).
     """
-    if w.kind != "correlated2":
+    if w.kind == "correlated2":
+        grids = [w.grid]
+    else:
+        grids = [p._grid for p, _ in w.entries if p.kind == "sampled"]
+    if not grids:
         return 0.0
-    h = float(np.max(np.diff(w.grid)))
+    h = max(float(np.max(np.diff(g))) for g in grids)
     return h * h / 8.0
 
 
@@ -530,8 +535,10 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
         raise ValueError(f"channel must be one of {CHANNELS}")
     ax1 = np.asarray(axis1, dtype=float)
     ax2 = np.asarray(axis2, dtype=float)
-    if np.any(ax1 < 0.0) or np.any(ax2 < 0.0):
-        raise ValueError("detection-time axes must be >= 0")
+    if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (ax1, ax2)):
+        raise ValueError("detection-time axes must be finite and >= 0")
+    if not math.isfinite(t):
+        raise ValueError(f"dynamical time must be finite, got {t!r}")
     if w.all_exponential and w.n_photons == 2:
         values = _exp_pair_grid(w, channel, ax1, ax2, t)
     else:

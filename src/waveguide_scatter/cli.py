@@ -20,8 +20,10 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import os
 import sys
 
@@ -31,6 +33,7 @@ from .amplitudes import CHANNELS, two_photon_channel_grid, write_grid_csv
 from .model import Direction, PulseProfile, WavepacketN
 from .quadrature import ConvergenceError
 from .observables import (
+    _MAX_NUMERIC_PHOTONS,
     excitation_trace,
     reflection_probability_closed,
     reflection_probability_numeric,
@@ -58,6 +61,12 @@ _DEFAULTS: dict[str, dict] = {
                 "gamma_grid": "log:0.01:100:200", "numeric": False,
                 "output": "-"},
 }
+
+# options read as floats, and counts that must be at least 1; both are
+# checked once, whether they come from a flag or from --config
+_FLOAT_OPTIONS = ("gamma", "gamma2", "t_max", "t", "tau_max", "tolerance",
+                  "omega_min", "omega_max")
+_COUNT_OPTIONS = ("points", "tau_points")
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -112,49 +121,44 @@ def _build_pair(gamma: float, gamma2: float | None, directions: str | None,
     return WavepacketN.product(entries)
 
 
-class _Sink:
-    """Write-target wrapper: a file path, or '-'/None for stdout."""
-
-    def __init__(self, target):
-        self.target = "-" if target is None else str(target)
-
-    def __enter__(self):
-        if self.target == "-":
-            self._fh = None
-            return sys.stdout
-        self._fh = open(self.target, "w", newline="")
-        return self._fh
-
-    def __exit__(self, *exc):
-        if self._fh is not None:
-            self._fh.close()
-        return False
+def _open_output(target):
+    """A file opened for writing, or stdout for '-' or None."""
+    if target is None or str(target) == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(target, "w", newline="")
 
 
 def _write_rows(sink: str, header: list[str], rows) -> None:
-    with _Sink(sink) as fh:
+    with _open_output(sink) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow(row)
 
 
-def _cmd_reflect(opt: dict) -> int:
-    n_values = _parse_n_list(opt["n_list"])
-    gamma = float(opt["gamma"])
-    rows = []
-    if opt["numeric"]:
+def _write_reversal_rows(sink: str, n_values: list[int], gammas, numeric: bool) -> None:
+    """Closed-form (and numeric) reversal probabilities, one row per (n, gamma)."""
+    if numeric and max(n_values) > _MAX_NUMERIC_PHOTONS:
+        raise ValueError(
+            f"the numeric cross-check supports n <= {_MAX_NUMERIC_PHOTONS}")
+    tasks = [(n, float(g)) for n in n_values for g in gammas]
+    if numeric:
         header = ["n", "gamma", "closed", "numeric", "abs_err"]
-        for n in n_values:
-            res = reflection_probability_numeric(n, gamma)
-            rows.append([n, _FMT.format(gamma), _FMT.format(res.closed),
+        rows = []
+        for n, g in tasks:
+            res = reflection_probability_numeric(n, g)
+            rows.append([n, _FMT.format(g), _FMT.format(res.closed),
                          _FMT.format(res.numeric), _FMT.format(res.abs_err)])
     else:
         header = ["n", "gamma", "closed"]
-        for n in n_values:
-            rows.append([n, _FMT.format(gamma),
-                         _FMT.format(reflection_probability_closed(n, gamma))])
-    _write_rows(opt["output"], header, rows)
+        rows = [[n, _FMT.format(g), _FMT.format(reflection_probability_closed(n, g))]
+                for n, g in tasks]
+    _write_rows(sink, header, rows)
+
+
+def _cmd_reflect(opt: dict) -> int:
+    _write_reversal_rows(opt["output"], _parse_n_list(opt["n_list"]),
+                         [opt["gamma"]], bool(opt["numeric"]))
     return 0
 
 
@@ -164,10 +168,8 @@ def _cmd_excite(opt: dict) -> int:
         raise ValueError("excite supports 1 or 2 photons")
     w = _build_pair(opt["gamma"], opt.get("gamma2"), opt.get("directions"),
                     photons)
-    t_max = opt["t_max"]
-    if t_max is None:
-        t_max = w.horizon
-    times = np.linspace(0.0, float(t_max), int(opt["points"]))
+    t_max = opt["t_max"] if opt["t_max"] is not None else w.horizon
+    times = np.linspace(0.0, t_max, int(opt["points"]))
     trace = excitation_trace(times, w)
     rows = ([_FMT.format(t), _FMT.format(v)]
             for t, v in zip(trace.times, trace.values))
@@ -177,8 +179,8 @@ def _cmd_excite(opt: dict) -> int:
 
 def _cmd_two_photon(opt: dict) -> int:
     w = _build_pair(opt["gamma"], opt.get("gamma2"), opt.get("directions"), 2)
-    t = float(opt["t"]) if opt["t"] is not None else w.horizon
-    tau_max = float(opt["tau_max"]) if opt["tau_max"] is not None else w.horizon
+    t = opt["t"] if opt["t"] is not None else w.horizon
+    tau_max = opt["tau_max"] if opt["tau_max"] is not None else w.horizon
     axis = np.linspace(0.0, tau_max, int(opt["tau_points"]))
     wanted = CHANNELS if opt["channel"] == "all" else (opt["channel"],)
     if any(ch not in CHANNELS for ch in wanted):
@@ -197,19 +199,18 @@ def _cmd_two_photon(opt: dict) -> int:
 
 def _cmd_validate(opt: dict) -> int:
     suite = str(opt["suite"])
-    gamma = float(opt["gamma"])
+    gamma = opt["gamma"]
     if suite == "two-photon-bridge":
-        tol = float(opt["tolerance"]) if opt["tolerance"] is not None else 1e-4
+        tol = opt["tolerance"] if opt["tolerance"] is not None else 1e-4
         report = appendix_comparison(
-            gamma, omega_min=float(opt["omega_min"]),
-            omega_max=float(opt["omega_max"]),
+            gamma, omega_min=opt["omega_min"], omega_max=opt["omega_max"],
             n_omega=int(opt["omega_points"]),
             n_time=int(opt["time_points"]), tolerance=tol)
-        with _Sink(opt["output"]) as fh:
+        with _open_output(opt["output"]) as fh:
             fh.write(report.to_json())
         return 0 if report.passed else 1
     if suite == "single-photon":
-        tol = float(opt["tolerance"]) if opt["tolerance"] is not None else 1e-6
+        tol = opt["tolerance"] if opt["tolerance"] is not None else 1e-6
         closed = reflection_probability_closed(1, gamma)
         freq = single_photon_reflection_freq(gamma)
         bridge_err = single_photon_bridge_error(gamma)
@@ -220,32 +221,15 @@ def _cmd_validate(opt: dict) -> int:
             "passed": bool(abs(closed - freq) <= tol and bridge_err <= 100 * tol),
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        with _Sink(opt["output"]) as fh:
+        with _open_output(opt["output"]) as fh:
             fh.write(text)
         return 0 if payload["passed"] else 1
     raise ValueError(f"unknown validation suite {suite!r}")
 
 
 def _cmd_figure3(opt: dict) -> int:
-    n_values = _parse_n_list(opt["n_list"])
-    gammas = _parse_axis(opt["gamma_grid"])
-    numeric = bool(opt["numeric"])
-    if numeric and any(n > 5 for n in n_values):
-        raise ValueError("the numeric cross-check supports n <= 5")
-    tasks = [(n, float(g)) for n in n_values for g in gammas]
-    if numeric:
-        header = ["n", "gamma", "closed", "numeric", "abs_err"]
-        rows = []
-        for n, g in tasks:
-            res = reflection_probability_numeric(n, g)
-            rows.append([n, _FMT.format(g), _FMT.format(res.closed),
-                         _FMT.format(res.numeric), _FMT.format(res.abs_err)])
-    else:
-        header = ["n", "gamma", "closed"]
-        rows = [[n, _FMT.format(g),
-                 _FMT.format(reflection_probability_closed(n, g))]
-                for n, g in tasks]
-    _write_rows(opt["output"], header, rows)
+    _write_reversal_rows(opt["output"], _parse_n_list(opt["n_list"]),
+                         _parse_axis(opt["gamma_grid"]), bool(opt["numeric"]))
     return 0
 
 
@@ -319,36 +303,43 @@ def _effective_options(command: str, args: argparse.Namespace) -> dict:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise _ConfigError(f"cannot read config {args.config}: {exc}")
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise _ConfigError("config must be a JSON object")
+            raise ValueError("config must be a JSON object")
         unknown = set(loaded) - set(opts)
         if unknown:
-            raise _ConfigError(
+            raise ValueError(
                 f"unknown config keys for {command}: {sorted(unknown)}")
         opts.update(loaded)
     for key in opts:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             opts[key] = flag_val
+    for key in _FLOAT_OPTIONS:
+        if opts.get(key) is not None:
+            val = _as_number(float, key, opts[key])
+            if not math.isfinite(val):
+                raise ValueError(f"{key} must be finite, got {opts[key]!r}")
+            opts[key] = val
+    for key in _COUNT_OPTIONS:
+        if key in opts and _as_number(int, key, opts[key]) < 1:
+            raise ValueError(f"{key} must be at least 1, got {opts[key]!r}")
     return opts
 
 
-class _ConfigError(Exception):
-    pass
+def _as_number(kind, key: str, value):
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key} must be a number, got {value!r}") from exc
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = _effective_options(args.command, args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return _RUNNERS[args.command](opts)
+        return _RUNNERS[args.command](_effective_options(args.command, args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

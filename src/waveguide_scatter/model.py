@@ -193,7 +193,7 @@ class PulseProfile:
         n += n % 2
         t = np.linspace(0.0, self.t_max, n + 1)
         y = np.abs(np.asarray(self.value(t), dtype=complex)) ** 2
-        return float(np.sum(_simpson_pattern(n + 1) * y) * (t[1] - t[0]) / 3.0)
+        return float(np.sum(_simpson_weights_nonuniform(t) * y))
 
 
 def profile_overlap(p: PulseProfile, q: PulseProfile) -> complex:
@@ -209,7 +209,7 @@ def profile_overlap(p: PulseProfile, q: PulseProfile) -> complex:
     n += n % 2
     t = np.linspace(0.0, horizon, n + 1)
     y = np.conjugate(np.asarray(p.value(t), dtype=complex)) * np.asarray(q.value(t), dtype=complex)
-    return complex(np.sum(_simpson_pattern(n + 1) * y) * (t[1] - t[0]) / 3.0)
+    return complex(np.sum(_simpson_weights_nonuniform(t) * y))
 
 
 def _permanent(mat: np.ndarray) -> complex:
@@ -398,7 +398,8 @@ class WavepacketN:
         if arr is None:
             out = np.zeros(shape, dtype=complex)
             return complex(out) if out.ndim == 0 else out
-        out = _bilinear(self.grid, arr, np.broadcast_to(t1, shape), np.broadcast_to(t2, shape))
+        out = _bilinear(self.grid, self.grid, arr, np.broadcast_to(t1, shape),
+                        np.broadcast_to(t2, shape))
         if out.ndim == 0:
             return complex(out)
         return out
@@ -441,18 +442,16 @@ def _symmetrized_product(profiles, time_arrays, shape):
     return acc
 
 
-def _bilinear(grid: np.ndarray, arr: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation of arr sampled on grid x grid; zero outside."""
-    gx0, gx1 = grid[0], grid[-1]
-    inside = (x >= gx0) & (x <= gx1) & (y >= gx0) & (y <= gx1)
-    xi = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 2)
-    yi = np.clip(np.searchsorted(grid, y, side="right") - 1, 0, grid.size - 2)
-    x0 = grid[xi]
-    y0 = grid[yi]
-    dx = grid[xi + 1] - x0
-    dy = grid[yi + 1] - y0
-    fx = np.clip((x - x0) / dx, 0.0, 1.0)
-    fy = np.clip((y - y0) / dy, 0.0, 1.0)
+def _bilinear(ax1: np.ndarray, ax2: np.ndarray, arr: np.ndarray,
+              x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of arr sampled on ax1 x ax2; zero outside."""
+    inside = (x >= ax1[0]) & (x <= ax1[-1]) & (y >= ax2[0]) & (y <= ax2[-1])
+    xi = np.clip(np.searchsorted(ax1, x, side="right") - 1, 0, ax1.size - 2)
+    yi = np.clip(np.searchsorted(ax2, y, side="right") - 1, 0, ax2.size - 2)
+    x0 = ax1[xi]
+    y0 = ax2[yi]
+    fx = np.clip((x - x0) / (ax1[xi + 1] - x0), 0.0, 1.0)
+    fy = np.clip((y - y0) / (ax2[yi + 1] - y0), 0.0, 1.0)
     v00 = arr[xi, yi]
     v10 = arr[xi + 1, yi]
     v01 = arr[xi, yi + 1]
@@ -462,24 +461,23 @@ def _bilinear(grid: np.ndarray, arr: np.ndarray, x: np.ndarray, y: np.ndarray) -
     return np.where(inside, val, 0.0)
 
 
-def _simpson_pattern(npts: int) -> np.ndarray:
-    """Composite Simpson weights 1, 4, 2, ..., 4, 1 for an odd point count.
-
-    Multiply by step / 3 for the rule on a uniform grid.
-    """
-    w = np.ones(npts)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def _simpson_weights_nonuniform(x: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights if the grid is uniform, trapezoid otherwise."""
+    """Composite Simpson weights if the grid is uniform, trapezoid otherwise.
+
+    np.linspace rounds every node to its own magnitude, so the steps of a
+    uniform grid scatter by a few eps of its largest node: about step
+    count x eps of the mean step on a grid from 0.
+    """
     d = np.diff(x)
     if d.size == 0:
         return np.zeros_like(x)
-    if np.allclose(d, d[0], rtol=1e-12, atol=0.0) and d.size % 2 == 0:
-        return _simpson_pattern(x.size) * d[0] / 3.0
+    step = float(x[-1] - x[0]) / d.size
+    scatter = 4.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
+    if d.size % 2 == 0 and np.max(np.abs(d - step)) <= scatter:
+        w = np.full(x.size, 2.0)
+        w[1::2] = 4.0
+        w[[0, -1]] = 1.0
+        return w * step / 3.0
     w = np.zeros_like(x)
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d

@@ -35,7 +35,7 @@ from .model import WavepacketN, check_bandwidth
 from .quadrature import (
     DEFAULT_QUAD,
     QuadratureSpec,
-    gauss_legendre_nodes,
+    composite_gauss_legendre,
     integrate,
     integrate_semi_infinite,
 )
@@ -121,8 +121,8 @@ def excitation_probability(t: float, w: WavepacketN,
     value is the squared absorption kernel; the two-photon value traces
     out the photon that has already been re-emitted.
     """
-    if t < 0.0:
-        raise ValueError("time must be >= 0")
+    if not (t >= 0.0 and math.isfinite(t)):
+        raise ValueError(f"time must be finite and >= 0, got {t!r}")
     if w.n_photons == 1:
         return _excitation_one(float(t), w, quad)
     if w.n_photons == 2:
@@ -287,12 +287,7 @@ def _ladder_axis(t_end: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     while edges[-1] < t_end:
         edges.append(min(t_end, edges[-1] + width))
         width = min(1.0, width * 1.4)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, wgt = gauss_legendre_nodes(10, a, b)
-        nodes.append(x)
-        weights.append(wgt)
-    return np.concatenate(nodes), np.concatenate(weights)
+    return composite_gauss_legendre(np.array(edges), 10)
 
 
 def unitarity_check_two_photon(w: WavepacketN,

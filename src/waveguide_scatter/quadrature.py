@@ -14,18 +14,21 @@ first panels resolve the fastest feature.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# march of integrate_semi_infinite: panel growth factor and panel budget
+_GROWTH = 1.6
+_MAX_PANELS = 400
+# Gauss-Legendre order of the panels of integrate_2d_box
+_BOX_ORDER = 12
 
 
+@functools.cache
 def _gl(order: int):
-    if order not in _GL_CACHE:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _GL_CACHE[order] = (x, w)
-    return _GL_CACHE[order]
+    return np.polynomial.legendre.leggauss(order)
 
 
 class ConvergenceError(RuntimeError):
@@ -53,12 +56,22 @@ class QuadratureSpec:
 DEFAULT_QUAD = QuadratureSpec()
 
 
+def composite_gauss_legendre(edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes and weights of the given order on every panel.
+
+    Panel k spans [edges[k], edges[k + 1]]; nodes and weights are
+    concatenated panel by panel.
+    """
+    x, w = _gl(order)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    halves = 0.5 * np.diff(edges)
+    return ((mids[:, None] + halves[:, None] * x[None, :]).ravel(),
+            (halves[:, None] * w[None, :]).ravel())
+
+
 def gauss_legendre_nodes(order: int, a: float, b: float):
     """Gauss-Legendre nodes and weights mapped onto [a, b]."""
-    x, w = _gl(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * x, half * w
+    return composite_gauss_legendre(np.array([a, b], dtype=float), order)
 
 
 def _panel_pair(f, a: float, b: float):
@@ -113,8 +126,7 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
-                            scale: float = 1.0, growth: float = 1.6,
-                            max_panels: int = 400) -> complex:
+                            scale: float = 1.0) -> complex:
     """Integral of f over [a, inf) for integrands decaying at rate ~1/scale.
 
     Marches panels of geometrically growing width; stops once several
@@ -131,7 +143,7 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
     width = min(0.5, scale)
     quiet = 0
     reach = 0.0
-    for _ in range(max_panels):
+    for _ in range(_MAX_PANELS):
         hi = lo + width
         part = integrate(f, lo, hi, spec, panel_width=width)
         total += part
@@ -144,14 +156,14 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
         else:
             quiet = 0
         lo = hi
-        width = min(width * growth, max(4.0 * scale, 2.0))
+        width = min(width * _GROWTH, max(4.0 * scale, 2.0))
     raise ConvergenceError(
         f"semi-infinite integral from {a:g} kept contributing after "
-        f"{max_panels} panels", abs(part))
+        f"{_MAX_PANELS} panels", abs(part))
 
 
 def integrate_2d_box(f, box1, box2, spec: QuadratureSpec = DEFAULT_QUAD,
-                     panel_width: float | None = None, order: int = 12,
+                     panel_width: float | None = None,
                      max_nodes_per_axis: int = 1024) -> complex:
     """Tensor Gauss-Legendre integral over [a1,b1] x [a2,b2].
 
@@ -169,19 +181,9 @@ def integrate_2d_box(f, box1, box2, spec: QuadratureSpec = DEFAULT_QUAD,
         return 0.0 + 0.0j
 
     def tensor(n_panels: int) -> complex:
-        x, wgt = _gl(order)
-        nodes = []
-        weights = []
-        for (lo, hi) in ((a1, b1), (a2, b2)):
-            edges = np.linspace(lo, hi, n_panels + 1)
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            halves = 0.5 * np.diff(edges)
-            pts = (mids[:, None] + halves[:, None] * x[None, :]).ravel()
-            ws = (halves[:, None] * wgt[None, :]).ravel()
-            nodes.append(pts)
-            weights.append(ws)
-        vals = f(nodes[0][:, None], nodes[1][None, :])
-        return complex(np.einsum("i,j,ij->", weights[0], weights[1], vals))
+        x1, w1 = composite_gauss_legendre(np.linspace(a1, b1, n_panels + 1), _BOX_ORDER)
+        x2, w2 = composite_gauss_legendre(np.linspace(a2, b2, n_panels + 1), _BOX_ORDER)
+        return complex(np.einsum("i,j,ij->", w1, w2, f(x1[:, None], x2[None, :])))
 
     if panel_width is None or panel_width <= 0:
         panel_width = max(b1 - a1, b2 - a2)
@@ -189,7 +191,7 @@ def integrate_2d_box(f, box1, box2, spec: QuadratureSpec = DEFAULT_QUAD,
     coarse = tensor(n)
     est = float("inf")
     for _ in range(spec.max_subdivisions):
-        if 2 * n * order > max_nodes_per_axis:
+        if 2 * n * _BOX_ORDER > max_nodes_per_axis:
             raise ConvergenceError(
                 "2-D box integral hit the node budget before converging", est)
         n *= 2

@@ -24,12 +24,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .amplitudes import AmplitudeGrid, two_photon_channel_grid
-from .model import Direction, PulseProfile, WavepacketN, check_bandwidth
+from .model import Direction, PulseProfile, WavepacketN, _bilinear, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
 __all__ = [
@@ -93,15 +93,15 @@ class FreqAmplitudeGrid:
     """Amplitude samples on frequency axes, optionally with a closure.
 
     When a closure is attached, :meth:`evaluate` defers to it (exact);
-    otherwise evaluation interpolates the samples with cubic splines on
-    the real and imaginary parts.
+    otherwise evaluation interpolates the samples linearly (1-D) or
+    bilinearly (2-D), and is zero outside the axes, as every other
+    sampled object in the package is.
     """
 
     axes: tuple[np.ndarray, ...]
     values: np.ndarray
     channel: str = ""
     closure: object = None
-    _splines: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
@@ -137,21 +137,12 @@ class FreqAmplitudeGrid:
             return self.closure(*freqs)
         if self.ndim == 1:
             om = np.asarray(freqs[0], dtype=float)
-            re = np.interp(om, self.axes[0], self.values.real)
-            im = np.interp(om, self.axes[0], self.values.imag)
-            out = re + 1j * im
-            return complex(out) if om.ndim == 0 else out
-        if self._splines is None:
-            from scipy.interpolate import RectBivariateSpline
-            object.__setattr__(self, "_splines", (
-                RectBivariateSpline(self.axes[0], self.axes[1], self.values.real),
-                RectBivariateSpline(self.axes[0], self.axes[1], self.values.imag)))
-        sre, sim = self._splines
-        w1 = np.asarray(freqs[0], dtype=float)
-        w2 = np.asarray(freqs[1], dtype=float)
-        b1, b2 = np.broadcast_arrays(w1, w2)
-        out = (sre.ev(b1.ravel(), b2.ravel())
-               + 1j * sim.ev(b1.ravel(), b2.ravel())).reshape(b1.shape)
+            ax = self.axes[0]
+            out = (np.interp(om, ax, self.values.real, left=0.0, right=0.0)
+                   + 1j * np.interp(om, ax, self.values.imag, left=0.0, right=0.0))
+        else:
+            w1, w2 = np.broadcast_arrays(*(np.asarray(f, dtype=float) for f in freqs))
+            out = _bilinear(self.axes[0], self.axes[1], self.values, w1, w2)
         return complex(out) if out.ndim == 0 else out
 
 
@@ -452,29 +443,20 @@ def freq_two_photon_outputs(omega1: float, omega2: float, xi2,
 def _antidiagonal_convolution(ax1: np.ndarray, ax2: np.ndarray, xi2,
                               quad: QuadratureSpec, omega_span: float) -> np.ndarray:
     """Anti-diagonal convolution on ax1 x ax2, the same for every channel."""
-    # group grid nodes by anti-diagonal: within a group the total
-    # detuning varies only at floating-point level, and the convolution
-    # is smooth on the line scale, so one evaluation per group suffices
-    sums = ax1[:, None] + ax2[None, :]
-    conv = np.empty((ax1.size, ax2.size), dtype=complex)
-    if ax1.size == ax2.size and np.allclose(np.diff(ax1), np.diff(ax1)[0]) \
-            and np.array_equal(ax1, ax2):
-        for k in range(2 * ax1.size - 1):
-            idx_i = np.arange(max(0, k - ax1.size + 1), min(ax1.size, k + 1))
-            idx_j = k - idx_i
-            s_val = float(np.mean(sums[idx_i, idx_j]))
-            conv[idx_i, idx_j] = _antidiagonal_integral(
-                s_val, xi2, quad, omega_span, tail_tol=1e-5)
-    else:
-        cache: dict[float, complex] = {}
-        for i in range(ax1.size):
-            for j in range(ax2.size):
-                key = round(float(sums[i, j]), 12)
-                if key not in cache:
-                    cache[key] = _antidiagonal_integral(
-                        key, xi2, quad, omega_span, tail_tol=1e-5)
-                conv[i, j] = cache[key]
-    return conv
+    # group grid nodes by total detuning: the sorted sums start a new
+    # anti-diagonal wherever they jump by more than rounding, and the
+    # convolution is smooth on the line scale, so one evaluation per
+    # group, at its mean sum, suffices
+    sums = np.add.outer(ax1, ax2).ravel()
+    order = np.argsort(sums, kind="stable")
+    ordered = sums[order]
+    jumps = np.diff(ordered) > 1e-9 * np.maximum(1.0, np.abs(ordered[1:]))
+    edges = np.concatenate(([0], np.flatnonzero(jumps) + 1, [ordered.size]))
+    conv = np.empty(sums.size, dtype=complex)
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        conv[order[lo:hi]] = _antidiagonal_integral(
+            float(np.mean(ordered[lo:hi])), xi2, quad, omega_span, tail_tol=1e-5)
+    return conv.reshape(ax1.size, ax2.size)
 
 
 def _channel_from_convolution(channel: str, ax1: np.ndarray, ax2: np.ndarray,

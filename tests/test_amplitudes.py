@@ -341,3 +341,14 @@ def test_emission_time_validation():
         ordered_emission_amplitude([-0.5, 1.0], w)
     with pytest.raises(ValueError):
         ordered_emission_amplitude([1.0], w)
+
+
+@pytest.mark.parametrize("axis1,axis2,t", [
+    ([0.0, math.nan], [0.0, 1.0], 5.0),
+    ([0.0, 1.0], [0.0, math.inf], 5.0),
+    ([0.0, 1.0], [0.0, 1.0], math.nan),
+    ([0.0, 1.0], [0.0, 1.0], math.inf),
+])
+def test_channel_grid_rejects_non_finite_axes_and_time(axis1, axis2, t):
+    with pytest.raises(ValueError, match="finite"):
+        two_photon_channel_grid(_pair(1.0), "RR", axis1, axis2, t)

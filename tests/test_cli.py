@@ -161,6 +161,11 @@ def test_bad_photon_list_exits_2(capsys):
     ["reflect", "--gamma", "nan"],
     ["reflect", "--gamma", "inf"],
     ["excite", "--gamma", "nan"],
+    ["excite", "--t-max", "nan"],
+    ["excite", "--t-max=-inf"],
+    ["excite", "--points", "0"],
+    ["validate", "--suite", "single-photon", "--tolerance", "nan"],
+    ["validate", "--omega-max", "inf"],
 ])
 def test_non_finite_bandwidth_exits_2(argv):
     proc = subprocess.run(
@@ -170,6 +175,30 @@ def test_non_finite_bandwidth_exits_2(argv):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t", "nan"],
+    ["--tau-max", "inf"],
+    ["--gamma2", "nan"],
+    ["--tau-points", "0"],
+])
+def test_two_photon_rejects_bad_numbers(tmp_path, capsys, flags):
+    out = tmp_path / "grid.csv"
+    assert main(["two-photon", "--tau-points", "4", "-o", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config", ['{"t_max": NaN}', '{"points": 0}',
+                                    '{"gamma": "inf"}', '{"gamma": [1]}'])
+def test_config_numbers_are_checked_like_flags(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    assert main(["excite", "--config", str(cfg), "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_convergence_failure_exits_2(monkeypatch, capsys):
@@ -239,3 +268,52 @@ def test_import_loads_no_scipy_and_no_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_runs_with_scipy_blocked(tmp_path):
+    # the package needs numpy only: with every scipy import refused, it
+    # imports, runs each subcommand at small sizes, interpolates a sampled
+    # 2-D frequency grid and feeds a bridged grid to freq_channel_grid
+    code = f"""
+import sys
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"{{name}} is blocked")
+        return None
+
+sys.meta_path.insert(0, Block())
+import numpy as np
+from waveguide_scatter import (AmplitudeGrid, FreqAmplitudeGrid, QuadratureSpec,
+                               fourier_bridge, freq_channel_grid)
+from waveguide_scatter.cli import main
+
+out = {str(tmp_path)!r}
+runs = [
+    ["reflect", "--n-list", "1,2", "--numeric", "-o", out + "/r.csv"],
+    ["excite", "--photons", "2", "--points", "5", "-o", out + "/e.csv"],
+    ["two-photon", "--tau-points", "8", "-o", out + "/g.csv"],
+    ["validate", "--suite", "single-photon", "-o", out + "/s.json"],
+    ["validate", "--omega-min", "-2", "--omega-max", "2", "--omega-points", "4",
+     "--time-points", "512", "-o", out + "/b.json"],
+    ["figure3", "--n-list", "1,2", "--gamma-grid", "log:0.5:2:3", "--numeric",
+     "-o", out + "/f.csv"],
+]
+print([main(argv) for argv in runs])
+ax = np.linspace(-1.0, 1.0, 5)
+grid = FreqAmplitudeGrid(axes=(ax, ax), values=np.add.outer(ax, 2.0 * ax))
+print(grid.evaluate(0.25, -0.5))
+t = np.linspace(0.0, 40.0, 64)
+env = np.exp(-0.5 * t)
+bridged = fourier_bridge(AmplitudeGrid(axes=(t, t), values=np.outer(env, env).astype(complex),
+                                       channel="RR", dynamical_time=40.0))
+om = np.array([-0.5, 0.0, 0.5])
+print(np.all(np.isfinite(freq_channel_grid("RR", om, om, bridged,
+                                           quad=QuadratureSpec(rel_tol=1e-6, abs_tol=1e-8)).values)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0]", "(-0.75+0j)", "True", "[]"]

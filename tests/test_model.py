@@ -18,6 +18,7 @@ from waveguide_scatter import (
     wavepacket_from_json,
     wavepacket_to_json,
 )
+from waveguide_scatter.model import _bilinear, _simpson_weights_nonuniform
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0, 7.5])
@@ -171,3 +172,34 @@ def test_wavepacket_json_round_trip():
     probe = (0.8, 2.1)
     assert w2.component(1, probe) == pytest.approx(
         w.component(1, probe), abs=1e-12)
+
+
+def test_bilinear_reproduces_a_bilinear_function_on_unequal_axes():
+    ax1 = np.array([0.0, 0.3, 1.1, 1.2, 4.0])
+    ax2 = np.array([-2.0, -0.5, 0.7])
+    X, Y = np.meshgrid(ax1, ax2, indexing="ij")
+    arr = 0.5 - 1.5 * X + 2.0j * Y + 0.75 * X * Y
+    x = np.array([0.05, 0.9, 1.15, 3.3, 4.5])
+    y = np.array([-1.9, -0.1, 0.65, 0.0, 0.0])
+    got = _bilinear(ax1, ax2, arr, x, y)
+    exact = 0.5 - 1.5 * x + 2.0j * y + 0.75 * x * y
+    np.testing.assert_allclose(got[:4], exact[:4], rtol=0, atol=4e-15)
+    assert got[4] == 0.0
+
+
+@pytest.mark.parametrize("stop,points", [(20.0, 32001), (12.3456, 8193)])
+def test_simpson_weights_take_linspace_grids_as_uniform(stop, points):
+    # the grids of a closure profile's norm and of profile_overlap, whose
+    # steps scatter by a few 1e-12 of a step: Simpson integrates x^3 exactly
+    x = np.linspace(0.0, stop, points)
+    w = _simpson_weights_nonuniform(x)
+    assert np.sum(w * x ** 3) == pytest.approx(stop ** 4 / 4.0, rel=1e-13, abs=0.0)
+
+
+def test_simpson_weights_fall_back_to_trapezoid_on_a_perturbed_grid():
+    x = np.linspace(0.0, 2.0, 9)
+    x[3] += 1e-9
+    d = np.diff(x)
+    trapezoid = np.concatenate(([d[0]], d[:-1] + d[1:], [d[-1]])) / 2.0
+    np.testing.assert_allclose(_simpson_weights_nonuniform(x), trapezoid,
+                               rtol=1e-15, atol=0.0)

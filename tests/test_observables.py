@@ -105,6 +105,26 @@ def test_excitation_validation():
     assert excitation_probability(0.0, _pair(1.0)) == 0.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_excitation_rejects_non_finite_times(t):
+    with pytest.raises(ValueError, match="finite"):
+        excitation_probability(t, _pair(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        excitation_trace([0.5, t], _pair(1.0))
+
+
+def test_sampled_profiles_run_at_their_data_resolution():
+    # two photons sampled at h = 0.4 from the g = 1 exponential: the
+    # engine floors its tolerance at h^2 / 8, as for sampled pairs, and
+    # the value lands within that of the exponential pair's
+    grid = np.linspace(0.0, 40.0, 101)
+    p = PulseProfile.from_samples(grid, np.exp(-0.5 * grid), norm_tol=1e-2)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    floor = 0.4 ** 2 / 8.0
+    assert excitation_probability(0.5, w) == pytest.approx(
+        excitation_probability(0.5, _pair(1.0)), abs=floor)
+
+
 # -- full-reversal probabilities -------------------------------------------------
 
 def test_closed_reversal_spot_values():

@@ -318,6 +318,68 @@ def test_freq_grid_rejects_unknown_channel():
                           _product_line(1.0))
 
 
+def test_merged_convolution_on_unequal_nonuniform_axes(monkeypatch):
+    # one integral per distinct total detuning, whatever the axes; the
+    # sums 0.1 + 0.2 and 0.3 + 0.0 differ only by rounding and share one
+    xi2 = _product_line(1.0)
+    ax1 = np.array([-1.0, -0.25, 0.1, 0.3, 2.0])
+    ax2 = np.array([-0.5, 0.0, 0.2, 0.25, 1.0, 1.75])
+    calls = []
+    real_integral = spectral._antidiagonal_integral
+
+    def counting(s, *args, **kwargs):
+        calls.append(s)
+        return real_integral(s, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_antidiagonal_integral", counting)
+    conv = spectral._antidiagonal_convolution(ax1, ax2, xi2, spectral.DEFAULT_QUAD,
+                                              spectral.DEFAULT_ANTIDIAG_SPAN)
+    monkeypatch.undo()
+    distinct = np.unique(np.round(np.add.outer(ax1, ax2), 9))
+    assert len(calls) == distinct.size
+    r1, _ = single_photon_r_t(ax1)
+    r2, _ = single_photon_r_t(ax2)
+    for i in range(ax1.size):
+        for j in range(ax2.size):
+            direct = complex(freq_nonlinear_correction(ax1[i], ax2[j], xi2))
+            merged = (r1[i] + r2[j]) * conv[i, j] / (2.0 * math.pi)
+            assert merged == pytest.approx(direct, abs=1e-12)
+
+
+def test_convolution_runs_one_integral_per_antidiagonal_of_the_bridge_grid(monkeypatch):
+    # the 64 x 64 grid of appendix_comparison's defaults has 127 anti-diagonals
+    calls = []
+    monkeypatch.setattr(spectral, "_antidiagonal_integral",
+                        lambda s, *args, **kwargs: calls.append(s) or 0j)
+    om = np.linspace(-10.0, 10.0, 64)
+    spectral._antidiagonal_convolution(om, om, _product_line(1.0), spectral.DEFAULT_QUAD,
+                                       spectral.DEFAULT_ANTIDIAG_SPAN)
+    assert len(calls) == 127
+
+
+def test_sampled_freq_grid_interpolates_without_closure():
+    # a bilinear function is reproduced to rounding on unequal, non-uniform
+    # axes, and the grid is zero outside them, in 1-D as in 2-D
+    ax1 = np.array([-2.0, -1.3, 0.1, 0.4, 2.5])
+    ax2 = np.array([-1.0, 0.2, 0.3, 1.9])
+
+    def bilin(a, b):
+        return (1.0 + 0.5j) + (0.3 - 0.2j) * a - 0.7 * b + 0.25j * a * b
+
+    X, Y = np.meshgrid(ax1, ax2, indexing="ij")
+    grid = FreqAmplitudeGrid(axes=(ax1, ax2), values=bilin(X, Y))
+    a = np.array([-1.9, -0.5, 0.25, 2.4])
+    b = np.array([-0.9, 0.25, 1.0, 1.85])
+    np.testing.assert_allclose(grid.evaluate(a[:, None], b[None, :]),
+                               bilin(a[:, None], b[None, :]), rtol=0, atol=4e-15)
+    assert grid.evaluate(0.0, 0.25) == pytest.approx(complex(bilin(0.0, 0.25)), abs=4e-15)
+    assert grid.evaluate(2.6, 0.0) == 0.0
+    assert grid.evaluate(0.0, -1.1) == 0.0
+    line = FreqAmplitudeGrid(axes=(ax1,), values=(1.0 - 1.0j) * ax1)
+    assert line.evaluate(0.25) == pytest.approx((1.0 - 1.0j) * 0.25, abs=1e-15)
+    np.testing.assert_array_equal(line.evaluate(np.array([-2.5, 3.0])), 0.0)
+
+
 def test_freq_amplitude_grid_interpolates():
     ax = np.linspace(-3.0, 3.0, 61)
     grid = FreqAmplitudeGrid.from_function(
