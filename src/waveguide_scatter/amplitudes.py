@@ -81,6 +81,8 @@ def _validate_times(times) -> np.ndarray:
     arr = np.asarray(times, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("emission times must form a non-empty 1-D sequence")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"emission times must be finite, got {arr.tolist()!r}")
     if np.any(arr < 0.0):
         raise ValueError("emission times must be >= 0")
     if np.any(np.diff(arr) < 0.0):

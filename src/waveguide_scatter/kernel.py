@@ -41,6 +41,8 @@ class KernelSpan:
     end: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"kernel span must be finite, got ({self.start!r}, {self.end!r})")
         if self.start < 0.0:
             raise ValueError("kernel spans live on t >= 0")
         if self.end < self.start:
@@ -49,7 +51,7 @@ class KernelSpan:
 
 def kernel_convolve(profile: PulseProfile, span: KernelSpan,
                     quad: QuadratureSpec = DEFAULT_QUAD) -> complex:
-    """K(profile; span) by adaptive composite Gauss-Legendre quadrature."""
+    """K(profile; span) by adaptive Gauss-Kronrod quadrature."""
     a, b = span.start, span.end
     if a == b:
         return 0.0 + 0.0j

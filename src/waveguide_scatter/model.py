@@ -121,7 +121,7 @@ class PulseProfile:
             raise ValueError(f"unknown profile kind: {kind}")
         if check_norm:
             nsq = self.norm_sq()
-            if abs(nsq - 1.0) > norm_tol:
+            if not abs(nsq - 1.0) <= norm_tol:
                 raise NormalizationError(
                     f"profile norm^2 = {nsq:.12g}, off unity by more than {norm_tol:g}; "
                     "extend t_max or renormalize the samples")
@@ -268,7 +268,7 @@ class WavepacketN:
             if not self.tensors:
                 raise ValueError("correlated2 state needs at least one component")
             total = sum(self._tensor_norm_sq(a) for a in self.tensors.values())
-            if abs(total - 1.0) > norm_tol:
+            if not abs(total - 1.0) <= norm_tol:
                 raise NormalizationError(
                     f"correlated2 component norms sum to {total:.10g}, not 1 "
                     f"within {norm_tol:g}")
@@ -499,7 +499,7 @@ class InitialState:
 
     def __post_init__(self):
         total = abs(self.c_g) ** 2 + abs(self.c_e) ** 2
-        if abs(total - 1.0) > self.norm_tol:
+        if not abs(total - 1.0) <= self.norm_tol:
             raise NormalizationError(f"|c_g|^2 + |c_e|^2 = {total:.10g}, not 1")
         if self.c_g != 0 and self.field_g is None:
             raise ValueError("c_g != 0 requires field_g")

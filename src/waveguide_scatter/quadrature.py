@@ -1,34 +1,52 @@
-"""Composite Gauss-Legendre quadrature with adaptive bisection.
+"""Adaptive Gauss-Kronrod quadrature, one integrand call per round.
 
 All amplitude integrands in this package are piecewise smooth with
-exponential decay, so two Gauss rules per panel plus bisection of
-offending panels converges fast.  The rules have 7 and 15 nodes and
-share only the midpoint; their difference is the error estimate.
-Integrands must accept a numpy array of nodes and return an array
-(complex allowed).
+exponential decay.  Each panel carries the 15-node Kronrod rule and the
+7-node Gauss rule embedded in it (QUADPACK ``qk15``); their difference
+is the panel's error estimate.  A round bisects the worst panels and
+evaluates all their children in one call.  Integrands take a 1-D array
+of nodes and return an array (complex allowed) whose last axis runs over
+them; leading axes are components of a vector-valued integral.
 
-Semi-infinite integrals march geometrically growing panels until the
-running tail stops contributing; callers pass a decay-scale hint so the
-first panels resolve the fastest feature.
+Semi-infinite integrals march stretches of panels; 2-D box integrals
+nest a vector-valued inner integral in the outer one.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-# march of integrate_semi_infinite: panel growth factor and panel budget
-_GROWTH = 1.6
-_MAX_PANELS = 400
-# Gauss-Legendre order of the panels of integrate_2d_box
-_BOX_ORDER = 12
+# live panels (times components) of one integral; an integrand call
+# then sees at most 15x this many points
+_MAX_PANELS = 1 << 16
+# march of integrate_semi_infinite: panels per stretch, stretch budget
+_STRETCH_PANELS = 8
+_MAX_STRETCHES = 100
 
 
 @functools.cache
 def _gl(order: int):
     return np.polynomial.legendre.leggauss(order)
+
+
+@functools.cache
+def _kronrod_rule():
+    """Nodes on [-1, 1] and the (K15, K15 - G7) weight columns of qk15."""
+    # QUADPACK qk15 nodes on [0, 1), outermost first, and their weights
+    xgk = np.array([0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
+                    0.7415311855993945, 0.5860872354676911, 0.4058451513773972,
+                    0.20778495500789848, 0.0])
+    wgk = np.array([0.022935322010529224, 0.06309209262997856, 0.10479001032225019,
+                    0.14065325971552592, 0.1690047266392679, 0.19035057806478542,
+                    0.20443294007529889, 0.20948214108472782])
+    wk = np.concatenate([wgk, wgk[-2::-1]])
+    wg = np.zeros(15)
+    wg[1::2] = _gl(7)[1]  # the G7 nodes are every other K15 node
+    return np.concatenate([-xgk, xgk[-2::-1]]), np.stack([wk, wk - wg], axis=1)
 
 
 class ConvergenceError(RuntimeError):
@@ -74,26 +92,30 @@ def gauss_legendre_nodes(order: int, a: float, b: float):
     return composite_gauss_legendre(np.array([a, b], dtype=float), order)
 
 
-def _panel_pair(f, a: float, b: float):
-    """(15-node value, |15-node - 7-node|) of the Gauss rules on one panel."""
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    x7, w7 = _gl(7)
-    x15, w15 = _gl(15)
-    coarse = half * np.sum(w7 * np.asarray(f(mid + half * x7)))
-    fine = half * np.sum(w15 * np.asarray(f(mid + half * x15)))
-    return fine, abs(fine - coarse)
+def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+    """K15 values (components x panels) and per-panel |K15 - G7|, one call of f."""
+    xk, wk = _kronrod_rule()
+    half = 0.5 * (hi - lo)
+    x = (0.5 * (lo + hi)[:, None] + half[:, None] * xk).ravel()
+    y = np.asarray(f(x))
+    if y.shape[-1:] != x.shape:  # a constant, or a value broadcast over the nodes
+        y = np.broadcast_to(y, y.shape[:-1] + x.shape)
+    rules = (y.reshape(y.shape[:-1] + (lo.size, 15)) @ wk) * half[:, None]
+    return rules[..., 0], np.abs(rules[..., 1]).reshape(-1, lo.size).max(axis=0)
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
-              panel_width: float | None = None) -> complex:
+              panel_width: float | None = None):
     """Integral of f over [a, b].
 
     ``panel_width`` seeds the initial subdivision; pass the shortest
     timescale of the integrand (the engine caps it at the interval
-    length).  The worst panels are bisected until the summed error
-    estimate meets abs_tol + rel_tol * |result|.
+    length).  Each round bisects the fewest worst panels whose error
+    estimates cover the excess over abs_tol + rel_tol * |result|; a
+    vector result is measured by its largest component.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
     if b == a:
@@ -101,103 +123,79 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
     width = b - a
     if panel_width is None or panel_width <= 0:
         panel_width = width
-    n0 = max(1, int(np.ceil(width / min(panel_width, width))))
-    edges = np.linspace(a, b, n0 + 1)
-    panels = []  # (a, b, value, err, depth)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, err = _panel_pair(f, lo, hi)
-        panels.append([lo, hi, val, err, 0])
+    edges = np.linspace(a, b, max(1, int(np.ceil(width / min(panel_width, width)))) + 1)
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk15(f, lo, hi)
+    depth = np.zeros(lo.size, dtype=int)
     while True:
-        total = sum(p[2] for p in panels)
-        err_total = sum(p[3] for p in panels)
-        tol = spec.abs_tol + spec.rel_tol * abs(total)
+        total = val.sum(axis=-1)
+        err_total = err.sum()
+        if not math.isfinite(err_total):
+            raise ConvergenceError(
+                f"integral over [{a:g}, {b:g}] has a non-finite error estimate", err_total)
+        tol = spec.abs_tol + spec.rel_tol * abs(total).max()
         if err_total <= tol:
             return total
-        worst = max(range(len(panels)), key=lambda i: panels[i][3])
-        lo, hi, _, err, depth = panels[worst]
-        if depth >= spec.max_subdivisions:
-            raise ConvergenceError(
-                f"integral over [{a:g}, {b:g}] did not converge", err_total)
-        mid = 0.5 * (lo + hi)
-        left = _panel_pair(f, lo, mid)
-        right = _panel_pair(f, mid, hi)
-        panels[worst] = [lo, mid, left[0], left[1], depth + 1]
-        panels.append([mid, hi, right[0], right[1], depth + 1])
+        order = np.argsort(-err, kind="stable")
+        pick = order[:np.searchsorted(np.cumsum(err[order]), err_total - tol) + 1]
+        if (depth[pick].max() >= spec.max_subdivisions
+                or (lo.size + pick.size) * (val.size // lo.size) > _MAX_PANELS):
+            raise ConvergenceError(f"integral over [{a:g}, {b:g}] did not converge", err_total)
+        # left children replace their parents, right children go last
+        mid = 0.5 * (lo[pick] + hi[pick])
+        kids, kid_err = _gk15(f, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]]))
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([hi, hi[pick]])
+        hi[pick] = mid
+        depth[pick] += 1
+        depth = np.concatenate([depth, depth[pick]])
+        val[..., pick], err[pick] = kids[..., :pick.size], kid_err[:pick.size]
+        val = np.concatenate([val, kids[..., pick.size:]], axis=-1)
+        err = np.concatenate([err, kid_err[pick.size:]])
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
                             scale: float = 1.0) -> complex:
     """Integral of f over [a, inf) for integrands decaying at rate ~1/scale.
 
-    Marches panels of geometrically growing width; stops once several
-    consecutive panels contribute negligibly relative to the running
-    total.  The test is scale invariant so integrals of any absolute
-    magnitude are resolved to the same relative accuracy; exact zeros
-    only count once the march has covered several decay lengths, so a
-    support that starts away from ``a`` is not mistaken for a tail.
+    Marches stretches of panels whose width starts at min(0.5, scale)
+    and doubles up to max(4 scale, 2); stops once several consecutive
+    stretches contribute negligibly relative to the running total.  The
+    test is scale invariant so integrals of any absolute magnitude are
+    resolved to the same relative accuracy; exact zeros only count once
+    the march has covered several decay lengths, so a support that
+    starts away from ``a`` is not mistaken for a tail.
     """
-    if scale <= 0:
-        raise ValueError("decay scale must be positive")
+    if not math.isfinite(a):
+        raise ValueError(f"lower limit must be finite, got {a!r}")
+    if not (scale > 0 and math.isfinite(scale)):
+        raise ValueError(f"decay scale must be finite and positive, got {scale!r}")
     total = 0.0 + 0.0j
-    lo = a
-    width = min(0.5, scale)
-    quiet = 0
-    reach = 0.0
-    for _ in range(_MAX_PANELS):
-        hi = lo + width
+    lo, width, quiet = a, min(0.5, scale), 0
+    for _ in range(_MAX_STRETCHES):
+        hi = lo + _STRETCH_PANELS * width
         part = integrate(f, lo, hi, spec, panel_width=width)
         total += part
-        reach = hi - a
         negligible = abs(part) <= spec.rel_tol * abs(total)
-        if negligible and (total != 0.0 or reach >= 8.0 * scale):
+        if negligible and (total != 0.0 or hi - a >= 8.0 * scale):
             quiet += 1
             if quiet >= 3:
                 return total
         else:
             quiet = 0
-        lo = hi
-        width = min(width * _GROWTH, max(4.0 * scale, 2.0))
+        lo, width = hi, min(2.0 * width, max(4.0 * scale, 2.0))
     raise ConvergenceError(
         f"semi-infinite integral from {a:g} kept contributing after "
-        f"{_MAX_PANELS} panels", abs(part))
+        f"{_MAX_STRETCHES} stretches", abs(part))
 
 
 def integrate_2d_box(f, box1, box2, spec: QuadratureSpec = DEFAULT_QUAD,
-                     panel_width: float | None = None,
-                     max_nodes_per_axis: int = 1024) -> complex:
-    """Tensor Gauss-Legendre integral over [a1,b1] x [a2,b2].
+                     panel_width: float | None = None) -> complex:
+    """Integral of f(T1, T2) over [a1,b1] x [a2,b2], iterated.
 
-    ``f(T1, T2)`` must broadcast over meshes.  A fixed composite rule on
-    both axes is compared against a once-refined rule; if the two differ
-    beyond tolerance the refinement doubles, up to the subdivision budget.
-    ``max_nodes_per_axis`` bounds the value mesh so a tolerance the
-    integrand cannot meet fails fast instead of exhausting memory.
+    ``f`` must broadcast a column of T1 nodes against a row of T2 nodes.
+    The outer integral over T1 passes all nodes of a refinement round to
+    one vector-valued inner integral over T2.
     """
-    a1, b1 = box1
-    a2, b2 = box2
-    if b1 < a1 or b2 < a2:
-        raise ValueError("box bounds must be ordered")
-    if b1 == a1 or b2 == a2:
-        return 0.0 + 0.0j
-
-    def tensor(n_panels: int) -> complex:
-        x1, w1 = composite_gauss_legendre(np.linspace(a1, b1, n_panels + 1), _BOX_ORDER)
-        x2, w2 = composite_gauss_legendre(np.linspace(a2, b2, n_panels + 1), _BOX_ORDER)
-        return complex(np.einsum("i,j,ij->", w1, w2, f(x1[:, None], x2[None, :])))
-
-    if panel_width is None or panel_width <= 0:
-        panel_width = max(b1 - a1, b2 - a2)
-    n = max(1, int(np.ceil(max(b1 - a1, b2 - a2) / panel_width)))
-    coarse = tensor(n)
-    est = float("inf")
-    for _ in range(spec.max_subdivisions):
-        if 2 * n * _BOX_ORDER > max_nodes_per_axis:
-            raise ConvergenceError(
-                "2-D box integral hit the node budget before converging", est)
-        n *= 2
-        fine = tensor(n)
-        est = abs(fine - coarse)
-        if est <= spec.abs_tol + spec.rel_tol * abs(fine):
-            return fine
-        coarse = fine
-    raise ConvergenceError("2-D box integral did not converge", est)
+    (a1, b1), (a2, b2) = box1, box2
+    return integrate(lambda x: integrate(lambda y: f(x[:, None], y), a2, b2, spec, panel_width),
+                     a1, b1, spec, panel_width)

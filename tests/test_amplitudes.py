@@ -341,6 +341,11 @@ def test_emission_time_validation():
         ordered_emission_amplitude([-0.5, 1.0], w)
     with pytest.raises(ValueError):
         ordered_emission_amplitude([1.0], w)
+    one = WavepacketN.product([(PulseProfile.exponential(1.0), Direction.RIGHT)])
+    with pytest.raises(ValueError, match="finite"):
+        ordered_emission_amplitude([math.nan], one)
+    with pytest.raises(ValueError, match="finite"):
+        reflection_amplitude_f0([math.nan], one, 1.0)
 
 
 @pytest.mark.parametrize("axis1,axis2,t", [

@@ -113,5 +113,6 @@ def test_weighted_norm_integral_against_scipy(m, gamma):
 
 
 def test_kernel_span_validation():
-    with pytest.raises(ValueError):
-        KernelSpan(2.0, 1.0)
+    for start, end in ((2.0, 1.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            KernelSpan(start, end)

@@ -68,6 +68,10 @@ def test_from_samples_tracks_the_sampled_envelope():
 def test_from_callable_normalization_guard():
     with pytest.raises(NormalizationError):
         PulseProfile.from_callable(lambda t: np.exp(-t), t_max=40.0)
+    # a NaN norm is not within any tolerance of one
+    with pytest.raises(NormalizationError):
+        PulseProfile.from_callable(
+            lambda t: np.where(t > 3, np.nan, np.sqrt(2) * np.exp(-t)), 20.0)
 
 
 def test_from_samples_rejects_unnormalized_data():
@@ -134,6 +138,10 @@ def test_correlated_pair_checks_symmetry_and_norm():
         WavepacketN.correlated_pair(grid, xi2=skew, norm_tol=1e-6)
     with pytest.raises(NormalizationError):
         WavepacketN.correlated_pair(grid, xi2=0.5 * sym, norm_tol=1e-6)
+    holed = sym.copy()
+    holed[7, 7] = np.nan
+    with pytest.raises(NormalizationError):
+        WavepacketN.correlated_pair(grid, xi2=holed, norm_tol=1e-5)
     w = WavepacketN.correlated_pair(grid, xi2=sym, norm_tol=1e-5)
     assert w.n_photons == 2
     # interpolation reproduces the sampled tensor at the nodes
@@ -148,6 +156,8 @@ def test_initial_state_validation():
     w1 = WavepacketN.product([(p, Direction.RIGHT)])
     with pytest.raises(ValueError):
         InitialState(c_g=0.9, field_g=w1)  # amplitudes not normalized
+    with pytest.raises(ValueError):
+        InitialState(c_g=math.nan, field_g=w1)
     with pytest.raises(ValueError):
         # excited branch must carry one photon fewer than the ground branch
         InitialState(c_g=1 / math.sqrt(2), field_g=w1,

@@ -13,6 +13,7 @@ from waveguide_scatter import (
     integrate,
     integrate_2d_box,
     integrate_semi_infinite,
+    quadrature,
 )
 
 
@@ -49,8 +50,43 @@ def test_integrate_oscillatory_against_scipy():
 
 def test_integrate_degenerate_interval_and_bad_bounds():
     assert integrate(lambda x: x, 3.0, 3.0) == 0.0
-    with pytest.raises(ValueError):
-        integrate(lambda x: x, 2.0, 1.0)
+    for a, b in ((2.0, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            integrate(lambda x: x, a, b)
+    for a, scale in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, 0.0), (0.0, math.inf),
+                     (0.0, math.nan)):
+        with pytest.raises(ValueError):
+            integrate_semi_infinite(lambda x: np.exp(-x), a, scale=scale)
+
+
+def test_non_finite_integrand_fails_after_one_round():
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return np.where(x > 0.3, np.nan, 1.0)
+
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate(f, 0.0, 1.0)
+    assert len(calls) == 1
+    calls.clear()
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate_semi_infinite(f, 0.0)
+    assert len(calls) == 1
+
+
+def test_vector_valued_rows_equal_scalar_integrals():
+    rates = np.array([0.5, 1.0, 3.0])
+
+    def f(x):
+        return np.exp(-rates[:, None] * x) * np.cos(2.0 * x)
+
+    rows = integrate(f, 0.0, 6.0, panel_width=0.5)
+    assert rows.shape == rates.shape
+    for rate, row in zip(rates, rows):
+        scalar = integrate(lambda x: np.exp(-rate * x) * np.cos(2.0 * x), 0.0, 6.0,
+                           panel_width=0.5)
+        assert row == pytest.approx(scalar, rel=1e-10, abs=1e-13)
 
 
 def test_semi_infinite_exponential_tail():
@@ -88,13 +124,27 @@ def test_2d_box_factorizes():
     assert integrate_2d_box(f, (0.0, 0.0), (0.0, 1.0)) == 0.0
 
 
-def test_2d_box_node_budget_fails_fast():
-    # a kinked integrand with an unreachable tolerance must raise
-    # instead of refining without bound
+def test_2d_box_meets_a_tight_tolerance_across_kinks():
     def f(x, y):
         return np.abs(x - 0.377) * np.abs(y - 0.611)
 
     tight = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
+    val = complex(integrate_2d_box(f, (0.0, 1.0), (0.0, 1.0), tight))
+    exact = (0.377 ** 2 + 0.623 ** 2) / 2 * (0.611 ** 2 + 0.389 ** 2) / 2
+    assert abs(val - exact) <= 1e-16 + 1e-14 * exact
+
+
+def test_2d_box_node_budget_fails_fast():
+    # an unreachable tolerance must raise instead of refining until the
+    # value mesh exhausts memory
+    sizes = []
+
+    def f(x, y):
+        x, y = np.broadcast_arrays(x, y)
+        sizes.append(x.size)
+        return x * y + 1e-13 * np.sin(1e9 * (x + math.pi * y))
+
+    tight = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-16)
     with pytest.raises(ConvergenceError):
-        integrate_2d_box(f, (0.0, 1.0), (0.0, 1.0), tight,
-                         max_nodes_per_axis=256)
+        integrate_2d_box(f, (0.0, 1.0), (0.0, 1.0), tight)
+    assert max(sizes) <= quadrature._MAX_PANELS * 15
