@@ -22,7 +22,6 @@ Conventions:
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, replace
@@ -580,32 +579,39 @@ class AmplitudeGrid:
         return float(np.max(np.abs(self.values - self.values.T)))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
+# rows per block of _write_table: one % formats a block, and no table is
+# ever stacked whole
+_TABLE_BLOCK_ROWS = 4096
+
+
+def _write_table(fh, header, columns) -> None:
+    """Write a header line and one CSV row per index of the equal-length columns.
+
+    Integer columns print as %d and the rest as floats with 12
+    significant digits, so repeated runs are byte-identical.
+    """
+    fh.write(",".join(header) + "\n")
+    row = ",".join("%d" if c.dtype.kind in "iu" else "%.11e" for c in columns) + "\n"
+    for lo in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
+        block = np.stack([c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns], axis=1)
+        fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
     """Deterministic CSV dump: one row per node, 12 significant digits."""
+    names = [f"tau{i + 1}" for i in range(grid.ndim)] + ["t", "re", "im"]
+    vals = grid.values.ravel()
+    columns = [m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")]
+    columns += [np.broadcast_to(grid.dynamical_time, vals.shape), vals.real, vals.imag]
     with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        tags = [f"tau{i + 1}" for i in range(grid.ndim)]
-        writer.writerow(tags + ["t", "re", "im"])
-        meshes = np.meshgrid(*grid.axes, indexing="ij")
-        flat = [m.ravel() for m in meshes]
-        vals = grid.values.ravel()
-        for idx in range(vals.size):
-            row = [_fmt(m[idx]) for m in flat]
-            row.append(_fmt(grid.dynamical_time))
-            row.append(_fmt(vals[idx].real))
-            row.append(_fmt(vals[idx].imag))
-            writer.writerow(row)
+        _write_table(fh, names, columns)
     if header_path is not None:
         header = {
             "channel": grid.channel,
             "dynamical_time": grid.dynamical_time,
             "axes": [{"points": int(a.size), "min": float(a[0]), "max": float(a[-1])}
                      for a in grid.axes],
-            "columns": [f"tau{i + 1}" for i in range(grid.ndim)] + ["t", "re", "im"],
+            "columns": names,
         }
         with open(header_path, "w") as fh:
             json.dump(header, fh, indent=2, sort_keys=True)
@@ -619,6 +625,10 @@ def load_grid_csv(csv_path, header_path) -> AmplitudeGrid:
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
     data = np.atleast_2d(data)
     axes = [np.unique(data[:, i]) for i in range(ndim)]
+    for i, (a, spec) in enumerate(zip(axes, header["axes"])):
+        if a.size != spec["points"]:
+            raise ValueError(f"tau{i + 1} of {csv_path} has {a.size} points, "
+                             f"its header says {spec['points']}")
     shape = tuple(a.size for a in axes)
     vals = (data[:, ndim + 1] + 1j * data[:, ndim + 2]).reshape(shape)
     return AmplitudeGrid(axes=tuple(axes), values=vals,

@@ -13,15 +13,16 @@ Options may come from a JSON config file (keys are the option names
 with underscores); explicit flags override the file.  Exit codes: 0 on
 success, 1 when a validation suite fails, 2 for bad input, configuration
 errors and quadrature that does not converge.
-CSV cells carry 12 significant digits so repeated runs are
-byte-identical.
+Every table (the ``reflect``, ``figure3`` and ``excite`` rows and the
+``two-photon`` grids) goes through the one CSV writer of
+``amplitudes``: floats carry 12 significant digits and photon numbers
+are integers, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
 import math
 import os
@@ -29,7 +30,7 @@ import sys
 
 import numpy as np
 
-from .amplitudes import CHANNELS, two_photon_channel_grid, write_grid_csv
+from .amplitudes import CHANNELS, _write_table, two_photon_channel_grid, write_grid_csv
 from .model import Direction, PulseProfile, WavepacketN
 from .quadrature import ConvergenceError
 from .observables import (
@@ -43,8 +44,6 @@ from .spectral import (
     single_photon_bridge_error,
     single_photon_reflection_freq,
 )
-
-_FMT = "{:.11e}"
 
 _DEFAULTS: dict[str, dict] = {
     "reflect": {"n_list": "1,2,3,4,5", "gamma": 1.0, "numeric": False,
@@ -62,11 +61,11 @@ _DEFAULTS: dict[str, dict] = {
                 "output": "-"},
 }
 
-# options read as floats, and counts that must be at least 1; both are
+# options read as floats, and counts with their least value; both are
 # checked once, whether they come from a flag or from --config
 _FLOAT_OPTIONS = ("gamma", "gamma2", "t_max", "t", "tau_max", "tolerance",
                   "omega_min", "omega_max")
-_COUNT_OPTIONS = ("points", "tau_points")
+_COUNT_OPTIONS = {"points": 1, "tau_points": 1, "omega_points": 2, "time_points": 1}
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -128,14 +127,6 @@ def _open_output(target):
     return open(target, "w", newline="")
 
 
-def _write_rows(sink: str, header: list[str], rows) -> None:
-    with _open_output(sink) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
-
-
 def _write_reversal_rows(sink: str, n_values: list[int], gammas, numeric: bool) -> None:
     """Closed-form (and numeric) reversal probabilities, one row per (n, gamma)."""
     if numeric and max(n_values) > _MAX_NUMERIC_PHOTONS:
@@ -144,16 +135,14 @@ def _write_reversal_rows(sink: str, n_values: list[int], gammas, numeric: bool) 
     tasks = [(n, float(g)) for n in n_values for g in gammas]
     if numeric:
         header = ["n", "gamma", "closed", "numeric", "abs_err"]
-        rows = []
-        for n, g in tasks:
-            res = reflection_probability_numeric(n, g)
-            rows.append([n, _FMT.format(g), _FMT.format(res.closed),
-                         _FMT.format(res.numeric), _FMT.format(res.abs_err)])
+        results = [reflection_probability_numeric(n, g) for n, g in tasks]
+        values = [[r.closed, r.numeric, r.abs_err] for r in results]
     else:
         header = ["n", "gamma", "closed"]
-        rows = [[n, _FMT.format(g), _FMT.format(reflection_probability_closed(n, g))]
-                for n, g in tasks]
-    _write_rows(sink, header, rows)
+        values = [[reflection_probability_closed(n, g)] for n, g in tasks]
+    n_col, g_col = (np.array(col) for col in zip(*tasks))
+    with _open_output(sink) as fh:
+        _write_table(fh, header, [n_col, g_col, *np.array(values).T])
 
 
 def _cmd_reflect(opt: dict) -> int:
@@ -171,9 +160,8 @@ def _cmd_excite(opt: dict) -> int:
     t_max = opt["t_max"] if opt["t_max"] is not None else w.horizon
     times = np.linspace(0.0, t_max, int(opt["points"]))
     trace = excitation_trace(times, w)
-    rows = ([_FMT.format(t), _FMT.format(v)]
-            for t, v in zip(trace.times, trace.values))
-    _write_rows(opt["output"], ["t", "p_excited"], rows)
+    with _open_output(opt["output"]) as fh:
+        _write_table(fh, ["t", "p_excited"], [trace.times, trace.values])
     return 0
 
 
@@ -322,9 +310,9 @@ def _effective_options(command: str, args: argparse.Namespace) -> dict:
             if not math.isfinite(val):
                 raise ValueError(f"{key} must be finite, got {opts[key]!r}")
             opts[key] = val
-    for key in _COUNT_OPTIONS:
-        if key in opts and _as_number(int, key, opts[key]) < 1:
-            raise ValueError(f"{key} must be at least 1, got {opts[key]!r}")
+    for key, least in _COUNT_OPTIONS.items():
+        if key in opts and _as_number(int, key, opts[key]) < least:
+            raise ValueError(f"{key} must be at least {least}, got {opts[key]!r}")
     return opts
 
 

@@ -212,16 +212,22 @@ def profile_overlap(p: PulseProfile, q: PulseProfile) -> complex:
     return complex(np.sum(_simpson_weights_nonuniform(t) * y))
 
 
-def _permanent(mat: np.ndarray) -> complex:
-    """Permanent by direct permutation sum; fine for the n <= 5 used here."""
-    n = mat.shape[0]
+def _permanent(mat) -> complex:
+    """Permanent by direct permutation sum; fine for the n <= 5 used here.
+
+    ``mat`` is a square array or nested list; its entries may be arrays
+    that broadcast together, for a permanent per point.  Products are
+    taken out of place, so they broadcast, and so they round as numpy's
+    out-of-place complex multiply does.
+    """
+    n = len(mat)
     if n == 0:
         return 1.0 + 0.0j
     total = 0.0 + 0.0j
     for perm in permutations(range(n)):
         prod = 1.0 + 0.0j
         for i, j in enumerate(perm):
-            prod *= mat[i, j]
+            prod = prod * mat[i][j]
         total += prod
     return total
 
@@ -381,11 +387,12 @@ class WavepacketN:
             return complex(out) if out.ndim == 0 else out
         coef = self.separable_normalization() / math.sqrt(
             math.factorial(n_right) * math.factorial(self.n_photons - n_right))
-        r_times = arrays[:n_right]
-        l_times = arrays[n_right:]
-        block_r = _symmetrized_product(right, r_times, shape)
-        block_l = _symmetrized_product(left, l_times, shape)
-        out = coef * block_r * block_l
+        # per direction, the permanent of the matrix p_k(t_slot)
+        blocks = [_permanent([[np.asarray(p.value(t), dtype=complex) for p in profiles]
+                              for t in slot_times])
+                  for profiles, slot_times in ((right, arrays[:n_right]),
+                                               (left, arrays[n_right:]))]
+        out = coef * blocks[0] * blocks[1]
         if np.ndim(out) == 0:
             return complex(out)
         return out
@@ -414,7 +421,7 @@ class WavepacketN:
         w = _simpson_weights_nonuniform(t)
         total = 0.0
         npho = self.n_photons
-        grids = np.meshgrid(*([t] * npho), indexing="ij")
+        grids = np.meshgrid(*([t] * npho), indexing="ij", sparse=True)
         for n_right in range(npho + 1):
             comp = self.component(n_right, grids)
             if np.all(comp == 0):
@@ -426,20 +433,6 @@ class WavepacketN:
                 wprod = wprod * w.reshape(sh)
             total += float(np.sum(wprod * np.abs(comp) ** 2))
         return total
-
-
-def _symmetrized_product(profiles, time_arrays, shape):
-    """sum over permutations of prod_i p_{perm(i)}(t_i), broadcast-aware."""
-    n = len(profiles)
-    if n == 0:
-        return np.ones(shape, dtype=complex) if shape else np.ones((), dtype=complex)
-    acc = np.zeros(shape, dtype=complex) if shape else np.zeros((), dtype=complex)
-    for perm in permutations(range(n)):
-        term = np.ones(shape, dtype=complex) if shape else np.ones((), dtype=complex)
-        for slot, k in enumerate(perm):
-            term = term * np.asarray(profiles[k].value(time_arrays[slot]), dtype=complex)
-        acc = acc + term
-    return acc
 
 
 def _bilinear(ax1: np.ndarray, ax2: np.ndarray, arr: np.ndarray,

@@ -451,7 +451,8 @@ def _antidiagonal_convolution(ax1: np.ndarray, ax2: np.ndarray, xi2,
     order = np.argsort(sums, kind="stable")
     ordered = sums[order]
     jumps = np.diff(ordered) > 1e-9 * np.maximum(1.0, np.abs(ordered[1:]))
-    edges = np.concatenate(([0], np.flatnonzero(jumps) + 1, [ordered.size]))
+    # an empty axis leaves the single edge 0, and no group
+    edges = np.union1d([0, ordered.size], np.flatnonzero(jumps) + 1)
     conv = np.empty(sums.size, dtype=complex)
     for lo, hi in zip(edges[:-1], edges[1:]):
         conv[order[lo:hi]] = _antidiagonal_integral(

@@ -1,12 +1,17 @@
 """Time-domain scattering amplitudes against independent oracles."""
 
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import dblquad
 
 from waveguide_scatter import (
+    AmplitudeGrid,
     CHANNELS,
     Direction,
     PulseProfile,
@@ -301,6 +306,89 @@ def test_grid_csv_round_trip(tmp_path):
     assert loaded.dynamical_time == grid.dynamical_time
     np.testing.assert_allclose(loaded.axes[0], grid.axes[0], atol=1e-11)
     np.testing.assert_allclose(loaded.values, grid.values, atol=1e-10)
+
+
+# cells a 12-significant-digit CSV must carry through: signed zeros, the
+# smallest subnormal, three-digit exponents, nan and both infinities
+_SPECIAL_CELLS = [-0.0, 0.0, 5e-324, 1e300, -1e300, 1e-300, -1e-300,
+                  math.nan, math.inf, -math.inf, 0.1, -2.5]
+
+
+def _csv_writer_reference(path, grid):
+    """The grid's CSV written row by row with csv.writer, as the format is specified."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"tau{i + 1}" for i in range(grid.ndim)] + ["t", "re", "im"])
+        for idx in np.ndindex(grid.values.shape):
+            v = grid.values[idx]
+            cells = [a[i] for a, i in zip(grid.axes, idx)]
+            cells += [grid.dynamical_time, v.real, v.imag]
+            writer.writerow([f"{x:.11e}" for x in cells])
+
+
+@pytest.mark.parametrize("axes", [
+    (np.array([-1e300, -1e-300, -0.0, 5e-324, 1e-300, 1.0, 1e300]),),
+    (np.array([-0.0, 5e-324, 1e300]), np.array([-1e300, 0.0, 1e-300, 2.5])),
+])
+def test_grid_csv_matches_csv_writer_reference(tmp_path, axes):
+    shape = tuple(a.size for a in axes)
+    values = np.empty(shape, dtype=complex)
+    # the parts are set apart, since re + 1j * im turns some of them into nan
+    values.real = np.resize(_SPECIAL_CELLS, shape)
+    values.imag = np.resize(_SPECIAL_CELLS[::-1], shape)
+    grid = AmplitudeGrid(axes=axes, values=values, channel="RL", dynamical_time=-0.0)
+    write_grid_csv(grid, tmp_path / "block.csv")
+    _csv_writer_reference(tmp_path / "reference.csv", grid)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_load_grid_csv_rejects_a_truncated_file(tmp_path):
+    w = _pair(1.0, 2.0)
+    ax = np.linspace(0.0, 3.0, 6)
+    csv_path = tmp_path / "grid.csv"
+    header_path = tmp_path / "grid.json"
+    write_grid_csv(two_photon_channel_grid(w, "RL", ax, ax, 6.0), csv_path, header_path)
+    lines = csv_path.read_text().splitlines(keepends=True)
+    csv_path.write_text("".join(lines[:-6]))  # the last tau1 row of the grid
+    with pytest.raises(ValueError, match="tau1"):
+        load_grid_csv(csv_path, header_path)
+
+
+def _sig12(x):
+    """x as its 12-significant-digit decimal reads back."""
+    return np.vectorize(lambda v: float(f"{v:.11e}"))(x)
+
+
+@st.composite
+def _grids(draw):
+    # axis nodes are distinct integers times one scale, so they stay
+    # distinct at 12 significant digits
+    scale = draw(st.floats(1e-200, 1e200))
+    axes = tuple(scale * np.array(sorted(draw(st.lists(st.integers(-10**6, 10**6),
+                                                        min_size=1, max_size=5, unique=True))),
+                                  dtype=float)
+                 for _ in range(draw(st.integers(1, 2))))
+    shape = tuple(a.size for a in axes)
+    values = np.array(draw(st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                                    min_size=math.prod(shape), max_size=math.prod(shape))),
+                      dtype=complex).reshape(shape)
+    return AmplitudeGrid(axes=axes, values=values, channel="LL",
+                         dynamical_time=draw(st.floats(allow_nan=False, allow_infinity=False)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grids())
+def test_grid_csv_round_trip_keeps_12_significant_digits(grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path, header_path = Path(tmp) / "g.csv", Path(tmp) / "g.json"
+        write_grid_csv(grid, csv_path, header_path)
+        loaded = load_grid_csv(csv_path, header_path)
+    assert loaded.channel == grid.channel
+    assert loaded.dynamical_time == grid.dynamical_time
+    for got, axis in zip(loaded.axes, grid.axes):
+        np.testing.assert_array_equal(got, _sig12(axis))
+    np.testing.assert_array_equal(loaded.values.real, _sig12(grid.values.real))
+    np.testing.assert_array_equal(loaded.values.imag, _sig12(grid.values.imag))
 
 
 def test_correlated_state_reproduces_product_channels():

@@ -1,5 +1,7 @@
 """Command-line interface: determinism, exit codes, config merging."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -9,6 +11,8 @@ import numpy as np
 import pytest
 
 from waveguide_scatter import (
+    Direction,
+    excitation_trace,
     exp_pair_channel_values,
     load_grid_csv,
     PulseProfile,
@@ -70,6 +74,30 @@ def test_excite_trace_spot_value(tmp_path):
     p_vals = [float(l.split(",")[1]) for l in lines[1:]]
     assert t_vals == [0.0, 0.5, 1.0, 1.5, 2.0]
     assert p_vals[2] == pytest.approx(2.0 * math.exp(-2.0), abs=1e-9)
+
+
+def _csv_writer_reference(header, rows):
+    """The table as csv.writer writes it, floats formatted one by one."""
+    with io.StringIO(newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([x if isinstance(x, int) else f"{x:.11e}" for x in row])
+        return fh.getvalue()
+
+
+def test_tables_match_csv_writer_reference(tmp_path):
+    out = tmp_path / "r.csv"
+    assert main(["reflect", "--n-list", "1,2,3,10", "--gamma", "0.7", "-o", str(out)]) == 0
+    rows = [(n, 0.7, reflection_probability_closed(n, 0.7)) for n in (1, 2, 3, 10)]
+    assert out.read_text() == _csv_writer_reference(["n", "gamma", "closed"], rows)
+
+    assert main(["excite", "--photons", "1", "--gamma", "1.3", "--t-max", "4",
+                 "--points", "9", "-o", str(out)]) == 0
+    w = WavepacketN.product([(PulseProfile.exponential(1.3), Direction.RIGHT)])
+    trace = excitation_trace(np.linspace(0.0, 4.0, 9), w)
+    rows = zip(trace.times, trace.values)
+    assert out.read_text() == _csv_writer_reference(["t", "p_excited"], rows)
 
 
 def test_two_photon_grid_round_trips(tmp_path):
@@ -177,28 +205,42 @@ def test_non_finite_bandwidth_exits_2(argv):
     assert "Traceback" not in proc.stderr
 
 
+# validate's point counts share the check: an empty frequency axis must be
+# an input error, not a numerical failure of the convolution
 @pytest.mark.parametrize("flags", [
-    ["--t", "nan"],
-    ["--tau-max", "inf"],
-    ["--gamma2", "nan"],
-    ["--tau-points", "0"],
+    ["two-photon", "--t", "nan"],
+    ["two-photon", "--tau-max", "inf"],
+    ["two-photon", "--gamma2", "nan"],
+    ["two-photon", "--tau-points", "0"],
+    ["validate", "--omega-points", "0"],
+    ["validate", "--omega-points", "-3"],
+    ["validate", "--time-points", "0"],
 ])
 def test_two_photon_rejects_bad_numbers(tmp_path, capsys, flags):
+    command, *bad = flags
     out = tmp_path / "grid.csv"
-    assert main(["two-photon", "--tau-points", "4", "-o", str(out)] + flags) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    small = ["--tau-points", "4"] if command == "two-photon" else []
+    assert main([command, *small, "-o", str(out), *bad]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert bad[0].lstrip("-").replace("-", "_") in err
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("config", ['{"t_max": NaN}', '{"points": 0}',
-                                    '{"gamma": "inf"}', '{"gamma": [1]}'])
-def test_config_numbers_are_checked_like_flags(tmp_path, capsys, config):
+@pytest.mark.parametrize("command, config", [
+    pytest.param(command, config, id=config) for command, config in [
+        ("excite", '{"t_max": NaN}'), ("excite", '{"points": 0}'),
+        ("excite", '{"gamma": "inf"}'), ("excite", '{"gamma": [1]}'),
+        ("validate", '{"omega_points": 1}'), ("validate", '{"time_points": -1}'),
+    ]])
+def test_config_numbers_are_checked_like_flags(tmp_path, capsys, command, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(config)
-    assert main(["excite", "--config", str(cfg), "-o", "-"]) == 2
+    assert main([command, "--config", str(cfg), "-o", "-"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert next(iter(json.loads(config))) in captured.err
 
 
 def test_convergence_failure_exits_2(monkeypatch, capsys):

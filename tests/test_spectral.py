@@ -357,6 +357,17 @@ def test_convolution_runs_one_integral_per_antidiagonal_of_the_bridge_grid(monke
     assert len(calls) == 127
 
 
+def test_convolution_on_an_empty_axis_runs_no_integral(monkeypatch):
+    calls = []
+    monkeypatch.setattr(spectral, "_antidiagonal_integral",
+                        lambda s, *args, **kwargs: calls.append(s) or 0j)
+    conv = spectral._antidiagonal_convolution(np.array([]), np.linspace(-1.0, 1.0, 3),
+                                              _product_line(1.0), spectral.DEFAULT_QUAD,
+                                              spectral.DEFAULT_ANTIDIAG_SPAN)
+    assert conv.shape == (0, 3)
+    assert calls == []
+
+
 def test_sampled_freq_grid_interpolates_without_closure():
     # a bilinear function is reproduced to rounding on unequal, non-uniform
     # axes, and the grid is zero outside them, in 1-D as in 2-D
