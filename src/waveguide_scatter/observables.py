@@ -15,10 +15,17 @@ from time-ordered integrals.  Each layer of the nest is tabulated at
 Chebyshev points and interpolated in log space (the layer functions are
 pure decaying exponentials, so their logs are nearly linear and the
 interpolation is benign), which turns an O(q^N) cost into O(N q^2).
+
+Integrals that share a domain after a shift or an affine map run as the
+components of one vector-valued engine call: the node integrals of one
+layer (shifted by their start times), and the two-photon excitation at
+a block of times (the stretch before the emission kink mapped onto
+[0, 1], the one after it shifted to start at 0).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,6 +63,11 @@ _MAX_NUMERIC_PHOTONS = 5
 _CHEB_NODES = 48
 _DECAY_FOLDINGS = 45.0
 _LOG_FLOOR = 1e-300
+# rows of one interpolation matmul (a 512 x 48 block, ~0.2 MB, is the
+# fastest measured) and times of one two-photon excitation integral;
+# both bound the temporaries of one integrand call
+_INTERP_ROWS = 512
+_TRACE_BLOCK = 32
 
 
 # ---------------------------------------------------------------------------
@@ -94,22 +106,59 @@ def _excitation_one(t: float, w: WavepacketN, quad: QuadratureSpec) -> float:
     return abs(amp) ** 2
 
 
-def _excitation_two(t: float, w: WavepacketN, quad: QuadratureSpec) -> float:
-    if t == 0.0:
-        return 0.0
+def _excitation_two(times: np.ndarray, w: WavepacketN,
+                    quad: QuadratureSpec) -> np.ndarray:
+    """Two-photon excitation at every time, each one component of one integral.
+
+    The re-emitted photon's time tau is integrated per time t in two
+    pieces split at the kink tau = t where the time-ordered chain
+    switches on: tau = t u on [0, 1] (Jacobian t) before it, tau = t + u
+    on [0, inf) after it.  t = 0 gives 0.
+    """
+    out = np.zeros(times.shape)
+    live = times > 0.0
+    if not np.any(live):
+        return out
     kernels = _ClosedFormKernels(w) if w.all_exponential else _QuadratureKernels(w, quad)
     outer = kernels.outer_spec(quad)
+    t = times[live][:, None]
 
-    def integrand(tau):
+    def weight(tau):
         right, left = _emitter_amplitudes(kernels, tau, t)
         return np.abs(right) ** 2 + np.abs(left) ** 2
 
     # the grid step of a sampled pair is a resolution, not a decay scale
     scale = 1.0 if w.kind == "correlated2" else min(1.0, w.min_timescale)
-    # kink at tau = t where the time-ordered chain switches on
-    total = integrate(integrand, 0.0, t, outer, panel_width=min(0.5, scale))
-    total += integrate_semi_infinite(integrand, t, outer, scale=scale)
-    return float(np.real(total))
+    before = integrate(lambda u: t * weight(t * u), 0.0, 1.0, outer,
+                       panel_width=min(0.5, scale) / t.max())
+    after = integrate_semi_infinite(lambda u: weight(t + u), 0.0, outer, scale=scale)
+    out[live] = np.real(before + after)
+    return out
+
+
+def _excitation_values(times: np.ndarray, w: WavepacketN,
+                       quad: QuadratureSpec) -> np.ndarray:
+    if w.n_photons == 1:
+        return np.array([_excitation_one(float(t), w, quad) for t in times])
+    # blocks of times bound the integrand's temporaries.  The pointwise
+    # engine gains nothing from a shared mesh, which would only move its
+    # values within their resolution floor, so it takes one time per call.
+    block = _TRACE_BLOCK if w.all_exponential else 1
+    values = [_excitation_two(times[i:i + block], w, quad)
+              for i in range(0, times.size, block)]
+    return np.concatenate(values) if values else np.zeros(0)
+
+
+def _checked_times(times, w: WavepacketN) -> np.ndarray:
+    if w.n_photons not in (1, 2):
+        raise ValueError("excitation probability supports 1 or 2 photons")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError("times must be a 1-D array")
+    bad = times[~((times >= 0.0) & np.isfinite(times))]
+    if bad.size:
+        raise ValueError(f"time must be finite and >= 0, got {float(bad[0])!r}")
+    return times
 
 
 def excitation_probability(t: float, w: WavepacketN,
@@ -121,23 +170,18 @@ def excitation_probability(t: float, w: WavepacketN,
     value is the squared absorption kernel; the two-photon value traces
     out the photon that has already been re-emitted.
     """
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be finite and >= 0, got {t!r}")
-    if w.n_photons == 1:
-        return _excitation_one(float(t), w, quad)
-    if w.n_photons == 2:
-        return _excitation_two(float(t), w, quad)
-    raise ValueError("excitation probability supports 1 or 2 photons")
+    return float(_excitation_values(_checked_times([t], w), w, quad)[0])
 
 
 def excitation_trace(times, w: WavepacketN,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> ExcitationTrace:
-    """Excitation probability on an array of times."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a 1-D array")
-    vals = [excitation_probability(float(t), w, quad) for t in times]
-    return ExcitationTrace(times=times, values=np.array(vals))
+    """Excitation probability on an array of times.
+
+    Two-photon traces integrate blocks of times as the components of one
+    vector-valued integral.
+    """
+    times = _checked_times(times, w)
+    return ExcitationTrace(times=times, values=_excitation_values(times, w, quad))
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +222,7 @@ class ReflectionResult:
 class _LogLayer:
     """Chebyshev tabulation of a positive decaying layer, stored as logs.
 
+    ``evaluator`` maps an array of times to the layer's values there.
     The logs are interpolated in barycentric form on the
     Chebyshev-Lobatto nodes, whose weights are known in closed form:
     (-1)^k, halved at both ends.  Evaluations beyond the tabulated span
@@ -189,11 +234,10 @@ class _LogLayer:
     def __init__(self, evaluator, t_span: float, n_nodes: int = _CHEB_NODES):
         # probe the decay rate so the span can be capped before the
         # layer values underflow to exact zero
-        f0 = evaluator(0.0)
+        probe_t = min(t_span, max(1e-3, 0.05 * t_span))
+        f0, f_probe = evaluator(np.array([0.0, probe_t]))
         if not f0 > 0.0:
             raise RuntimeError("layer evaluated to a non-positive value at 0")
-        probe_t = min(t_span, max(1e-3, 0.05 * t_span))
-        f_probe = evaluator(probe_t)
         rate_est = 0.0
         if f_probe > 0.0 and probe_t > 0.0:
             rate_est = max(0.0, (math.log(f0) - math.log(f_probe)) / probe_t)
@@ -202,24 +246,29 @@ class _LogLayer:
         self.t_span = float(t_span)
         k = np.arange(n_nodes)
         nodes = 0.5 * self.t_span * (1.0 - np.cos(np.pi * k / (n_nodes - 1)))
-        logs = np.empty(n_nodes)
-        for i, x in enumerate(nodes):
-            val = evaluator(float(x))
-            logs[i] = math.log(max(val, _LOG_FLOOR))
+        logs = np.log(np.maximum(evaluator(nodes), _LOG_FLOOR))
         self._nodes = nodes
         self._logs = logs
         self._weights = (-1.0) ** k
         self._weights[[0, -1]] *= 0.5
+        # numerator and denominator of the barycentric quotient in one matmul
+        self._sums = np.stack([logs, np.ones(n_nodes)], axis=1)
         self.rate = max(0.0, (logs[0] - logs[-1]) / max(self.t_span, 1e-300))
 
     def _interp(self, tau: np.ndarray) -> np.ndarray:
-        diff = tau[:, None] - self._nodes[None, :]
-        # a point on a node takes its sample
-        row, col = np.nonzero(diff == 0.0)
-        diff[row, col] = 1.0
-        c = self._weights / diff
-        out = (c @ self._logs) / c.sum(axis=1)
-        out[row] = self._logs[col]
+        out = np.empty(tau.size)
+        for i in range(0, tau.size, _INTERP_ROWS):
+            block = tau[i:i + _INTERP_ROWS]
+            # a point on (or within overflow of) a node gives a non-finite
+            # row and takes the nearest node's sample
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                num, den = ((self._weights / (block[:, None] - self._nodes)) @ self._sums).T
+                val = num / den
+            hit = np.flatnonzero(~np.isfinite(val))
+            if hit.size:
+                near = np.abs(block[hit, None] - self._nodes).argmin(axis=1)
+                val[hit] = self._logs[near]
+            out[i:i + _INTERP_ROWS] = val
         return out
 
     def __call__(self, tau):
@@ -238,7 +287,9 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
     Builds the emission nest from the innermost photon outward; each
     layer is an adaptive semi-infinite integral of the squared ordered
     kernel times the next layer, tabulated once and interpolated in log
-    space.  Nothing here reuses the closed-form product.
+    space.  The integrals of one tabulation share their domain after the
+    shift u = tau - tau_prev and run as the components of one
+    vector-valued integral.  Nothing here reuses the closed-form product.
     """
     if not 1 <= n_photons <= _MAX_NUMERIC_PHOTONS or n_photons != int(n_photons):
         raise ValueError(
@@ -247,15 +298,17 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
     n = int(n_photons)
     base_rate = min(2.0, g)
 
-    def layer_integral(tau_prev: float, inner, rho: float) -> float:
-        def integrand(tau):
-            h = h_closed_form(tau, tau_prev, g)
+    def layer_integral(starts: np.ndarray, inner, rho: float) -> np.ndarray:
+        tp = starts[:, None]
+
+        def integrand(u):
+            tau = tp + u
+            h = h_closed_form(tau, tp, g)
             val = h * h
             if inner is not None:
                 val = val * inner(tau)
             return val
-        return float(integrate_semi_infinite(
-            integrand, tau_prev, quad, scale=1.0 / rho).real)
+        return integrate_semi_infinite(integrand, 0.0, quad, scale=1.0 / rho).real
 
     inner = None
     inner_rate = 0.0
@@ -264,13 +317,10 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
         # span needed by the remaining outer integrals, each of which
         # reaches at most ~45 e-foldings past its own start
         t_need = (level - 1) * (_DECAY_FOLDINGS / base_rate + 2.0) + 5.0
-        captured_inner, captured_rho = inner, rho
-        layer = _LogLayer(
-            lambda tp: layer_integral(tp, captured_inner, captured_rho),
-            t_need)
+        layer = _LogLayer(functools.partial(layer_integral, inner=inner, rho=rho), t_need)
         inner, inner_rate = layer, layer.rate
-    numeric = math.factorial(n) * layer_integral(
-        0.0, inner, base_rate + inner_rate)
+    numeric = math.factorial(n) * float(layer_integral(
+        np.zeros(1), inner, base_rate + inner_rate)[0])
     closed = reflection_probability_closed(n, g)
     return ReflectionResult(n_photons=n, gamma_bw=g,
                             numeric=numeric, closed=closed)

@@ -8,8 +8,9 @@ evaluates all their children in one call.  Integrands take a 1-D array
 of nodes and return an array (complex allowed) whose last axis runs over
 them; leading axes are components of a vector-valued integral.
 
-Semi-infinite integrals march stretches of panels; 2-D box integrals
-nest a vector-valued inner integral in the outer one.
+Semi-infinite integrals march stretches of panels through the same
+loop, vector integrands included; 2-D box integrals nest a vector-valued
+inner integral in the outer one.
 """
 
 from __future__ import annotations
@@ -159,11 +160,12 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
 
     Marches stretches of panels whose width starts at min(0.5, scale)
     and doubles up to max(4 scale, 2); stops once several consecutive
-    stretches contribute negligibly relative to the running total.  The
-    test is scale invariant so integrals of any absolute magnitude are
-    resolved to the same relative accuracy; exact zeros only count once
-    the march has covered several decay lengths, so a support that
-    starts away from ``a`` is not mistaken for a tail.
+    stretches contribute negligibly relative to the running total, for
+    a vector integrand every component relative to its own.  The test is
+    scale invariant so integrals of any absolute magnitude are resolved
+    to the same relative accuracy; exact zeros only count once the march
+    has covered several decay lengths, so a support that starts away
+    from ``a`` is not mistaken for a tail.
     """
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
@@ -175,8 +177,10 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
         hi = lo + _STRETCH_PANELS * width
         part = integrate(f, lo, hi, spec, panel_width=width)
         total += part
-        negligible = abs(part) <= spec.rel_tol * abs(total)
-        if negligible and (total != 0.0 or hi - a >= 8.0 * scale):
+        # every component must be negligible against its own running total
+        quiet_now = ((np.abs(part) <= spec.rel_tol * np.abs(total))
+                     & ((total != 0.0) | (hi - a >= 8.0 * scale)))
+        if np.all(quiet_now):
             quiet += 1
             if quiet >= 3:
                 return total
@@ -185,7 +189,7 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
         lo, width = hi, min(2.0 * width, max(4.0 * scale, 2.0))
     raise ConvergenceError(
         f"semi-infinite integral from {a:g} kept contributing after "
-        f"{_MAX_STRETCHES} stretches", abs(part))
+        f"{_MAX_STRETCHES} stretches", float(np.max(np.abs(part))))
 
 
 def integrate_2d_box(f, box1, box2, spec: QuadratureSpec = DEFAULT_QUAD,

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from waveguide_scatter import (
     unitarity_check_two_photon,
     weighted_h_norm_integral,
 )
+from waveguide_scatter import observables
 
 from conftest import rk4_excitation
 
@@ -101,8 +103,15 @@ def test_excitation_validation():
     with pytest.raises(ValueError):
         excitation_probability(1.0, w3)
     with pytest.raises(ValueError):
+        excitation_trace([], w3)
+    with pytest.raises(ValueError):
         excitation_probability(-1.0, _pair(1.0))
+    with pytest.raises(ValueError):
+        excitation_trace([0.5, -1.0], _pair(1.0))
+    with pytest.raises(ValueError, match="1-D"):
+        excitation_trace([[0.5, 1.0]], _pair(1.0))
     assert excitation_probability(0.0, _pair(1.0)) == 0.0
+    assert excitation_trace([], _pair(1.0)).values.shape == (0,)
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -111,6 +120,33 @@ def test_excitation_rejects_non_finite_times(t):
         excitation_probability(t, _pair(1.0))
     with pytest.raises(ValueError, match="finite"):
         excitation_trace([0.5, t], _pair(1.0))
+
+
+def _sampled_pair():
+    grid = np.linspace(0.0, 40.0, 101)
+    p = PulseProfile.from_samples(grid, np.exp(-0.5 * grid), norm_tol=1e-2)
+    return WavepacketN.product([(p, Direction.RIGHT)] * 2)
+
+
+@pytest.mark.parametrize("w,times", [
+    (_pair(2.0), np.linspace(0.0, 6.0, 41)),
+    (_pair(0.7, 3.1, (Direction.RIGHT, Direction.LEFT)), np.linspace(0.0, 6.0, 41)),
+    (_sampled_pair(), np.array([0.5, 1.0, 2.0])),
+])
+def test_excitation_trace_matches_per_time_values(w, times):
+    trace = excitation_trace(times, w)
+    per_time = [excitation_probability(float(t), w) for t in times]
+    np.testing.assert_allclose(trace.values, per_time, rtol=0.0, atol=1e-13)
+
+
+def test_two_photon_trace_integrates_blocks_of_times(monkeypatch):
+    calls = []
+    for name in ("integrate", "integrate_semi_infinite"):
+        engine = getattr(observables, name)
+        monkeypatch.setattr(observables, name,
+                            lambda *a, _engine=engine, **k: calls.append(1) or _engine(*a, **k))
+    excitation_trace(np.linspace(0.05, 8.0, 161), _pair(2.0))
+    assert 0 < len(calls) <= 2 * math.ceil(161 / observables._TRACE_BLOCK)
 
 
 def test_sampled_profiles_run_at_their_data_resolution():
@@ -184,6 +220,54 @@ def test_bandwidth_must_be_finite_and_positive(gamma):
         reflection_probability_closed(1, gamma)
     with pytest.raises(ValueError):
         reflection_probability_numeric(1, gamma)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_numeric_reversal_integrates_each_layer_in_two_calls(monkeypatch, n):
+    calls = []
+    engine = observables.integrate_semi_infinite
+    monkeypatch.setattr(observables, "integrate_semi_infinite",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    reflection_probability_numeric(n, 1.0)
+    assert len(calls) <= 2 * (n - 1) + 1
+
+
+def test_numeric_reversal_layers_match_per_node_integrals(monkeypatch):
+    # every tabulated log equals the scalar semi-infinite integral at its
+    # node, built on the same inner layer
+    layers = []
+    cls = observables._LogLayer
+
+    class Recorded(cls):
+        def __init__(self, evaluator, t_span):
+            super().__init__(evaluator, t_span)
+            layers.append((self, evaluator))
+
+    monkeypatch.setattr(observables, "_LogLayer", Recorded)
+    reflection_probability_numeric(3, 10.0)
+    assert len(layers) == 2
+    for layer, evaluator in layers:
+        per_node = [math.log(max(float(evaluator(np.array([x]))[0]), 1e-300))
+                    for x in layer._nodes]
+        np.testing.assert_allclose(layer._logs, per_node, rtol=1e-12, atol=0.0)
+
+
+def test_log_layer_takes_node_samples_next_to_nodes():
+    layer = observables._LogLayer(lambda x: np.exp(-x), 10.0)
+    nodes = layer._nodes
+    # exact nodes, two points within overflow of the node at 0 and one
+    # float either side of an inner node
+    tau = np.concatenate([nodes, [5e-324, 1e-310],
+                          np.nextafter(nodes[7], [-np.inf, np.inf])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = layer(tau)
+        grid = layer(tau.reshape(2, -1))
+    assert np.array_equal(vals[:nodes.size], np.exp(layer._logs))
+    np.testing.assert_allclose(vals, np.exp(-tau), rtol=1e-12)
+    assert grid.shape == (2, tau.size // 2)
+    assert np.array_equal(grid.ravel(), vals)
+    assert layer(np.array([layer.t_span * 1.01]))[0] == 0.0
 
 
 def test_numeric_reversal_repeats_across_processes():

@@ -114,6 +114,33 @@ def test_semi_infinite_delayed_support():
     assert val == pytest.approx(1.0, rel=1e-8)
 
 
+def test_semi_infinite_vector_rows_equal_scalar_integrals():
+    # rows of very different size (the slowest ~e^-200 below the others)
+    # and an all-zero row each stop against their own running total
+    amps = np.array([1.0, math.exp(-200.0), 0.0, 3.0])
+    rates = np.array([1.0, 0.1, 2.0, 0.25])
+
+    def f(x):
+        return amps[:, None] * np.exp(-rates[:, None] * x)
+
+    rows = integrate_semi_infinite(f, 0.0)
+    assert rows.shape == amps.shape
+    assert rows[2] == 0.0
+    for amp, rate, row in zip(amps, rates, rows):
+        scalar = integrate_semi_infinite(lambda x: amp * np.exp(-rate * x), 0.0)
+        assert row == pytest.approx(scalar, rel=1e-12, abs=0.0)
+        assert row.real == pytest.approx(amp / rate, rel=1e-9, abs=0.0)
+
+
+def test_semi_infinite_vector_that_keeps_contributing_fails():
+    def f(x):
+        return np.stack([np.exp(-x), np.ones_like(x)])
+
+    with pytest.raises(ConvergenceError, match="kept contributing") as err:
+        integrate_semi_infinite(f, 0.0)
+    assert err.value.estimate > 0.0
+
+
 def test_2d_box_factorizes():
     def f(x, y):
         return np.exp(-x) * np.cos(y)
