@@ -447,18 +447,18 @@ _BLOCK_ENTRIES = 1_000_000
 _BLOCK_SPAN = 256.0
 
 
-def _exp_pair_grid(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
-                   t: float) -> np.ndarray:
-    """Channel amplitudes of two exponential photons on ax1 x ax2.
+def _exp_pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
+                     t: float):
+    """Row blocks (i0, rows) of the channel amplitudes of two exponential photons.
 
-    The same sum as :func:`exp_pair_channel_values`, built from one-time
-    factors.  The input and spectator terms are products of a function
-    of tau1 and a function of tau2 on the whole plane; the chain term
-    h(lo, 0) h(hi, lo) is such a product on each triangle (tau1 <= tau2
-    and tau1 > tau2) once h(hi, lo) is split by :func:`h_factor_terms`.
-    Each row block is one small matmul per triangle, merged by the mask
-    tau1 > tau2.  Exponential envelopes are real, so the factors are
-    float64.
+    The amplitudes on ax1 x ax2 are the sum of :func:`exp_pair_channel_values`,
+    built from one-time factors.  The input and spectator terms are
+    products of a function of tau1 and a function of tau2 on the whole
+    plane; the chain term h(lo, 0) h(hi, lo) is such a product on each
+    triangle (tau1 <= tau2 and tau1 > tau2) once h(hi, lo) is split by
+    :func:`h_factor_terms`.  Each row block is one small matmul per
+    triangle, merged by the mask tau1 > tau2.  Exponential envelopes are
+    real, so the factors and the blocks are float64.
     """
     slots = tuple(Direction.RIGHT if c == "R" else Direction.LEFT for c in channel)
     scale = w.separable_normalization() / (_SQRT2 if slots[0] is slots[1] else 1.0)
@@ -489,10 +489,7 @@ def _exp_pair_grid(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarra
     shared_rows = np.stack(rows, axis=1) if rows else np.zeros((ax1.size, 0))
     shared_cols = np.stack(cols) if cols else np.zeros((0, ax2.size))
 
-    values = np.empty((ax1.size, ax2.size), dtype=complex)
-    if values.size == 0:
-        return values
-    block = max(1, _BLOCK_ENTRIES // ax2.size)
+    block = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
     i0 = 0
     while i0 < ax1.size:
         i1 = min(i0 + block,
@@ -514,23 +511,23 @@ def _exp_pair_grid(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarra
                 low_rows.append((g1 * f_hi)[:, None])
                 low_cols.append((gate2 * kern[a][1] * g_lo)[None, :])
         upper = np.hstack(up_rows) @ np.vstack(up_cols)
-        lower = np.hstack(low_rows) @ np.vstack(low_cols)
-        np.copyto(upper, lower, where=t1[:, None] > ax2[None, :])
+        # no name holds the lower triangle's product across the yield
+        np.copyto(upper, np.hstack(low_rows) @ np.vstack(low_cols),
+                  where=t1[:, None] > ax2[None, :])
         upper *= scale
-        values[i0:i1] = upper
+        yield i0, upper
         i0 = i1
-    return values
 
 
 def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float,
                             quad: QuadratureSpec = DEFAULT_QUAD) -> "AmplitudeGrid":
     """Channel amplitude tensor over axis1 x axis2 at dynamical time t.
 
-    When every envelope is exponential the tensor is filled from
-    one-time factors, row blocks at a time to bound temporaries (see
-    :func:`_exp_pair_grid`); otherwise it falls back to the quadrature
-    provider, point by point (slow, intended for small grids and
-    correlated inputs).
+    Returns the full tensor.  When every envelope is exponential it is
+    copied in from the row blocks of :func:`_exp_pair_blocks` (which the
+    two-route comparison streams without holding a tensor); otherwise it
+    falls back to the quadrature provider, point by point (slow, intended
+    for small grids and correlated inputs).
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")
@@ -541,7 +538,9 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     if not math.isfinite(t):
         raise ValueError(f"dynamical time must be finite, got {t!r}")
     if w.all_exponential and w.n_photons == 2:
-        values = _exp_pair_grid(w, channel, ax1, ax2, t)
+        values = np.empty((ax1.size, ax2.size), dtype=complex)
+        for i0, block in _exp_pair_blocks(w, channel, ax1, ax2, t):
+            values[i0:i0 + len(block)] = block
     else:
         values = _channel_sums(_QuadratureKernels(w, quad), w, (channel,),
                                ax1[:, None], ax2[None, :], t)[channel]
@@ -622,15 +621,15 @@ def load_grid_csv(csv_path, header_path) -> AmplitudeGrid:
     with open(header_path) as fh:
         header = json.load(fh)
     ndim = len(header["axes"])
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
+    data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2,
+                      usecols=[*range(ndim), ndim + 1, ndim + 2])
     axes = [np.unique(data[:, i]) for i in range(ndim)]
     for i, (a, spec) in enumerate(zip(axes, header["axes"])):
         if a.size != spec["points"]:
             raise ValueError(f"tau{i + 1} of {csv_path} has {a.size} points, "
                              f"its header says {spec['points']}")
     shape = tuple(a.size for a in axes)
-    vals = (data[:, ndim + 1] + 1j * data[:, ndim + 2]).reshape(shape)
+    vals = (data[:, ndim] + 1j * data[:, ndim + 1]).reshape(shape)
     return AmplitudeGrid(axes=tuple(axes), values=vals,
                          channel=header["channel"],
                          dynamical_time=float(header["dynamical_time"]))

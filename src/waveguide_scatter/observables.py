@@ -238,8 +238,11 @@ class _LogLayer:
         f0, f_probe = evaluator(np.array([0.0, probe_t]))
         if not f0 > 0.0:
             raise RuntimeError("layer evaluated to a non-positive value at 0")
+        while not f_probe > 0.0:  # an underflowed probe is fast decay, not none
+            probe_t /= 8.0
+            f_probe = evaluator(np.array([probe_t]))[0]
         rate_est = 0.0
-        if f_probe > 0.0 and probe_t > 0.0:
+        if probe_t > 0.0:
             rate_est = max(0.0, (math.log(f0) - math.log(f_probe)) / probe_t)
         if rate_est > 0.0:
             t_span = min(t_span, 500.0 / rate_est)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import AmplitudeGrid, two_photon_channel_grid
+# two_photon_channel_grid: the held-grid reference, traced here by perfbench/spans.py
+from .amplitudes import _BLOCK_ENTRIES, AmplitudeGrid, _exp_pair_blocks, two_photon_channel_grid
 from .model import Direction, PulseProfile, WavepacketN, _bilinear, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
@@ -229,22 +230,18 @@ def _check_uniform(axis: np.ndarray) -> float:
     return dt
 
 
-# rows per block of the window guard's peak search: |values| of one block
-# is the only temporary, not of the whole grid
-_WINDOW_BLOCK_ROWS = 256
-
-
-def _check_window(values: np.ndarray, rel_tol: float = 1e-5) -> None:
-    rows = np.atleast_2d(values)
-    peak = max(float(np.max(np.abs(rows[i:i + _WINDOW_BLOCK_ROWS])))
-               for i in range(0, rows.shape[0], _WINDOW_BLOCK_ROWS))
-    if peak == 0.0:
-        return
-    if values.ndim == 1:
-        edge = abs(values[-1])
-    else:
-        edge = max(float(np.max(np.abs(values[-1, :]))),
-                   float(np.max(np.abs(values[:, -1]))))
+def _window_guarded(blocks, rel_tol: float = 1e-5):
+    """Pass row blocks (i0, rows) through, keeping the running peak, last-column
+    and last-row maxima of |f| (a 1-D signal is one block, its last sample both
+    edges); once the last block has passed, reject a window whose edge has not
+    decayed.  |rows| is freed before the block is handed on."""
+    peak = edge = last = 0.0
+    for i0, rows in blocks:
+        peak = max(peak, float(np.max(np.abs(rows))))
+        edge = max(edge, float(np.max(np.abs(rows[..., -1]))))
+        last = float(np.max(np.abs(rows[-1])))
+        yield i0, rows
+    edge = max(edge, last)
     if edge > rel_tol * peak:
         raise ValueError(
             f"time window truncates the signal (edge/peak = {edge / peak:.3g}); "
@@ -260,9 +257,10 @@ def _check_alias(omega: np.ndarray, dt: float) -> None:
             f"band {limit:.3g} of the sampling step {dt:.3g}")
 
 
-def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray) -> np.ndarray:
-    """Row transforms sum_j w_i[j] f[i, j] kern[j] with w_i = _row_weights(n, i).
+def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray, row0: int, inner: np.ndarray) -> None:
+    """Turn inner = f @ kern into sum_j w_i[j] f[k, j] kern[j], w_i = _row_weights(n, i).
 
+    ``f`` holds the rows i = row0 + k of a square grid of width n.
     w_i - 1 vanishes except at the two ends and within the end-stencil
     reach of the break at i, and away from the edges that pattern only
     shifts with i.  So the sum is one matmul with unit weights plus a
@@ -271,9 +269,9 @@ def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray) -> np.ndarray:
     weights.
     """
     n = f.shape[1]
-    inner = f @ kern
     stencil = len(_GREGORY_END_6)
     reach = stencil - 1
+    rows = np.arange(row0, row0 + len(f))
     # rows whose two segments both get the full end stencils
     mid = np.arange(2 * stencil - 1, n - 2 * stencil + 1)
     if mid.size:
@@ -282,12 +280,39 @@ def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray) -> np.ndarray:
         band = corr[ref - reach:ref + reach + 1].copy()
         corr[ref - reach:ref + reach + 1] = 0.0
         ends = np.flatnonzero(corr)
-        inner[mid] += (f[np.ix_(mid, ends)] * corr[ends]) @ kern[ends]
-        for offset, c in zip(range(-reach, reach + 1), band):
-            inner[mid] += (c * f[mid, mid + offset])[:, None] * kern[mid + offset]
-    for i in np.setdiff1d(np.arange(f.shape[0]), mid):
-        inner[i] = (_row_weights(n, i) * f[i]) @ kern
-    return inner
+        k = np.intersect1d(mid, rows) - row0
+        inner[k] += (f[np.ix_(k, ends)] * corr[ends]) @ kern[ends]
+        # offsets shifted by row0: k + offset is the band's column in the full grid
+        for offset, c in zip(range(row0 - reach, row0 + reach + 1), band):
+            inner[k] += (c * f[k, k + offset])[:, None] * kern[k + offset]
+    for i in np.setdiff1d(rows, mid):
+        inner[i - row0] = (_row_weights(n, i) * f[i - row0]) @ kern
+
+
+def _bridge_blocks(blocks, ax1: np.ndarray, ax2: np.ndarray,
+                   om1: np.ndarray, om2: np.ndarray) -> np.ndarray:
+    """Spectrum at om1 x om2 of the row blocks (i0, rows) of a grid on ax1 x ax2,
+    each guarded and contracted as it arrives: only the inner sums outlive it."""
+    dt1 = _check_uniform(ax1)
+    dt2 = _check_uniform(ax2)
+    _check_alias(om1, dt1)
+    _check_alias(om2, dt2)
+    same_axes = ax1.size == ax2.size and np.array_equal(ax1, ax2)
+    kern2 = np.exp(1j * ax2[:, None] * om2[None, :])
+    kern2 *= dt2 if same_axes else (_quad_segment(ax2.size) * dt2)[:, None]
+    inner = np.empty((ax1.size, om2.size), dtype=complex)
+    for i0, rows in _window_guarded(blocks):
+        part = inner[i0:i0 + len(rows)]
+        # a real block meets kern2's float view (re, im interleaved) in one real matmul
+        if np.iscomplexobj(rows):
+            np.matmul(rows, kern2, out=part)
+        else:
+            np.matmul(rows, kern2.view(float), out=part.view(float))
+        if same_axes:
+            _diagonal_break_rows(rows, kern2, i0, part)
+    w1 = _quad_segment(ax1.size) * dt1
+    kern1 = np.exp(1j * ax1[:, None] * om1[None, :])
+    return (kern1 * w1[:, None]).T @ inner / _TWO_PI
 
 
 def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
@@ -298,16 +323,17 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
     exactly.  With explicit axes, sums the sampled grid with
     end-corrected weights at the requested frequencies.  On a square
     grid each row's weights treat the equal-time slope break as a
-    segment edge, so the break never sits inside a stencil; the rows are
-    summed as one matmul plus a banded correction
+    segment edge, so the break never sits inside a stencil; each row
+    block is summed as one matmul plus a banded correction
     (:func:`_diagonal_break_rows`).  Guards reject non-uniform sampling,
     truncated windows, and frequencies beyond the alias-safe band.
     """
     if grid.ndim == 1:
         axis = grid.axes[0]
         dt = _check_uniform(axis)
-        _check_window(grid.values)
         f = grid.values
+        for _ in _window_guarded([(0, f)]):
+            pass
         if omega_axes is None:
             m = axis.size
             omega = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m, dt))
@@ -329,33 +355,24 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
     if grid.ndim != 2:
         raise ValueError("bridge supports 1-D and 2-D grids")
     ax1, ax2 = grid.axes
+    f = grid.values
+    step = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
+    blocks = ((i0, f[i0:i0 + step]) for i0 in range(0, ax1.size, step))
+    if omega_axes is not None:
+        om1, om2 = (np.asarray(a, dtype=float) for a in omega_axes)
+        return FreqAmplitudeGrid(axes=(om1, om2), channel=grid.channel,
+                                 values=_bridge_blocks(blocks, ax1, ax2, om1, om2))
     dt1 = _check_uniform(ax1)
     dt2 = _check_uniform(ax2)
-    _check_window(grid.values)
-    f = grid.values
-    if omega_axes is None:
-        m1, m2 = ax1.size, ax2.size
-        om1 = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m1, dt1))
-        om2 = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m2, dt2))
-        spec = dt1 * dt2 / _TWO_PI * m1 * m2 * np.fft.ifft2(f)
-        spec = np.fft.fftshift(spec)
-        spec = spec * np.exp(1j * om1 * ax1[0])[:, None]
-        spec = spec * np.exp(1j * om2 * ax2[0])[None, :]
-        return FreqAmplitudeGrid(axes=(om1, om2), values=spec,
-                                 channel=grid.channel)
-
-    om1, om2 = (np.asarray(a, dtype=float) for a in omega_axes)
-    _check_alias(om1, dt1)
-    _check_alias(om2, dt2)
-    same_axes = ax1.size == ax2.size and np.array_equal(ax1, ax2)
-    kern2 = np.exp(1j * ax2[:, None] * om2[None, :])
-    if same_axes:
-        inner = _diagonal_break_rows(f, kern2 * dt2)
-    else:
-        inner = f @ (kern2 * (_quad_segment(ax2.size) * dt2)[:, None])
-    w1 = _quad_segment(ax1.size) * dt1
-    kern1 = np.exp(1j * ax1[:, None] * om1[None, :])
-    spec = (kern1 * w1[:, None]).T @ inner / _TWO_PI
+    for _ in _window_guarded(blocks):
+        pass
+    m1, m2 = ax1.size, ax2.size
+    om1 = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m1, dt1))
+    om2 = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m2, dt2))
+    spec = dt1 * dt2 / _TWO_PI * m1 * m2 * np.fft.ifft2(f)
+    spec = np.fft.fftshift(spec)
+    spec = spec * np.exp(1j * om1 * ax1[0])[:, None]
+    spec = spec * np.exp(1j * om2 * ax2[0])[None, :]
     return FreqAmplitudeGrid(axes=(om1, om2), values=spec, channel=grid.channel)
 
 
@@ -610,11 +627,15 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     Uses two identical same-direction exponential photons.  For each
     channel the sampled time amplitudes are transformed at the requested
     detunings and subtracted from the direct frequency-domain assembly;
-    the report carries the worst and RMS deviations.
+    the report carries the worst and RMS deviations.  The time amplitudes
+    stream from the exponential fill into the bridge one row block at a
+    time, as ``fourier_bridge(two_photon_channel_grid(...))`` would sum them.
     """
     start = time.perf_counter()
     if t_end is None:
         t_end = max(40.0, 80.0 / gamma_bw)
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
     profile = PulseProfile.exponential(gamma_bw)
     w = WavepacketN.product([(profile, Direction.RIGHT),
                              (profile, Direction.RIGHT)])
@@ -629,12 +650,10 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     conv = _antidiagonal_convolution(om, om, xi2, quad, DEFAULT_ANTIDIAG_SPAN)
     results = []
     for channel in ("LL", "RL", "RR"):
-        tgrid = two_photon_channel_grid(w, channel, axis, axis, t=float(t_end),
-                                        quad=quad)
-        bridged = fourier_bridge(tgrid, (om, om))
-        del tgrid
+        blocks = _exp_pair_blocks(w, channel, axis, axis, float(t_end))
+        bridged = _bridge_blocks(blocks, axis, axis, om, om)
         direct = _channel_from_convolution(channel, om, om, xi2, conv)
-        err = np.abs(bridged.values - direct.values)
+        err = np.abs(bridged - direct.values)
         results.append(ChannelComparison(
             channel=channel,
             max_abs_err=float(np.max(err)),

@@ -270,6 +270,15 @@ def test_log_layer_takes_node_samples_next_to_nodes():
     assert layer(np.array([layer.t_span * 1.01]))[0] == 0.0
 
 
+def test_log_layer_caps_its_span_when_the_decay_probe_underflows():
+    # the first probe, at 0.05 t_span = 12.5, underflows to 0; read as no
+    # decay it kept the span at 250 and put most nodes on the log floor
+    layer = observables._LogLayer(lambda t: np.exp(-30.0 - 100.0 * t), 250.0)
+    assert layer.t_span == pytest.approx(5.0, rel=1e-12)
+    t = np.array([0.5, 1.0, 2.0])
+    np.testing.assert_allclose(layer(t), np.exp(-30.0 - 100.0 * t), rtol=1e-12, atol=0.0)
+
+
 def test_numeric_reversal_repeats_across_processes():
     # nothing in the nested route may draw on process-global random state
     code = ("from waveguide_scatter import reflection_probability_numeric as f; "

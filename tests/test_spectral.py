@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from waveguide_scatter import (
     single_photon_reflection_freq,
     two_photon_channel_grid,
 )
-from waveguide_scatter import spectral
+from waveguide_scatter import amplitudes, spectral
 from waveguide_scatter.spectral import _quad_segment, _row_weights
 
 _SQRT2 = math.sqrt(2.0)
@@ -443,6 +444,45 @@ def test_appendix_comparison_shares_one_convolution(monkeypatch):
         direct = freq_channel_grid(ch.channel, om, om, _product_line(gamma))
         err = float(np.max(np.abs(bridged.values - direct.values)))
         assert ch.max_abs_err == pytest.approx(err, rel=0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.25])
+def test_streamed_bridge_equals_bridging_the_full_grid(gamma):
+    # at gamma = 0.25, t_end = 320 exceeds the fill's row-block time span,
+    # so the streamed blocks split where the held grid's blocks do not
+    t_end = max(40.0, 80.0 / gamma)
+    p = PulseProfile.exponential(gamma)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    axis = np.linspace(0.0, t_end, 1025)
+    om = np.linspace(-2.0, 2.0, 16)
+    for channel in ("LL", "RL", "RR"):
+        ref = fourier_bridge(two_photon_channel_grid(w, channel, axis, axis, t_end),
+                             (om, om)).values
+        streamed = spectral._bridge_blocks(
+            amplitudes._exp_pair_blocks(w, channel, axis, axis, t_end), axis, axis, om, om)
+        assert np.max(np.abs(streamed - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_appendix_comparison_rejects_a_truncated_window():
+    with pytest.raises(ValueError, match="truncates"):
+        appendix_comparison(1.0, t_end=5.0)
+
+
+@pytest.mark.parametrize("t_end", [0.0, -5.0, math.nan, math.inf])
+def test_appendix_comparison_rejects_a_bad_time_window(t_end):
+    with pytest.raises(ValueError):
+        appendix_comparison(1.0, n_omega=4, n_time=64, t_end=t_end)
+
+
+def test_appendix_comparison_never_holds_a_full_time_grid():
+    full_grid_bytes = 4097 ** 2 * 16
+    tracemalloc.start()
+    try:
+        appendix_comparison(1.0, n_omega=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < full_grid_bytes / 3
 
 
 def test_bridge_of_time_channels_matches_freq_route_spotwise():
