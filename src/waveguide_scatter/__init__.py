@@ -3,126 +3,20 @@
 Time-domain amplitudes from the emitter memory kernel, closed-form and
 numeric reversal probabilities, excitation dynamics, output-channel
 grids, and a frequency-domain bridge for cross-validation.
+
+Each module declares its public names in its own ``__all__``; the
+package re-exports exactly those.
 """
 
-from .model import (
-    Direction,
-    InitialState,
-    NormalizationError,
-    PulseProfile,
-    WavepacketN,
-    default_horizon,
-    excited_atom,
-    profile_overlap,
-    wavepacket_from_json,
-    wavepacket_to_json,
-)
-from .quadrature import (
-    ConvergenceError,
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    gauss_legendre_nodes,
-    integrate,
-    integrate_2d_box,
-    integrate_semi_infinite,
-)
-from .kernel import (
-    GAMMA_DEGENERATE_TOL,
-    KernelSpan,
-    h_closed_form,
-    kernel_convolve,
-    weighted_h_norm_integral,
-)
-from .amplitudes import (
-    AmplitudeGrid,
-    CHANNELS,
-    exp_pair_channel_values,
-    linear_beamsplitter_amplitude,
-    load_grid_csv,
-    nonlinear_correction_B,
-    ordered_emission_amplitude,
-    reflection_amplitude_f0,
-    two_photon_channel_grid,
-    two_photon_outputs,
-    write_grid_csv,
-)
-from .observables import (
-    ExcitationTrace,
-    ReflectionResult,
-    excitation_probability,
-    excitation_trace,
-    reflection_probability_closed,
-    reflection_probability_numeric,
-    unitarity_check_two_photon,
-)
-from .spectral import (
-    ChannelComparison,
-    ComparisonReport,
-    FreqAmplitudeGrid,
-    appendix_comparison,
-    fourier_bridge,
-    freq_channel_grid,
-    freq_nonlinear_correction,
-    freq_two_photon_outputs,
-    lorentzian_mode,
-    single_photon_bridge_error,
-    single_photon_r_t,
-    single_photon_reflection_freq,
-)
+from . import amplitudes, kernel, model, observables, quadrature, spectral
+from .amplitudes import *  # noqa: F401,F403
+from .kernel import *  # noqa: F401,F403
+from .model import *  # noqa: F401,F403
+from .observables import *  # noqa: F401,F403
+from .quadrature import *  # noqa: F401,F403
+from .spectral import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmplitudeGrid",
-    "CHANNELS",
-    "ChannelComparison",
-    "ComparisonReport",
-    "ConvergenceError",
-    "DEFAULT_QUAD",
-    "Direction",
-    "ExcitationTrace",
-    "FreqAmplitudeGrid",
-    "GAMMA_DEGENERATE_TOL",
-    "InitialState",
-    "KernelSpan",
-    "NormalizationError",
-    "PulseProfile",
-    "QuadratureSpec",
-    "ReflectionResult",
-    "WavepacketN",
-    "appendix_comparison",
-    "default_horizon",
-    "excitation_probability",
-    "excitation_trace",
-    "excited_atom",
-    "exp_pair_channel_values",
-    "fourier_bridge",
-    "freq_channel_grid",
-    "freq_nonlinear_correction",
-    "freq_two_photon_outputs",
-    "gauss_legendre_nodes",
-    "h_closed_form",
-    "integrate",
-    "integrate_2d_box",
-    "integrate_semi_infinite",
-    "kernel_convolve",
-    "linear_beamsplitter_amplitude",
-    "load_grid_csv",
-    "lorentzian_mode",
-    "nonlinear_correction_B",
-    "ordered_emission_amplitude",
-    "profile_overlap",
-    "reflection_amplitude_f0",
-    "reflection_probability_closed",
-    "reflection_probability_numeric",
-    "single_photon_bridge_error",
-    "single_photon_r_t",
-    "single_photon_reflection_freq",
-    "two_photon_channel_grid",
-    "two_photon_outputs",
-    "unitarity_check_two_photon",
-    "wavepacket_from_json",
-    "wavepacket_to_json",
-    "weighted_h_norm_integral",
-    "write_grid_csv",
-]
+__all__ = sorted(name for module in (model, quadrature, kernel, amplitudes, observables, spectral)
+                 for name in module.__all__)

@@ -32,6 +32,11 @@ from .kernel import KernelSpan, h_closed_form, h_factor_terms, kernel_convolve
 from .model import Direction, InitialState, WavepacketN, _permanent
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box
 
+__all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
+           "linear_beamsplitter_amplitude", "load_grid_csv", "nonlinear_correction_B",
+           "ordered_emission_amplitude", "reflection_amplitude_f0", "two_photon_channel_grid",
+           "two_photon_outputs", "write_grid_csv"]
+
 _SQRT2 = math.sqrt(2.0)
 
 CHANNELS = ("LL", "RL", "RR")

@@ -2,13 +2,17 @@
 
 Subcommands:
 
-* ``reflect``: closed-form (optionally cross-checked) full-reversal
-  probabilities for same-direction exponential trains;
+* ``reflect``: closed-form (optionally cross-checked numerically, for
+  n <= 20) full-reversal probabilities for same-direction exponential trains;
 * ``excite``: emitter excitation traces for one- and two-photon drives;
 * ``two-photon``: channel amplitude grids dumped as CSV;
 * ``validate``: two-route agreement suites, exit code 1 on breach;
 * ``figure3``: reversal probability over a bandwidth sweep.
 
+Each subcommand's options are declared once, in ``_DEFAULTS``: the flag
+is the key with dashes (``--output`` also takes ``-o``), read as a float
+or a count where ``_FLOAT_OPTIONS`` or ``_COUNT_OPTIONS`` list it (and
+``--photons`` as an integer), and ``--numeric`` is a switch.
 Options may come from a JSON config file (keys are the option names
 with underscores); explicit flags override the file.  Exit codes: 0 on
 success, 1 when a validation suite fails, 2 for bad input, configuration
@@ -59,6 +63,14 @@ _DEFAULTS: dict[str, dict] = {
     "figure3": {"n_list": "1,2,3,4,5,6,7,8,9,10",
                 "gamma_grid": "log:0.01:100:200", "numeric": False,
                 "output": "-"},
+}
+
+_HELP = {
+    "reflect": "full-reversal probabilities",
+    "excite": "emitter excitation trace",
+    "two-photon": "two-photon channel grids",
+    "validate": "two-route agreement suites",
+    "figure3": "reversal probability vs bandwidth sweep",
 }
 
 # options read as floats, and counts with their least value; both are
@@ -231,57 +243,24 @@ _RUNNERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One subcommand per ``_DEFAULTS`` entry, one flag per option: the key
+    with dashes (plus ``-o`` for ``output``), typed as ``_effective_options``
+    reads it."""
     parser = argparse.ArgumentParser(
         prog="waveguide-scatter",
         description="Few-photon scattering on a waveguide-coupled emitter.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, defaults in _DEFAULTS.items():
+        p = sub.add_parser(command, help=_HELP[command])
         p.add_argument("--config", help="JSON file with option defaults")
-        return p
-
-    p = add("reflect", "full-reversal probabilities")
-    p.add_argument("--n-list", dest="n_list")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--numeric", action="store_const", const=True, default=None)
-    p.add_argument("--output", "-o")
-
-    p = add("excite", "emitter excitation trace")
-    p.add_argument("--photons", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--directions")
-    p.add_argument("--t-max", dest="t_max", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--output", "-o")
-
-    p = add("two-photon", "two-photon channel grids")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--gamma2", type=float)
-    p.add_argument("--directions")
-    p.add_argument("--channel")
-    p.add_argument("--t", type=float)
-    p.add_argument("--tau-max", dest="tau_max", type=float)
-    p.add_argument("--tau-points", dest="tau_points", type=int)
-    p.add_argument("--output", "-o")
-
-    p = add("validate", "two-route agreement suites")
-    p.add_argument("--suite")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--omega-min", dest="omega_min", type=float)
-    p.add_argument("--omega-max", dest="omega_max", type=float)
-    p.add_argument("--omega-points", dest="omega_points", type=int)
-    p.add_argument("--time-points", dest="time_points", type=int)
-    p.add_argument("--output", "-o")
-
-    p = add("figure3", "reversal probability vs bandwidth sweep")
-    p.add_argument("--n-list", dest="n_list")
-    p.add_argument("--gamma-grid", dest="gamma_grid")
-    p.add_argument("--numeric", action="store_const", const=True, default=None)
-    p.add_argument("--output", "-o")
-
+        for key in defaults:
+            flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "output" else [])
+            if key == "numeric":
+                p.add_argument(*flags, action="store_const", const=True, default=None)
+            elif key in _FLOAT_OPTIONS:
+                p.add_argument(*flags, type=float)
+            else:
+                p.add_argument(*flags, type=int if key in (*_COUNT_OPTIONS, "photons") else None)
     return parser
 
 

@@ -30,6 +30,9 @@ import numpy as np
 from .model import PulseProfile, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
+__all__ = ["GAMMA_DEGENERATE_TOL", "KernelSpan", "h_closed_form", "kernel_convolve",
+           "weighted_h_norm_integral"]
+
 # Width of the series branch around the degenerate bandwidth g = 2.
 GAMMA_DEGENERATE_TOL = 1e-6
 

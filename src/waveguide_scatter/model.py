@@ -34,6 +34,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+__all__ = ["Direction", "InitialState", "NormalizationError", "PulseProfile",
+           "WavepacketN", "default_horizon", "excited_atom", "profile_overlap",
+           "wavepacket_from_json", "wavepacket_to_json"]
+
 # Tolerance for "this state is normalized" checks.  Constructors accept an
 # override because sampled data cannot do better than its own grid error.
 DEFAULT_NORM_TOL = 1e-8

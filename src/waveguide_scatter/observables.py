@@ -57,7 +57,7 @@ __all__ = [
     "unitarity_check_two_photon",
 ]
 
-_MAX_NUMERIC_PHOTONS = 5
+_MAX_NUMERIC_PHOTONS = 20
 # log-interpolation layers: nodes per layer and the decay depth (in
 # e-foldings) after which contributions are treated as spent
 _CHEB_NODES = 48

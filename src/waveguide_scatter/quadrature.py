@@ -21,6 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+__all__ = ["ConvergenceError", "DEFAULT_QUAD", "QuadratureSpec", "gauss_legendre_nodes",
+           "integrate", "integrate_2d_box", "integrate_semi_infinite"]
+
 # live panels (times components) of one integral; an integrand call
 # then sees at most 15x this many points
 _MAX_PANELS = 1 << 16

@@ -248,13 +248,20 @@ def _window_guarded(blocks, rel_tol: float = 1e-5):
             "extend the grid before bridging")
 
 
-def _check_alias(omega: np.ndarray, dt: float) -> None:
+def _axis_kernel(axis: np.ndarray, omega: np.ndarray, end_corrected: bool = True):
+    """The factors of one time axis's transform kernel: exp(i omega tau), and
+    the weights times the step, end-corrected or, where a banded correction
+    supplies them, unit.  Rejects non-uniform sampling and frequencies beyond
+    the alias-safe band."""
+    dt = _check_uniform(axis)
     limit = 0.6 * math.pi / dt
     top = float(np.max(np.abs(omega)))
     if top > limit:
         raise ValueError(
             f"requested frequencies reach {top:.3g}, beyond the alias-safe "
             f"band {limit:.3g} of the sampling step {dt:.3g}")
+    weights = _quad_segment(axis.size) if end_corrected else np.ones(axis.size)
+    return np.exp(1j * axis[:, None] * omega[None, :]), weights * dt
 
 
 def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray, row0: int, inner: np.ndarray) -> None:
@@ -293,13 +300,9 @@ def _bridge_blocks(blocks, ax1: np.ndarray, ax2: np.ndarray,
                    om1: np.ndarray, om2: np.ndarray) -> np.ndarray:
     """Spectrum at om1 x om2 of the row blocks (i0, rows) of a grid on ax1 x ax2,
     each guarded and contracted as it arrives: only the inner sums outlive it."""
-    dt1 = _check_uniform(ax1)
-    dt2 = _check_uniform(ax2)
-    _check_alias(om1, dt1)
-    _check_alias(om2, dt2)
     same_axes = ax1.size == ax2.size and np.array_equal(ax1, ax2)
-    kern2 = np.exp(1j * ax2[:, None] * om2[None, :])
-    kern2 *= dt2 if same_axes else (_quad_segment(ax2.size) * dt2)[:, None]
+    kern2, w2 = _axis_kernel(ax2, om2, end_corrected=not same_axes)
+    kern2 *= w2[:, None]
     inner = np.empty((ax1.size, om2.size), dtype=complex)
     for i0, rows in _window_guarded(blocks):
         part = inner[i0:i0 + len(rows)]
@@ -310,70 +313,65 @@ def _bridge_blocks(blocks, ax1: np.ndarray, ax2: np.ndarray,
             np.matmul(rows, kern2.view(float), out=part.view(float))
         if same_axes:
             _diagonal_break_rows(rows, kern2, i0, part)
-    w1 = _quad_segment(ax1.size) * dt1
-    kern1 = np.exp(1j * ax1[:, None] * om1[None, :])
-    return (kern1 * w1[:, None]).T @ inner / _TWO_PI
+    # built once the blocks are gone, so the first axis's kernel never adds to their peak
+    phase1, w1 = _axis_kernel(ax1, om1)
+    return (phase1 * w1[:, None]).T @ inner / _TWO_PI
+
+
+def _frequency_axes(omega_axes, ndim: int) -> tuple[np.ndarray, ...]:
+    """One 1-D float axis per grid axis; a 1-D grid also takes its axis bare."""
+    bare = ndim == 1 and not (isinstance(omega_axes, (tuple, list)) and len(omega_axes) == 1)
+    if bare or not np.iterable(omega_axes):
+        omega_axes = (omega_axes,)
+    axes = tuple(np.asarray(a, dtype=float) for a in omega_axes)
+    if len(axes) != ndim or any(a.ndim != 1 for a in axes):
+        raise ValueError(
+            f"omega_axes must give one 1-D frequency axis per grid axis ({ndim})")
+    return axes
 
 
 def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
-    """Transform a sampled time grid to the frequency domain.
+    """Transform a sampled 1-D or 2-D time grid to the frequency domain.
 
     With ``omega_axes`` omitted, uses the unitary FFT on the natural
     conjugate axes; the discrete norm (sum |f|^2 dtau) is then preserved
-    exactly.  With explicit axes, sums the sampled grid with
-    end-corrected weights at the requested frequencies.  On a square
-    grid each row's weights treat the equal-time slope break as a
-    segment edge, so the break never sits inside a stencil; each row
-    block is summed as one matmul plus a banded correction
-    (:func:`_diagonal_break_rows`).  Guards reject non-uniform sampling,
-    truncated windows, and frequencies beyond the alias-safe band.
+    exactly.  With explicit axes (one per grid axis; a 1-D grid also
+    takes its axis bare), sums the sampled grid with end-corrected
+    weights at the requested frequencies.  On a square grid each row's
+    weights treat the equal-time slope break as a segment edge, so the
+    break never sits inside a stencil; each row block is summed as one
+    matmul plus a banded correction (:func:`_diagonal_break_rows`).
+    Guards reject non-uniform sampling, truncated windows, and
+    frequencies beyond the alias-safe band.
     """
-    if grid.ndim == 1:
-        axis = grid.axes[0]
-        dt = _check_uniform(axis)
-        f = grid.values
-        for _ in _window_guarded([(0, f)]):
-            pass
-        if omega_axes is None:
-            m = axis.size
-            omega = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m, dt))
-            spec = dt / math.sqrt(_TWO_PI) * m * np.fft.ifft(f)
-            spec = np.fft.fftshift(spec) * np.exp(1j * omega * axis[0])
-            return FreqAmplitudeGrid(axes=(omega,), values=spec,
-                                     channel=grid.channel)
-        if isinstance(omega_axes, (tuple, list)) and len(omega_axes) == 1:
-            omega_axes = omega_axes[0]
-        omega = np.asarray(omega_axes, dtype=float)
-        if omega.ndim != 1:
-            raise ValueError("a 1-D grid takes a single frequency axis")
-        _check_alias(omega, dt)
-        wts = _quad_segment(axis.size) * dt
-        kern = np.exp(1j * axis[:, None] * omega[None, :])
-        spec = (wts * f) @ kern / math.sqrt(_TWO_PI)
-        return FreqAmplitudeGrid(axes=(omega,), values=spec, channel=grid.channel)
-
-    if grid.ndim != 2:
+    axes, f = grid.axes, grid.values
+    if f.ndim not in (1, 2):
         raise ValueError("bridge supports 1-D and 2-D grids")
-    ax1, ax2 = grid.axes
-    f = grid.values
-    step = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
-    blocks = ((i0, f[i0:i0 + step]) for i0 in range(0, ax1.size, step))
+    # a 1-D signal is one block; a 2-D grid is cut into row blocks
+    step = max(1, len(f) if f.ndim == 1 else _BLOCK_ENTRIES // max(1, f.shape[1]))
+    blocks = ((i0, f[i0:i0 + step]) for i0 in range(0, len(f), step))
     if omega_axes is not None:
-        om1, om2 = (np.asarray(a, dtype=float) for a in omega_axes)
-        return FreqAmplitudeGrid(axes=(om1, om2), channel=grid.channel,
-                                 values=_bridge_blocks(blocks, ax1, ax2, om1, om2))
-    dt1 = _check_uniform(ax1)
-    dt2 = _check_uniform(ax2)
+        omegas = _frequency_axes(omega_axes, f.ndim)
+        if f.ndim == 2:
+            values = _bridge_blocks(blocks, *axes, *omegas)
+        else:
+            phase, w = _axis_kernel(axes[0], omegas[0])
+            for _ in _window_guarded(blocks):
+                pass
+            values = (w * f) @ phase / math.sqrt(_TWO_PI)
+        return FreqAmplitudeGrid(axes=omegas, values=values, channel=grid.channel)
+    steps = [_check_uniform(a) for a in axes]
     for _ in _window_guarded(blocks):
         pass
-    m1, m2 = ax1.size, ax2.size
-    om1 = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m1, dt1))
-    om2 = _TWO_PI * np.fft.fftshift(np.fft.fftfreq(m2, dt2))
-    spec = dt1 * dt2 / _TWO_PI * m1 * m2 * np.fft.ifft2(f)
-    spec = np.fft.fftshift(spec)
-    spec = spec * np.exp(1j * om1 * ax1[0])[:, None]
-    spec = spec * np.exp(1j * om2 * ax2[0])[None, :]
-    return FreqAmplitudeGrid(axes=(om1, om2), values=spec, channel=grid.channel)
+    omegas = tuple(_TWO_PI * np.fft.fftshift(np.fft.fftfreq(a.size, dt))
+                   for a, dt in zip(axes, steps))
+    # dt_k / sqrt(2 pi) per axis, and each m_k to undo ifftn's normalisation
+    scale = math.prod(f.shape, start=math.prod(steps) / _TWO_PI ** (f.ndim / 2))
+    spec = np.fft.fftshift(scale * np.fft.ifftn(f))
+    for k, (a, om) in enumerate(zip(axes, omegas)):
+        # the phase of each axis's start, broadcast along axis k
+        spec = spec * np.exp(1j * om * a[0]).reshape((-1,) + (1,) * (f.ndim - 1 - k))
+    return FreqAmplitudeGrid(axes=omegas, values=spec, channel=grid.channel)
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +547,7 @@ def single_photon_bridge_error(gamma_bw: float, n_time: int = 4096,
     """
     from .kernel import h_closed_form
 
+    gamma_bw = check_bandwidth(gamma_bw)
     if t_end is None:
         t_end = max(40.0, 80.0 / gamma_bw)
     axis = np.linspace(0.0, t_end, n_time + 1)
@@ -632,6 +631,7 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     time, as ``fourier_bridge(two_photon_channel_grid(...))`` would sum them.
     """
     start = time.perf_counter()
+    gamma_bw = check_bandwidth(gamma_bw)
     if t_end is None:
         t_end = max(40.0, 80.0 / gamma_bw)
     if not (math.isfinite(t_end) and t_end > 0.0):

@@ -1,5 +1,6 @@
 """Command-line interface: determinism, exit codes, config merging."""
 
+import argparse
 import csv
 import io
 import json
@@ -194,6 +195,7 @@ def test_bad_photon_list_exits_2(capsys):
     ["excite", "--points", "0"],
     ["validate", "--suite", "single-photon", "--tolerance", "nan"],
     ["validate", "--omega-max", "inf"],
+    ["validate", "--gamma", "0"],
 ])
 def test_non_finite_bandwidth_exits_2(argv):
     proc = subprocess.run(
@@ -359,3 +361,39 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[0, 0, 0, 0, 0, 0]", "(-0.75+0j)", "True", "[]"]
+
+
+# every flag of every subcommand, as the parser generated from the option
+# defaults must spell and type it ("const" marks a store_const switch)
+_PARSER_TABLE = {
+    "reflect": {("--config",): None, ("--n-list",): None, ("--gamma",): float,
+                ("--numeric",): "const", ("--output", "-o"): None},
+    "excite": {("--config",): None, ("--photons",): int, ("--gamma",): float,
+               ("--gamma2",): float, ("--directions",): None, ("--t-max",): float,
+               ("--points",): int, ("--output", "-o"): None},
+    "two-photon": {("--config",): None, ("--gamma",): float, ("--gamma2",): float,
+                   ("--directions",): None, ("--channel",): None, ("--t",): float,
+                   ("--tau-max",): float, ("--tau-points",): int,
+                   ("--output", "-o"): None},
+    "validate": {("--config",): None, ("--suite",): None, ("--gamma",): float,
+                 ("--tolerance",): float, ("--omega-min",): float,
+                 ("--omega-max",): float, ("--omega-points",): int,
+                 ("--time-points",): int, ("--output", "-o"): None},
+    "figure3": {("--config",): None, ("--n-list",): None, ("--gamma-grid",): None,
+                ("--numeric",): "const", ("--output", "-o"): None},
+}
+
+
+def test_generated_parser_spells_and_types_every_flag():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_PARSER_TABLE)
+    for command, table in _PARSER_TABLE.items():
+        actions = [a for a in sub.choices[command]._actions if a.dest != "help"]
+        got = {tuple(a.option_strings): "const" if a.const is True else a.type
+               for a in actions}
+        assert list(got.items()) == list(table.items()), command
+        # each flag lands on the option key that _effective_options reads
+        assert [a.dest for a in actions[1:]] == list(cli._DEFAULTS[command])
+        switch = [a for a in actions if a.const is True]
+        assert all(a.default is None and a.nargs == 0 for a in switch)

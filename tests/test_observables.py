@@ -293,7 +293,38 @@ def test_numeric_reversal_validates_photon_number():
     with pytest.raises(ValueError):
         reflection_probability_numeric(0, 1.0)
     with pytest.raises(ValueError):
-        reflection_probability_numeric(6, 1.0)
+        reflection_probability_numeric(observables._MAX_NUMERIC_PHOTONS + 1, 1.0)
+
+
+_WIDE_BANDWIDTHS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
+
+
+def test_numeric_reversal_matches_closed_up_to_twenty_photons():
+    rel = {}
+    for n in (6, 10, 15, 20):
+        for gamma in _WIDE_BANDWIDTHS:
+            res = reflection_probability_numeric(n, gamma)
+            rel[n, gamma] = abs(res.numeric / res.closed - 1.0)
+    bad = {k: v for k, v in rel.items() if not v <= 1e-12}
+    assert not bad, f"relative error above 1e-12 at (n, gamma): {bad}"
+
+
+def test_numeric_reversal_survives_an_underflowing_decay_probe():
+    # here a layer's decay probe underflows to 0; read as "no decay" it
+    # left most nodes on the log floor and a relative error of 0.1
+    res = reflection_probability_numeric(15, 10.0)
+    assert res.numeric == pytest.approx(res.closed, rel=1e-12, abs=0.0)
+
+
+def test_numeric_route_reproduces_the_narrowband_values_below_the_stated_floor():
+    # test_02b's closed-form values at gamma = 0.01 (0.8969 at n = 4 and
+    # lower above it) come out of the independent numeric route as well,
+    # so its 0.9 floor is a wrong requirement, not a closed-form slip
+    for n in range(4, 11):
+        res = reflection_probability_numeric(n, 0.01)
+        assert res.closed == reflection_probability_closed(n, 0.01)
+        assert res.closed < 0.9
+        assert res.numeric == pytest.approx(res.closed, rel=1e-12, abs=0.0)
 
 
 # -- unitarity -------------------------------------------------------------------

@@ -1,0 +1,53 @@
+"""The package's public surface: each name declared once, by its module."""
+
+import collections
+
+import waveguide_scatter as ws
+from waveguide_scatter import amplitudes, kernel, model, observables, quadrature, spectral
+
+# the public names, by the module that defines them
+_PUBLIC = {
+    model: {"Direction", "InitialState", "NormalizationError", "PulseProfile",
+            "WavepacketN", "default_horizon", "excited_atom", "profile_overlap",
+            "wavepacket_from_json", "wavepacket_to_json"},
+    quadrature: {"ConvergenceError", "DEFAULT_QUAD", "QuadratureSpec",
+                 "gauss_legendre_nodes", "integrate", "integrate_2d_box",
+                 "integrate_semi_infinite"},
+    kernel: {"GAMMA_DEGENERATE_TOL", "KernelSpan", "h_closed_form", "kernel_convolve",
+             "weighted_h_norm_integral"},
+    amplitudes: {"AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
+                 "linear_beamsplitter_amplitude", "load_grid_csv", "nonlinear_correction_B",
+                 "ordered_emission_amplitude", "reflection_amplitude_f0",
+                 "two_photon_channel_grid", "two_photon_outputs", "write_grid_csv"},
+    observables: {"ExcitationTrace", "ReflectionResult", "excitation_probability",
+                  "excitation_trace", "reflection_probability_closed",
+                  "reflection_probability_numeric", "unitarity_check_two_photon"},
+    spectral: {"ChannelComparison", "ComparisonReport", "FreqAmplitudeGrid",
+               "appendix_comparison", "fourier_bridge", "freq_channel_grid",
+               "freq_nonlinear_correction", "freq_two_photon_outputs", "lorentzian_mode",
+               "single_photon_bridge_error", "single_photon_r_t",
+               "single_photon_reflection_freq"},
+}
+
+
+def test_package_exports_exactly_the_public_names():
+    names = set().union(*_PUBLIC.values())
+    assert len(names) == 52
+    assert set(ws.__all__) == names
+    assert len(ws.__all__) == len(names)
+
+
+def test_each_public_name_is_the_object_of_its_defining_module():
+    for module, names in _PUBLIC.items():
+        assert set(module.__all__) == names, module.__name__
+        for name in names:
+            obj = getattr(ws, name)
+            assert obj is getattr(module, name), name
+            if callable(obj) and hasattr(obj, "__qualname__"):
+                assert obj.__module__ == module.__name__, name
+
+
+def test_no_name_is_exported_by_two_modules():
+    # star imports would let the later module silently win
+    counts = collections.Counter(name for module in _PUBLIC for name in module.__all__)
+    assert [name for name, k in counts.items() if k > 1] == []

@@ -119,6 +119,45 @@ def test_single_photon_bridge_error_is_small(gamma):
     assert single_photon_bridge_error(gamma) <= 1e-6
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+def test_bridge_checks_reject_a_bad_bandwidth_first(gamma):
+    # at 0 the default time window 80 / gamma used to divide by zero
+    with pytest.raises(ValueError, match="bandwidth"):
+        single_photon_bridge_error(gamma)
+    with pytest.raises(ValueError, match="bandwidth"):
+        appendix_comparison(gamma, n_omega=4, n_time=64)
+
+
+def test_requested_axis_bridge_takes_each_form_of_omega_axes():
+    tau, vals = _exp_time_grid(1.0)
+    grid = AmplitudeGrid(axes=(tau,), values=vals, channel="",
+                         dynamical_time=0.0)
+    om = np.linspace(-8.0, 8.0, 41)
+    # the end-corrected sum over the mean step, written out
+    dt = np.mean(np.diff(tau))
+    ref = ((_quad_segment(tau.size) * dt * vals) @ np.exp(1j * tau[:, None] * om)
+           / math.sqrt(2 * math.pi))
+    for form in (om, (om,), [om], list(om)):
+        spec = fourier_bridge(grid, omega_axes=form)
+        assert len(spec.axes) == 1 and np.array_equal(spec.axes[0], om)
+        assert np.array_equal(spec.values, ref)
+    tau1, v1 = _exp_time_grid(1.0, n=1024)
+    tau2, v2 = _exp_time_grid(2.0, n=768)
+    grid2 = AmplitudeGrid(axes=(tau1, tau2), values=np.outer(v1, v2),
+                          channel="", dynamical_time=0.0)
+    om2 = np.linspace(-5.0, 5.0, 11)
+    pair = fourier_bridge(grid2, omega_axes=(om, om2))
+    assert pair.values.shape == (om.size, om2.size)
+    assert np.array_equal(fourier_bridge(grid2, omega_axes=[om, list(om2)]).values,
+                          pair.values)
+    wrong = [(grid, (om, om)), (grid, [om, om]), (grid, om[None, :]), (grid, 0.5),
+             (grid2, om), (grid2, (om,)), (grid2, (om, om2, om)),
+             (grid2, (om[None, :], om2)), (grid2, 0.5)]
+    for g, form in wrong:
+        with pytest.raises(ValueError, match="frequency axis per grid axis"):
+            fourier_bridge(g, omega_axes=form)
+
+
 def test_two_axis_bridge_factorizes_product_states():
     tau1, v1 = _exp_time_grid(1.0, n=2048)
     tau2, v2 = _exp_time_grid(2.0, n=2048)
