@@ -22,6 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .kernel import KernelSpan, h_closed_form, h_factor_terms, kernel_convolve
-from .model import Direction, InitialState, WavepacketN, _permanent
+from .model import Direction, InitialState, PulseProfile, WavepacketN, _permanent
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box
 
 __all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
@@ -72,6 +73,19 @@ def _effective_quad(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
     return replace(quad, rel_tol=floor, abs_tol=max(quad.abs_tol, floor * 1e-3))
 
 
+def _outer_spec(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
+    """quad for integrals over the S and T of w, floored at their noise.
+
+    Closed-form kernels are exact to rounding; any other S and T carries
+    the inner engine's error and the data resolution of sampled states.
+    """
+    if w.all_exponential:
+        return quad
+    noise = _resolution_floor(w)
+    return replace(quad, rel_tol=max(quad.rel_tol, 1e-8, 4.0 * noise),
+                   abs_tol=max(quad.abs_tol, 1e-11, noise * 1e-2))
+
+
 def _panel_width(w: WavepacketN) -> float:
     """Initial panel width of integrands built on w.
 
@@ -85,8 +99,7 @@ def _validate_times(times) -> np.ndarray:
     arr = np.asarray(times, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("emission times must form a non-empty 1-D sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"emission times must be finite, got {arr.tolist()!r}")
+    _check_finite("emission times", *arr)
     if np.any(arr < 0.0):
         raise ValueError("emission times must be >= 0")
     if np.any(np.diff(arr) < 0.0):
@@ -94,15 +107,35 @@ def _validate_times(times) -> np.ndarray:
     return arr
 
 
+def _check_finite(what: str, *values) -> None:
+    bad = [v for v in values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"{what} must be finite, got {bad[0]!r}")
+
+
+def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
+    """K(p; lo, hi) at broadcast window ends lo <= hi.
+
+    The closed form for an exponential profile, and otherwise one
+    adaptive kernel integral per distinct window.
+    """
+    if p.is_exponential:
+        return h_closed_form(hi, lo, p.gamma_bw)
+    ends = np.broadcast_arrays(np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
+    windows, where = np.unique(np.stack(ends, axis=-1).reshape(-1, 2), axis=0,
+                               return_inverse=True)
+    values = np.array([kernel_convolve(p, KernelSpan(a, b), quad) for b, a in windows],
+                      dtype=complex)
+    return values[where.reshape(-1)].reshape(ends[0].shape)
+
+
 # -- wavepacket contractions (two-photon) ------------------------------------
 
-def _pair_with_right_spectator(w: WavepacketN, s, tau_b):
-    """Amplitude for extracting one photon at s with a right-mover left at tau_b."""
-    return (_SQRT2 * w.component(2, (tau_b, s)) + w.component(1, (tau_b, s)))
-
-
-def _pair_with_left_spectator(w: WavepacketN, s, tau_b):
-    return (w.component(1, (s, tau_b)) + _SQRT2 * w.component(0, (s, tau_b)))
+def _pair_with_spectator(w: WavepacketN, d: Direction, s, tau_b):
+    """Amplitude for extracting one photon at s with a d-mover left at tau_b."""
+    if d is Direction.RIGHT:
+        return _SQRT2 * w.component(2, (tau_b, s)) + w.component(1, (tau_b, s))
+    return w.component(1, (s, tau_b)) + _SQRT2 * w.component(0, (s, tau_b))
 
 
 def _double_extraction(w: WavepacketN, s1, s2):
@@ -110,6 +143,20 @@ def _double_extraction(w: WavepacketN, s1, s2):
     return (_SQRT2 * w.component(0, (s1, s2))
             + w.component(1, (s1, s2)) + w.component(1, (s2, s1))
             + _SQRT2 * w.component(2, (s1, s2)))
+
+
+def _double_window(w: WavepacketN, box1, box2, quad: QuadratureSpec) -> complex:
+    """Joint extraction amplitude integrated over the windows box1 x box2.
+
+    Each absorption is weighted by the memory up to its window's end;
+    bilinear interpolation supplies a correlated pair's integrand.
+    """
+    end1, end2 = box1[1], box2[1]
+
+    def integrand(t1, t2):
+        return np.exp(-(end1 - t1)) * np.exp(-(end2 - t2)) * _double_extraction(w, t1, t2)
+
+    return integrate_2d_box(integrand, box1, box2, quad, panel_width=_panel_width(w))
 
 
 # -- ordered emission ---------------------------------------------------------
@@ -124,23 +171,10 @@ def _absorption_chain(spans, w: WavepacketN, quad: QuadratureSpec) -> complex:
     if w.kind == "separable":
         if n == 0:
             return complex(sign)
-        profiles = [p for p, _ in w.entries]
-        mat = np.empty((n, n), dtype=complex)
-        for i, span in enumerate(spans):
-            for j, p in enumerate(profiles):
-                mat[i, j] = kernel_convolve(p, span, quad)
+        mat = [[kernel_convolve(p, span, quad) for p, _ in w.entries] for span in spans]
         return sign * w.separable_normalization() * _permanent(mat)
-    # correlated two-photon state: nested window integral of the joint
-    # extraction amplitude (bilinear interpolation supplies the integrand)
-    span1, span2 = spans
-
-    def integrand(t1, t2):
-        return (np.exp(-(span1.end - t1)) * np.exp(-(span2.end - t2))
-                * _double_extraction(w, t1, t2))
-
-    val = integrate_2d_box(integrand, (span1.start, span1.end),
-                           (span2.start, span2.end), quad, panel_width=_panel_width(w))
-    return sign * val
+    # correlated two-photon state: nested window integral
+    return sign * _double_window(w, *((s.start, s.end) for s in spans), quad)
 
 
 def ordered_emission_amplitude(times, state: InitialState | WavepacketN,
@@ -184,16 +218,10 @@ def linear_beamsplitter_amplitude(tau1: float, tau2: float, w: WavepacketN,
     """
     if w.n_photons != 2:
         raise ValueError("linear beamsplitter amplitude is a two-photon construct")
-    quad = _effective_quad(w, quad)
-
-    def integrand(t1, t2):
-        return (np.exp(-(tau1 - t1)) * np.exp(-(tau2 - t2))
-                * _double_extraction(w, t1, t2))
-
+    _check_finite("emission times", tau1, tau2)
     if tau1 == 0.0 or tau2 == 0.0:
         return 0.0 + 0.0j
-    return integrate_2d_box(integrand, (0.0, tau1), (0.0, tau2), quad,
-                            panel_width=_panel_width(w))
+    return _double_window(w, (0.0, tau1), (0.0, tau2), _effective_quad(w, quad))
 
 
 def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
@@ -214,21 +242,14 @@ def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
     """
     if w.n_photons != 2:
         raise ValueError("nonlinear correction is a two-photon construct")
+    _check_finite("emission times", tau1, tau2)
     quad = _effective_quad(w, quad)
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("emission times must be >= 0")
-    lo = min(tau1, tau2)
-    hi = max(tau1, tau2)
+    lo, hi = sorted((tau1, tau2))
     if lo == 0.0:
         return 0.0 + 0.0j
-
-    def integrand(t1, t2):
-        return (np.exp(-(lo - t1)) * np.exp(-(lo - t2))
-                * _double_extraction(w, t1, t2) / _SQRT2)
-
-    q = integrate_2d_box(integrand, (0.0, lo), (0.0, lo), quad,
-                         panel_width=_panel_width(w))
-    return -math.exp(-(hi - lo)) * q
+    return -math.exp(-(hi - lo)) * _double_window(w, (0.0, lo), (0.0, lo), quad) / _SQRT2
 
 
 # -- reflection amplitude -----------------------------------------------------
@@ -241,29 +262,23 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
     result: zero unless every emission time has been reached (tau_i <= t,
     boundary included).  For separable inputs the nested absorption
     integral factorizes over the windows into a permanent of kernel
-    integrals, evaluated in closed form for exponential envelopes.  The
-    sqrt(N!) bosonic bookkeeping is handled here: the returned f0 is the
-    emission amplitude divided by sqrt(N!).
+    integrals, one window kernel per photon and window.  The sqrt(N!)
+    bosonic bookkeeping is handled here: the returned f0 is the emission
+    amplitude divided by sqrt(N!).
     """
     arr = np.sort(_validate_times(times))
+    _check_finite("observation time", t)
     n = arr.size
     if w.n_photons != n:
         raise ValueError("photon number must match the number of detection times")
     if np.any(arr > t):
         return 0.0 + 0.0j
     if w.kind == "separable":
-        dirs = {d for _, d in w.entries}
-        if len(dirs) > 1:
+        if len({d for _, d in w.entries}) > 1:
             raise ValueError("reflection amplitude needs all photons on one side")
-        profiles = [p for p, _ in w.entries]
-        spans = [(0.0, arr[0])] + [(arr[i], arr[i + 1]) for i in range(n - 1)]
-        mat = np.empty((n, n), dtype=complex)
-        for i, (a, b) in enumerate(spans):
-            for j, p in enumerate(profiles):
-                if p.is_exponential:
-                    mat[i, j] = h_closed_form(b, a, p.gamma_bw)
-                else:
-                    mat[i, j] = kernel_convolve(p, KernelSpan(a, b), quad)
+        starts = np.concatenate([[0.0], arr[:-1]])
+        mat = np.stack([_window_kernel(p, arr, starts, quad) for p, _ in w.entries], axis=1,
+                       dtype=complex)
         sign = -1.0 if n % 2 else 1.0
         amp = sign * w.separable_normalization() * _permanent(mat)
         return amp / math.sqrt(math.factorial(n))
@@ -281,26 +296,29 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
 # atom re-emits: one photon absorbed and re-emitted at tau_emit while the
 # other passes as a direction-d spectator at tau_spec, S(d, tau_emit,
 # tau_spec), or both absorbed in time order, T(lo, hi).  A kernel provider
-# supplies S and T; both take a gate mask and return zero where it is
-# closed (T a scalar 0.0 when it is closed everywhere).  T must not be
-# evaluated there: it is undefined for lo > hi.
+# supplies S and T: a product state factorizes them into per-photon window
+# kernels, a correlated pair integrates its joint amplitude point by point,
+# and _kernels picks one by the state's kind.  Both take a gate mask and
+# return zero where it is closed (T a scalar 0.0 when it is closed
+# everywhere).  T must not be evaluated there: it is undefined for lo > hi.
 
-class _ClosedFormKernels:
-    """S and T in closed form for two exponential envelopes; vectorized."""
+class _ProductKernels:
+    """S and T of a two-photon product state from window kernels; vectorized."""
 
-    def __init__(self, w: WavepacketN):
+    def __init__(self, w: WavepacketN, quad: QuadratureSpec):
         (p1, d1), (p2, d2) = w.entries
         self._cnorm = w.separable_normalization()
-        self._gammas = (p1.gamma_bw, p2.gamma_bw)
-        # (spectator profile, its direction, bandwidth of the re-emitted partner)
-        self._spectators = ((p1, d1, p2.gamma_bw), (p2, d2, p1.gamma_bw))
+        self._profiles = (p1, p2)
+        self._quad = _effective_quad(w, quad)
+        # (spectator profile, its direction, the re-emitted partner)
+        self._spectators = ((p1, d1, p2), (p2, d2, p1))
 
     def spectator(self, d: Direction, tau_emit, tau_spec, gate):
         total = 0.0
-        for p, dk, g_partner in self._spectators:
+        for p, dk, partner in self._spectators:
             if dk is d:
                 total = total + (np.asarray(p.value(tau_spec), dtype=complex)
-                                 * h_closed_form(tau_emit, 0.0, g_partner))
+                                 * _window_kernel(partner, tau_emit, 0.0, self._quad))
         return -self._cnorm * total * gate
 
     def chain(self, lo, hi, gate):
@@ -308,14 +326,10 @@ class _ClosedFormKernels:
             return 0.0
         lo = np.where(gate, lo, 0.0)
         hi = np.where(gate, hi, 0.0)
-        g1, g2 = self._gammas
-        val = self._cnorm * (h_closed_form(lo, 0.0, g1) * h_closed_form(hi, lo, g2)
-                             + h_closed_form(lo, 0.0, g2) * h_closed_form(hi, lo, g1))
+        (p1, p2), q = self._profiles, self._quad
+        val = self._cnorm * (_window_kernel(p1, lo, 0.0, q) * _window_kernel(p2, hi, lo, q)
+                             + _window_kernel(p2, lo, 0.0, q) * _window_kernel(p1, hi, lo, q))
         return np.where(gate, val, 0.0)
-
-    def outer_spec(self, quad: QuadratureSpec) -> QuadratureSpec:
-        """S and T are exact to rounding: outer integrals keep quad."""
-        return quad
 
 
 def _pointwise(func, gate, *args) -> np.ndarray:
@@ -329,23 +343,21 @@ def _pointwise(func, gate, *args) -> np.ndarray:
 
 
 class _QuadratureKernels:
-    """S and T by adaptive quadrature for any two-photon state; pointwise."""
+    """S and T of a correlated two-photon pair by adaptive quadrature; pointwise."""
 
     def __init__(self, w: WavepacketN, quad: QuadratureSpec):
         self._w = w
         self._quad = _effective_quad(w, quad)
         self._width = _panel_width(w)
 
-    def _emit_with_spectator(self, pair_fn, tau_emit: float, tau_spec: float) -> complex:
+    def _emit_with_spectator(self, d: Direction, tau_emit: float, tau_spec: float) -> complex:
         """S at one point: the photon absorbed over [0, tau_emit] re-emitted then."""
         def integrand(s):
-            return np.exp(-(tau_emit - s)) * pair_fn(self._w, s, tau_spec)
+            return np.exp(-(tau_emit - s)) * _pair_with_spectator(self._w, d, s, tau_spec)
         return -integrate(integrand, 0.0, tau_emit, self._quad, panel_width=self._width)
 
     def spectator(self, d: Direction, tau_emit, tau_spec, gate):
-        pair_fn = (_pair_with_right_spectator if d is Direction.RIGHT
-                   else _pair_with_left_spectator)
-        return _pointwise(lambda te, ts: self._emit_with_spectator(pair_fn, te, ts),
+        return _pointwise(functools.partial(self._emit_with_spectator, d),
                           gate, tau_emit, tau_spec)
 
     def chain(self, lo, hi, gate):
@@ -354,16 +366,10 @@ class _QuadratureKernels:
                                            self._w, self._quad),
             gate, lo, hi)
 
-    def outer_spec(self, quad: QuadratureSpec) -> QuadratureSpec:
-        """quad floored at the noise of the inner integrals.
 
-        Each S and T carries the inner engine's error (and the data
-        resolution of sampled states), so outer integrals must not chase
-        tolerances below it.
-        """
-        noise = _resolution_floor(self._w)
-        return replace(quad, rel_tol=max(quad.rel_tol, 1e-8, 4.0 * noise),
-                       abs_tol=max(quad.abs_tol, 1e-11, noise * 1e-2))
+def _kernels(w: WavepacketN, quad: QuadratureSpec):
+    """The kernel provider of a two-photon state."""
+    return (_ProductKernels if w.kind == "separable" else _QuadratureKernels)(w, quad)
 
 
 def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> dict:
@@ -381,13 +387,11 @@ def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> di
     g1 = T1 <= t
     g2 = T2 <= t
     chain = kernels.chain(np.minimum(T1, T2), np.maximum(T1, T2), g1 & g2)
-    spectators = {}
 
+    @functools.cache
     def spectator(d, emit_first):
-        if (d, emit_first) not in spectators:
-            spectators[d, emit_first] = (kernels.spectator(d, T1, T2, g1) if emit_first
-                                         else kernels.spectator(d, T2, T1, g2))
-        return spectators[d, emit_first]
+        return (kernels.spectator(d, T1, T2, g1) if emit_first
+                else kernels.spectator(d, T2, T1, g2))
 
     out = {}
     for channel in channels:
@@ -419,14 +423,17 @@ def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
     Each channel sums four histories: neither photon touched the atom,
     either one was absorbed and re-emitted (the other passing as a
     spectator), or both were.  Emissions are gated by theta(t - tau_i)
-    with the closed boundary.  Pointwise, quadrature-backed evaluation;
-    the vectorized exponential fast path is :func:`two_photon_channel_grid`.
+    with the closed boundary.  A product state takes the window kernels
+    of its photons (closed form for exponential envelopes), a correlated
+    pair the pointwise quadrature of its joint amplitude; grids of
+    detection times are :func:`two_photon_channel_grid`.
     """
     if w.n_photons != 2:
         raise ValueError("two-photon outputs need a two-photon input")
+    _check_finite("detection and dynamical times", tau1, tau2, t)
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("detection times must be >= 0")
-    vals = _channel_sums(_QuadratureKernels(w, quad), w, CHANNELS, tau1, tau2, t)
+    vals = _channel_sums(_kernels(w, quad), w, CHANNELS, tau1, tau2, t)
     return {ch: complex(v) for ch, v in vals.items()}
 
 
@@ -442,7 +449,7 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
         raise ValueError(f"channel must be one of {CHANNELS}")
     if not (w.all_exponential and w.n_photons == 2):
         raise ValueError("closed-form path needs two exponential envelopes")
-    return _channel_sums(_ClosedFormKernels(w), w, (channel,), tau1, tau2, t)[channel]
+    return _channel_sums(_kernels(w, DEFAULT_QUAD), w, (channel,), tau1, tau2, t)[channel]
 
 
 # Row blocks of the exponential grid fill: at most this many entries per
@@ -530,24 +537,26 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
 
     Returns the full tensor.  When every envelope is exponential it is
     copied in from the row blocks of :func:`_exp_pair_blocks` (which the
-    two-route comparison streams without holding a tensor); otherwise it
-    falls back to the quadrature provider, point by point (slow, intended
-    for small grids and correlated inputs).
+    two-route comparison streams without holding a tensor).  Any other
+    product state takes one window-kernel integral per distinct window
+    (suited to moderate grids), and a correlated pair the pointwise
+    quadrature provider (slow, intended for small grids).
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")
+    if w.n_photons != 2:
+        raise ValueError("a two-photon channel grid needs a two-photon input")
     ax1 = np.asarray(axis1, dtype=float)
     ax2 = np.asarray(axis2, dtype=float)
     if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (ax1, ax2)):
         raise ValueError("detection-time axes must be finite and >= 0")
-    if not math.isfinite(t):
-        raise ValueError(f"dynamical time must be finite, got {t!r}")
-    if w.all_exponential and w.n_photons == 2:
+    _check_finite("dynamical time", t)
+    if w.all_exponential:
         values = np.empty((ax1.size, ax2.size), dtype=complex)
         for i0, block in _exp_pair_blocks(w, channel, ax1, ax2, t):
             values[i0:i0 + len(block)] = block
     else:
-        values = _channel_sums(_QuadratureKernels(w, quad), w, (channel,),
+        values = _channel_sums(_kernels(w, quad), w, (channel,),
                                ax1[:, None], ax2[None, :], t)[channel]
     return AmplitudeGrid(axes=(ax1, ax2), values=values, channel=channel,
                          dynamical_time=t)

@@ -32,12 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import (
-    _ClosedFormKernels,
-    _QuadratureKernels,
     _emitter_amplitudes,
+    _kernels,
+    _outer_spec,
+    _window_kernel,
     exp_pair_channel_values,
 )
-from .kernel import h_closed_form, kernel_convolve, KernelSpan
+from .kernel import h_closed_form
 from .model import WavepacketN, check_bandwidth
 from .quadrature import (
     DEFAULT_QUAD,
@@ -93,19 +94,6 @@ class ExcitationTrace:
         return float(self.times[idx]), float(self.values[idx])
 
 
-def _absorb_kernel(w: WavepacketN, index: int, t: float,
-                   quad: QuadratureSpec) -> complex:
-    profile, _ = w.entries[index]
-    if profile.is_exponential:
-        return complex(h_closed_form(t, 0.0, profile.gamma_bw))
-    return kernel_convolve(profile, KernelSpan(0.0, t), quad)
-
-
-def _excitation_one(t: float, w: WavepacketN, quad: QuadratureSpec) -> float:
-    amp = _absorb_kernel(w, 0, t, quad)
-    return abs(amp) ** 2
-
-
 def _excitation_two(times: np.ndarray, w: WavepacketN,
                     quad: QuadratureSpec) -> np.ndarray:
     """Two-photon excitation at every time, each one component of one integral.
@@ -119,8 +107,8 @@ def _excitation_two(times: np.ndarray, w: WavepacketN,
     live = times > 0.0
     if not np.any(live):
         return out
-    kernels = _ClosedFormKernels(w) if w.all_exponential else _QuadratureKernels(w, quad)
-    outer = kernels.outer_spec(quad)
+    kernels = _kernels(w, quad)
+    outer = _outer_spec(w, quad)
     t = times[live][:, None]
 
     def weight(tau):
@@ -139,10 +127,11 @@ def _excitation_two(times: np.ndarray, w: WavepacketN,
 def _excitation_values(times: np.ndarray, w: WavepacketN,
                        quad: QuadratureSpec) -> np.ndarray:
     if w.n_photons == 1:
-        return np.array([_excitation_one(float(t), w, quad) for t in times])
-    # blocks of times bound the integrand's temporaries.  The pointwise
-    # engine gains nothing from a shared mesh, which would only move its
-    # values within their resolution floor, so it takes one time per call.
+        return np.abs(_window_kernel(w.entries[0][0], times, 0.0, quad)) ** 2
+    # blocks of times bound the integrand's temporaries.  Kernels that cost
+    # an integral per point gain nothing from a shared mesh, which would
+    # only move their values within their resolution floor, so a state
+    # without closed-form kernels takes one time per call.
     block = _TRACE_BLOCK if w.all_exponential else 1
     values = [_excitation_two(times[i:i + block], w, quad)
               for i in range(0, times.size, block)]
@@ -165,10 +154,11 @@ def excitation_probability(t: float, w: WavepacketN,
                            quad: QuadratureSpec = DEFAULT_QUAD) -> float:
     """Probability that the emitter is excited at dynamical time t.
 
-    Supports one- and two-photon separable drives (and two-photon
-    correlated inputs through the pointwise engine).  The one-photon
-    value is the squared absorption kernel; the two-photon value traces
-    out the photon that has already been re-emitted.
+    Supports one- and two-photon product drives, whose photons enter
+    through their window kernels, and two-photon correlated pairs through
+    the pointwise quadrature provider.  The one-photon value is the
+    squared absorption kernel; the two-photon value traces out the photon
+    that has already been re-emitted.
     """
     return float(_excitation_values(_checked_times([t], w), w, quad)[0])
 
@@ -177,8 +167,8 @@ def excitation_trace(times, w: WavepacketN,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> ExcitationTrace:
     """Excitation probability on an array of times.
 
-    Two-photon traces integrate blocks of times as the components of one
-    vector-valued integral.
+    Exponential two-photon traces integrate blocks of times as the
+    components of one vector-valued integral.
     """
     times = _checked_times(times, w)
     return ExcitationTrace(times=times, values=_excitation_values(times, w, quad))

@@ -30,7 +30,7 @@ from waveguide_scatter import (
 )
 
 from waveguide_scatter.amplitudes import (
-    _ClosedFormKernels,
+    _ProductKernels,
     _QuadratureKernels,
     _channel_sums,
     _emitter_amplitudes,
@@ -46,6 +46,13 @@ def _pair(gamma1, gamma2=None, directions=(Direction.RIGHT, Direction.RIGHT)):
     p1 = PulseProfile.exponential(gamma1)
     p2 = p1 if gamma2 is None else PulseProfile.exponential(gamma2)
     return WavepacketN.product([(p1, directions[0]), (p2, directions[1])])
+
+
+def _gaussian(centre=3.0, sigma=0.5, t_max=8.0):
+    """Unit-norm Gaussian envelope, given as a closure."""
+    amp = (2.0 / (math.pi * sigma ** 2)) ** 0.25
+    return PulseProfile.from_callable(lambda t: amp * np.exp(-((t - centre) / sigma) ** 2),
+                                      t_max, timescale=sigma)
 
 
 # -- single photon ------------------------------------------------------------
@@ -122,14 +129,15 @@ def test_correction_is_symmetric_and_gated():
 
 def test_two_photon_reflection_against_brute_tensor():
     rng = np.random.default_rng(7)
-    p = PulseProfile.exponential(1.0)
     q = PulseProfile.exponential(3.0)
-    w = WavepacketN.product([(p, Direction.RIGHT), (q, Direction.RIGHT)])
-    for _ in range(6):
-        ts = np.sort(rng.uniform(0.05, 3.0, size=2))
-        pkg = complex(reflection_amplitude_f0(ts, w, 10.0))
-        brute = brute_reflection_f0(ts, [p, q])
-        assert pkg == pytest.approx(brute, abs=1e-9)
+    # two exponential envelopes, then a Gaussian that takes the quadrature kernel
+    for p in (PulseProfile.exponential(1.0), _gaussian()):
+        w = WavepacketN.product([(p, Direction.RIGHT), (q, Direction.RIGHT)])
+        for _ in range(6):
+            ts = np.sort(rng.uniform(0.05, 3.0, size=2))
+            pkg = complex(reflection_amplitude_f0(ts, w, 10.0))
+            brute = brute_reflection_f0(ts, [p, q])
+            assert pkg == pytest.approx(brute, abs=1e-9)
 
 
 def test_three_photon_reflection_against_brute_tensor():
@@ -160,11 +168,12 @@ def test_channel_fast_path_matches_pointwise_engine():
             t1 = float(rng.uniform(0.0, 6.0))
             t2 = float(rng.uniform(0.0, 6.0))
             t_obs = float(rng.uniform(1.0, 7.0))
-            slow = two_photon_outputs(t1, t2, t_obs, w)
+            slow = _channel_sums(_QuadratureKernels(w, DEFAULT_QUAD), w, CHANNELS,
+                                 t1, t2, t_obs)
             for ch in CHANNELS:
                 fast = complex(exp_pair_channel_values(
                     w, ch, np.asarray(t1), np.asarray(t2), t_obs))
-                assert slow[ch] == pytest.approx(fast, abs=1e-9)
+                assert complex(slow[ch]) == pytest.approx(fast, abs=1e-9)
 
 
 class _Counted:
@@ -183,11 +192,14 @@ class _Counted:
         return self.kernels.chain(*args)
 
 
+@pytest.mark.parametrize("first", ["exponential", "gaussian"])
 @pytest.mark.parametrize("dirs", [(Direction.RIGHT, Direction.RIGHT),
                                   (Direction.RIGHT, Direction.LEFT)])
-def test_kernel_providers_agree_on_separable_exponential_pairs(dirs):
-    w = _pair(1.3, 2.7, dirs)
-    closed = _ClosedFormKernels(w)
+def test_kernel_providers_agree_on_product_pairs(dirs, first):
+    p = (PulseProfile.exponential(1.3) if first == "exponential"
+         else _gaussian(centre=1.5, sigma=0.35))
+    w = WavepacketN.product([(p, dirs[0]), (PulseProfile.exponential(2.7), dirs[1])])
+    product = _ProductKernels(w, DEFAULT_QUAD)
     quad = _QuadratureKernels(w, DEFAULT_QUAD)
     t = 1.1
     # before t, at t (closed gate, theta(0) = 1) and past t, where the
@@ -195,25 +207,25 @@ def test_kernel_providers_agree_on_separable_exponential_pairs(dirs):
     tau = np.array([0.4, t, 2.3])
     gate = tau <= t
     for d in (Direction.RIGHT, Direction.LEFT):
-        s_closed = closed.spectator(d, t, tau, True)
-        np.testing.assert_allclose(quad.spectator(d, t, tau, True), s_closed,
+        s_product = product.spectator(d, t, tau, True)
+        np.testing.assert_allclose(quad.spectator(d, t, tau, True), s_product,
                                    rtol=0.0, atol=1e-9)
-        assert np.all(closed.spectator(d, t, tau, False) == 0.0)
-    t_closed = closed.chain(tau, t, gate)
+        assert np.all(product.spectator(d, t, tau, False) == 0.0)
+    t_product = product.chain(tau, t, gate)
     t_quad = quad.chain(tau, t, gate)
-    np.testing.assert_allclose(t_quad, t_closed, rtol=0.0, atol=1e-9)
-    assert abs(t_closed[0]) > 1e-3
-    assert t_closed[2] == 0.0 and t_quad[2] == 0.0
-    for a_quad, a_closed in zip(_emitter_amplitudes(quad, tau, t),
-                                _emitter_amplitudes(closed, tau, t)):
-        np.testing.assert_allclose(a_quad, a_closed, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(t_quad, t_product, rtol=0.0, atol=1e-9)
+    assert abs(t_product[0]) > 1e-3
+    assert t_product[2] == 0.0 and t_quad[2] == 0.0
+    for a_quad, a_product in zip(_emitter_amplitudes(quad, tau, t),
+                                 _emitter_amplitudes(product, tau, t)):
+        np.testing.assert_allclose(a_quad, a_product, rtol=0.0, atol=1e-9)
     # channel sums with an emission exactly at the observation time
     for a, b in ((t, 0.4), (0.4, t), (t, t), (t, 2.3)):
         counted = _Counted(quad)
         by_quad = _channel_sums(counted, w, CHANNELS, a, b, t)
-        by_closed = _channel_sums(closed, w, CHANNELS, a, b, t)
+        by_product = _channel_sums(product, w, CHANNELS, a, b, t)
         for ch in CHANNELS:
-            assert complex(by_quad[ch]) == pytest.approx(complex(by_closed[ch]), abs=1e-9)
+            assert complex(by_quad[ch]) == pytest.approx(complex(by_product[ch]), abs=1e-9)
         # four spectator terms and one chain serve all three channels
         assert counted.calls == {"spectator": 4, "chain": 1}
 
@@ -434,6 +446,27 @@ def test_emission_time_validation():
         ordered_emission_amplitude([math.nan], one)
     with pytest.raises(ValueError, match="finite"):
         reflection_amplitude_f0([math.nan], one, 1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda w: two_photon_outputs(math.nan, 1.0, 2.0, w),
+    lambda w: two_photon_outputs(0.5, 1.0, math.nan, w),
+    lambda w: reflection_amplitude_f0([0.5, 1.0], w, math.nan),
+    lambda w: reflection_amplitude_f0([0.5, 1.0], w, math.inf),
+    lambda w: nonlinear_correction_B(1.0, math.inf, w),
+    lambda w: linear_beamsplitter_amplitude(math.nan, 1.0, w),
+    lambda w: linear_beamsplitter_amplitude(0.0, math.inf, w),
+], ids=["outputs-tau1", "outputs-t", "f0-nan-t", "f0-inf-t", "B-tau2", "linear-tau1",
+        "linear-tau2"])
+def test_amplitudes_reject_non_finite_times(call):
+    with pytest.raises(ValueError, match="finite"):
+        call(_pair(1.0))
+
+
+def test_channel_grid_needs_a_two_photon_input():
+    one = WavepacketN.product([(PulseProfile.exponential(1.0), Direction.RIGHT)])
+    with pytest.raises(ValueError, match="two-photon input"):
+        two_photon_channel_grid(one, "RR", [0.0, 1.0], [0.0, 1.0], 2.0)
 
 
 @pytest.mark.parametrize("axis1,axis2,t", [

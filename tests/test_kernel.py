@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from waveguide_scatter import (
@@ -46,14 +47,15 @@ def test_closed_form_vectorizes():
     np.testing.assert_allclose(vec, pointwise, atol=1e-14)
 
 
-def test_closed_form_continuous_across_matched_bandwidth():
-    points = [(0.5, 0.0), (1.0, 0.0), (2.0, 0.7), (4.0, 1.5)]
-    for b, a in points:
-        mid = h_closed_form(b, a, 2.0)
-        below = h_closed_form(b, a, 2.0 - 1e-7)
-        above = h_closed_form(b, a, 2.0 + 1e-7)
-        assert abs(below - mid) <= 1e-7
-        assert abs(above - mid) <= 1e-7
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 20.0), st.floats(0.0, 1.0))
+def test_closed_form_continuous_across_matched_bandwidth(b, frac):
+    a = frac * b  # 0 <= tau_prev <= tau_i
+    mid = h_closed_form(b, a, 2.0)
+    below = h_closed_form(b, a, 2.0 - 1e-7)
+    above = h_closed_form(b, a, 2.0 + 1e-7)
+    assert abs(below - mid) <= 1e-7
+    assert abs(above - mid) <= 1e-7
     assert GAMMA_DEGENERATE_TOL > 0.0
 
 
