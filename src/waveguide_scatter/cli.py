@@ -9,10 +9,11 @@ Subcommands:
 * ``validate``: two-route agreement suites, exit code 1 on breach;
 * ``figure3``: reversal probability over a bandwidth sweep.
 
-Each subcommand's options are declared once, in ``_DEFAULTS``: the flag
-is the key with dashes (``--output`` also takes ``-o``), read as a float
-or a count where ``_FLOAT_OPTIONS`` or ``_COUNT_OPTIONS`` list it (and
-``--photons`` as an integer), and ``--numeric`` is a switch.
+Each subcommand is declared once, in ``_COMMANDS``: its runner, its help
+line and its options with their defaults.  An option's flag is its key
+with dashes (``--output`` also takes ``-o``), read as a float or a count
+where ``_FLOAT_OPTIONS`` or ``_COUNT_OPTIONS`` list it (and ``--photons``
+as an integer), and ``--numeric`` is a switch.
 Options may come from a JSON config file (keys are the option names
 with underscores); explicit flags override the file.  Exit codes: 0 on
 success, 1 when a validation suite fails, 2 for bad input, configuration
@@ -35,7 +36,7 @@ import sys
 import numpy as np
 
 from .amplitudes import CHANNELS, _write_table, two_photon_channel_grid, write_grid_csv
-from .model import Direction, PulseProfile, WavepacketN
+from .model import PulseProfile, WavepacketN
 from .quadrature import ConvergenceError
 from .observables import (
     _MAX_NUMERIC_PHOTONS,
@@ -48,30 +49,6 @@ from .spectral import (
     single_photon_bridge_error,
     single_photon_reflection_freq,
 )
-
-_DEFAULTS: dict[str, dict] = {
-    "reflect": {"n_list": "1,2,3,4,5", "gamma": 1.0, "numeric": False,
-                "output": "-"},
-    "excite": {"photons": 1, "gamma": 1.0, "gamma2": None, "directions": None,
-               "t_max": None, "points": 201, "output": "-"},
-    "two-photon": {"gamma": 1.0, "gamma2": None, "directions": "RR",
-                   "channel": "all", "t": None, "tau_max": None,
-                   "tau_points": 64, "output": "two_photon.csv"},
-    "validate": {"suite": "two-photon-bridge", "gamma": 1.0,
-                 "tolerance": None, "omega_min": -10.0, "omega_max": 10.0,
-                 "omega_points": 64, "time_points": 4096, "output": "-"},
-    "figure3": {"n_list": "1,2,3,4,5,6,7,8,9,10",
-                "gamma_grid": "log:0.01:100:200", "numeric": False,
-                "output": "-"},
-}
-
-_HELP = {
-    "reflect": "full-reversal probabilities",
-    "excite": "emitter excitation trace",
-    "two-photon": "two-photon channel grids",
-    "validate": "two-route agreement suites",
-    "figure3": "reversal probability vs bandwidth sweep",
-}
 
 # options read as floats, and counts with their least value; both are
 # checked once, whether they come from a flag or from --config
@@ -105,31 +82,16 @@ def _parse_axis(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _parse_directions(text: str | None, n: int) -> list[Direction]:
-    if text is None:
-        return [Direction.RIGHT] * n
-    tokens = str(text).replace(",", "")
-    if len(tokens) != n:
-        raise ValueError(f"need {n} direction letters, got {text!r}")
-    out = []
-    for ch in tokens.upper():
-        if ch == "R":
-            out.append(Direction.RIGHT)
-        elif ch == "L":
-            out.append(Direction.LEFT)
-        else:
-            raise ValueError(f"directions use letters R and L, got {text!r}")
-    return out
-
-
 def _build_pair(gamma: float, gamma2: float | None, directions: str | None,
                 n: int) -> WavepacketN:
-    dirs = _parse_directions(directions, n)
-    gammas = [float(gamma)] * n
-    if gamma2 is not None and n == 2:
-        gammas[1] = float(gamma2)
-    entries = [(PulseProfile.exponential(g), d) for g, d in zip(gammas, dirs)]
-    return WavepacketN.product(entries)
+    """n exponential photons, the second at gamma2 if given; each direction
+    letter (commas ignored) is read by the wavepacket's own direction parser."""
+    letters = "R" * n if directions is None else str(directions).replace(",", "")
+    if len(letters) != n:
+        raise ValueError(f"need {n} direction letters, got {directions!r}")
+    gammas = [gamma, gamma if gamma2 is None else gamma2][:n]
+    return WavepacketN.product((PulseProfile.exponential(float(g)), d)
+                               for g, d in zip(gammas, letters))
 
 
 def _open_output(target):
@@ -139,8 +101,12 @@ def _open_output(target):
     return open(target, "w", newline="")
 
 
-def _write_reversal_rows(sink: str, n_values: list[int], gammas, numeric: bool) -> None:
-    """Closed-form (and numeric) reversal probabilities, one row per (n, gamma)."""
+def _cmd_reversal(opt: dict) -> int:
+    """Closed-form (and numeric) reversal probabilities, one row per (n, gamma),
+    at ``gamma`` (reflect) or over ``gamma_grid`` (figure3)."""
+    n_values = _parse_n_list(opt["n_list"])
+    gammas = _parse_axis(opt["gamma_grid"]) if "gamma_grid" in opt else [opt["gamma"]]
+    numeric = bool(opt["numeric"])
     if numeric and max(n_values) > _MAX_NUMERIC_PHOTONS:
         raise ValueError(
             f"the numeric cross-check supports n <= {_MAX_NUMERIC_PHOTONS}")
@@ -153,13 +119,8 @@ def _write_reversal_rows(sink: str, n_values: list[int], gammas, numeric: bool) 
         header = ["n", "gamma", "closed"]
         values = [[reflection_probability_closed(n, g)] for n, g in tasks]
     n_col, g_col = (np.array(col) for col in zip(*tasks))
-    with _open_output(sink) as fh:
+    with _open_output(opt["output"]) as fh:
         _write_table(fh, header, [n_col, g_col, *np.array(values).T])
-
-
-def _cmd_reflect(opt: dict) -> int:
-    _write_reversal_rows(opt["output"], _parse_n_list(opt["n_list"]),
-                         [opt["gamma"]], bool(opt["numeric"]))
     return 0
 
 
@@ -167,8 +128,7 @@ def _cmd_excite(opt: dict) -> int:
     photons = int(opt["photons"])
     if photons not in (1, 2):
         raise ValueError("excite supports 1 or 2 photons")
-    w = _build_pair(opt["gamma"], opt.get("gamma2"), opt.get("directions"),
-                    photons)
+    w = _build_pair(opt["gamma"], opt["gamma2"], opt["directions"], photons)
     t_max = opt["t_max"] if opt["t_max"] is not None else w.horizon
     times = np.linspace(0.0, t_max, int(opt["points"]))
     trace = excitation_trace(times, w)
@@ -178,7 +138,7 @@ def _cmd_excite(opt: dict) -> int:
 
 
 def _cmd_two_photon(opt: dict) -> int:
-    w = _build_pair(opt["gamma"], opt.get("gamma2"), opt.get("directions"), 2)
+    w = _build_pair(opt["gamma"], opt["gamma2"], opt["directions"], 2)
     t = opt["t"] if opt["t"] is not None else w.horizon
     tau_max = opt["tau_max"] if opt["tau_max"] is not None else w.horizon
     axis = np.linspace(0.0, tau_max, int(opt["tau_points"]))
@@ -227,31 +187,37 @@ def _cmd_validate(opt: dict) -> int:
     raise ValueError(f"unknown validation suite {suite!r}")
 
 
-def _cmd_figure3(opt: dict) -> int:
-    _write_reversal_rows(opt["output"], _parse_n_list(opt["n_list"]),
-                         _parse_axis(opt["gamma_grid"]), bool(opt["numeric"]))
-    return 0
-
-
-_RUNNERS = {
-    "reflect": _cmd_reflect,
-    "excite": _cmd_excite,
-    "two-photon": _cmd_two_photon,
-    "validate": _cmd_validate,
-    "figure3": _cmd_figure3,
+# each subcommand's runner, help line, and options with their defaults
+_COMMANDS: dict[str, tuple] = {
+    "reflect": (_cmd_reversal, "full-reversal probabilities",
+                {"n_list": "1,2,3,4,5", "gamma": 1.0, "numeric": False, "output": "-"}),
+    "excite": (_cmd_excite, "emitter excitation trace",
+               {"photons": 1, "gamma": 1.0, "gamma2": None, "directions": None,
+                "t_max": None, "points": 201, "output": "-"}),
+    "two-photon": (_cmd_two_photon, "two-photon channel grids",
+                   {"gamma": 1.0, "gamma2": None, "directions": "RR", "channel": "all",
+                    "t": None, "tau_max": None, "tau_points": 64,
+                    "output": "two_photon.csv"}),
+    "validate": (_cmd_validate, "two-route agreement suites",
+                 {"suite": "two-photon-bridge", "gamma": 1.0, "tolerance": None,
+                  "omega_min": -10.0, "omega_max": 10.0, "omega_points": 64,
+                  "time_points": 4096, "output": "-"}),
+    "figure3": (_cmd_reversal, "reversal probability vs bandwidth sweep",
+                {"n_list": "1,2,3,4,5,6,7,8,9,10", "gamma_grid": "log:0.01:100:200",
+                 "numeric": False, "output": "-"}),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    """One subcommand per ``_DEFAULTS`` entry, one flag per option: the key
+    """One subcommand per ``_COMMANDS`` entry, one flag per option: the key
     with dashes (plus ``-o`` for ``output``), typed as ``_effective_options``
     reads it."""
     parser = argparse.ArgumentParser(
         prog="waveguide-scatter",
         description="Few-photon scattering on a waveguide-coupled emitter.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, defaults in _DEFAULTS.items():
-        p = sub.add_parser(command, help=_HELP[command])
+    for command, (_, help_line, defaults) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
         p.add_argument("--config", help="JSON file with option defaults")
         for key in defaults:
             flags = ["--" + key.replace("_", "-")] + (["-o"] if key == "output" else [])
@@ -265,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_options(command: str, args: argparse.Namespace) -> dict:
-    opts = dict(_DEFAULTS[command])
+    opts = dict(_COMMANDS[command][2])
     if args.config is not None:
         try:
             with open(args.config) as fh:
@@ -306,7 +272,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _RUNNERS[args.command](_effective_options(args.command, args))
+        run = _COMMANDS[args.command][0]
+        return run(_effective_options(args.command, args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,6 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .quadrature import _simpson_segment
+
 __all__ = ["Direction", "InitialState", "NormalizationError", "PulseProfile",
            "WavepacketN", "default_horizon", "excited_atom", "profile_overlap",
            "wavepacket_from_json", "wavepacket_to_json"]
@@ -95,7 +97,7 @@ class PulseProfile:
     def __init__(self, kind: str, t_max: float, *, gamma_bw: float | None = None,
                  grid: np.ndarray | None = None, values: np.ndarray | None = None,
                  func: Callable | None = None, timescale: float | None = None,
-                 check_norm: bool = True, norm_tol: float = DEFAULT_NORM_TOL):
+                 norm_tol: float = DEFAULT_NORM_TOL):
         if t_max <= 0.0:
             raise ValueError("t_max must be positive")
         self.kind = kind
@@ -123,12 +125,11 @@ class PulseProfile:
             self.timescale = timescale or 1.0
         else:
             raise ValueError(f"unknown profile kind: {kind}")
-        if check_norm:
-            nsq = self.norm_sq()
-            if not abs(nsq - 1.0) <= norm_tol:
-                raise NormalizationError(
-                    f"profile norm^2 = {nsq:.12g}, off unity by more than {norm_tol:g}; "
-                    "extend t_max or renormalize the samples")
+        nsq = self.norm_sq()
+        if not abs(nsq - 1.0) <= norm_tol:
+            raise NormalizationError(
+                f"profile norm^2 = {nsq:.12g}, off unity by more than {norm_tol:g}; "
+                "extend t_max or renormalize the samples")
 
     # -- constructors ------------------------------------------------------
 
@@ -143,19 +144,15 @@ class PulseProfile:
 
     @classmethod
     def from_samples(cls, grid: Sequence[float], values: Sequence[complex],
-                     check_norm: bool = True,
                      norm_tol: float = DEFAULT_NORM_TOL) -> "PulseProfile":
         g = np.asarray(grid, dtype=float)
         v = np.asarray(values, dtype=complex)
-        return cls("sampled", float(g[-1]), grid=g, values=v,
-                   check_norm=check_norm, norm_tol=norm_tol)
+        return cls("sampled", float(g[-1]), grid=g, values=v, norm_tol=norm_tol)
 
     @classmethod
-    def from_callable(cls, func: Callable, t_max: float,
-                      timescale: float | None = None, check_norm: bool = True,
+    def from_callable(cls, func: Callable, t_max: float, timescale: float | None = None,
                       norm_tol: float = DEFAULT_NORM_TOL) -> "PulseProfile":
-        return cls("callable", t_max, func=func, timescale=timescale,
-                   check_norm=check_norm, norm_tol=norm_tol)
+        return cls("callable", t_max, func=func, timescale=timescale, norm_tol=norm_tol)
 
     # -- evaluation --------------------------------------------------------
 
@@ -307,16 +304,11 @@ class WavepacketN:
     # -- internals ---------------------------------------------------------
 
     def _compute_block_norms(self):
-        right = [p for p, d in self.entries if d is Direction.RIGHT]
-        left = [p for p, d in self.entries if d is Direction.LEFT]
+        """The permanent of each direction's overlap matrix (1 for no photons)."""
         norms = {}
-        for tag, block in (("right", right), ("left", left)):
-            n = len(block)
-            gram = np.empty((n, n), dtype=complex)
-            for i in range(n):
-                for j in range(n):
-                    gram[i, j] = 1.0 if block[i] is block[j] else profile_overlap(block[i], block[j])
-            norms[tag] = float(_permanent(gram).real) if n else 1.0
+        for tag, block in (("right", self.right_profiles()), ("left", self.left_profiles())):
+            gram = [[1.0 if p is q else profile_overlap(p, q) for q in block] for p in block]
+            norms[tag] = float(_permanent(np.array(gram, dtype=complex)).real)
         return norms
 
     def _tensor_norm_sq(self, arr: np.ndarray) -> float:
@@ -415,27 +407,20 @@ class WavepacketN:
             return complex(out)
         return out
 
-    def total_norm_sq_numeric(self, samples: int = 2000) -> float:
-        """Numerical check of sum_n ||xi_n||^2, mostly for tests."""
+    def total_norm_sq_numeric(self) -> float:
+        """Numerical check of sum_n ||xi_n||^2 (Simpson on 2000 cells), mostly for tests."""
         if self.kind == "correlated2":
             return sum(self._tensor_norm_sq(a) for a in self.tensors.values())
-        horizon = self.horizon
-        n = samples + samples % 2
-        t = np.linspace(0.0, horizon, n + 1)
-        w = _simpson_weights_nonuniform(t)
+        t = np.linspace(0.0, self.horizon, 2001)
+        grids = np.meshgrid(*([t] * self.n_photons), indexing="ij", sparse=True)
+        # the product of the per-axis Simpson weights, broadcast over the grid
+        weight = math.prod(np.meshgrid(*([_simpson_weights_nonuniform(t)] * self.n_photons),
+                                       indexing="ij", sparse=True))
         total = 0.0
-        npho = self.n_photons
-        grids = np.meshgrid(*([t] * npho), indexing="ij", sparse=True)
-        for n_right in range(npho + 1):
+        for n_right in range(self.n_photons + 1):
             comp = self.component(n_right, grids)
-            if np.all(comp == 0):
-                continue
-            wprod = np.ones_like(comp, dtype=float)
-            for ax in range(npho):
-                sh = [1] * npho
-                sh[ax] = -1
-                wprod = wprod * w.reshape(sh)
-            total += float(np.sum(wprod * np.abs(comp) ** 2))
+            if not np.all(comp == 0):
+                total += float(np.sum(weight * np.abs(comp) ** 2))
         return total
 
 
@@ -459,7 +444,8 @@ def _bilinear(ax1: np.ndarray, ax2: np.ndarray, arr: np.ndarray,
 
 
 def _simpson_weights_nonuniform(x: np.ndarray) -> np.ndarray:
-    """Composite Simpson weights if the grid is uniform, trapezoid otherwise.
+    """Composite Simpson weights on a uniform grid with an even number of
+    cells, trapezoid weights otherwise.
 
     np.linspace rounds every node to its own magnitude, so the steps of a
     uniform grid scatter by a few eps of its largest node: about step
@@ -471,10 +457,7 @@ def _simpson_weights_nonuniform(x: np.ndarray) -> np.ndarray:
     step = float(x[-1] - x[0]) / d.size
     scatter = 4.0 * np.finfo(float).eps * max(abs(x[0]), abs(x[-1]))
     if d.size % 2 == 0 and np.max(np.abs(d - step)) <= scatter:
-        w = np.full(x.size, 2.0)
-        w[1::2] = 4.0
-        w[[0, -1]] = 1.0
-        return w * step / 3.0
+        return _simpson_segment(x.size) * step
     w = np.zeros_like(x)
     w[:-1] += 0.5 * d
     w[1:] += 0.5 * d

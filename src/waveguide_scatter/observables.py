@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .amplitudes import (
+    CHANNELS,
     _emitter_amplitudes,
     _kernels,
     _outer_spec,
@@ -221,7 +222,7 @@ class _LogLayer:
     underflow anyway.
     """
 
-    def __init__(self, evaluator, t_span: float, n_nodes: int = _CHEB_NODES):
+    def __init__(self, evaluator, t_span: float):
         # probe the decay rate so the span can be capped before the
         # layer values underflow to exact zero
         probe_t = min(t_span, max(1e-3, 0.05 * t_span))
@@ -235,27 +236,35 @@ class _LogLayer:
         if probe_t > 0.0:
             rate_est = max(0.0, (math.log(f0) - math.log(f_probe)) / probe_t)
         if rate_est > 0.0:
-            t_span = min(t_span, 500.0 / rate_est)
+            # a log drop of 500, or less where it would reach the log floor
+            drop = min(500.0, math.log(f0) - math.log(_LOG_FLOOR))
+            t_span = min(t_span, drop / rate_est)
         self.t_span = float(t_span)
-        k = np.arange(n_nodes)
-        nodes = 0.5 * self.t_span * (1.0 - np.cos(np.pi * k / (n_nodes - 1)))
+        k = np.arange(_CHEB_NODES)
+        nodes = 0.5 * self.t_span * (1.0 - np.cos(np.pi * k / (_CHEB_NODES - 1)))
         logs = np.log(np.maximum(evaluator(nodes), _LOG_FLOOR))
         self._nodes = nodes
         self._logs = logs
         self._weights = (-1.0) ** k
         self._weights[[0, -1]] *= 0.5
         # numerator and denominator of the barycentric quotient in one matmul
-        self._sums = np.stack([logs, np.ones(n_nodes)], axis=1)
+        self._sums = np.stack([logs, np.ones(_CHEB_NODES)], axis=1)
         self.rate = max(0.0, (logs[0] - logs[-1]) / max(self.t_span, 1e-300))
 
     def _interp(self, tau: np.ndarray) -> np.ndarray:
         out = np.empty(tau.size)
+        # one work array for every block's ratios: fresh block-sized temporaries come from
+        # mmap or a trimmed heap top as the allocator's history dictates, at up to 2x the cost
+        work = np.empty((min(tau.size, _INTERP_ROWS), _CHEB_NODES))
         for i in range(0, tau.size, _INTERP_ROWS):
             block = tau[i:i + _INTERP_ROWS]
+            ratios = work[:block.size]
             # a point on (or within overflow of) a node gives a non-finite
             # row and takes the nearest node's sample
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                num, den = ((self._weights / (block[:, None] - self._nodes)) @ self._sums).T
+                np.subtract(block[:, None], self._nodes, out=ratios)
+                np.divide(self._weights, ratios, out=ratios)
+                num, den = (ratios @ self._sums).T
                 val = num / den
             hit = np.flatnonzero(~np.isfinite(val))
             if hit.size:
@@ -362,7 +371,7 @@ def unitarity_check_two_photon(w: WavepacketN,
     d = delay[None, :]
     weight = base_w[:, None] * delay_w[None, :]
     total = 0.0
-    for channel in ("LL", "RL", "RR"):
+    for channel in CHANNELS:
         upper = exp_pair_channel_values(w, channel, a, a + d, t_end)
         lower = exp_pair_channel_values(w, channel, a + d, a, t_end)
         total += float(np.sum(weight * (np.abs(upper) ** 2

@@ -10,7 +10,9 @@ them; leading axes are components of a vector-valued integral.
 
 Semi-infinite integrals march stretches of panels through the same
 loop, vector integrands included; 2-D box integrals nest a vector-valued
-inner integral in the outer one.
+inner integral in the outer one.  The composite Simpson weights of
+uniformly sampled data (norms, overlaps, bridge end stencils) live here
+too, in one table.
 """
 
 from __future__ import annotations
@@ -94,6 +96,34 @@ def composite_gauss_legendre(edges: np.ndarray, order: int):
 def gauss_legendre_nodes(order: int, a: float, b: float):
     """Gauss-Legendre nodes and weights mapped onto [a, b]."""
     return composite_gauss_legendre(np.array([a, b], dtype=float), order)
+
+
+def _simpson_segment(npts: int) -> np.ndarray:
+    """Composite Simpson weights for npts unit-spaced points.
+
+    Odd cell counts get a 3/8 block on the leading three cells; one- and
+    two-point segments degrade to zero/trapezoid weights.
+    """
+    if npts < 1:
+        raise ValueError("segment needs at least one point")
+    if npts == 1:
+        return np.zeros(1)
+    if npts == 2:
+        return np.array([0.5, 0.5])
+    w = np.zeros(npts)
+    start = 0
+    if (npts - 1) % 2 == 1:
+        w[:4] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
+        start = 3
+    m = npts - start
+    if m >= 3:
+        seg = np.zeros(m)
+        seg[0] = 1.0 / 3.0
+        seg[-1] = 1.0 / 3.0
+        seg[1:-1:2] = 4.0 / 3.0
+        seg[2:-1:2] = 2.0 / 3.0
+        w[start:] += seg
+    return w
 
 
 def _gk15(f, lo: np.ndarray, hi: np.ndarray):

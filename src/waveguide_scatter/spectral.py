@@ -29,9 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 # two_photon_channel_grid: the held-grid reference, traced here by perfbench/spans.py
-from .amplitudes import _BLOCK_ENTRIES, AmplitudeGrid, _exp_pair_blocks, two_photon_channel_grid
+from .amplitudes import (CHANNELS, _BLOCK_ENTRIES, AmplitudeGrid, _exp_pair_blocks,
+                         two_photon_channel_grid)
+from .kernel import h_closed_form
 from .model import Direction, PulseProfile, WavepacketN, _bilinear, check_bandwidth
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, _simpson_segment, integrate
 
 __all__ = [
     "FreqAmplitudeGrid",
@@ -52,6 +54,8 @@ _SQRT2 = math.sqrt(2.0)
 _TWO_PI = 2.0 * math.pi
 
 DEFAULT_ANTIDIAG_SPAN = 50.0
+# largest estimated quartic tail an anti-diagonal convolution may drop
+_ANTIDIAG_TAIL_TOL = 1e-5
 
 
 def single_photon_r_t(omega):
@@ -148,35 +152,7 @@ class FreqAmplitudeGrid:
 
 
 # ---------------------------------------------------------------------------
-# Simpson machinery for the bridge
-
-
-def _simpson_segment(npts: int) -> np.ndarray:
-    """Composite Simpson weights for npts unit-spaced points.
-
-    Odd cell counts get a 3/8 block on the leading three cells; one- and
-    two-point segments degrade to zero/trapezoid weights.
-    """
-    if npts < 1:
-        raise ValueError("segment needs at least one point")
-    if npts == 1:
-        return np.zeros(1)
-    if npts == 2:
-        return np.array([0.5, 0.5])
-    w = np.zeros(npts)
-    start = 0
-    if (npts - 1) % 2 == 1:
-        w[:4] += np.array([3.0, 9.0, 9.0, 3.0]) / 8.0
-        start = 3
-    m = npts - start
-    if m >= 3:
-        seg = np.zeros(m)
-        seg[0] = 1.0 / 3.0
-        seg[-1] = 1.0 / 3.0
-        seg[1:-1:2] = 4.0 / 3.0
-        seg[2:-1:2] = 2.0 / 3.0
-        w[start:] += seg
-    return w
+# end-corrected weights for the bridge
 
 
 _GREGORY_END_4 = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
@@ -275,25 +251,25 @@ def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray, row0: int, inner: np.n
     edge, where short segments change the stencils, take their exact
     weights.
     """
-    n = f.shape[1]
+    n, stop = f.shape[1], row0 + len(f)
     stencil = len(_GREGORY_END_6)
     reach = stencil - 1
-    rows = np.arange(row0, row0 + len(f))
-    # rows whose two segments both get the full end stencils
-    mid = np.arange(2 * stencil - 1, n - 2 * stencil + 1)
-    if mid.size:
-        ref = int(mid[mid.size // 2])
+    # rows first <= i < last have two segments that both get the full end stencils
+    first, last = 2 * stencil - 1, n - 2 * stencil + 1
+    k = np.arange(max(first, row0), min(last, stop)) - row0
+    if k.size:
+        ref = first + (last - first) // 2
         corr = _row_weights(n, ref) - 1.0
         band = corr[ref - reach:ref + reach + 1].copy()
         corr[ref - reach:ref + reach + 1] = 0.0
         ends = np.flatnonzero(corr)
-        k = np.intersect1d(mid, rows) - row0
         inner[k] += (f[np.ix_(k, ends)] * corr[ends]) @ kern[ends]
         # offsets shifted by row0: k + offset is the band's column in the full grid
         for offset, c in zip(range(row0 - reach, row0 + reach + 1), band):
             inner[k] += (c * f[k, k + offset])[:, None] * kern[k + offset]
-    for i in np.setdiff1d(rows, mid):
-        inner[i - row0] = (_row_weights(n, i) * f[i - row0]) @ kern
+    for i in range(row0, stop):
+        if not first <= i < last:
+            inner[i - row0] = (_row_weights(n, i) * f[i - row0]) @ kern
 
 
 def _bridge_blocks(blocks, ax1: np.ndarray, ax2: np.ndarray,
@@ -386,8 +362,7 @@ def _as_mode_callable(xi2):
     raise TypeError("joint line shape must be callable or a FreqAmplitudeGrid")
 
 
-def _antidiagonal_integral(s: float, xi2, quad: QuadratureSpec,
-                           omega_span: float, tail_tol: float) -> complex:
+def _antidiagonal_integral(s: float, xi2, quad: QuadratureSpec, omega_span: float) -> complex:
     """Convolution of r x r against the joint line along w1 + w2 = s."""
     mode = _as_mode_callable(xi2)
 
@@ -401,28 +376,27 @@ def _antidiagonal_integral(s: float, xi2, quad: QuadratureSpec,
     edge = max(abs(complex(integrand(np.asarray(lo)))),
                abs(complex(integrand(np.asarray(hi)))))
     tail_estimate = edge * max(abs(lo), abs(hi)) / 3.0
-    if tail_estimate > tail_tol:
+    if tail_estimate > _ANTIDIAG_TAIL_TOL:
         raise ValueError(
             f"anti-diagonal span {omega_span} leaves an estimated tail "
-            f"{tail_estimate:.3g} > {tail_tol:.3g}; widen the span")
+            f"{tail_estimate:.3g} > {_ANTIDIAG_TAIL_TOL:.3g}; widen the span")
     return integrate(integrand, lo, hi, quad, panel_width=0.5)
 
 
 def freq_nonlinear_correction(omega1, omega2, xi2,
                               quad: QuadratureSpec = DEFAULT_QUAD,
-                              omega_span: float = DEFAULT_ANTIDIAG_SPAN,
-                              tail_tol: float = 1e-5) -> complex:
+                              omega_span: float = DEFAULT_ANTIDIAG_SPAN) -> complex:
     """Frequency-domain saturation correction at (omega1, omega2).
 
     Factorizes into the sum of the two reversal coefficients times a
     convolution that depends only on the total detuning, divided by
     2 pi.  The convolution runs along the anti-diagonal over a finite
-    span; the quartic tail is estimated and must stay below tail_tol.
+    span; the quartic tail is estimated and must stay below 1e-5.
     """
     r1, _ = single_photon_r_t(omega1)
     r2, _ = single_photon_r_t(omega2)
     s = float(omega1) + float(omega2)
-    conv = _antidiagonal_integral(s, xi2, quad, omega_span, tail_tol)
+    conv = _antidiagonal_integral(s, xi2, quad, omega_span)
     return (r1 + r2) * conv / _TWO_PI
 
 
@@ -452,7 +426,7 @@ def freq_two_photon_outputs(omega1: float, omega2: float, xi2,
     r2, t2 = single_photon_r_t(omega2)
     xi = mode(omega1, omega2)
     b = freq_nonlinear_correction(omega1, omega2, xi2, quad, omega_span)
-    return {ch: _freq_channel(ch, r1, t1, r2, t2, xi, b) for ch in ("LL", "RL", "RR")}
+    return {ch: _freq_channel(ch, r1, t1, r2, t2, xi, b) for ch in CHANNELS}
 
 
 def _antidiagonal_convolution(ax1: np.ndarray, ax2: np.ndarray, xi2,
@@ -471,7 +445,7 @@ def _antidiagonal_convolution(ax1: np.ndarray, ax2: np.ndarray, xi2,
     conv = np.empty(sums.size, dtype=complex)
     for lo, hi in zip(edges[:-1], edges[1:]):
         conv[order[lo:hi]] = _antidiagonal_integral(
-            float(np.mean(ordered[lo:hi])), xi2, quad, omega_span, tail_tol=1e-5)
+            float(np.mean(ordered[lo:hi])), xi2, quad, omega_span)
     return conv.reshape(ax1.size, ax2.size)
 
 
@@ -497,8 +471,8 @@ def freq_channel_grid(channel: str, axis1, axis2, xi2,
     The saturation correction depends only on the total detuning, so it
     is evaluated once per anti-diagonal and broadcast across the grid.
     """
-    if channel not in ("LL", "RL", "RR"):
-        raise ValueError("channel must be LL, RL or RR")
+    if channel not in CHANNELS:
+        raise ValueError(f"channel must be one of {CHANNELS}")
     ax1 = np.asarray(axis1, dtype=float)
     ax2 = np.asarray(axis2, dtype=float)
     conv = _antidiagonal_convolution(ax1, ax2, xi2, quad, omega_span)
@@ -536,27 +510,21 @@ def single_photon_reflection_freq(gamma_bw: float,
     return float(np.real(total))
 
 
-def single_photon_bridge_error(gamma_bw: float, n_time: int = 4096,
-                               t_end: float | None = None,
-                               omega_axis=None) -> float:
+def single_photon_bridge_error(gamma_bw: float) -> float:
     """Worst deviation of the bridged one-photon scattered wave.
 
-    Bridges the time-domain emission tail and compares against the
-    product of the reversal coefficient and the Lorentzian line; returns
-    the max absolute error over the frequency axis.
+    Bridges the time-domain emission tail (4097 samples up to
+    max(40, 80/gamma)) and compares against the product of the reversal
+    coefficient and the Lorentzian line; returns the max absolute error
+    over 201 detunings on [-10, 10].
     """
-    from .kernel import h_closed_form
-
     gamma_bw = check_bandwidth(gamma_bw)
-    if t_end is None:
-        t_end = max(40.0, 80.0 / gamma_bw)
-    axis = np.linspace(0.0, t_end, n_time + 1)
+    t_end = max(40.0, 80.0 / gamma_bw)
+    axis = np.linspace(0.0, t_end, 4097)
     vals = -h_closed_form(axis, np.zeros_like(axis), gamma_bw)
     grid = AmplitudeGrid(axes=(axis,), values=vals.astype(complex),
                          channel="L", dynamical_time=t_end)
-    if omega_axis is None:
-        omega_axis = np.linspace(-10.0, 10.0, 201)
-    bridged = fourier_bridge(grid, omega_axis)
+    bridged = fourier_bridge(grid, np.linspace(-10.0, 10.0, 201))
     mode = lorentzian_mode(gamma_bw)
     r, _ = single_photon_r_t(bridged.axes[0])
     exact = r * mode(bridged.axes[0])
@@ -649,7 +617,7 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     # the convolution does not depend on the channel: one per comparison
     conv = _antidiagonal_convolution(om, om, xi2, quad, DEFAULT_ANTIDIAG_SPAN)
     results = []
-    for channel in ("LL", "RL", "RR"):
+    for channel in CHANNELS:
         blocks = _exp_pair_blocks(w, channel, axis, axis, float(t_end))
         bridged = _bridge_blocks(blocks, axis, axis, om, om)
         direct = _channel_from_convolution(channel, om, om, xi2, conv)

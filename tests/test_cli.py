@@ -394,6 +394,6 @@ def test_generated_parser_spells_and_types_every_flag():
                for a in actions}
         assert list(got.items()) == list(table.items()), command
         # each flag lands on the option key that _effective_options reads
-        assert [a.dest for a in actions[1:]] == list(cli._DEFAULTS[command])
+        assert [a.dest for a in actions[1:]] == list(cli._COMMANDS[command][2])
         switch = [a for a in actions if a.const is True]
         assert all(a.default is None and a.nargs == 0 for a in switch)

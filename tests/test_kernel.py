@@ -47,16 +47,23 @@ def test_closed_form_vectorizes():
     np.testing.assert_allclose(vec, pointwise, atol=1e-14)
 
 
+# bandwidth pairs whose h must agree: the matched bandwidth against either
+# side of it inside the series branch, and on each side of g = 2 one
+# bandwidth just inside and one just outside the switch to the generic
+# branch at |1 - g/2| = GAMMA_DEGENERATE_TOL
+_SWITCH = 2.0 * GAMMA_DEGENERATE_TOL
+_STRADDLES = ((2.0 - _SWITCH * (1.0 - 1e-6), 2.0 - _SWITCH * (1.0 + 1e-6)),
+              (2.0 + _SWITCH * (1.0 - 1e-6), 2.0 + _SWITCH * (1.0 + 1e-6)))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 20.0), st.floats(0.0, 1.0))
 def test_closed_form_continuous_across_matched_bandwidth(b, frac):
     a = frac * b  # 0 <= tau_prev <= tau_i
-    mid = h_closed_form(b, a, 2.0)
-    below = h_closed_form(b, a, 2.0 - 1e-7)
-    above = h_closed_form(b, a, 2.0 + 1e-7)
-    assert abs(below - mid) <= 1e-7
-    assert abs(above - mid) <= 1e-7
-    assert GAMMA_DEGENERATE_TOL > 0.0
+    for g1, g2 in ((2.0, 2.0 - 1e-7), (2.0, 2.0 + 1e-7), *_STRADDLES):
+        assert abs(h_closed_form(b, a, g1) - h_closed_form(b, a, g2)) <= 1e-7
+    for inside, outside in _STRADDLES:
+        assert abs(1.0 - inside / 2.0) < GAMMA_DEGENERATE_TOL <= abs(1.0 - outside / 2.0)
 
 
 def test_convolve_matches_closed_form_random_sweep():

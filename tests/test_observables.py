@@ -300,11 +300,15 @@ _WIDE_BANDWIDTHS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 def test_numeric_reversal_matches_closed_up_to_twenty_photons():
+    cases = [(n, gamma) for n in (6, 10, 15, 20) for gamma in _WIDE_BANDWIDTHS]
+    # n = 20 at four bandwidths of figure3's default grid above 10 (about 18.9,
+    # 39.6, 52.3 and 100), where spans capped only at a log drop of 500 put
+    # layer nodes on the log floor
+    cases += [(20, float(g)) for g in np.geomspace(0.01, 100, 200)[[163, 179, 185, 199]]]
     rel = {}
-    for n in (6, 10, 15, 20):
-        for gamma in _WIDE_BANDWIDTHS:
-            res = reflection_probability_numeric(n, gamma)
-            rel[n, gamma] = abs(res.numeric / res.closed - 1.0)
+    for n, gamma in cases:
+        res = reflection_probability_numeric(n, gamma)
+        rel[n, gamma] = abs(res.numeric / res.closed - 1.0)
     bad = {k: v for k, v in rel.items() if not v <= 1e-12}
     assert not bad, f"relative error above 1e-12 at (n, gamma): {bad}"
 
