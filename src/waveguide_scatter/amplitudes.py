@@ -25,13 +25,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .kernel import KernelSpan, h_closed_form, h_factor_terms, kernel_convolve
 from .model import Direction, InitialState, PulseProfile, WavepacketN, _permanent
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box
+# integrate has no caller here, but perfbench's tracer patches amplitudes.integrate
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box  # noqa: F401
 
 __all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
            "linear_beamsplitter_amplitude", "load_grid_csv", "nonlinear_correction_B",
@@ -130,13 +132,6 @@ def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
 
 
 # -- wavepacket contractions (two-photon) ------------------------------------
-
-def _pair_with_spectator(w: WavepacketN, d: Direction, s, tau_b):
-    """Amplitude for extracting one photon at s with a d-mover left at tau_b."""
-    if d is Direction.RIGHT:
-        return _SQRT2 * w.component(2, (tau_b, s)) + w.component(1, (tau_b, s))
-    return w.component(1, (s, tau_b)) + _SQRT2 * w.component(0, (s, tau_b))
-
 
 def _double_extraction(w: WavepacketN, s1, s2):
     """Amplitude for extracting both photons at (s1, s2); symmetric."""
@@ -297,8 +292,9 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
 # other passes as a direction-d spectator at tau_spec, S(d, tau_emit,
 # tau_spec), or both absorbed in time order, T(lo, hi).  A kernel provider
 # supplies S and T: a product state factorizes them into per-photon window
-# kernels, a correlated pair integrates its joint amplitude point by point,
-# and _kernels picks one by the state's kind.  Both take a gate mask and
+# kernels, a correlated pair contracts its component tensors with the
+# closed-form window integrals of its bilinear interpolant, and _kernels
+# picks one by the state's kind.  Both take a gate mask and
 # return zero where it is closed (T a scalar 0.0 when it is closed
 # everywhere).  T must not be evaluated there: it is undefined for lo > hi.
 
@@ -332,44 +328,169 @@ class _ProductKernels:
         return np.where(gate, val, 0.0)
 
 
-def _pointwise(func, gate, *args) -> np.ndarray:
-    """func(*args) at every point where gate is open, zero elsewhere."""
-    gate, *args = np.broadcast_arrays(gate, *args)
-    out = np.zeros(gate.shape, dtype=complex)
-    flat = out.reshape(-1)
-    for i in np.flatnonzero(gate):
-        flat[i] = func(*(float(a.flat[i]) for a in args))
-    return out
+# Points per block of the correlated provider: each row temporary of a
+# block holds at most this many complex entries (1 MB).
+_ROW_BLOCK_ENTRIES = 1 << 16
 
 
-class _QuadratureKernels:
-    """S and T of a correlated two-photon pair by adaptive quadrature; pointwise."""
+class _CorrelatedKernels:
+    """S and T of a correlated two-photon pair; exact for its bilinear interpolant.
 
-    def __init__(self, w: WavepacketN, quad: QuadratureSpec):
-        self._w = w
-        self._quad = _effective_quad(w, quad)
-        self._width = _panel_width(w)
+    The interpolant is sum_kl phi_k(s1) phi_l(s2) X[k, l] over the hat
+    functions phi of the grid g, so every window integral goes through
+    the memory-weighted hats a(x)_l = int_0^x exp(-(x - s)) phi_l(s) ds:
 
-    def _emit_with_spectator(self, d: Direction, tau_emit: float, tau_spec: float) -> complex:
-        """S at one point: the photon absorbed over [0, tau_emit] re-emitted then."""
-        def integrand(s):
-            return np.exp(-(tau_emit - s)) * _pair_with_spectator(self._w, d, s, tau_spec)
-        return -integrate(integrand, 0.0, tau_emit, self._quad, panel_width=self._width)
+        S(d, te, ts) = -sum_j phi_j(ts) a(te) . F_d[:, j],
+        T(lo, hi) = a(lo)^T D (a(hi) - exp(-(hi - lo)) a(lo)),
+
+    with F_R = (sqrt2 xi2 + xi1)^T and F_L = xi1 + sqrt2 xi0 (extracting
+    one photon beside a d-mover) and D = sqrt2 xi0 + xi1 + xi1^T + sqrt2
+    xi2 (extracting both, as _double_extraction).  a(x) is closed form
+    cell by cell, and a(x)^T D is read off the one resident table
+    U[k] = a(g_k)^T D, built by a recurrence over the cells on first use.
+    Everything else is gathered from the component tensors per point, a
+    block of points at a time.
+    """
+
+    def __init__(self, w: WavepacketN):
+        self._grid = w.grid
+        self._widths = np.diff(w.grid)
+        # a(g_{k+1}) = exp(-h_k) a(g_k) + alpha_k e_k + beta_k e_{k+1}
+        self._alpha, self._beta = _cell_weights(self._widths, self._widths)
+        xi0, xi1, xi2 = (w.tensors.get(n) for n in range(3))
+        xi0t, xi1t = (None if x is None else x.T for x in (xi0, xi1))
+        # the rows of F_d^T and of D, as (coefficient, tensor) terms
+        self._spectator_terms = {
+            Direction.RIGHT: _terms((_SQRT2, xi2), (1.0, xi1)),
+            Direction.LEFT: _terms((1.0, xi1t), (_SQRT2, xi0t)),
+        }
+        self._double_terms = _terms((_SQRT2, xi0), (1.0, xi1), (1.0, xi1t), (_SQRT2, xi2))
 
     def spectator(self, d: Direction, tau_emit, tau_spec, gate):
-        return _pointwise(functools.partial(self._emit_with_spectator, d),
-                          gate, tau_emit, tau_spec)
+        terms = self._spectator_terms[d]
+        g = self._grid
+
+        def block(emit, spec):
+            # the hats phi_k, phi_k1 at spec (zero off the grid)
+            k, k1, delta, width = self._locate(spec)
+            inside = (spec >= g[0]) & (spec <= g[-1])
+            frac = delta / width
+            w0, w1 = np.where(inside, 1.0 - frac, 0.0), np.where(inside, frac, 0.0)
+            return -_row_dots(terms, k, w0, k1, w1, self._memory(emit))
+
+        # no component of the state leaves a d-mover behind: S is zero
+        return self._blocks(block, gate if terms else False, tau_emit, tau_spec)
 
     def chain(self, lo, hi, gate):
-        return _pointwise(
-            lambda a, b: _absorption_chain([KernelSpan(0.0, a), KernelSpan(a, b)],
-                                           self._w, self._quad),
-            gate, lo, hi)
+        if not np.any(gate):
+            return 0.0
+
+        def block(lo, hi):
+            window = self._memory(hi) - np.exp(lo - hi)[:, None] * self._memory(lo)
+            # a(lo)^T D from the table row of lo's node and lo's own cell
+            k, k1, delta, width = self._locate(lo)
+            alpha, beta = self._partial_cell(lo, delta, width)
+            # (before the grid U[0] = a(g_0)^T D = 0)
+            decay = np.exp(-np.maximum(delta, 0.0))
+            return (decay * _row_dot(self._table[k], window)
+                    + _row_dots(self._double_terms, k, alpha, k1, beta, window))
+
+        return self._blocks(block, gate, lo, hi)
+
+    def _blocks(self, func, gate, *args) -> np.ndarray:
+        """func at the points where gate is open, a block of points per call; zero elsewhere."""
+        gate, *args = np.broadcast_arrays(gate, *args)
+        out = np.zeros(gate.shape, dtype=complex)
+        flat = out.reshape(-1)
+        live = np.flatnonzero(gate)
+        step = max(1, _ROW_BLOCK_ENTRIES // self._grid.size)
+        for i in range(0, live.size, step):
+            points = live[i:i + step]
+            flat[points] = func(*(a.flat[points] for a in args))
+        return out
+
+    def _locate(self, x):
+        """The last node k at or below x (node 0 before the grid), the node
+        after it (k itself at the last node), x - g_k and the width of k's cell."""
+        g = self._grid
+        k = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 1)
+        return k, np.minimum(k + 1, g.size - 1), x - g[k], self._widths[np.minimum(k, g.size - 2)]
+
+    def _partial_cell(self, x, delta, width):
+        """The weights on phi_k, phi_k+1 of a(x)'s part from [g_k, x] (zero off the grid)."""
+        inside = (x >= self._grid[0]) & (x < self._grid[-1])
+        return _cell_weights(np.where(inside, delta, 0.0), width)
+
+    def _memory(self, x) -> np.ndarray:
+        """a(x), one real row per point."""
+        g = self._grid
+        x, where = np.unique(x, return_inverse=True)
+        # every cell wholly below x adds its node weights, decayed from
+        # the cell's right end to x
+        decay = np.where(g[1:] <= x[:, None], np.exp(np.minimum(g[1:] - x[:, None], 0.0)), 0.0)
+        a = np.zeros((x.size, g.size))
+        a[:, :-1] = decay * self._alpha
+        a[:, 1:] += decay * self._beta
+        k, k1, delta, width = self._locate(x)
+        alpha, beta = self._partial_cell(x, delta, width)
+        points = np.arange(x.size)
+        a[points, k] += alpha
+        a[points, k1] += beta
+        return a[where]
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        """U[k] = a(g_k)^T D at every node, by the recurrence over the cells."""
+        m = self._grid.size
+        table = np.zeros((m, m), dtype=complex)
+        decay = np.exp(-self._widths)
+        for c in range(m - 1):
+            local = sum(coef * (self._alpha[c] * x[c] + self._beta[c] * x[c + 1])
+                        for coef, x in self._double_terms)
+            table[c + 1] = decay[c] * table[c] + local
+        return table
+
+
+def _cell_weights(delta, width):
+    """Weights on phi_k, phi_k+1 of int_{g_k}^{g_k + delta} exp(-(g_k + delta - s)) phi(s) ds.
+
+    On a cell of the given width, with E = 1 - exp(-delta): beta =
+    (delta - E) / width and alpha = E - beta.
+    """
+    beta = (delta + np.expm1(-delta)) / width
+    return -np.expm1(-delta) - beta, beta
+
+
+def _terms(*pairs) -> list:
+    """The (coefficient, tensor) pairs whose tensor the state carries."""
+    return [(c, x) for c, x in pairs if x is not None]
+
+
+def _row_dots(terms, k0, w0, k1, w1, vec) -> np.ndarray:
+    """The sum over terms of c (w0 X[k0] + w1 X[k1]) . vec, one value per point."""
+    total = 0.0
+    for c, x in terms:
+        total = total + c * (w0 * _row_dot(x[k0], vec) + w1 * _row_dot(x[k1], vec))
+    return total
+
+
+def _row_dot(a, b) -> np.ndarray:
+    """The dot product of each row of a with the same row of b."""
+    return np.einsum("ij,ij->i", a, b)
+
+
+# one correlated provider per live state, so its table is built once
+_CORRELATED_KERNELS = weakref.WeakKeyDictionary()
 
 
 def _kernels(w: WavepacketN, quad: QuadratureSpec):
     """The kernel provider of a two-photon state."""
-    return (_ProductKernels if w.kind == "separable" else _QuadratureKernels)(w, quad)
+    if w.kind == "separable":
+        return _ProductKernels(w, quad)
+    kernels = _CORRELATED_KERNELS.get(w)
+    if kernels is None:
+        kernels = _CORRELATED_KERNELS[w] = _CorrelatedKernels(w)
+    return kernels
 
 
 def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> dict:
@@ -425,8 +546,8 @@ def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
     spectator), or both were.  Emissions are gated by theta(t - tau_i)
     with the closed boundary.  A product state takes the window kernels
     of its photons (closed form for exponential envelopes), a correlated
-    pair the pointwise quadrature of its joint amplitude; grids of
-    detection times are :func:`two_photon_channel_grid`.
+    pair the window integrals of its bilinear interpolant (closed form
+    too); grids of detection times are :func:`two_photon_channel_grid`.
     """
     if w.n_photons != 2:
         raise ValueError("two-photon outputs need a two-photon input")
@@ -539,8 +660,9 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     copied in from the row blocks of :func:`_exp_pair_blocks` (which the
     two-route comparison streams without holding a tensor).  Any other
     product state takes one window-kernel integral per distinct window
-    (suited to moderate grids), and a correlated pair the pointwise
-    quadrature provider (slow, intended for small grids).
+    (suited to moderate grids), and a correlated pair the same closed-form
+    window integrals as :func:`two_photon_outputs`, a block of points at a
+    time.
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")

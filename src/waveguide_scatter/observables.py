@@ -130,10 +130,10 @@ def _excitation_values(times: np.ndarray, w: WavepacketN,
     if w.n_photons == 1:
         return np.abs(_window_kernel(w.entries[0][0], times, 0.0, quad)) ** 2
     # blocks of times bound the integrand's temporaries.  Kernels that cost
-    # an integral per point gain nothing from a shared mesh, which would
-    # only move their values within their resolution floor, so a state
-    # without closed-form kernels takes one time per call.
-    block = _TRACE_BLOCK if w.all_exponential else 1
+    # an integral per distinct window gain nothing from a shared mesh, which
+    # would only move their values within their resolution floor, so a
+    # product state with a non-exponential photon takes one time per call.
+    block = _TRACE_BLOCK if w.all_exponential or w.kind == "correlated2" else 1
     values = [_excitation_two(times[i:i + block], w, quad)
               for i in range(0, times.size, block)]
     return np.concatenate(values) if values else np.zeros(0)
@@ -156,10 +156,10 @@ def excitation_probability(t: float, w: WavepacketN,
     """Probability that the emitter is excited at dynamical time t.
 
     Supports one- and two-photon product drives, whose photons enter
-    through their window kernels, and two-photon correlated pairs through
-    the pointwise quadrature provider.  The one-photon value is the
-    squared absorption kernel; the two-photon value traces out the photon
-    that has already been re-emitted.
+    through their window kernels, and two-photon correlated pairs, whose
+    window integrals are closed form for their bilinear interpolant.  The
+    one-photon value is the squared absorption kernel; the two-photon
+    value traces out the photon that has already been re-emitted.
     """
     return float(_excitation_values(_checked_times([t], w), w, quad)[0])
 
@@ -168,8 +168,8 @@ def excitation_trace(times, w: WavepacketN,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> ExcitationTrace:
     """Excitation probability on an array of times.
 
-    Exponential two-photon traces integrate blocks of times as the
-    components of one vector-valued integral.
+    Two-photon traces of exponential or correlated pairs integrate blocks
+    of times as the components of one vector-valued integral.
     """
     times = _checked_times(times, w)
     return ExcitationTrace(times=times, values=_excitation_values(times, w, quad))

@@ -99,15 +99,11 @@ def gauss_legendre_nodes(order: int, a: float, b: float):
 
 
 def _simpson_segment(npts: int) -> np.ndarray:
-    """Composite Simpson weights for npts unit-spaced points.
+    """Composite Simpson weights for npts >= 2 unit-spaced points.
 
-    Odd cell counts get a 3/8 block on the leading three cells; one- and
-    two-point segments degrade to zero/trapezoid weights.
+    Odd cell counts get a 3/8 block on the leading three cells; a
+    two-point segment degrades to trapezoid weights.
     """
-    if npts < 1:
-        raise ValueError("segment needs at least one point")
-    if npts == 1:
-        return np.zeros(1)
     if npts == 2:
         return np.array([0.5, 0.5])
     w = np.zeros(npts)

@@ -56,6 +56,8 @@ _TWO_PI = 2.0 * math.pi
 DEFAULT_ANTIDIAG_SPAN = 50.0
 # largest estimated quartic tail an anti-diagonal convolution may drop
 _ANTIDIAG_TAIL_TOL = 1e-5
+# largest edge-to-peak ratio of |f| a bridged time window may keep
+_WINDOW_EDGE_TOL = 1e-5
 
 
 def single_photon_r_t(omega):
@@ -206,7 +208,7 @@ def _check_uniform(axis: np.ndarray) -> float:
     return dt
 
 
-def _window_guarded(blocks, rel_tol: float = 1e-5):
+def _window_guarded(blocks):
     """Pass row blocks (i0, rows) through, keeping the running peak, last-column
     and last-row maxima of |f| (a 1-D signal is one block, its last sample both
     edges); once the last block has passed, reject a window whose edge has not
@@ -218,7 +220,7 @@ def _window_guarded(blocks, rel_tol: float = 1e-5):
         last = float(np.max(np.abs(rows[-1])))
         yield i0, rows
     edge = max(edge, last)
-    if edge > rel_tol * peak:
+    if edge > _WINDOW_EDGE_TOL * peak:
         raise ValueError(
             f"time window truncates the signal (edge/peak = {edge / peak:.3g}); "
             "extend the grid before bridging")

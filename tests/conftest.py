@@ -1,10 +1,12 @@
 """Shared independent oracles for the test suite.
 
-Both helpers deliberately avoid the package's own integration engine:
-the excitation oracle steps the driven-decay ODE with a fixed-step RK4
-scheme, and the emission oracle contracts the symmetrized wavefunction
-against the memory weights on a dense tensor mesh.  They share nothing
-with the code under test beyond pulse-envelope evaluation.
+The excitation oracles step the driven-decay ODE and the Fock-state
+master-equation hierarchy with fixed-step RK4, and the emission oracle
+contracts the symmetrized wavefunction against the memory weights on a
+dense tensor mesh; they share nothing with the code under test beyond
+pulse-envelope evaluation.  The reference kernel provider integrates
+the joint amplitude point by point with the package's adaptive engine,
+so it checks the window-kernel factorization of product states.
 """
 
 import math
@@ -12,6 +14,11 @@ from itertools import permutations
 
 import numpy as np
 from scipy.integrate import quad
+
+from waveguide_scatter.amplitudes import _absorption_chain, _effective_quad, _panel_width
+from waveguide_scatter.kernel import KernelSpan
+from waveguide_scatter.model import Direction
+from waveguide_scatter.quadrature import integrate
 
 
 def rk4_excitation(gamma_bw: float, t_end: float, n_steps: int = 20000):
@@ -102,3 +109,95 @@ def brute_reflection_f0(times, profiles, order: int = 40) -> complex:
     sign = (-1.0) ** n
     raw = complex(np.sum(wt * kern * sym))
     return sign * raw / math.sqrt(abs(perm_g)) / math.sqrt(math.factorial(n))
+
+
+def fock_excitation(gamma_bw: float, n_photons: int, times, max_step: float = 4e-3):
+    """Excited population under an n-photon Fock drive, by the master-equation hierarchy.
+
+    The hierarchy of Baragiola et al., PRA 86, 013811 (2012), for one
+    right-moving mode xi(t) = sqrt(G) exp(-G t / 2) with coupling 1 and
+    two decay directions with coupling 1 each:
+
+        d rho_{m,n} = 2 D[s] rho_{m,n} + sqrt(m) xi [rho_{m-1,n}, s+]
+                      + sqrt(n) xi [s, rho_{m,n-1}],
+
+    with rho_{m,n}(0) = delta_{mn} |g><g|, stepped by fixed-step RK4 from
+    0 through the ascending ``times``; returns <e|rho_{N,N}|e> there.
+    """
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]])  # |g><e| in the basis (g, e)
+    sp = sm.T
+    ee = sp @ sm
+    root = np.sqrt(np.arange(n_photons + 1.0))
+
+    def rhs(t, rho):
+        xi = math.sqrt(gamma_bw) * math.exp(-0.5 * gamma_bw * t)
+        out = 2.0 * (sm @ rho @ sp - 0.5 * (ee @ rho + rho @ ee))
+        up = rho @ sp - sp @ rho
+        down = sm @ rho - rho @ sm
+        out[1:] += xi * root[1:, None, None, None] * up[:-1]
+        out[:, 1:] += xi * root[None, 1:, None, None] * down[:, :-1]
+        return out
+
+    rho = np.zeros((n_photons + 1, n_photons + 1, 2, 2))
+    rho[np.arange(n_photons + 1), np.arange(n_photons + 1), 0, 0] = 1.0
+    t, out = 0.0, []
+    for target in times:
+        steps = max(1, math.ceil((target - t) / max_step))
+        dt = (target - t) / steps
+        for _ in range(steps):
+            k1 = rhs(t, rho)
+            k2 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k1)
+            k3 = rhs(t + 0.5 * dt, rho + 0.5 * dt * k2)
+            k4 = rhs(t + dt, rho + dt * k3)
+            rho = rho + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            t += dt
+        t = target
+        out.append(rho[n_photons, n_photons, 1, 1])
+    return np.array(out)
+
+
+def _pointwise(func, gate, *args) -> np.ndarray:
+    """func(*args) at every point where gate is open, zero elsewhere."""
+    gate, *args = np.broadcast_arrays(gate, *args)
+    out = np.zeros(gate.shape, dtype=complex)
+    flat = out.reshape(-1)
+    for i in np.flatnonzero(gate):
+        flat[i] = func(*(float(a.flat[i]) for a in args))
+    return out
+
+
+def _pair_with_spectator(w, d, s, tau_b):
+    """Amplitude for extracting one photon at s with a d-mover left at tau_b."""
+    if d is Direction.RIGHT:
+        return math.sqrt(2.0) * w.component(2, (tau_b, s)) + w.component(1, (tau_b, s))
+    return w.component(1, (s, tau_b)) + math.sqrt(2.0) * w.component(0, (s, tau_b))
+
+
+class QuadratureKernels:
+    """Reference S and T of a two-photon state by adaptive quadrature, point by point.
+
+    S integrates the joint amplitude with its spectator left behind
+    (``_pair_with_spectator``) over [0, tau_emit], one ``integrate`` call
+    per point, and T is the package's windowed absorption chain
+    (``_absorption_chain``).  Same interface as the package's providers.
+    """
+
+    def __init__(self, w, quad_spec):
+        self._w = w
+        self._quad = _effective_quad(w, quad_spec)
+        self._width = _panel_width(w)
+
+    def _emit_with_spectator(self, d, tau_emit: float, tau_spec: float) -> complex:
+        def integrand(s):
+            return np.exp(-(tau_emit - s)) * _pair_with_spectator(self._w, d, s, tau_spec)
+        return -integrate(integrand, 0.0, tau_emit, self._quad, panel_width=self._width)
+
+    def spectator(self, d, tau_emit, tau_spec, gate):
+        return _pointwise(lambda a, b: self._emit_with_spectator(d, a, b),
+                          gate, tau_emit, tau_spec)
+
+    def chain(self, lo, hi, gate):
+        return _pointwise(
+            lambda a, b: _absorption_chain([KernelSpan(0.0, a), KernelSpan(a, b)],
+                                           self._w, self._quad),
+            gate, lo, hi)

@@ -1,6 +1,7 @@
 """Time-domain scattering amplitudes against independent oracles."""
 
 import csv
+import functools
 import math
 import tempfile
 from pathlib import Path
@@ -31,13 +32,14 @@ from waveguide_scatter import (
 
 from waveguide_scatter.amplitudes import (
     _ProductKernels,
-    _QuadratureKernels,
     _channel_sums,
     _emitter_amplitudes,
+    _kernels,
 )
-from waveguide_scatter.quadrature import DEFAULT_QUAD
+from waveguide_scatter.model import _bilinear
+from waveguide_scatter.quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
-from conftest import brute_reflection_f0
+from conftest import QuadratureKernels, brute_reflection_f0
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -168,7 +170,7 @@ def test_channel_fast_path_matches_pointwise_engine():
             t1 = float(rng.uniform(0.0, 6.0))
             t2 = float(rng.uniform(0.0, 6.0))
             t_obs = float(rng.uniform(1.0, 7.0))
-            slow = _channel_sums(_QuadratureKernels(w, DEFAULT_QUAD), w, CHANNELS,
+            slow = _channel_sums(QuadratureKernels(w, DEFAULT_QUAD), w, CHANNELS,
                                  t1, t2, t_obs)
             for ch in CHANNELS:
                 fast = complex(exp_pair_channel_values(
@@ -200,7 +202,7 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
          else _gaussian(centre=1.5, sigma=0.35))
     w = WavepacketN.product([(p, dirs[0]), (PulseProfile.exponential(2.7), dirs[1])])
     product = _ProductKernels(w, DEFAULT_QUAD)
-    quad = _QuadratureKernels(w, DEFAULT_QUAD)
+    quad = QuadratureKernels(w, DEFAULT_QUAD)
     t = 1.1
     # before t, at t (closed gate, theta(0) = 1) and past t, where the
     # chain's window is reversed and must not be evaluated at all
@@ -228,6 +230,104 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
             assert complex(by_quad[ch]) == pytest.approx(complex(by_product[ch]), abs=1e-9)
         # four spectator terms and one chain serve all three channels
         assert counted.calls == {"spectator": 4, "chain": 1}
+
+
+# -- correlated pairs: window integrals of the bilinear interpolant ---------------
+
+_TIGHT = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16)
+
+
+def _random_pair(grid, components, seed):
+    """A normalized correlated pair with random complex components on grid."""
+    rng = np.random.default_rng(seed)
+    tensors = {}
+    for n in components:
+        shape = (grid.size, grid.size)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        tensors[f"xi{n}"] = x if n == 1 else x + x.T
+    norm = WavepacketN.correlated_pair(grid, norm_tol=math.inf, **tensors).total_norm_sq_numeric()
+    return WavepacketN.correlated_pair(grid, **{k: v / math.sqrt(norm) for k, v in tensors.items()})
+
+
+def _by_cells(f, lo, hi, nodes):
+    """Adaptive integral of f over [lo, hi], one engine call per piece between nodes."""
+    edges = np.concatenate([[lo], nodes[(nodes > lo) & (nodes < hi)], [hi]])
+    return sum(integrate(f, a, b, _TIGHT) for a, b in zip(edges[:-1], edges[1:]) if b > a)
+
+
+def _xi(w, n, x, y):
+    """Component n of a correlated pair, read through model._bilinear."""
+    x, y = np.broadcast_arrays(x, y)
+    return _bilinear(w.grid, w.grid, w.tensors[n], x, y) if n in w.tensors else 0.0
+
+
+def _reference_S(w, d, te, ts):
+    """S from the bilinear interpolant of each component, integrated over [0, te]."""
+    xi = functools.partial(_xi, w)
+
+    def integrand(s):
+        pair = (_SQRT2 * xi(2, ts, s) + xi(1, ts, s) if d is Direction.RIGHT
+                else xi(1, s, ts) + _SQRT2 * xi(0, s, ts))
+        return np.exp(-(te - s)) * pair
+
+    return -complex(_by_cells(integrand, 0.0, te, w.grid))
+
+
+def _reference_T(w, lo, hi):
+    """T: the bilinear joint extraction amplitude over (0, lo) x (lo, hi), nested."""
+    g = w.grid
+
+    xi = functools.partial(_xi, w)
+
+    def outer(t1):
+        def inner(t2):
+            a, b = t1[:, None], t2[None, :]
+            joint = (_SQRT2 * xi(0, a, b) + xi(1, a, b) + xi(1, b, a) + _SQRT2 * xi(2, a, b))
+            return np.exp(-(hi - b)) * joint
+        return np.exp(-(lo - t1)) * _by_cells(inner, lo, hi, g)
+
+    return complex(_by_cells(outer, 0.0, lo, g))
+
+
+@pytest.mark.parametrize("components", [(1,), (0, 1, 2)])
+def test_correlated_kernels_are_exact_for_the_bilinear_interpolant(components):
+    # a non-uniform grid that starts after 0; times before it, on nodes,
+    # inside cells and past its end
+    grid = np.array([0.5, 0.9, 1.6, 2.0, 2.7, 3.05, 4.0])
+    w = _random_pair(grid, components, seed=len(components))
+    kernels = _kernels(w, DEFAULT_QUAD)
+    emit = np.array([0.3, 0.5, 1.2, 2.0, 3.3, 4.0, 5.1])
+    spec = np.array([0.2, 0.5, 1.9, 2.7, 4.0, 4.4, 0.9])
+    for d in (Direction.RIGHT, Direction.LEFT):
+        got = kernels.spectator(d, emit, spec, True)
+        ref = [_reference_S(w, d, a, b) for a, b in zip(emit, spec)]
+        np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+        assert abs(got[-1]) > 1e-3  # emitted past the grid's end, decayed from it
+    lo = np.array([0.3, 0.9, 1.2, 2.0, 2.3, 2.7, 4.5, 2.5])
+    hi = np.array([1.4, 3.05, 1.2, 2.0, 4.6, 3.9, 4.9, 1.0])
+    gate = lo <= hi
+    got = kernels.chain(lo, hi, gate)
+    ref = [_reference_T(w, a, b) if open_ else 0.0 for a, b, open_ in zip(lo, hi, gate)]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    # lo == hi closes the second window, and the reversed window is gated off
+    assert got[2] == 0.0 and got[3] == 0.0 and got[-1] == 0.0
+    # (0, 0.3) ends before the grid and (4.5, 4.9) starts past it; the
+    # rest overlap it
+    assert abs(got[0]) == 0.0 and abs(got[6]) < 1e-15
+    assert np.all(np.abs(got[[1, 4, 5]]) > 1e-3)
+
+
+def test_correlated_channel_grid_matches_pointwise_outputs():
+    grid = np.linspace(0.0, 6.0, 25)
+    w = _random_pair(grid, (0, 1, 2), seed=7)
+    ax1 = np.array([0.0, 0.6, 1.55, 3.0, 6.5])
+    ax2 = np.array([0.3, 1.55, 2.4, 5.0])
+    for ch in CHANNELS:
+        values = two_photon_channel_grid(w, ch, ax1, ax2, 2.4).values
+        for i, t1 in enumerate(ax1):
+            for j, t2 in enumerate(ax2):
+                point = two_photon_outputs(float(t1), float(t2), 2.4, w)[ch]
+                assert values[i, j] == pytest.approx(point, abs=1e-14)
 
 
 def test_channels_gate_past_observation_time():
@@ -290,7 +390,8 @@ def test_channel_grid_fill_matches_pointwise_channels(gammas, dirs, ax1, ax2, t_
 
 
 def test_channel_grid_fallback_matches_pointwise_outputs():
-    # a sampled envelope takes the quadrature provider on the whole grid
+    # a sampled envelope takes the product provider's per-window kernel
+    # integrals on the whole grid
     t_samp = np.linspace(0.0, 30.0, 151)
     p = PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2)
     w = WavepacketN.product([(p, Direction.RIGHT), (PulseProfile.exponential(2.0),

@@ -23,7 +23,7 @@ from waveguide_scatter import (
 )
 from waveguide_scatter import observables
 
-from conftest import rk4_excitation
+from conftest import fock_excitation, rk4_excitation
 
 
 def _pair(gamma1, gamma2=None, directions=(Direction.RIGHT, Direction.RIGHT)):
@@ -95,6 +95,19 @@ def test_two_photon_excitation_exp_vs_generic_engine():
     wc = WavepacketN.correlated_pair(grid, xi2=xi2, norm_tol=1e-6)
     assert excitation_probability(1.0, wc) == pytest.approx(
         excitation_probability(1.0, w), abs=5e-4)
+
+
+def test_correlated_trace_matches_hierarchy():
+    # the sampled copy of two identical g = 1 photons, traced in blocks of
+    # times, against the Fock-state hierarchy within 4 x its bilinear
+    # resolution floor h^2 / 8
+    grid = np.linspace(0.0, 35.0, 351)
+    envelope = np.exp(-0.5 * grid)
+    wc = WavepacketN.correlated_pair(grid, xi2=np.outer(envelope, envelope), norm_tol=1e-5)
+    times = np.linspace(0.25, 8.0, 24)
+    trace = excitation_trace(times, wc)
+    ref = fock_excitation(1.0, 2, times)
+    np.testing.assert_allclose(trace.values, ref, rtol=4.0 * 0.1 ** 2 / 8.0, atol=0.0)
 
 
 def test_excitation_validation():
