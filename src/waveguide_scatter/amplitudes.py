@@ -32,7 +32,8 @@ import numpy as np
 
 from .kernel import KernelSpan, h_closed_form, h_factor_terms, kernel_convolve
 from .model import Direction, InitialState, PulseProfile, WavepacketN, _permanent
-# integrate has no caller here, but perfbench's tracer patches amplitudes.integrate
+# integrate and integrate_2d_box have no caller here, but perfbench's
+# tracer patches amplitudes.integrate and amplitudes.integrate_2d_box
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box  # noqa: F401
 
 __all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
@@ -76,9 +77,9 @@ def _effective_quad(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
 
 
 def _outer_spec(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
-    """quad for integrals over the S and T of w, floored at their noise.
+    """quad for integrals over the S and W of w, floored at their noise.
 
-    Closed-form kernels are exact to rounding; any other S and T carries
+    Closed-form kernels are exact to rounding; any other S and W carries
     the inner engine's error and the data resolution of sampled states.
     """
     if w.all_exponential:
@@ -86,15 +87,6 @@ def _outer_spec(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
     noise = _resolution_floor(w)
     return replace(quad, rel_tol=max(quad.rel_tol, 1e-8, 4.0 * noise),
                    abs_tol=max(quad.abs_tol, 1e-11, noise * 1e-2))
-
-
-def _panel_width(w: WavepacketN) -> float:
-    """Initial panel width of integrands built on w.
-
-    The grid step of a sampled pair sets its interpolation error, not a
-    feature scale, so its panels span eight steps.
-    """
-    return min(0.5, w.min_timescale * (8.0 if w.kind == "correlated2" else 1.0))
 
 
 def _validate_times(times) -> np.ndarray:
@@ -131,45 +123,26 @@ def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
     return values[where.reshape(-1)].reshape(ends[0].shape)
 
 
-# -- wavepacket contractions (two-photon) ------------------------------------
-
-def _double_extraction(w: WavepacketN, s1, s2):
-    """Amplitude for extracting both photons at (s1, s2); symmetric."""
-    return (_SQRT2 * w.component(0, (s1, s2))
-            + w.component(1, (s1, s2)) + w.component(1, (s2, s1))
-            + _SQRT2 * w.component(2, (s1, s2)))
-
-
-def _double_window(w: WavepacketN, box1, box2, quad: QuadratureSpec) -> complex:
-    """Joint extraction amplitude integrated over the windows box1 x box2.
-
-    Each absorption is weighted by the memory up to its window's end;
-    bilinear interpolation supplies a correlated pair's integrand.
-    """
-    end1, end2 = box1[1], box2[1]
-
-    def integrand(t1, t2):
-        return np.exp(-(end1 - t1)) * np.exp(-(end2 - t2)) * _double_extraction(w, t1, t2)
-
-    return integrate_2d_box(integrand, box1, box2, quad, panel_width=_panel_width(w))
-
-
 # -- ordered emission ---------------------------------------------------------
 
-def _absorption_chain(spans, w: WavepacketN, quad: QuadratureSpec) -> complex:
-    """(-1)^n <vacuum| windowed-absorption chain |w>, one window per photon."""
-    n = len(spans)
+def _absorption_chain(lo, hi, w: WavepacketN, quad: QuadratureSpec) -> complex:
+    """(-1)^n <vacuum| windowed-absorption chain |w>, window (lo[i], hi[i]) per photon.
+
+    A product state takes the permanent of its window kernels, a
+    correlated pair the double window of its kernel provider.
+    """
+    n = len(lo)
     if w.n_photons != n:
         raise ValueError("window count must match the photon number")
-    quad = _effective_quad(w, quad)
+    if n == 0:
+        return 1.0 + 0.0j
     sign = -1.0 if n % 2 else 1.0
-    if w.kind == "separable":
-        if n == 0:
-            return complex(sign)
-        mat = [[kernel_convolve(p, span, quad) for p, _ in w.entries] for span in spans]
-        return sign * w.separable_normalization() * _permanent(mat)
-    # correlated two-photon state: nested window integral
-    return sign * _double_window(w, *((s.start, s.end) for s in spans), quad)
+    if w.kind == "correlated2":
+        return sign * complex(_kernels(w, quad).windows(lo[0], hi[0], lo[1], hi[1], True))
+    quad = _effective_quad(w, quad)
+    mat = np.stack([_window_kernel(p, hi, lo, quad) for p, _ in w.entries], axis=1,
+                   dtype=complex)
+    return sign * w.separable_normalization() * _permanent(mat)
 
 
 def ordered_emission_amplitude(times, state: InitialState | WavepacketN,
@@ -181,8 +154,10 @@ def ordered_emission_amplitude(times, state: InitialState | WavepacketN,
     fewer); a bare wavepacket is treated as the ground branch.  The
     excited branch re-emits its stored excitation first: amplitude
     exp(-tau_1) times the absorption chain over the remaining windows.
-    All kernel integrals here go through quadrature; the closed-form
-    fast path lives in :func:`reflection_amplitude_f0`.
+    Window kernels are closed form for exponential envelopes and for a
+    correlated pair's bilinear interpolant, one adaptive integral per
+    window otherwise; :func:`reflection_amplitude_f0` is this amplitude
+    divided by sqrt(N!).
     """
     if isinstance(state, WavepacketN):
         state = InitialState(c_g=1.0, field_g=state)
@@ -193,12 +168,11 @@ def ordered_emission_amplitude(times, state: InitialState | WavepacketN,
             f"state carries {state.total_excitations} excitations, got {n} emission times")
     amp = 0.0 + 0.0j
     if state.c_g != 0:
-        spans = [KernelSpan(0.0, arr[0])]
-        spans += [KernelSpan(arr[i], arr[i + 1]) for i in range(n - 1)]
-        amp += state.c_g * _absorption_chain(spans, state.field_g, quad)
+        starts = np.concatenate([[0.0], arr[:-1]])
+        amp += state.c_g * _absorption_chain(starts, arr, state.field_g, quad)
     if state.c_e != 0:
-        spans = [KernelSpan(arr[i], arr[i + 1]) for i in range(n - 1)]
-        amp += state.c_e * math.exp(-arr[0]) * _absorption_chain(spans, state.field_e, quad)
+        amp += state.c_e * math.exp(-arr[0]) * _absorption_chain(arr[:-1], arr[1:],
+                                                                 state.field_e, quad)
     return amp
 
 
@@ -214,9 +188,9 @@ def linear_beamsplitter_amplitude(tau1: float, tau2: float, w: WavepacketN,
     if w.n_photons != 2:
         raise ValueError("linear beamsplitter amplitude is a two-photon construct")
     _check_finite("emission times", tau1, tau2)
-    if tau1 == 0.0 or tau2 == 0.0:
-        return 0.0 + 0.0j
-    return _double_window(w, (0.0, tau1), (0.0, tau2), _effective_quad(w, quad))
+    if tau1 < 0.0 or tau2 < 0.0:
+        raise ValueError("emission times must be >= 0")
+    return complex(_kernels(w, quad).windows(0.0, tau1, 0.0, tau2, True))
 
 
 def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
@@ -238,13 +212,11 @@ def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
     if w.n_photons != 2:
         raise ValueError("nonlinear correction is a two-photon construct")
     _check_finite("emission times", tau1, tau2)
-    quad = _effective_quad(w, quad)
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("emission times must be >= 0")
     lo, hi = sorted((tau1, tau2))
-    if lo == 0.0:
-        return 0.0 + 0.0j
-    return -math.exp(-(hi - lo)) * _double_window(w, (0.0, lo), (0.0, lo), quad) / _SQRT2
+    square = complex(_kernels(w, quad).windows(0.0, lo, 0.0, lo, True))
+    return -math.exp(-(hi - lo)) * square / _SQRT2
 
 
 # -- reflection amplitude -----------------------------------------------------
@@ -258,8 +230,8 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
     boundary included).  For separable inputs the nested absorption
     integral factorizes over the windows into a permanent of kernel
     integrals, one window kernel per photon and window.  The sqrt(N!)
-    bosonic bookkeeping is handled here: the returned f0 is the emission
-    amplitude divided by sqrt(N!).
+    bosonic bookkeeping is handled here: the returned f0 is
+    :func:`ordered_emission_amplitude` divided by sqrt(N!).
     """
     arr = np.sort(_validate_times(times))
     _check_finite("observation time", t)
@@ -269,20 +241,14 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
     if np.any(arr > t):
         return 0.0 + 0.0j
     if w.kind == "separable":
-        if len({d for _, d in w.entries}) > 1:
-            raise ValueError("reflection amplitude needs all photons on one side")
-        starts = np.concatenate([[0.0], arr[:-1]])
-        mat = np.stack([_window_kernel(p, arr, starts, quad) for p, _ in w.entries], axis=1,
-                       dtype=complex)
-        sign = -1.0 if n % 2 else 1.0
-        amp = sign * w.separable_normalization() * _permanent(mat)
-        return amp / math.sqrt(math.factorial(n))
-    # correlated pair: one-sidedness means a single nonzero component
-    live = {k for k, v in w.tensors.items() if np.any(v)}
-    if not live <= {0} and not live <= {2}:
+        one_sided = len({d for _, d in w.entries}) <= 1
+    else:
+        # correlated pair: one-sidedness means a single nonzero component
+        live = {k for k, v in w.tensors.items() if np.any(v)}
+        one_sided = live <= {0} or live <= {2}
+    if not one_sided:
         raise ValueError("reflection amplitude needs all photons on one side")
-    spans = [KernelSpan(0.0, arr[0]), KernelSpan(arr[0], arr[1])]
-    return _absorption_chain(spans, w, quad) / _SQRT2
+    return ordered_emission_amplitude(arr, w, quad) / math.sqrt(math.factorial(n))
 
 
 # -- two-photon output channels ----------------------------------------------
@@ -290,16 +256,19 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
 # Every two-photon quantity is the input plus the histories in which the
 # atom re-emits: one photon absorbed and re-emitted at tau_emit while the
 # other passes as a direction-d spectator at tau_spec, S(d, tau_emit,
-# tau_spec), or both absorbed in time order, T(lo, hi).  A kernel provider
-# supplies S and T: a product state factorizes them into per-photon window
+# tau_spec), or both absorbed over the windows (lo1, hi1) x (lo2, hi2),
+# each weighted by the memory up to its window's end, W(lo1, hi1, lo2, hi2):
+# the ordered chain is W(0, lo, lo, hi), the linear amplitude W(0, tau1, 0,
+# tau2) and the correction B the square W(0, lo, 0, lo).  A kernel provider
+# supplies S and W: a product state factorizes them into per-photon window
 # kernels, a correlated pair contracts its component tensors with the
 # closed-form window integrals of its bilinear interpolant, and _kernels
-# picks one by the state's kind.  Both take a gate mask and
-# return zero where it is closed (T a scalar 0.0 when it is closed
-# everywhere).  T must not be evaluated there: it is undefined for lo > hi.
+# picks one by the state's kind.  Both take a gate mask and return zero
+# where it is closed (W a scalar 0.0 when it is closed everywhere).  W must
+# not be evaluated there: it is undefined for a window with lo > hi.
 
 class _ProductKernels:
-    """S and T of a two-photon product state from window kernels; vectorized."""
+    """S and W of a two-photon product state from window kernels; vectorized."""
 
     def __init__(self, w: WavepacketN, quad: QuadratureSpec):
         (p1, d1), (p2, d2) = w.entries
@@ -317,14 +286,13 @@ class _ProductKernels:
                                  * _window_kernel(partner, tau_emit, 0.0, self._quad))
         return -self._cnorm * total * gate
 
-    def chain(self, lo, hi, gate):
+    def windows(self, lo1, hi1, lo2, hi2, gate):
         if not np.any(gate):
             return 0.0
-        lo = np.where(gate, lo, 0.0)
-        hi = np.where(gate, hi, 0.0)
+        lo1, hi1, lo2, hi2 = (np.where(gate, x, 0.0) for x in (lo1, hi1, lo2, hi2))
         (p1, p2), q = self._profiles, self._quad
-        val = self._cnorm * (_window_kernel(p1, lo, 0.0, q) * _window_kernel(p2, hi, lo, q)
-                             + _window_kernel(p2, lo, 0.0, q) * _window_kernel(p1, hi, lo, q))
+        val = self._cnorm * (_window_kernel(p1, hi1, lo1, q) * _window_kernel(p2, hi2, lo2, q)
+                             + _window_kernel(p2, hi1, lo1, q) * _window_kernel(p1, hi2, lo2, q))
         return np.where(gate, val, 0.0)
 
 
@@ -334,22 +302,25 @@ _ROW_BLOCK_ENTRIES = 1 << 16
 
 
 class _CorrelatedKernels:
-    """S and T of a correlated two-photon pair; exact for its bilinear interpolant.
+    """S and W of a correlated two-photon pair; exact for its bilinear interpolant.
 
     The interpolant is sum_kl phi_k(s1) phi_l(s2) X[k, l] over the hat
     functions phi of the grid g, so every window integral goes through
-    the memory-weighted hats a(x)_l = int_0^x exp(-(x - s)) phi_l(s) ds:
+    the memory-weighted hats a(x)_l = int_0^x exp(-(x - s)) phi_l(s) ds
+    and their windows m(lo, hi) = a(hi) - exp(-(hi - lo)) a(lo):
 
         S(d, te, ts) = -sum_j phi_j(ts) a(te) . F_d[:, j],
-        T(lo, hi) = a(lo)^T D (a(hi) - exp(-(hi - lo)) a(lo)),
+        W(lo1, hi1, lo2, hi2) = m(lo1, hi1)^T D m(lo2, hi2),
 
     with F_R = (sqrt2 xi2 + xi1)^T and F_L = xi1 + sqrt2 xi0 (extracting
     one photon beside a d-mover) and D = sqrt2 xi0 + xi1 + xi1^T + sqrt2
-    xi2 (extracting both, as _double_extraction).  a(x) is closed form
-    cell by cell, and a(x)^T D is read off the one resident table
-    U[k] = a(g_k)^T D, built by a recurrence over the cells on first use.
-    Everything else is gathered from the component tensors per point, a
-    block of points at a time.
+    xi2 (extracting both at (s1, s2)).  a(x) is closed form cell by
+    cell, and a(x)^T D is read off the one resident table U[k] =
+    a(g_k)^T D, built by a recurrence over the cells on first use; a(x)
+    is zero up to the grid's start, so a first window that starts there
+    (every window from 0) needs one contraction, not two.  Everything
+    else is gathered from the component tensors per point, a block of
+    points at a time.
     """
 
     def __init__(self, w: WavepacketN):
@@ -381,21 +352,28 @@ class _CorrelatedKernels:
         # no component of the state leaves a d-mover behind: S is zero
         return self._blocks(block, gate if terms else False, tau_emit, tau_spec)
 
-    def chain(self, lo, hi, gate):
+    def windows(self, lo1, hi1, lo2, hi2, gate):
         if not np.any(gate):
             return 0.0
 
-        def block(lo, hi):
-            window = self._memory(hi) - np.exp(lo - hi)[:, None] * self._memory(lo)
-            # a(lo)^T D from the table row of lo's node and lo's own cell
-            k, k1, delta, width = self._locate(lo)
-            alpha, beta = self._partial_cell(lo, delta, width)
-            # (before the grid U[0] = a(g_0)^T D = 0)
-            decay = np.exp(-np.maximum(delta, 0.0))
-            return (decay * _row_dot(self._table[k], window)
-                    + _row_dots(self._double_terms, k, alpha, k1, beta, window))
+        def block(lo1, hi1, lo2, hi2):
+            second = self._memory(hi2) - np.exp(lo2 - hi2)[:, None] * self._memory(lo2)
+            out = self._contract(hi1, second)
+            late = lo1 > self._grid[0]
+            if np.any(late):
+                out[late] -= np.exp(lo1 - hi1)[late] * self._contract(lo1[late], second[late])
+            return out
 
-        return self._blocks(block, gate, lo, hi)
+        return self._blocks(block, gate, lo1, hi1, lo2, hi2)
+
+    def _contract(self, x, v) -> np.ndarray:
+        """a(x)^T D v, one value per point, from the table row of x's node and x's own cell."""
+        k, k1, delta, width = self._locate(x)
+        alpha, beta = self._partial_cell(x, delta, width)
+        # (before the grid U[0] = a(g_0)^T D = 0)
+        decay = np.exp(-np.maximum(delta, 0.0))
+        return (decay * _row_dot(self._table[k], v)
+                + _row_dots(self._double_terms, k, alpha, k1, beta, v))
 
     def _blocks(self, func, gate, *args) -> np.ndarray:
         """func at the points where gate is open, a block of points per call; zero elsewhere."""
@@ -501,13 +479,14 @@ def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> di
     in d2, the re-emission at tau2 whose spectator leaves in d1, and the
     ordered chain.  Emissions are gated by theta(t - tau_i), boundary
     included; same-direction channels carry the 1/sqrt(2) of their
-    normalization.  Each S and T is evaluated once for all channels.
+    normalization.  Each S and W is evaluated once for all channels.
     """
     T1, T2 = np.broadcast_arrays(np.asarray(tau1, dtype=float),
                                  np.asarray(tau2, dtype=float))
     g1 = T1 <= t
     g2 = T2 <= t
-    chain = kernels.chain(np.minimum(T1, T2), np.maximum(T1, T2), g1 & g2)
+    lo = np.minimum(T1, T2)
+    chain = kernels.windows(0.0, lo, lo, np.maximum(T1, T2), g1 & g2)
 
     @functools.cache
     def spectator(d, emit_first):
@@ -532,7 +511,7 @@ def _emitter_amplitudes(kernels, tau, t: float):
     equal coupling, so the chain feeds both branches alike.
     """
     tau = np.asarray(tau, dtype=float)
-    chain = kernels.chain(tau, t, tau <= t)
+    chain = kernels.windows(0.0, tau, tau, t, tau <= t)
     return tuple(kernels.spectator(d, t, tau, True) + chain
                  for d in (Direction.RIGHT, Direction.LEFT))
 

@@ -5,8 +5,9 @@ master-equation hierarchy with fixed-step RK4, and the emission oracle
 contracts the symmetrized wavefunction against the memory weights on a
 dense tensor mesh; they share nothing with the code under test beyond
 pulse-envelope evaluation.  The reference kernel provider integrates
-the joint amplitude point by point with the package's adaptive engine,
-so it checks the window-kernel factorization of product states.
+the joint amplitude point by point with the package's adaptive engine
+(1-D for S, a 2-D box for W), so it checks the window-kernel
+factorization of product states and owes nothing to the providers.
 """
 
 import math
@@ -15,10 +16,9 @@ from itertools import permutations
 import numpy as np
 from scipy.integrate import quad
 
-from waveguide_scatter.amplitudes import _absorption_chain, _effective_quad, _panel_width
-from waveguide_scatter.kernel import KernelSpan
+from waveguide_scatter.amplitudes import _effective_quad
 from waveguide_scatter.model import Direction
-from waveguide_scatter.quadrature import integrate
+from waveguide_scatter.quadrature import integrate, integrate_2d_box
 
 
 def rk4_excitation(gamma_bw: float, t_end: float, n_steps: int = 20000):
@@ -173,19 +173,28 @@ def _pair_with_spectator(w, d, s, tau_b):
     return w.component(1, (s, tau_b)) + math.sqrt(2.0) * w.component(0, (s, tau_b))
 
 
+def _double_extraction(w, s1, s2):
+    """Amplitude for extracting both photons at (s1, s2); symmetric."""
+    return (math.sqrt(2.0) * w.component(0, (s1, s2))
+            + w.component(1, (s1, s2)) + w.component(1, (s2, s1))
+            + math.sqrt(2.0) * w.component(2, (s1, s2)))
+
+
 class QuadratureKernels:
-    """Reference S and T of a two-photon state by adaptive quadrature, point by point.
+    """Reference S and W of a two-photon state by adaptive quadrature, point by point.
 
     S integrates the joint amplitude with its spectator left behind
     (``_pair_with_spectator``) over [0, tau_emit], one ``integrate`` call
-    per point, and T is the package's windowed absorption chain
-    (``_absorption_chain``).  Same interface as the package's providers.
+    per point, and W the joint extraction amplitude (``_double_extraction``)
+    over its two windows, one ``integrate_2d_box`` call per point.  Same
+    interface as the package's providers.
     """
 
     def __init__(self, w, quad_spec):
         self._w = w
         self._quad = _effective_quad(w, quad_spec)
-        self._width = _panel_width(w)
+        # a sampled pair's grid step is a resolution, not a feature scale
+        self._width = min(0.5, w.min_timescale * (8.0 if w.kind == "correlated2" else 1.0))
 
     def _emit_with_spectator(self, d, tau_emit: float, tau_spec: float) -> complex:
         def integrand(s):
@@ -196,8 +205,12 @@ class QuadratureKernels:
         return _pointwise(lambda a, b: self._emit_with_spectator(d, a, b),
                           gate, tau_emit, tau_spec)
 
-    def chain(self, lo, hi, gate):
-        return _pointwise(
-            lambda a, b: _absorption_chain([KernelSpan(0.0, a), KernelSpan(a, b)],
-                                           self._w, self._quad),
-            gate, lo, hi)
+    def _double_window(self, lo1, hi1, lo2, hi2) -> complex:
+        def integrand(t1, t2):
+            return (np.exp(-(hi1 - t1)) * np.exp(-(hi2 - t2))
+                    * _double_extraction(self._w, t1, t2))
+        return integrate_2d_box(integrand, (lo1, hi1), (lo2, hi2), self._quad,
+                                panel_width=self._width)
+
+    def windows(self, lo1, hi1, lo2, hi2, gate):
+        return _pointwise(self._double_window, gate, lo1, hi1, lo2, hi2)

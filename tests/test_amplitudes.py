@@ -75,6 +75,17 @@ def test_excited_atom_emits_bare_decay():
         assert amp == pytest.approx(math.exp(-tau), abs=1e-12)
 
 
+def test_excited_atom_with_a_photon_emits_then_absorbs():
+    # the stored excitation leaves at tau1, then the photon is absorbed
+    # over (tau1, tau2] and re-emitted: -exp(-tau1) h(tau2, tau1)
+    gamma = 1.7
+    one = WavepacketN.product([(PulseProfile.exponential(gamma), Direction.RIGHT)])
+    for tau1, tau2 in ((0.0, 1.2), (0.4, 0.4), (0.8, 2.5)):
+        amp = complex(ordered_emission_amplitude([tau1, tau2], excited_atom(one)))
+        assert amp == pytest.approx(-math.exp(-tau1) * h_closed_form(tau2, tau1, gamma),
+                                    abs=1e-15)
+
+
 def test_reflection_gates_on_observation_time():
     p = PulseProfile.exponential(1.3)
     w = WavepacketN.product([(p, Direction.RIGHT)])
@@ -85,19 +96,17 @@ def test_reflection_gates_on_observation_time():
 
 # -- two-photon emission and the saturation identity --------------------------
 
-def test_ordered_equals_linear_plus_correction_random_sweep():
-    rng = np.random.default_rng(20260814)
-    worst = 0.0
-    for _ in range(25):
-        gamma = float(rng.uniform(0.2, 6.0))
-        w = _pair(gamma)
-        lo = float(rng.uniform(0.05, 2.5))
-        hi = lo + float(rng.uniform(0.0, 2.5))
-        ordered = complex(ordered_emission_amplitude([lo, hi], w))
-        linear = complex(linear_beamsplitter_amplitude(lo, hi, w))
-        corr = complex(nonlinear_correction_B(lo, hi, w))
-        worst = max(worst, abs(ordered - (linear + _SQRT2 * corr)))
-    assert worst <= 1e-9
+@settings(max_examples=60, deadline=None)
+@given(tau1=st.floats(0.0, 5.0), tau2=st.floats(0.0, 5.0), gamma=st.floats(0.2, 6.0))
+def test_ordered_equals_linear_plus_correction_random_sweep(tau1, tau2, gamma):
+    # every term is closed form; just outside the series branch at gamma = 2
+    # the closed form divides rounding by 1 - gamma/2, up to ~1e-10 here
+    w = _pair(gamma)
+    lo, hi = sorted((tau1, tau2))
+    ordered = complex(ordered_emission_amplitude([lo, hi], w))
+    linear = complex(linear_beamsplitter_amplitude(tau1, tau2, w))
+    corr = complex(nonlinear_correction_B(tau1, tau2, w))
+    assert abs(ordered - (linear + _SQRT2 * corr)) <= 1e-9
 
 
 def test_correction_spot_value_against_dblquad():
@@ -153,6 +162,19 @@ def test_three_photon_reflection_against_brute_tensor():
         assert abs(pkg - brute) / abs(brute) <= 1e-8
 
 
+def test_reflection_amplitude_is_the_ordered_amplitude_over_root_factorial():
+    # one tolerance policy: f0 and the ordered amplitude share one chain
+    t_samp = np.linspace(0.0, 30.0, 301)
+    p = PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2)
+    grid = np.linspace(0.0, 6.0, 25)
+    for w in (WavepacketN.product([(p, Direction.RIGHT)] * 2),
+              _random_pair(grid, (2,), seed=3)):
+        for times in ((0.7, 1.9), (0.2, 0.4), (2.1, 4.5)):
+            f0 = complex(reflection_amplitude_f0(times, w, 9.0))
+            assert f0 != 0.0
+            assert f0 == complex(ordered_emission_amplitude(times, w)) / _SQRT2
+
+
 def test_reflection_rejects_mixed_directions():
     w = _pair(1.0, 1.0, (Direction.RIGHT, Direction.LEFT))
     with pytest.raises(ValueError):
@@ -183,15 +205,15 @@ class _Counted:
 
     def __init__(self, kernels):
         self.kernels = kernels
-        self.calls = {"spectator": 0, "chain": 0}
+        self.calls = {"spectator": 0, "windows": 0}
 
     def spectator(self, *args):
         self.calls["spectator"] += 1
         return self.kernels.spectator(*args)
 
-    def chain(self, *args):
-        self.calls["chain"] += 1
-        return self.kernels.chain(*args)
+    def windows(self, *args):
+        self.calls["windows"] += 1
+        return self.kernels.windows(*args)
 
 
 @pytest.mark.parametrize("first", ["exponential", "gaussian"])
@@ -213,8 +235,8 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
         np.testing.assert_allclose(quad.spectator(d, t, tau, True), s_product,
                                    rtol=0.0, atol=1e-9)
         assert np.all(product.spectator(d, t, tau, False) == 0.0)
-    t_product = product.chain(tau, t, gate)
-    t_quad = quad.chain(tau, t, gate)
+    t_product = product.windows(0.0, tau, tau, t, gate)
+    t_quad = quad.windows(0.0, tau, tau, t, gate)
     np.testing.assert_allclose(t_quad, t_product, rtol=0.0, atol=1e-9)
     assert abs(t_product[0]) > 1e-3
     assert t_product[2] == 0.0 and t_quad[2] == 0.0
@@ -228,8 +250,8 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
         by_product = _channel_sums(product, w, CHANNELS, a, b, t)
         for ch in CHANNELS:
             assert complex(by_quad[ch]) == pytest.approx(complex(by_product[ch]), abs=1e-9)
-        # four spectator terms and one chain serve all three channels
-        assert counted.calls == {"spectator": 4, "chain": 1}
+        # four spectator terms and one double window serve all three channels
+        assert counted.calls == {"spectator": 4, "windows": 1}
 
 
 # -- correlated pairs: window integrals of the bilinear interpolant ---------------
@@ -273,20 +295,20 @@ def _reference_S(w, d, te, ts):
     return -complex(_by_cells(integrand, 0.0, te, w.grid))
 
 
-def _reference_T(w, lo, hi):
-    """T: the bilinear joint extraction amplitude over (0, lo) x (lo, hi), nested."""
+def _reference_W(w, box1, box2):
+    """W: the bilinear joint extraction amplitude over box1 x box2, nested."""
     g = w.grid
-
+    (lo1, hi1), (lo2, hi2) = box1, box2
     xi = functools.partial(_xi, w)
 
     def outer(t1):
         def inner(t2):
             a, b = t1[:, None], t2[None, :]
             joint = (_SQRT2 * xi(0, a, b) + xi(1, a, b) + xi(1, b, a) + _SQRT2 * xi(2, a, b))
-            return np.exp(-(hi - b)) * joint
-        return np.exp(-(lo - t1)) * _by_cells(inner, lo, hi, g)
+            return np.exp(-(hi2 - b)) * joint
+        return np.exp(-(hi1 - t1)) * _by_cells(inner, lo2, hi2, g)
 
-    return complex(_by_cells(outer, 0.0, lo, g))
+    return complex(_by_cells(outer, lo1, hi1, g))
 
 
 @pytest.mark.parametrize("components", [(1,), (0, 1, 2)])
@@ -303,11 +325,13 @@ def test_correlated_kernels_are_exact_for_the_bilinear_interpolant(components):
         ref = [_reference_S(w, d, a, b) for a, b in zip(emit, spec)]
         np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
         assert abs(got[-1]) > 1e-3  # emitted past the grid's end, decayed from it
+    # the ordered chain, windows (0, lo) x (lo, hi)
     lo = np.array([0.3, 0.9, 1.2, 2.0, 2.3, 2.7, 4.5, 2.5])
     hi = np.array([1.4, 3.05, 1.2, 2.0, 4.6, 3.9, 4.9, 1.0])
     gate = lo <= hi
-    got = kernels.chain(lo, hi, gate)
-    ref = [_reference_T(w, a, b) if open_ else 0.0 for a, b, open_ in zip(lo, hi, gate)]
+    got = kernels.windows(0.0, lo, lo, hi, gate)
+    ref = [_reference_W(w, (0.0, a), (a, b)) if open_ else 0.0
+           for a, b, open_ in zip(lo, hi, gate)]
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
     # lo == hi closes the second window, and the reversed window is gated off
     assert got[2] == 0.0 and got[3] == 0.0 and got[-1] == 0.0
@@ -315,6 +339,28 @@ def test_correlated_kernels_are_exact_for_the_bilinear_interpolant(components):
     # rest overlap it
     assert abs(got[0]) == 0.0 and abs(got[6]) < 1e-15
     assert np.all(np.abs(got[[1, 4, 5]]) > 1e-3)
+    # first windows that start before the grid, on a node, inside a cell
+    # and past the grid's end; second windows that end before the first
+    # starts, overlap it and are empty
+    lo1 = np.array([0.2, 0.9, 1.2, 2.3, 4.2, 1.7])
+    hi1 = np.array([2.4, 2.7, 3.5, 2.3, 4.6, 1.2])
+    lo2 = np.array([0.0, 0.4, 1.6, 1.0, 3.3, 0.5])
+    hi2 = np.array([1.1, 3.05, 1.6, 3.7, 4.1, 2.0])
+    gate = lo1 <= hi1
+    got = kernels.windows(lo1, hi1, lo2, hi2, gate)
+    ref = [_reference_W(w, (a, b), (c, d)) if open_ else 0.0
+           for a, b, c, d, open_ in zip(lo1, hi1, lo2, hi2, gate)]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    assert got[2] == 0.0 and got[3] == 0.0 and got[-1] == 0.0
+    assert np.all(np.abs(got[[0, 1]]) > 1e-3)
+    # past the grid's end a(x) only decays, so the two contractions cancel
+    assert abs(got[4]) < 1e-15
+    # the square window (0, x)^2 of the saturation correction
+    x = np.array([0.3, 0.9, 2.2, 5.0])
+    got = kernels.windows(0.0, x, 0.0, x, True)
+    ref = [_reference_W(w, (0.0, a), (0.0, a)) for a in x]
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    assert got[0] == 0.0 and np.all(np.abs(got[1:]) > 1e-3)
 
 
 def test_correlated_channel_grid_matches_pointwise_outputs():
@@ -542,6 +588,9 @@ def test_emission_time_validation():
         ordered_emission_amplitude([-0.5, 1.0], w)
     with pytest.raises(ValueError):
         ordered_emission_amplitude([1.0], w)
+    for call in (linear_beamsplitter_amplitude, nonlinear_correction_B):
+        with pytest.raises(ValueError, match=">= 0"):
+            call(-1.0, 1.0, w)
     one = WavepacketN.product([(PulseProfile.exponential(1.0), Direction.RIGHT)])
     with pytest.raises(ValueError, match="finite"):
         ordered_emission_amplitude([math.nan], one)
