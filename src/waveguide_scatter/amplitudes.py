@@ -559,18 +559,19 @@ _BLOCK_ENTRIES = 1_000_000
 _BLOCK_SPAN = 256.0
 
 
-def _exp_pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
-                     t: float):
-    """Row blocks (i0, rows) of the channel amplitudes of two exponential photons.
+def _exp_pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
+                      t: float):
+    """The exponential grid fill as per-block factors: (scale, blocks).
 
     The amplitudes on ax1 x ax2 are the sum of :func:`exp_pair_channel_values`,
     built from one-time factors.  The input and spectator terms are
     products of a function of tau1 and a function of tau2 on the whole
     plane; the chain term h(lo, 0) h(hi, lo) is such a product on each
     triangle (tau1 <= tau2 and tau1 > tau2) once h(hi, lo) is split by
-    :func:`h_factor_terms`.  Each row block is one small matmul per
-    triangle, merged by the mask tau1 > tau2.  Exponential envelopes are
-    real, so the factors and the blocks are float64.
+    :func:`h_factor_terms`.  Each block (i0, (U, C_up), (L, C_low)) holds
+    the rows i0 <= i < i0 + len(U): row i is scale * U[i - i0] @ C_up where
+    tau1 <= tau2 and scale * L[i - i0] @ C_low where tau1 > tau2.
+    Exponential envelopes are real, so the factors are float64.
     """
     slots = tuple(Direction.RIGHT if c == "R" else Direction.LEFT for c in channel)
     scale = w.separable_normalization() / (_SQRT2 if slots[0] is slots[1] else 1.0)
@@ -601,34 +602,48 @@ def _exp_pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndar
     shared_rows = np.stack(rows, axis=1) if rows else np.zeros((ax1.size, 0))
     shared_cols = np.stack(cols) if cols else np.zeros((0, ax2.size))
 
-    block = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
-    i0 = 0
-    while i0 < ax1.size:
-        i1 = min(i0 + block,
-                 int(np.searchsorted(ax1, ax1[i0] + _BLOCK_SPAN, side="right")))
-        i1 = max(i1, i0 + 1)
-        t1 = ax1[i0:i1]
-        g1 = gate1[i0:i1]
-        # ordered chain, emissions at lo <= hi; each triangle's columns are
-        # clamped into the range it keeps so discarded entries stay finite
-        upper_hi = np.maximum(ax2, t1[0])
-        lower_lo = np.minimum(ax2, t1[-1])
-        up_rows, up_cols = [shared_rows[i0:i1]], [shared_cols]
-        low_rows, low_cols = [shared_rows[i0:i1]], [shared_cols]
-        for a, b in pairs:
-            for f_hi, g_lo in h_factor_terms(upper_hi, t1, gammas[b]):
-                up_rows.append((g1 * kern[a][0][i0:i1] * g_lo)[:, None])
-                up_cols.append((gate2 * f_hi)[None, :])
-            for f_hi, g_lo in h_factor_terms(t1, lower_lo, gammas[b]):
-                low_rows.append((g1 * f_hi)[:, None])
-                low_cols.append((gate2 * kern[a][1] * g_lo)[None, :])
-        upper = np.hstack(up_rows) @ np.vstack(up_cols)
+    def blocks():
+        block = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
+        i0 = 0
+        while i0 < ax1.size:
+            i1 = min(i0 + block,
+                     int(np.searchsorted(ax1, ax1[i0] + _BLOCK_SPAN, side="right")))
+            i1 = max(i1, i0 + 1)
+            t1 = ax1[i0:i1]
+            g1 = gate1[i0:i1]
+            # ordered chain, emissions at lo <= hi; each triangle's columns are
+            # clamped into the range it keeps so discarded entries stay finite
+            upper_hi = np.maximum(ax2, t1[0])
+            lower_lo = np.minimum(ax2, t1[-1])
+            up_rows, up_cols = [shared_rows[i0:i1]], [shared_cols]
+            low_rows, low_cols = [shared_rows[i0:i1]], [shared_cols]
+            for a, b in pairs:
+                for f_hi, g_lo in h_factor_terms(upper_hi, t1, gammas[b]):
+                    up_rows.append((g1 * kern[a][0][i0:i1] * g_lo)[:, None])
+                    up_cols.append((gate2 * f_hi)[None, :])
+                for f_hi, g_lo in h_factor_terms(t1, lower_lo, gammas[b]):
+                    low_rows.append((g1 * f_hi)[:, None])
+                    low_cols.append((gate2 * kern[a][1] * g_lo)[None, :])
+            yield (i0, (np.hstack(up_rows), np.vstack(up_cols)),
+                   (np.hstack(low_rows), np.vstack(low_cols)))
+            i0 = i1
+
+    return scale, blocks()
+
+
+def _exp_pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
+                     t: float):
+    """Row blocks (i0, rows) of the channel amplitudes of two exponential photons,
+    multiplied out from :func:`_exp_pair_factors`: one small matmul per
+    triangle, merged by the mask tau1 > tau2."""
+    scale, factors = _exp_pair_factors(w, channel, ax1, ax2, t)
+    for i0, (up_rows, up_cols), (low_rows, low_cols) in factors:
+        upper = up_rows @ up_cols
         # no name holds the lower triangle's product across the yield
-        np.copyto(upper, np.hstack(low_rows) @ np.vstack(low_cols),
-                  where=t1[:, None] > ax2[None, :])
+        np.copyto(upper, low_rows @ low_cols,
+                  where=ax1[i0:i0 + len(upper), None] > ax2[None, :])
         upper *= scale
         yield i0, upper
-        i0 = i1
 
 
 def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float,

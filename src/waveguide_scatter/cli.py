@@ -160,8 +160,12 @@ def _cmd_two_photon(opt: dict) -> int:
 def _cmd_validate(opt: dict) -> int:
     suite = str(opt["suite"])
     gamma = opt["gamma"]
+    tol = opt["tolerance"]
+    if tol is None:
+        tol = 1e-4 if suite == "two-photon-bridge" else 1e-6
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be > 0, got {tol!r}")
     if suite == "two-photon-bridge":
-        tol = opt["tolerance"] if opt["tolerance"] is not None else 1e-4
         report = appendix_comparison(
             gamma, omega_min=opt["omega_min"], omega_max=opt["omega_max"],
             n_omega=int(opt["omega_points"]),
@@ -170,7 +174,6 @@ def _cmd_validate(opt: dict) -> int:
             fh.write(report.to_json())
         return 0 if report.passed else 1
     if suite == "single-photon":
-        tol = opt["tolerance"] if opt["tolerance"] is not None else 1e-6
         closed = reflection_probability_closed(1, gamma)
         freq = single_photon_reflection_freq(gamma)
         bridge_err = single_photon_bridge_error(gamma)

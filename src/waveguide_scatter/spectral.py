@@ -16,13 +16,16 @@ trapezoid (Gregory) summation at caller-chosen frequencies.  Two-photon
 time grids carry a slope break along the equal-time diagonal, so each row's
 weights take the break as a segment boundary; since those weights
 differ from one only near the ends and the break, the rows are summed
-as one matmul plus a banded correction.
+as one matmul plus a banded correction.  The two-route comparison never
+forms those rows: it sums the exponential fill from its rank-few
+factors, with running sums in place of the matmul.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -30,7 +33,7 @@ import numpy as np
 
 # two_photon_channel_grid: the held-grid reference, traced here by perfbench/spans.py
 from .amplitudes import (CHANNELS, _BLOCK_ENTRIES, AmplitudeGrid, _exp_pair_blocks,
-                         two_photon_channel_grid)
+                         _exp_pair_factors, two_photon_channel_grid)
 from .kernel import h_closed_form
 from .model import Direction, PulseProfile, WavepacketN, _bilinear, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _simpson_segment, integrate
@@ -58,6 +61,8 @@ DEFAULT_ANTIDIAG_SPAN = 50.0
 _ANTIDIAG_TAIL_TOL = 1e-5
 # largest edge-to-peak ratio of |f| a bridged time window may keep
 _WINDOW_EDGE_TOL = 1e-5
+# rows summed in one sequential run by _running_sum
+_RUN_CHUNK = 16
 
 
 def single_photon_r_t(omega):
@@ -242,36 +247,44 @@ def _axis_kernel(axis: np.ndarray, omega: np.ndarray, end_corrected: bool = True
     return np.exp(1j * axis[:, None] * omega[None, :]), weights * dt
 
 
-def _diagonal_break_rows(f: np.ndarray, kern: np.ndarray, row0: int, inner: np.ndarray) -> None:
-    """Turn inner = f @ kern into sum_j w_i[j] f[k, j] kern[j], w_i = _row_weights(n, i).
+def _diagonal_break_rows(entries, kern: np.ndarray, row0: int, stop: int, n: int,
+                         inner: np.ndarray) -> None:
+    """Turn inner[k] = sum_j f[i, j] kern[j] into sum_j w_i[j] f[i, j] kern[j],
+    w_i = _row_weights(n, i), for the rows i = row0 + k < stop of a square grid
+    of width n.
 
-    ``f`` holds the rows i = row0 + k of a square grid of width n.
-    w_i - 1 vanishes except at the two ends and within the end-stencil
-    reach of the break at i, and away from the edges that pattern only
-    shifts with i.  So the sum is one matmul with unit weights plus a
-    banded correction read off one middle row's weights; rows near an
-    edge, where short segments change the stencils, take their exact
-    weights.
+    ``entries(k, cols)`` returns f[row0 + k, cols] for index arrays that
+    broadcast together: rows of a held block, or dot products of the
+    fill's factors.  w_i - 1 vanishes except at the two ends and within
+    the end-stencil reach of the break at i, and away from the edges
+    that pattern only shifts with i.  So the correction reads the end
+    columns and the band around the diagonal, with weights read off one
+    middle row; rows near an edge, where short segments change the
+    stencils, are read whole and take their exact weights.
     """
-    n, stop = f.shape[1], row0 + len(f)
     stencil = len(_GREGORY_END_6)
     reach = stencil - 1
     # rows first <= i < last have two segments that both get the full end stencils
     first, last = 2 * stencil - 1, n - 2 * stencil + 1
-    k = np.arange(max(first, row0), min(last, stop)) - row0
-    if k.size:
+    lo, hi = max(first, row0), min(last, stop)
+    if lo < hi:
         ref = first + (last - first) // 2
         corr = _row_weights(n, ref) - 1.0
         band = corr[ref - reach:ref + reach + 1].copy()
         corr[ref - reach:ref + reach + 1] = 0.0
         ends = np.flatnonzero(corr)
-        inner[k] += (f[np.ix_(k, ends)] * corr[ends]) @ kern[ends]
-        # offsets shifted by row0: k + offset is the band's column in the full grid
-        for offset, c in zip(range(row0 - reach, row0 + reach + 1), band):
-            inner[k] += (c * f[k, k + offset])[:, None] * kern[k + offset]
-    for i in range(row0, stop):
-        if not first <= i < last:
-            inner[i - row0] = (_row_weights(n, i) * f[i - row0]) @ kern
+        k = np.arange(lo, hi)[:, None] - row0
+        part = inner[lo - row0:hi - row0]
+        part += (entries(k, ends) * corr[ends]) @ kern[ends]
+        # the band's entries f[i, i + d], |d| <= reach, in one read
+        offsets = np.arange(-reach, reach + 1)
+        near = entries(k, k + row0 + offsets) * band
+        for d, col in zip(offsets, near.T):
+            part += col[:, None] * kern[lo + d:hi + d]
+    edge_rows = np.array([i for i in range(row0, stop) if not first <= i < last], dtype=int)
+    if edge_rows.size:
+        for i, f in zip(edge_rows, entries(edge_rows[:, None] - row0, np.arange(n))):
+            inner[i - row0] = (_row_weights(n, i) * f) @ kern
 
 
 def _bridge_blocks(blocks, ax1: np.ndarray, ax2: np.ndarray,
@@ -290,10 +303,85 @@ def _bridge_blocks(blocks, ax1: np.ndarray, ax2: np.ndarray,
         else:
             np.matmul(rows, kern2.view(float), out=part.view(float))
         if same_axes:
-            _diagonal_break_rows(rows, kern2, i0, part)
+            _diagonal_break_rows(lambda k, cols: rows[k, cols], kern2, i0, i0 + len(rows),
+                                 ax2.size, part)
     # built once the blocks are gone, so the first axis's kernel never adds to their peak
     phase1, w1 = _axis_kernel(ax1, om1)
     return (phase1 * w1[:, None]).T @ inner / _TWO_PI
+
+
+def _running_sum(run: np.ndarray) -> None:
+    """Replace run[k] by run[0] + ... + run[k] in place.  Each chunk of
+    _RUN_CHUNK rows is summed from zero and then carried from the last
+    row before it, so rounding grows with the chunk and the number of
+    chunks, not with the length."""
+    starts = range(0, len(run), _RUN_CHUNK)
+    for c0 in starts:
+        np.cumsum(run[c0:c0 + _RUN_CHUNK], axis=0, out=run[c0:c0 + _RUN_CHUNK])
+    for c0 in starts[1:]:
+        run[c0:c0 + _RUN_CHUNK] += run[c0 - 1]
+
+
+def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
+                     kern: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Spectrum of one exponential-pair channel on axis x axis, contracted from
+    the factors of :func:`_exp_pair_factors` without forming a row block.
+
+    ``kern`` is the second axis's kernel with unit weights and ``phase``
+    the first axis's end-corrected one (each times the step).  With unit
+    weights, row i sums to U_i . sum_{j >= i} C_up[:, j] kern[j] +
+    L_i . sum_{j < i} C_low[:, j] kern[j]: running sums per rank term
+    inside the block, and one product for the columns outside it, at
+    O(N r n_omega) instead of O(N^2 n_omega).  :func:`_diagonal_break_rows`
+    adds the break correction from factor dot products.  The window
+    guard's edge (the last row and column) is exact, and the entries
+    read bound the peak from below; only when that bound cannot clear
+    the edge do the multiplied-out blocks stream through
+    :func:`_window_guarded`, which then decides as it would on the held
+    grid.
+    """
+    n = axis.size
+    scale, factors = _exp_pair_factors(w, channel, axis, axis, t)
+    kern_re = kern.view(float)
+    inner = np.empty((n, kern.shape[1]), dtype=complex)
+    peak = edge = 0.0
+    for i0, (up_rows, up_cols), (low_rows, low_cols) in factors:
+        i1 = i0 + len(up_rows)
+        up_rows, low_rows = scale * up_rows, scale * low_rows
+        up_t, low_t = up_cols.T.copy(), low_cols.T.copy()
+        part = inner[i0:i1]
+        # columns j >= i: suffix sums from the product past the block; the real
+        # row factors meet the complex sums' float views (re, im interleaved)
+        run = np.empty((i1 - i0 + 1, up_t.shape[1], kern.shape[1]), dtype=complex)
+        np.multiply(up_t[i0:i1, :, None], kern[i0:i1, None], out=run[:-1])
+        run[-1] = (up_cols[:, i1:] @ kern_re[i1:]).view(complex)
+        _running_sum(run[::-1])
+        np.matmul(up_rows[:, None], run[:-1].view(float), out=part.view(float)[:, None])
+        # columns j < i: prefix sums from the product before the block
+        run[0] = (low_cols[:, :i0] @ kern_re[:i0]).view(complex)
+        np.multiply(low_t[i0:i1 - 1, :, None], kern[i0:i1 - 1, None], out=run[1:-1])
+        _running_sum(run[:-1])
+        part += (low_rows[:, None] @ run[:-1].view(float))[:, 0].view(complex)
+
+        def entries(k, cols):
+            nonlocal peak
+            vals = np.where(cols >= i0 + k,
+                            np.einsum("...r,...r->...", up_rows[k], up_t[cols]),
+                            np.einsum("...r,...r->...", low_rows[k], low_t[cols]))
+            peak = max(peak, float(np.max(np.abs(vals))))
+            return vals
+
+        _diagonal_break_rows(entries, kern, i0, i1, n, part)
+        edge = max(edge, float(np.max(np.abs(entries(np.arange(i1 - i0), n - 1)))))
+        if i1 == n:
+            edge = max(edge, float(np.max(np.abs(entries(i1 - i0 - 1, np.arange(n))))))
+    # below the bound, the held grid's guard passes too; at or above it (an
+    # all-zero read included) the bound may sit under the true peak, and the
+    # multiplied-out blocks decide
+    if edge >= _WINDOW_EDGE_TOL * peak:
+        for _ in _window_guarded(_exp_pair_blocks(w, channel, axis, axis, t)):
+            pass
+    return phase.T @ inner / _TWO_PI
 
 
 def _frequency_axes(omega_axes, ndim: int) -> tuple[np.ndarray, ...]:
@@ -597,8 +685,11 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     channel the sampled time amplitudes are transformed at the requested
     detunings and subtracted from the direct frequency-domain assembly;
     the report carries the worst and RMS deviations.  The time amplitudes
-    stream from the exponential fill into the bridge one row block at a
-    time, as ``fourier_bridge(two_photon_channel_grid(...))`` would sum them.
+    are summed from the one-time factors of the exponential fill
+    (:func:`_bridge_exp_pair`) with the weights and the window guard that
+    ``fourier_bridge(two_photon_channel_grid(...))`` applies, but no row
+    block of the time grid is formed.  Every argument is checked before
+    any grid work.
     """
     start = time.perf_counter()
     gamma_bw = check_bandwidth(gamma_bw)
@@ -606,6 +697,14 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
         t_end = max(40.0, 80.0 / gamma_bw)
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t_end must be finite and > 0, got {t_end!r}")
+    if not (math.isfinite(omega_min) and math.isfinite(omega_max) and omega_min < omega_max):
+        raise ValueError(
+            f"need finite omega_min < omega_max, got {omega_min!r} and {omega_max!r}")
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tolerance!r}")
+    for name, count, least in (("n_omega", n_omega, 2), ("n_time", n_time, 1)):
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
     profile = PulseProfile.exponential(gamma_bw)
     w = WavepacketN.product([(profile, Direction.RIGHT),
                              (profile, Direction.RIGHT)])
@@ -616,12 +715,16 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     def xi2(w1, w2):
         return mode(w1) * mode(w2)
 
-    # the convolution does not depend on the channel: one per comparison
+    # the axis kernels and the convolution do not depend on the channel:
+    # one of each per comparison
+    kern, unit = _axis_kernel(axis, om, end_corrected=False)
+    kern *= unit[:, None]
+    phase, weights = _axis_kernel(axis, om)
+    phase *= weights[:, None]
     conv = _antidiagonal_convolution(om, om, xi2, quad, DEFAULT_ANTIDIAG_SPAN)
     results = []
     for channel in CHANNELS:
-        blocks = _exp_pair_blocks(w, channel, axis, axis, float(t_end))
-        bridged = _bridge_blocks(blocks, axis, axis, om, om)
+        bridged = _bridge_exp_pair(w, channel, axis, float(t_end), kern, phase)
         direct = _channel_from_convolution(channel, om, om, xi2, conv)
         err = np.abs(bridged - direct.values)
         results.append(ChannelComparison(

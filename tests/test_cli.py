@@ -194,6 +194,11 @@ def test_bad_photon_list_exits_2(capsys):
     ["excite", "--t-max=-inf"],
     ["excite", "--points", "0"],
     ["validate", "--suite", "single-photon", "--tolerance", "nan"],
+    ["validate", "--suite", "single-photon", "--tolerance", "-1"],
+    ["validate", "--suite", "single-photon", "--tolerance", "0"],
+    ["validate", "--tolerance", "-1"],
+    ["validate", "--tolerance", "0"],
+    ["validate", "--omega-min", "5", "--omega-max", "-5"],
     ["validate", "--omega-max", "inf"],
     ["validate", "--gamma", "0"],
 ])

@@ -502,15 +502,97 @@ def test_streamed_bridge_equals_bridging_the_full_grid(gamma):
         assert np.max(np.abs(streamed - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
+def _factor_bridge(w, channel, axis, t, om):
+    """The comparison's factor route for one channel on axis x axis at om x om."""
+    kern, unit = spectral._axis_kernel(axis, om, end_corrected=False)
+    phase, weights = spectral._axis_kernel(axis, om)
+    return spectral._bridge_exp_pair(w, channel, axis, t, kern * unit[:, None],
+                                     phase * weights[:, None])
+
+
+def _assert_factor_route_matches_dense(w, axis, t, om):
+    for channel in ("LL", "RL", "RR"):
+        ref = fourier_bridge(two_photon_channel_grid(w, channel, axis, axis, t),
+                             (om, om)).values
+        got = _factor_bridge(w, channel, axis, t, om)
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), channel
+
+
+@pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0])
+def test_factor_route_equals_bridging_the_held_grid(gamma):
+    # at gamma = 0.25, t_end = 320 exceeds the fill's row-block time span, so
+    # the blocks end where the span rule cuts them
+    t_end = max(40.0, 80.0 / gamma)
+    p = PulseProfile.exponential(gamma)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    _assert_factor_route_matches_dense(w, np.linspace(0.0, t_end, 1025), t_end,
+                                       np.linspace(-2.0, 2.0, 16))
+
+
+def test_factor_route_equals_the_held_grid_for_a_mixed_pair():
+    # unequal bandwidths in opposite directions, every channel's terms differ
+    w = WavepacketN.product([(PulseProfile.exponential(0.7), Direction.RIGHT),
+                             (PulseProfile.exponential(3.0), Direction.LEFT)])
+    _assert_factor_route_matches_dense(w, np.linspace(0.0, 120.0, 1025), 120.0,
+                                       np.linspace(-2.0, 2.0, 16))
+
+
+def test_factor_route_equals_the_held_grid_when_every_row_is_an_edge_row():
+    # 21 samples: no row has two segments long enough for the full end stencils
+    p = PulseProfile.exponential(1.0)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    _assert_factor_route_matches_dense(w, np.linspace(0.0, 40.0, 21), 40.0,
+                                       np.linspace(-0.5, 0.5, 5))
+
+
 def test_appendix_comparison_rejects_a_truncated_window():
-    with pytest.raises(ValueError, match="truncates"):
+    # the factor route cannot clear this edge, so the held grid's guard
+    # decides, with its own text
+    p = PulseProfile.exponential(1.0)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    axis = np.linspace(0.0, 5.0, 4097)
+    om = np.linspace(-10.0, 10.0, 64)
+    with pytest.raises(ValueError, match="truncates") as dense:
+        spectral._bridge_blocks(amplitudes._exp_pair_blocks(w, "LL", axis, axis, 5.0),
+                                axis, axis, om, om)
+    with pytest.raises(ValueError, match="truncates") as factor:
         appendix_comparison(1.0, t_end=5.0)
+    assert str(factor.value) == str(dense.value)
+
+
+def test_default_comparison_never_multiplies_out_a_row_block(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row block of the time grid was formed")
+
+    monkeypatch.setattr(spectral, "_exp_pair_blocks", refuse)
+    report = appendix_comparison(1.0)
+    assert report.passed
 
 
 @pytest.mark.parametrize("t_end", [0.0, -5.0, math.nan, math.inf])
 def test_appendix_comparison_rejects_a_bad_time_window(t_end):
     with pytest.raises(ValueError):
         appendix_comparison(1.0, n_omega=4, n_time=64, t_end=t_end)
+
+
+@pytest.mark.parametrize("kwargs, needle", [
+    ({"n_omega": 0}, "n_omega"), ({"n_omega": 1}, "n_omega"), ({"n_omega": 8.0}, "n_omega"),
+    ({"n_omega": True}, "n_omega"), ({"n_time": 0}, "n_time"), ({"n_time": 64.5}, "n_time"),
+    ({"omega_min": 5.0, "omega_max": -5.0}, "omega_min"),
+    ({"omega_min": 1.0, "omega_max": 1.0}, "omega_min"),
+    ({"omega_min": math.nan}, "omega_min"), ({"omega_max": math.inf}, "omega_max"),
+    ({"tolerance": -1.0}, "tolerance"), ({"tolerance": 0.0}, "tolerance"),
+    ({"tolerance": math.nan}, "tolerance"), ({"tolerance": math.inf}, "tolerance"),
+])
+def test_appendix_comparison_checks_its_arguments_before_any_grid_work(
+        monkeypatch, kwargs, needle):
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid work started before the arguments were checked")
+
+    for name in ("_axis_kernel", "_antidiagonal_convolution", "_exp_pair_factors"):
+        monkeypatch.setattr(spectral, name, refuse)
+    with pytest.raises(ValueError, match=needle):
+        appendix_comparison(1.0, **kwargs)
 
 
 def test_appendix_comparison_never_holds_a_full_time_grid():
@@ -522,6 +604,18 @@ def test_appendix_comparison_never_holds_a_full_time_grid():
     finally:
         tracemalloc.stop()
     assert peak < full_grid_bytes / 3
+
+
+def test_appendix_comparison_holds_no_row_block():
+    # streaming multiplied-out row blocks peaked at 28.6 MB here; the
+    # factor route holds factors and running sums, about 9 MB in all
+    tracemalloc.start()
+    try:
+        appendix_comparison(1.0, n_omega=16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_bridge_of_time_channels_matches_freq_route_spotwise():
