@@ -651,8 +651,8 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     """Channel amplitude tensor over axis1 x axis2 at dynamical time t.
 
     Returns the full tensor.  When every envelope is exponential it is
-    copied in from the row blocks of :func:`_exp_pair_blocks` (which the
-    two-route comparison streams without holding a tensor).  Any other
+    copied in from the row blocks of :func:`_exp_pair_blocks` (the
+    two-route comparison contracts their factors instead).  Any other
     product state takes one window-kernel integral per distinct window
     (suited to moderate grids), and a correlated pair the same closed-form
     window integrals as :func:`two_photon_outputs`, a block of points at a

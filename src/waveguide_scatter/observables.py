@@ -342,9 +342,7 @@ def _ladder_axis(t_end: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return composite_gauss_legendre(np.array(edges), 10)
 
 
-def unitarity_check_two_photon(w: WavepacketN,
-                               quad: QuadratureSpec = DEFAULT_QUAD,
-                               t: float | None = None) -> float:
+def unitarity_check_two_photon(w: WavepacketN, t: float | None = None) -> float:
     """Total weight of the three two-photon output channels.
 
     Evaluated at a dynamical time late enough for the emitter to have

@@ -15,10 +15,12 @@ plain unitary FFT when the caller accepts the natural conjugate axes
 trapezoid (Gregory) summation at caller-chosen frequencies.  Two-photon
 time grids carry a slope break along the equal-time diagonal, so each row's
 weights take the break as a segment boundary; since those weights
-differ from one only near the ends and the break, the rows are summed
+differ from one only near the ends and the break, a held grid is summed
 as one matmul plus a banded correction.  The two-route comparison never
 forms those rows: it sums the exponential fill from its rank-few
-factors, with running sums in place of the matmul.
+factors, with running sums in place of the matmul.  Every route ends in
+the one window check, which rejects non-finite samples and a window whose
+edge has not decayed.
 """
 
 from __future__ import annotations
@@ -213,18 +215,13 @@ def _check_uniform(axis: np.ndarray) -> float:
     return dt
 
 
-def _window_guarded(blocks):
-    """Pass row blocks (i0, rows) through, keeping the running peak, last-column
-    and last-row maxima of |f| (a 1-D signal is one block, its last sample both
-    edges); once the last block has passed, reject a window whose edge has not
-    decayed.  |rows| is freed before the block is handed on."""
-    peak = edge = last = 0.0
-    for i0, rows in blocks:
-        peak = max(peak, float(np.max(np.abs(rows))))
-        edge = max(edge, float(np.max(np.abs(rows[..., -1]))))
-        last = float(np.max(np.abs(rows[-1])))
-        yield i0, rows
-    edge = max(edge, last)
+def _check_window(edge: float, peak: float) -> None:
+    """Reject a bridged window whose samples are not finite, or whose edge
+    |f| (the last sample of each row and the whole last row; of a 1-D signal,
+    its last sample) has not decayed against the peak max |f|."""
+    if not math.isfinite(peak):
+        raise ValueError(f"time samples are not all finite (max |f| = {peak}); "
+                         "the bridge needs finite samples")
     if edge > _WINDOW_EDGE_TOL * peak:
         raise ValueError(
             f"time window truncates the signal (edge/peak = {edge / peak:.3g}); "
@@ -287,29 +284,6 @@ def _diagonal_break_rows(entries, kern: np.ndarray, row0: int, stop: int, n: int
             inner[i - row0] = (_row_weights(n, i) * f) @ kern
 
 
-def _bridge_blocks(blocks, ax1: np.ndarray, ax2: np.ndarray,
-                   om1: np.ndarray, om2: np.ndarray) -> np.ndarray:
-    """Spectrum at om1 x om2 of the row blocks (i0, rows) of a grid on ax1 x ax2,
-    each guarded and contracted as it arrives: only the inner sums outlive it."""
-    same_axes = ax1.size == ax2.size and np.array_equal(ax1, ax2)
-    kern2, w2 = _axis_kernel(ax2, om2, end_corrected=not same_axes)
-    kern2 *= w2[:, None]
-    inner = np.empty((ax1.size, om2.size), dtype=complex)
-    for i0, rows in _window_guarded(blocks):
-        part = inner[i0:i0 + len(rows)]
-        # a real block meets kern2's float view (re, im interleaved) in one real matmul
-        if np.iscomplexobj(rows):
-            np.matmul(rows, kern2, out=part)
-        else:
-            np.matmul(rows, kern2.view(float), out=part.view(float))
-        if same_axes:
-            _diagonal_break_rows(lambda k, cols: rows[k, cols], kern2, i0, i0 + len(rows),
-                                 ax2.size, part)
-    # built once the blocks are gone, so the first axis's kernel never adds to their peak
-    phase1, w1 = _axis_kernel(ax1, om1)
-    return (phase1 * w1[:, None]).T @ inner / _TWO_PI
-
-
 def _running_sum(run: np.ndarray) -> None:
     """Replace run[k] by run[0] + ... + run[k] in place.  Each chunk of
     _RUN_CHUNK rows is summed from zero and then carried from the last
@@ -336,9 +310,8 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
     adds the break correction from factor dot products.  The window
     guard's edge (the last row and column) is exact, and the entries
     read bound the peak from below; only when that bound cannot clear
-    the edge do the multiplied-out blocks stream through
-    :func:`_window_guarded`, which then decides as it would on the held
-    grid.
+    the edge is the peak read off the multiplied-out blocks, so that
+    :func:`_check_window` decides as it would on the held grid.
     """
     n = axis.size
     scale, factors = _exp_pair_factors(w, channel, axis, axis, t)
@@ -368,19 +341,19 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
             vals = np.where(cols >= i0 + k,
                             np.einsum("...r,...r->...", up_rows[k], up_t[cols]),
                             np.einsum("...r,...r->...", low_rows[k], low_t[cols]))
-            peak = max(peak, float(np.max(np.abs(vals))))
+            peak = np.maximum(peak, np.max(np.abs(vals)))
             return vals
 
         _diagonal_break_rows(entries, kern, i0, i1, n, part)
-        edge = max(edge, float(np.max(np.abs(entries(np.arange(i1 - i0), n - 1)))))
+        edge = np.maximum(edge, np.max(np.abs(entries(np.arange(i1 - i0), n - 1))))
         if i1 == n:
-            edge = max(edge, float(np.max(np.abs(entries(i1 - i0 - 1, np.arange(n))))))
-    # below the bound, the held grid's guard passes too; at or above it (an
-    # all-zero read included) the bound may sit under the true peak, and the
-    # multiplied-out blocks decide
-    if edge >= _WINDOW_EDGE_TOL * peak:
-        for _ in _window_guarded(_exp_pair_blocks(w, channel, axis, axis, t)):
-            pass
+            edge = np.maximum(edge, np.max(np.abs(entries(i1 - i0 - 1, np.arange(n)))))
+    # below the bound, the held grid's guard passes too; otherwise (an all-zero
+    # or non-finite read included) the bound may sit under the true peak, and
+    # the multiplied-out blocks give it
+    if not edge < _WINDOW_EDGE_TOL * peak:
+        _check_window(edge, np.max([np.max(np.abs(rows)) for _, rows in
+                                    _exp_pair_blocks(w, channel, axis, axis, t)]))
     return phase.T @ inner / _TWO_PI
 
 
@@ -405,30 +378,38 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
     takes its axis bare), sums the sampled grid with end-corrected
     weights at the requested frequencies.  On a square grid each row's
     weights treat the equal-time slope break as a segment edge, so the
-    break never sits inside a stencil; each row block is summed as one
-    matmul plus a banded correction (:func:`_diagonal_break_rows`).
-    Guards reject non-uniform sampling, truncated windows, and
-    frequencies beyond the alias-safe band.
+    break never sits inside a stencil; the grid is summed as one matmul
+    plus a banded correction (:func:`_diagonal_break_rows`).  Guards
+    reject non-uniform sampling and frequencies beyond the alias-safe
+    band on every axis first, then non-finite samples and truncated
+    windows (:func:`_check_window`).
     """
     axes, f = grid.axes, grid.values
     if f.ndim not in (1, 2):
         raise ValueError("bridge supports 1-D and 2-D grids")
-    # a 1-D signal is one block; a 2-D grid is cut into row blocks
-    step = max(1, len(f) if f.ndim == 1 else _BLOCK_ENTRIES // max(1, f.shape[1]))
-    blocks = ((i0, f[i0:i0 + step]) for i0 in range(0, len(f), step))
-    if omega_axes is not None:
+    if omega_axes is None:
+        steps = [_check_uniform(a) for a in axes]
+    else:
         omegas = _frequency_axes(omega_axes, f.ndim)
+        phase, w = _axis_kernel(axes[0], omegas[0])
+        same_axes = f.ndim == 2 and axes[0].size == axes[1].size and np.array_equal(*axes)
         if f.ndim == 2:
-            values = _bridge_blocks(blocks, *axes, *omegas)
-        else:
-            phase, w = _axis_kernel(axes[0], omegas[0])
-            for _ in _window_guarded(blocks):
-                pass
+            kern2, w2 = _axis_kernel(axes[1], omegas[1], end_corrected=not same_axes)
+            kern2 *= w2[:, None]
+    # |f| in row blocks of at most _BLOCK_ENTRIES entries bounds the guard's temporaries
+    step = max(1, _BLOCK_ENTRIES // f[0].size)
+    _check_window(np.maximum(np.max(np.abs(f[..., -1])), np.max(np.abs(f[-1]))),
+                  np.max([np.max(np.abs(f[i0:i0 + step])) for i0 in range(0, len(f), step)]))
+    if omega_axes is not None:
+        if f.ndim == 1:
             values = (w * f) @ phase / math.sqrt(_TWO_PI)
+        else:
+            inner = f @ kern2
+            if same_axes:
+                _diagonal_break_rows(lambda k, cols: f[k, cols], kern2, 0, len(f), len(f),
+                                     inner)
+            values = (phase * w[:, None]).T @ inner / _TWO_PI
         return FreqAmplitudeGrid(axes=omegas, values=values, channel=grid.channel)
-    steps = [_check_uniform(a) for a in axes]
-    for _ in _window_guarded(blocks):
-        pass
     omegas = tuple(_TWO_PI * np.fft.fftshift(np.fft.fftfreq(a.size, dt))
                    for a, dt in zip(axes, steps))
     # dt_k / sqrt(2 pi) per axis, and each m_k to undo ifftn's normalisation

@@ -234,6 +234,19 @@ def test_two_photon_rejects_bad_numbers(tmp_path, capsys, flags):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command, key, value", [
+    (command, key, value) for command, (_, _, defaults) in cli._COMMANDS.items()
+    for key in cli._FLOAT_OPTIONS if key in defaults for value in ("nan", "inf", "-inf")])
+def test_every_float_option_rejects_non_finite_input(tmp_path, capsys, command, key, value):
+    flag = "--" + key.replace("_", "-")
+    assert main([command, f"{flag}={value}", "-o", str(tmp_path / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and len(captured.err.splitlines()) == 1
+    assert key in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, config", [
     pytest.param(command, config, id=config) for command, config in [
         ("excite", '{"t_max": NaN}'), ("excite", '{"points": 0}'),

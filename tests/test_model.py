@@ -184,6 +184,20 @@ def test_wavepacket_json_round_trip():
         w.component(1, probe), abs=1e-12)
 
 
+def test_wavepacket_json_round_trips_sampled_values_exactly():
+    grid = np.linspace(0.0, 12.0, 241)
+    raw = np.exp((-0.6 + 0.3j) * grid) * (1.0 + 0.2 * grid)
+    raw = raw / math.sqrt(PulseProfile.from_samples(grid, raw, norm_tol=1.0).norm_sq())
+    sampled = PulseProfile.from_samples(grid, raw)
+    expo = PulseProfile.exponential(2.0, t_max=9.5)
+    w = WavepacketN.product([(sampled, Direction.LEFT), (expo, Direction.RIGHT)])
+    (s2, d1), (e2, d2) = wavepacket_from_json(wavepacket_to_json(w)).entries
+    assert (d1, d2) == (Direction.LEFT, Direction.RIGHT)
+    assert s2.kind == "sampled" and s2.t_max == 12.0
+    assert np.array_equal(s2._grid, grid) and np.array_equal(s2._values, sampled._values)
+    assert e2.kind == "exponential" and (e2.gamma_bw, e2.t_max) == (2.0, 9.5)
+
+
 def test_bilinear_reproduces_a_bilinear_function_on_unequal_axes():
     ax1 = np.array([0.0, 0.3, 1.1, 1.2, 4.0])
     ax2 = np.array([-2.0, -0.5, 0.7])

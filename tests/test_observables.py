@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from waveguide_scatter import (
     Direction,
@@ -355,6 +356,14 @@ def test_two_photon_unitarity_counterpropagating():
     w = _pair(1.0, 2.0, (Direction.RIGHT, Direction.LEFT))
     total = unitarity_check_two_photon(w)
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@settings(max_examples=4, deadline=None)
+@given(gamma=st.floats(0.8, 30.0), gamma1=st.floats(0.8, 30.0), gamma2=st.floats(0.8, 30.0))
+def test_two_photon_unitarity_holds_to_rounding_over_bandwidths(gamma, gamma1, gamma2):
+    # the channel probabilities sum to 1 within a few ulps over this range
+    for w in (_pair(gamma), _pair(gamma1, gamma2, (Direction.RIGHT, Direction.LEFT))):
+        assert abs(unitarity_check_two_photon(w) - 1.0) <= 1e-12
 
 
 def test_unitarity_needs_two_exponential_photons():

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from waveguide_scatter import (
     single_photon_reflection_freq,
     two_photon_channel_grid,
 )
-from waveguide_scatter import amplitudes, spectral
+from waveguide_scatter import spectral
 from waveguide_scatter.spectral import _quad_segment, _row_weights
 
 _SQRT2 = math.sqrt(2.0)
@@ -263,6 +264,35 @@ def test_window_guard_scans_every_row_block_of_a_2d_grid():
     assert fourier_bridge(grid).values.shape == vals.shape
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("ndim, omega_axes", [
+    (1, np.linspace(-2.0, 2.0, 5)), (2, (np.linspace(-2.0, 2.0, 5),) * 2), (1, None), (2, None),
+])
+def test_bridge_rejects_non_finite_samples(bad, ndim, omega_axes):
+    tau = np.linspace(0.0, 40.0, 201)
+    vals = np.exp(-tau) if ndim == 1 else np.exp(-tau[:, None] - tau[None, :])
+    vals = vals.astype(complex)
+    vals[(10,) * ndim] = bad
+    grid = AmplitudeGrid(axes=(tau,) * ndim, values=vals, channel="", dynamical_time=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not all finite"):
+            fourier_bridge(grid, omega_axes)
+
+
+def test_first_axis_alias_band_is_checked_before_the_window():
+    # a truncated grid whose first axis is too coarse for the requested
+    # frequencies: the alias-band error wins
+    tau1 = np.linspace(0.0, 5.0, 65)
+    tau2 = np.linspace(0.0, 5.0, 257)
+    vals = np.exp(-tau1[:, None] - tau2[None, :]).astype(complex)
+    grid = AmplitudeGrid(axes=(tau1, tau2), values=vals, channel="", dynamical_time=0.0)
+    with pytest.raises(ValueError, match="truncates"):
+        fourier_bridge(grid, (np.linspace(-2.0, 2.0, 5),) * 2)
+    with pytest.raises(ValueError, match="alias-safe"):
+        fourier_bridge(grid, (np.array([0.0, 50.0]), np.linspace(-2.0, 2.0, 5)))
+
+
 # -- end-corrected weights -------------------------------------------------------
 
 def test_segment_weights_reproduce_interval_length():
@@ -456,6 +486,14 @@ def test_appendix_comparison_small_grid():
     assert parsed["gamma"] == 1.0
 
 
+def test_comparison_report_writes_exactly_its_json_text(tmp_path):
+    report = appendix_comparison(1.0, omega_min=-2.0, omega_max=2.0, n_omega=4, n_time=256)
+    path = tmp_path / "report.json"
+    text = report.to_json(path)
+    assert path.read_text() == text == report.to_json()
+    assert json.loads(text) == report.to_dict()
+
+
 def test_appendix_comparison_shares_one_convolution(monkeypatch):
     # the channels assembled from one shared convolution equal the
     # channels of freq_channel_grid called per channel, and the
@@ -483,23 +521,6 @@ def test_appendix_comparison_shares_one_convolution(monkeypatch):
         direct = freq_channel_grid(ch.channel, om, om, _product_line(gamma))
         err = float(np.max(np.abs(bridged.values - direct.values)))
         assert ch.max_abs_err == pytest.approx(err, rel=0.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("gamma", [1.0, 0.25])
-def test_streamed_bridge_equals_bridging_the_full_grid(gamma):
-    # at gamma = 0.25, t_end = 320 exceeds the fill's row-block time span,
-    # so the streamed blocks split where the held grid's blocks do not
-    t_end = max(40.0, 80.0 / gamma)
-    p = PulseProfile.exponential(gamma)
-    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
-    axis = np.linspace(0.0, t_end, 1025)
-    om = np.linspace(-2.0, 2.0, 16)
-    for channel in ("LL", "RL", "RR"):
-        ref = fourier_bridge(two_photon_channel_grid(w, channel, axis, axis, t_end),
-                             (om, om)).values
-        streamed = spectral._bridge_blocks(
-            amplitudes._exp_pair_blocks(w, channel, axis, axis, t_end), axis, axis, om, om)
-        assert np.max(np.abs(streamed - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def _factor_bridge(w, channel, axis, t, om):
@@ -546,18 +567,18 @@ def test_factor_route_equals_the_held_grid_when_every_row_is_an_edge_row():
 
 
 def test_appendix_comparison_rejects_a_truncated_window():
-    # the factor route cannot clear this edge, so the held grid's guard
-    # decides, with its own text
+    # the factor route cannot clear this edge, so the peak of the multiplied-out
+    # blocks decides, with the held grid's text
     p = PulseProfile.exponential(1.0)
     w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
-    axis = np.linspace(0.0, 5.0, 4097)
+    axis = np.linspace(0.0, 5.0, 1025)
     om = np.linspace(-10.0, 10.0, 64)
-    with pytest.raises(ValueError, match="truncates") as dense:
-        spectral._bridge_blocks(amplitudes._exp_pair_blocks(w, "LL", axis, axis, 5.0),
-                                axis, axis, om, om)
-    with pytest.raises(ValueError, match="truncates") as factor:
-        appendix_comparison(1.0, t_end=5.0)
-    assert str(factor.value) == str(dense.value)
+    with pytest.raises(ValueError, match="truncates") as held:
+        fourier_bridge(two_photon_channel_grid(w, "LL", axis, axis, 5.0), (om, om))
+    for n_time in (1024, 4096):
+        with pytest.raises(ValueError, match="truncates") as factor:
+            appendix_comparison(1.0, t_end=5.0, n_time=n_time)
+        assert str(factor.value) == str(held.value)
 
 
 def test_default_comparison_never_multiplies_out_a_row_block(monkeypatch):
