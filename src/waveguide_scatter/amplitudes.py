@@ -690,6 +690,7 @@ class AmplitudeGrid:
 
     def __post_init__(self):
         self.axes = tuple(np.asarray(a, dtype=float) for a in self.axes)
+        self.values = np.asarray(self.values)
         expected = tuple(a.size for a in self.axes)
         if self.values.shape != expected:
             raise ValueError(f"values shape {self.values.shape} does not match axes {expected}")
@@ -708,8 +709,9 @@ class AmplitudeGrid:
         return float(np.max(np.abs(self.values - self.values.T)))
 
 
-# rows per block of _write_table: one % formats a block, and no table is
-# ever stacked whole
+# rows per block of _write_table: each distinct value of a column is
+# formatted once per block, and one write takes the block's joined rows, so
+# no table is ever formatted or held whole
 _TABLE_BLOCK_ROWS = 4096
 
 
@@ -717,13 +719,19 @@ def _write_table(fh, header, columns) -> None:
     """Write a header line and one CSV row per index of the equal-length columns.
 
     Integer columns print as %d and the rest as floats with 12
-    significant digits, so repeated runs are byte-identical.
+    significant digits, so repeated runs are byte-identical.  Cells are
+    keyed on their bit patterns, which keeps -0.0 apart from 0.0.
     """
     fh.write(",".join(header) + "\n")
-    row = ",".join("%d" if c.dtype.kind in "iu" else "%.11e" for c in columns) + "\n"
     for lo in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
-        block = np.stack([c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns], axis=1)
-        fh.write(row * len(block) % tuple(block.ravel().tolist()))
+        cells = []
+        for c in columns:
+            c = c[lo:lo + _TABLE_BLOCK_ROWS]
+            fmt, bits = ("%d", c) if c.dtype.kind in "iu" else ("%.11e", c.view(f"i{c.itemsize}"))
+            keys, inverse = np.unique(bits, return_inverse=True)
+            text = list(map(fmt.__mod__, keys.view(c.dtype).tolist()))
+            cells.append(np.array(text, dtype=object)[inverse].tolist())
+        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
@@ -759,6 +767,15 @@ def load_grid_csv(csv_path, header_path) -> AmplitudeGrid:
             raise ValueError(f"tau{i + 1} of {csv_path} has {a.size} points, "
                              f"its header says {spec['points']}")
     shape = tuple(a.size for a in axes)
+    if len(data) != math.prod(shape):
+        raise ValueError(f"{csv_path} has {len(data)} rows for a grid of {shape} nodes")
+    # row k must be the k-th node of the C-order tensor product of the axes
+    on_node = np.ones(shape, dtype=bool)
+    for i, a in enumerate(axes):
+        on_node &= data[:, i].reshape(shape) == a.reshape((-1,) + (1,) * (ndim - 1 - i))
+    if not on_node.all():
+        raise ValueError(f"line {np.argmin(on_node) + 2} of {csv_path} is not the grid "
+                         "node it lands on (rows must run over the axes in C order)")
     vals = (data[:, ndim] + 1j * data[:, ndim + 1]).reshape(shape)
     return AmplitudeGrid(axes=tuple(axes), values=vals,
                          channel=header["channel"],

@@ -404,7 +404,8 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
         if f.ndim == 1:
             values = (w * f) @ phase / math.sqrt(_TWO_PI)
         else:
-            inner = f @ kern2
+            # a real grid meets kern2's float view, so it is never cast to complex whole
+            inner = f @ kern2 if np.iscomplexobj(f) else (f @ kern2.view(float)).view(complex)
             if same_axes:
                 _diagonal_break_rows(lambda k, cols: f[k, cols], kern2, 0, len(f), len(f),
                                      inner)

@@ -4,6 +4,7 @@ import csv
 import functools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +489,10 @@ def _csv_writer_reference(path, grid):
 @pytest.mark.parametrize("axes", [
     (np.array([-1e300, -1e-300, -0.0, 5e-324, 1e-300, 1.0, 1e300]),),
     (np.array([-0.0, 5e-324, 1e300]), np.array([-1e300, 0.0, 1e-300, 2.5])),
+    # 9,000 rows make three blocks of the writer, each holding every
+    # special cell many times on both sides of its edges
+    (np.r_[-np.geomspace(1e300, 1e-300, 49), -0.0, np.geomspace(5e-324, 1e300, 50)],
+     np.linspace(-1.0, 1.0, 90)),
 ])
 def test_grid_csv_matches_csv_writer_reference(tmp_path, axes):
     shape = tuple(a.size for a in axes)
@@ -499,6 +504,48 @@ def test_grid_csv_matches_csv_writer_reference(tmp_path, axes):
     write_grid_csv(grid, tmp_path / "block.csv")
     _csv_writer_reference(tmp_path / "reference.csv", grid)
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+def test_grid_csv_writer_memory_is_bounded_by_its_block(tmp_path):
+    # the writer formats one block at a time (about 3.9 MB peak here);
+    # formatting whole columns at once peaked at about 27 MB
+    ax = np.linspace(0.0, 8.0, 400)
+    grid = two_photon_channel_grid(_pair(1.0, 2.0), "RR", ax, ax, 8.0)
+    tracemalloc.start()
+    try:
+        write_grid_csv(grid, tmp_path / "grid.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def test_amplitude_grid_takes_sequences_and_keeps_real_values_real():
+    grid = AmplitudeGrid(axes=([0.0, 1.0],), values=[1.0, 2.0], channel="LL",
+                         dynamical_time=0.0)
+    assert grid.values.dtype == float
+    np.testing.assert_array_equal(grid.values, [1.0, 2.0])
+    with pytest.raises(ValueError, match="values shape"):
+        AmplitudeGrid(axes=([0.0, 1.0],), values=[1.0], channel="LL", dynamical_time=0.0)
+
+
+@pytest.mark.parametrize("edit, needle", [
+    # both axes stay whole; line 3 is then (tau1[1], tau2[0])
+    (lambda lines: lines[:1] + sorted(lines[1:], key=lambda line: float(line.split(",")[1])),
+     r"line 3 of .*grid\.csv is not the grid node"),
+    (lambda lines: lines[:7] + lines[6:7] + lines[8:],
+     r"line 8 of .*grid\.csv is not the grid node"),
+    (lambda lines: lines[:6] + lines[7:], r"grid\.csv has 11 rows for a grid of \(3, 4\) nodes"),
+], ids=["sorted-by-tau2", "row-copied-over-its-neighbour", "row-missing"])
+def test_load_grid_csv_rejects_rows_off_their_nodes(tmp_path, edit, needle):
+    csv_path = tmp_path / "grid.csv"
+    header_path = tmp_path / "grid.json"
+    write_grid_csv(two_photon_channel_grid(_pair(1.0, 2.0), "RL", np.linspace(0.0, 2.0, 3),
+                                           np.linspace(0.0, 3.0, 4), 6.0),
+                   csv_path, header_path)
+    csv_path.write_text("".join(edit(csv_path.read_text().splitlines(keepends=True))))
+    with pytest.raises(ValueError, match=needle):
+        load_grid_csv(csv_path, header_path)
 
 
 def test_load_grid_csv_rejects_a_truncated_file(tmp_path):

@@ -87,18 +87,29 @@ def _csv_writer_reference(header, rows):
         return fh.getvalue()
 
 
-def test_tables_match_csv_writer_reference(tmp_path):
-    out = tmp_path / "r.csv"
-    assert main(["reflect", "--n-list", "1,2,3,10", "--gamma", "0.7", "-o", str(out)]) == 0
-    rows = [(n, 0.7, reflection_probability_closed(n, 0.7)) for n in (1, 2, 3, 10)]
+def _check_tables_against_csv_writer(out, n_list, points):
+    """The reflect table over n_list and the excite trace on points times."""
+    assert main(["reflect", "--n-list", ",".join(map(str, n_list)), "--gamma", "0.7",
+                 "-o", str(out)]) == 0
+    rows = [(n, 0.7, reflection_probability_closed(n, 0.7)) for n in n_list]
     assert out.read_text() == _csv_writer_reference(["n", "gamma", "closed"], rows)
 
     assert main(["excite", "--photons", "1", "--gamma", "1.3", "--t-max", "4",
-                 "--points", "9", "-o", str(out)]) == 0
+                 "--points", str(points), "-o", str(out)]) == 0
     w = WavepacketN.product([(PulseProfile.exponential(1.3), Direction.RIGHT)])
-    trace = excitation_trace(np.linspace(0.0, 4.0, 9), w)
+    trace = excitation_trace(np.linspace(0.0, 4.0, points), w)
     rows = zip(trace.times, trace.values)
     assert out.read_text() == _csv_writer_reference(["t", "p_excited"], rows)
+
+
+def test_tables_match_csv_writer_reference(tmp_path):
+    _check_tables_against_csv_writer(tmp_path / "r.csv", [1, 2, 3, 10], 9)
+
+
+def test_tables_match_csv_writer_reference_across_blocks(tmp_path):
+    # 9,000 rows make three blocks of the writer, with the %d column and
+    # the closed values repeating within and across blocks
+    _check_tables_against_csv_writer(tmp_path / "r.csv", [1, 2, 3, 4, 5] * 1800, 9000)
 
 
 def test_two_photon_grid_round_trips(tmp_path):

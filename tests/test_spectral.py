@@ -656,3 +656,26 @@ def test_bridge_of_time_channels_matches_freq_route_spotwise():
             direct = freq_two_photon_outputs(float(om[i]), float(om[j]),
                                              xi2)["RR"]
             assert bridged.values[i, j] == pytest.approx(direct, abs=5e-4)
+
+
+def test_bridge_of_a_real_grid_matches_its_complex_copy_without_casting_it():
+    # a real grid meets the kernel's float view: the same sums as its
+    # complex copy, and no complex copy of the grid is made (17.6 MB peak
+    # when it was cast whole, 8.5 MB without)
+    p = PulseProfile.exponential(1.0)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    ax = np.linspace(0.0, 40.0, 1025)
+    real = np.ascontiguousarray(two_photon_channel_grid(w, "RR", ax, ax, 40.0).values.real)
+    om = np.linspace(-3.0, 3.0, 16)
+    ref = fourier_bridge(AmplitudeGrid(axes=(ax, ax), values=real.astype(complex),
+                                       channel="RR", dynamical_time=40.0),
+                         omega_axes=(om, om)).values
+    grid = AmplitudeGrid(axes=(ax, ax), values=real, channel="RR", dynamical_time=40.0)
+    tracemalloc.start()
+    try:
+        got = fourier_bridge(grid, omega_axes=(om, om)).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert peak < 12e6
