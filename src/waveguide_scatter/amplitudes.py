@@ -541,7 +541,7 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
     """Closed-form channel amplitudes for two exponential envelopes.
 
     ``tau1`` and ``tau2`` broadcast together (meshes, axis pairs, or
-    scalars).  The envelope tails past their truncation horizons are
+    scalars) and must be finite and >= 0.  The envelope tails past their truncation horizons are
     below exp(-20), so the analytic kernel closed form stands in for the
     truncated integral everywhere.
     """
@@ -549,6 +549,12 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
         raise ValueError(f"channel must be one of {CHANNELS}")
     if not (w.all_exponential and w.n_photons == 2):
         raise ValueError("closed-form path needs two exponential envelopes")
+    _check_finite("detection and dynamical times", t)
+    tau1, tau2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    if not (np.isfinite(tau1).all() and np.isfinite(tau2).all()):
+        raise ValueError("detection and dynamical times must be finite")
+    if (tau1 < 0.0).any() or (tau2 < 0.0).any():
+        raise ValueError("detection times must be >= 0")
     return _channel_sums(_kernels(w, DEFAULT_QUAD), w, (channel,), tau1, tau2, t)[channel]
 
 

@@ -12,9 +12,11 @@ Three families live here:
 
 The nested-quadrature reversal route deliberately re-derives everything
 from time-ordered integrals.  Each layer of the nest is tabulated at
-Chebyshev points and interpolated in log space (the layer functions are
-pure decaying exponentials, so their logs are nearly linear and the
-interpolation is benign), which turns an O(q^N) cost into O(N q^2).
+Chebyshev-Lobatto points and kept as a Chebyshev series of its logs,
+of the lowest degree in 8, 16, 32, 64 whose tail has decayed to
+rounding (the layer functions are pure decaying exponentials, so their
+logs are nearly linear and most layers stop at degree 8), which
+turns an O(q^N) cost into O(N q^2).
 
 Integrals that share a domain after a shift or an affine map run as the
 components of one vector-valued engine call: the node integrals of one
@@ -30,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .amplitudes import (
     CHANNELS,
@@ -60,15 +63,13 @@ __all__ = [
 ]
 
 _MAX_NUMERIC_PHOTONS = 20
-# log-interpolation layers: nodes per layer and the decay depth (in
+# log layers: the series degrees tried in turn and the decay depth (in
 # e-foldings) after which contributions are treated as spent
-_CHEB_NODES = 48
+_CHEB_DEGREES = (8, 16, 32, 64)
 _DECAY_FOLDINGS = 45.0
 _LOG_FLOOR = 1e-300
-# rows of one interpolation matmul (a 512 x 48 block, ~0.2 MB, is the
-# fastest measured) and times of one two-photon excitation integral;
-# both bound the temporaries of one integrand call
-_INTERP_ROWS = 512
+# times of one two-photon excitation integral, which bounds the
+# temporaries of one integrand call
 _TRACE_BLOCK = 32
 
 
@@ -211,12 +212,15 @@ class ReflectionResult:
 
 
 class _LogLayer:
-    """Chebyshev tabulation of a positive decaying layer, stored as logs.
+    """Chebyshev series of the logs of a positive decaying layer.
 
     ``evaluator`` maps an array of times to the layer's values there.
-    The logs are interpolated in barycentric form on the
-    Chebyshev-Lobatto nodes, whose weights are known in closed form:
-    (-1)^k, halved at both ends.  Evaluations beyond the tabulated span
+    The logs are tabulated at Chebyshev-Lobatto points of degree 8, 16,
+    32 and 64 in turn, and the chord through the two end logs is kept
+    apart from a series fitted to the rest, so Clenshaw summation never
+    carries logs of several hundred.  The first degree whose upper half
+    of coefficients is at rounding level relative to the logs is kept,
+    and the last one if none is.  Evaluations beyond the tabulated span
     return zero: the span is sized so the outer integrand has already
     decayed by ~exp(-45) there, and values past the representable range
     underflow anyway.
@@ -240,38 +244,23 @@ class _LogLayer:
             drop = min(500.0, math.log(f0) - math.log(_LOG_FLOOR))
             t_span = min(t_span, drop / rate_est)
         self.t_span = float(t_span)
-        k = np.arange(_CHEB_NODES)
-        nodes = 0.5 * self.t_span * (1.0 - np.cos(np.pi * k / (_CHEB_NODES - 1)))
-        logs = np.log(np.maximum(evaluator(nodes), _LOG_FLOOR))
+        for degree in _CHEB_DEGREES:
+            x = -np.cos(np.pi * np.arange(degree + 1) / degree)
+            nodes = 0.5 * self.t_span * (1.0 + x)
+            logs = np.log(np.maximum(evaluator(nodes), _LOG_FLOOR))
+            self._chord = np.array([logs[0] + logs[-1], logs[-1] - logs[0]]) / 2.0
+            rest = logs - chebyshev.chebval(x, self._chord)
+            self._series = chebyshev.chebfit(x, rest, degree)
+            tail = np.abs(self._series[degree // 2:]).max()
+            if tail <= 8.0 * np.finfo(float).eps * np.abs(logs).max():
+                break
         self._nodes = nodes
         self._logs = logs
-        self._weights = (-1.0) ** k
-        self._weights[[0, -1]] *= 0.5
-        # numerator and denominator of the barycentric quotient in one matmul
-        self._sums = np.stack([logs, np.ones(_CHEB_NODES)], axis=1)
         self.rate = max(0.0, (logs[0] - logs[-1]) / max(self.t_span, 1e-300))
 
     def _interp(self, tau: np.ndarray) -> np.ndarray:
-        out = np.empty(tau.size)
-        # one work array for every block's ratios: fresh block-sized temporaries come from
-        # mmap or a trimmed heap top as the allocator's history dictates, at up to 2x the cost
-        work = np.empty((min(tau.size, _INTERP_ROWS), _CHEB_NODES))
-        for i in range(0, tau.size, _INTERP_ROWS):
-            block = tau[i:i + _INTERP_ROWS]
-            ratios = work[:block.size]
-            # a point on (or within overflow of) a node gives a non-finite
-            # row and takes the nearest node's sample
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                np.subtract(block[:, None], self._nodes, out=ratios)
-                np.divide(self._weights, ratios, out=ratios)
-                num, den = (ratios @ self._sums).T
-                val = num / den
-            hit = np.flatnonzero(~np.isfinite(val))
-            if hit.size:
-                near = np.abs(block[hit, None] - self._nodes).argmin(axis=1)
-                val[hit] = self._logs[near]
-            out[i:i + _INTERP_ROWS] = val
-        return out
+        x = tau * (2.0 / self.t_span) - 1.0
+        return chebyshev.chebval(x, self._chord) + chebyshev.chebval(x, self._series)
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
@@ -288,10 +277,10 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
 
     Builds the emission nest from the innermost photon outward; each
     layer is an adaptive semi-infinite integral of the squared ordered
-    kernel times the next layer, tabulated once and interpolated in log
-    space.  The integrals of one tabulation share their domain after the
-    shift u = tau - tau_prev and run as the components of one
-    vector-valued integral.  Nothing here reuses the closed-form product.
+    kernel times the next layer, tabulated once and kept as a Chebyshev
+    series of its logs.  The integrals of one tabulation share their
+    domain after the shift u = tau - tau_prev and run as the components
+    of one vector-valued integral.  Nothing here reuses the closed-form product.
     """
     if not 1 <= n_photons <= _MAX_NUMERIC_PHOTONS or n_photons != int(n_photons):
         raise ValueError(
@@ -345,18 +334,20 @@ def _ladder_axis(t_end: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
 def unitarity_check_two_photon(w: WavepacketN, t: float | None = None) -> float:
     """Total weight of the three two-photon output channels.
 
-    Evaluated at a dynamical time late enough for the emitter to have
-    relaxed, so the result should be 1 for any normalized input.  The
-    time plane is integrated in (first detection, delay) coordinates so
-    every quadrature panel sees a smooth integrand: the ordered-chain
-    kink sits exactly on the delay = 0 panel edge.
+    Evaluated at a dynamical time ``t`` (finite and > 0; by default the
+    input's horizon) late enough for the emitter to have relaxed, so the
+    result should be 1 for any normalized input.  The time plane is
+    integrated in (first detection, delay) coordinates so every
+    quadrature panel sees a smooth integrand: the ordered-chain kink
+    sits exactly on the delay = 0 panel edge.
     """
     if w.n_photons != 2:
         raise ValueError("unitarity check is defined for two-photon inputs")
     if not w.all_exponential:
         raise ValueError("unitarity check currently needs exponential envelopes")
-    horizon = w.horizon
-    t_end = float(t) if t is not None else horizon
+    t_end = float(t) if t is not None else w.horizon
+    if not (math.isfinite(t_end) and t_end > 0.0):
+        raise ValueError(f"t must be finite and > 0, got {t!r}")
     scale = min(1.0, w.min_timescale)
     base, base_w = _ladder_axis(t_end, scale)
     # the delay direction only needs to cover the slowest relaxation

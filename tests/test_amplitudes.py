@@ -660,6 +660,20 @@ def test_amplitudes_reject_non_finite_times(call):
         call(_pair(1.0))
 
 
+@pytest.mark.parametrize("tau1,tau2,t,needle", [
+    (math.nan, 1.0, 2.0, "finite"),
+    ([0.0, math.inf], 1.0, 2.0, "finite"),
+    (0.5, 1.0, math.nan, "finite"),
+    (0.5, 1.0, math.inf, "finite"),
+    (-0.5, 1.0, 2.0, ">= 0"),
+    (0.5, [1.0, -1.0], 2.0, ">= 0"),
+])
+def test_exp_pair_channel_values_rejects_bad_detection_times(tau1, tau2, t, needle):
+    # the same boundary as two_photon_outputs
+    with pytest.raises(ValueError, match=needle):
+        exp_pair_channel_values(_pair(1.0), "RR", tau1, tau2, t)
+
+
 def test_channel_grid_needs_a_two_photon_input():
     one = WavepacketN.product([(PulseProfile.exponential(1.0), Direction.RIGHT)])
     with pytest.raises(ValueError, match="two-photon input"):

@@ -270,18 +270,36 @@ def test_log_layer_takes_node_samples_next_to_nodes():
     layer = observables._LogLayer(lambda x: np.exp(-x), 10.0)
     nodes = layer._nodes
     # exact nodes, two points within overflow of the node at 0 and one
-    # float either side of an inner node
+    # float either side of an inner node, padded to an even length
     tau = np.concatenate([nodes, [5e-324, 1e-310],
                           np.nextafter(nodes[7], [-np.inf, np.inf])])
+    tau = np.append(tau, nodes[:tau.size % 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         vals = layer(tau)
         grid = layer(tau.reshape(2, -1))
-    assert np.array_equal(vals[:nodes.size], np.exp(layer._logs))
+    np.testing.assert_allclose(vals[:nodes.size], np.exp(layer._logs), rtol=1e-14, atol=0.0)
     np.testing.assert_allclose(vals, np.exp(-tau), rtol=1e-12)
     assert grid.shape == (2, tau.size // 2)
     assert np.array_equal(grid.ravel(), vals)
     assert layer(np.array([layer.t_span * 1.01]))[0] == 0.0
+
+
+@pytest.mark.parametrize("f,span,rtol", [
+    (lambda t: (1.0 + t + t * t) * np.exp(-2.0 * t), 25.0, 1e-10),
+    (lambda t: (1.0 + t) ** -3.0, 40.0, 2e-9),
+], ids=["polynomial-times-exponential", "power-law"])
+def test_log_layer_reproduces_a_curved_log(f, span, rtol):
+    # neither log is linear: a fixed 48-node tabulation was off by ~1e-7
+    layer = observables._LogLayer(f, span)
+    assert layer.t_span == span
+    t = np.linspace(0.0, span, 4001)
+    np.testing.assert_allclose(layer(t), f(t), rtol=rtol, atol=0.0)
+
+
+def test_log_layer_settles_at_the_lowest_degree_for_a_log_linear_layer():
+    layer = observables._LogLayer(lambda t: np.exp(-t), 10.0)
+    assert layer._nodes.size == 9
 
 
 def test_log_layer_caps_its_span_when_the_decay_probe_underflows():
@@ -364,6 +382,12 @@ def test_two_photon_unitarity_holds_to_rounding_over_bandwidths(gamma, gamma1, g
     # the channel probabilities sum to 1 within a few ulps over this range
     for w in (_pair(gamma), _pair(gamma1, gamma2, (Direction.RIGHT, Direction.LEFT))):
         assert abs(unitarity_check_two_photon(w) - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])
+def test_unitarity_rejects_a_non_finite_or_non_positive_time(t):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        unitarity_check_two_photon(_pair(1.0), t)
 
 
 def test_unitarity_needs_two_exponential_photons():
