@@ -30,8 +30,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .kernel import KernelSpan, h_closed_form, h_factor_terms, kernel_convolve
-from .model import Direction, InitialState, PulseProfile, WavepacketN, _permanent
+from .kernel import (_cell_weights, _locate, _node_sums, _partial_cell, _window_kernel,
+                     h_closed_form, h_factor_terms)
+from .model import Direction, InitialState, WavepacketN, _permanent
 # integrate and integrate_2d_box have no caller here, but perfbench's
 # tracer patches amplitudes.integrate and amplitudes.integrate_2d_box
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box  # noqa: F401
@@ -46,45 +47,19 @@ _SQRT2 = math.sqrt(2.0)
 CHANNELS = ("LL", "RL", "RR")
 
 
-def _resolution_floor(w: WavepacketN) -> float:
-    """Data-resolution error scale of a state: h^2 / 8 for sampled data.
-
-    Sampled data enter integrands through linear (profiles) or bilinear
-    (correlated pairs) interpolation, which carries an O(h^2)
-    representation error on the widest sample spacing h.  Analytic
-    states have no such floor (0).
-    """
-    if w.kind == "correlated2":
-        grids = [w.grid]
-    else:
-        grids = [p._grid for p, _ in w.entries if p.kind == "sampled"]
-    if not grids:
-        return 0.0
-    h = max(float(np.max(np.diff(g))) for g in grids)
-    return h * h / 8.0
-
-
-def _effective_quad(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
-    """Floor the tolerance at the data resolution of interpolated states.
-
-    Driving quadrature orders of magnitude below that floor burns panels
-    without gaining accuracy, so the engine tolerance is clamped to it.
-    """
-    floor = _resolution_floor(w)
-    if quad.rel_tol >= floor:
-        return quad
-    return replace(quad, rel_tol=floor, abs_tol=max(quad.abs_tol, floor * 1e-3))
-
-
 def _outer_spec(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
     """quad for integrals over the S and W of w, floored at their noise.
 
     Closed-form kernels are exact to rounding; any other S and W carries
-    the inner engine's error and the data resolution of sampled states.
+    the inner engine's error and the data resolution h^2 / 8 of sampled
+    states (linear or bilinear interpolation on the widest spacing h).
     """
     if w.all_exponential:
         return quad
-    noise = _resolution_floor(w)
+    grids = ([w.grid] if w.kind == "correlated2" else
+             [p._grid for p, _ in w.entries if p.kind == "sampled"])
+    h = max((float(np.max(np.diff(g))) for g in grids), default=0.0)
+    noise = h * h / 8.0
     return replace(quad, rel_tol=max(quad.rel_tol, 1e-8, 4.0 * noise),
                    abs_tol=max(quad.abs_tol, 1e-11, noise * 1e-2))
 
@@ -107,22 +82,6 @@ def _check_finite(what: str, *values) -> None:
         raise ValueError(f"{what} must be finite, got {bad[0]!r}")
 
 
-def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
-    """K(p; lo, hi) at broadcast window ends lo <= hi.
-
-    The closed form for an exponential profile, and otherwise one
-    adaptive kernel integral per distinct window.
-    """
-    if p.is_exponential:
-        return h_closed_form(hi, lo, p.gamma_bw)
-    ends = np.broadcast_arrays(np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
-    windows, where = np.unique(np.stack(ends, axis=-1).reshape(-1, 2), axis=0,
-                               return_inverse=True)
-    values = np.array([kernel_convolve(p, KernelSpan(a, b), quad) for b, a in windows],
-                      dtype=complex)
-    return values[where.reshape(-1)].reshape(ends[0].shape)
-
-
 # -- ordered emission ---------------------------------------------------------
 
 def _absorption_chain(lo, hi, w: WavepacketN, quad: QuadratureSpec) -> complex:
@@ -139,7 +98,6 @@ def _absorption_chain(lo, hi, w: WavepacketN, quad: QuadratureSpec) -> complex:
     sign = -1.0 if n % 2 else 1.0
     if w.kind == "correlated2":
         return sign * complex(_kernels(w, quad).windows(lo[0], hi[0], lo[1], hi[1], True))
-    quad = _effective_quad(w, quad)
     mat = np.stack([_window_kernel(p, hi, lo, quad) for p, _ in w.entries], axis=1,
                    dtype=complex)
     return sign * w.separable_normalization() * _permanent(mat)
@@ -155,8 +113,9 @@ def ordered_emission_amplitude(times, state: InitialState | WavepacketN,
     excited branch re-emits its stored excitation first: amplitude
     exp(-tau_1) times the absorption chain over the remaining windows.
     Window kernels are closed form for exponential envelopes and for a
-    correlated pair's bilinear interpolant, one adaptive integral per
-    window otherwise; :func:`reflection_amplitude_f0` is this amplitude
+    correlated pair's bilinear interpolant, and read off each other
+    photon's absorption table (exact for sampled data); each depends only
+    on its own window.  :func:`reflection_amplitude_f0` is this amplitude
     divided by sqrt(N!).
     """
     if isinstance(state, WavepacketN):
@@ -274,7 +233,7 @@ class _ProductKernels:
         (p1, d1), (p2, d2) = w.entries
         self._cnorm = w.separable_normalization()
         self._profiles = (p1, p2)
-        self._quad = _effective_quad(w, quad)
+        self._quad = quad
         # (spectator profile, its direction, the re-emitted partner)
         self._spectators = ((p1, d1, p2), (p2, d2, p1))
 
@@ -325,9 +284,9 @@ class _CorrelatedKernels:
 
     def __init__(self, w: WavepacketN):
         self._grid = w.grid
-        self._widths = np.diff(w.grid)
+        widths = np.diff(w.grid)
         # a(g_{k+1}) = exp(-h_k) a(g_k) + alpha_k e_k + beta_k e_{k+1}
-        self._alpha, self._beta = _cell_weights(self._widths, self._widths)
+        self._alpha, self._beta = _cell_weights(widths, widths)
         xi0, xi1, xi2 = (w.tensors.get(n) for n in range(3))
         xi0t, xi1t = (None if x is None else x.T for x in (xi0, xi1))
         # the rows of F_d^T and of D, as (coefficient, tensor) terms
@@ -343,7 +302,7 @@ class _CorrelatedKernels:
 
         def block(emit, spec):
             # the hats phi_k, phi_k1 at spec (zero off the grid)
-            k, k1, delta, width = self._locate(spec)
+            k, k1, delta, width = _locate(self._grid, spec)
             inside = (spec >= g[0]) & (spec <= g[-1])
             frac = delta / width
             w0, w1 = np.where(inside, 1.0 - frac, 0.0), np.where(inside, frac, 0.0)
@@ -368,8 +327,8 @@ class _CorrelatedKernels:
 
     def _contract(self, x, v) -> np.ndarray:
         """a(x)^T D v, one value per point, from the table row of x's node and x's own cell."""
-        k, k1, delta, width = self._locate(x)
-        alpha, beta = self._partial_cell(x, delta, width)
+        k, k1, delta, width = _locate(self._grid, x)
+        alpha, beta = _partial_cell(self._grid, x, delta, width)
         # (before the grid U[0] = a(g_0)^T D = 0)
         decay = np.exp(-np.maximum(delta, 0.0))
         return (decay * _row_dot(self._table[k], v)
@@ -387,18 +346,6 @@ class _CorrelatedKernels:
             flat[points] = func(*(a.flat[points] for a in args))
         return out
 
-    def _locate(self, x):
-        """The last node k at or below x (node 0 before the grid), the node
-        after it (k itself at the last node), x - g_k and the width of k's cell."""
-        g = self._grid
-        k = np.clip(np.searchsorted(g, x, side="right") - 1, 0, g.size - 1)
-        return k, np.minimum(k + 1, g.size - 1), x - g[k], self._widths[np.minimum(k, g.size - 2)]
-
-    def _partial_cell(self, x, delta, width):
-        """The weights on phi_k, phi_k+1 of a(x)'s part from [g_k, x] (zero off the grid)."""
-        inside = (x >= self._grid[0]) & (x < self._grid[-1])
-        return _cell_weights(np.where(inside, delta, 0.0), width)
-
     def _memory(self, x) -> np.ndarray:
         """a(x), one real row per point."""
         g = self._grid
@@ -409,8 +356,8 @@ class _CorrelatedKernels:
         a = np.zeros((x.size, g.size))
         a[:, :-1] = decay * self._alpha
         a[:, 1:] += decay * self._beta
-        k, k1, delta, width = self._locate(x)
-        alpha, beta = self._partial_cell(x, delta, width)
+        k, k1, delta, width = _locate(self._grid, x)
+        alpha, beta = _partial_cell(self._grid, x, delta, width)
         points = np.arange(x.size)
         a[points, k] += alpha
         a[points, k1] += beta
@@ -419,24 +366,9 @@ class _CorrelatedKernels:
     @functools.cached_property
     def _table(self) -> np.ndarray:
         """U[k] = a(g_k)^T D at every node, by the recurrence over the cells."""
-        m = self._grid.size
-        table = np.zeros((m, m), dtype=complex)
-        decay = np.exp(-self._widths)
-        for c in range(m - 1):
-            local = sum(coef * (self._alpha[c] * x[c] + self._beta[c] * x[c + 1])
-                        for coef, x in self._double_terms)
-            table[c + 1] = decay[c] * table[c] + local
-        return table
-
-
-def _cell_weights(delta, width):
-    """Weights on phi_k, phi_k+1 of int_{g_k}^{g_k + delta} exp(-(g_k + delta - s)) phi(s) ds.
-
-    On a cell of the given width, with E = 1 - exp(-delta): beta =
-    (delta - E) / width and alpha = E - beta.
-    """
-    beta = (delta + np.expm1(-delta)) / width
-    return -np.expm1(-delta) - beta, beta
+        return _node_sums(self._grid, lambda c: sum(
+            coef * (self._alpha[c] * x[c] + self._beta[c] * x[c + 1])
+            for coef, x in self._double_terms), (self._grid.size,))
 
 
 def _terms(*pairs) -> list:
@@ -524,7 +456,8 @@ def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
     either one was absorbed and re-emitted (the other passing as a
     spectator), or both were.  Emissions are gated by theta(t - tau_i)
     with the closed boundary.  A product state takes the window kernels
-    of its photons (closed form for exponential envelopes), a correlated
+    of its photons (closed form for exponential envelopes, read off the
+    absorption table of any other photon), a correlated
     pair the window integrals of its bilinear interpolant (closed form
     too); grids of detection times are :func:`two_photon_channel_grid`.
     """
@@ -659,10 +592,10 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     Returns the full tensor.  When every envelope is exponential it is
     copied in from the row blocks of :func:`_exp_pair_blocks` (the
     two-route comparison contracts their factors instead).  Any other
-    product state takes one window-kernel integral per distinct window
-    (suited to moderate grids), and a correlated pair the same closed-form
-    window integrals as :func:`two_photon_outputs`, a block of points at a
-    time.
+    product state reads its window kernels off its photons' absorption
+    tables, and a correlated pair takes the same closed-form window
+    integrals as :func:`two_photon_outputs`, a block of points at a time;
+    either way every point equals :func:`two_photon_outputs` there.
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")

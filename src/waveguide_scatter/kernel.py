@@ -2,14 +2,20 @@
 
 The atom re-emits at time b what it absorbed over a window (a, b], each
 absorption weighted by the decayed memory exp(-(b - t)).  Everything in
-the time-domain method reduces to integrals of the form
+the time-domain method reduces to the window integrals
 
-    K(profile; a, b) = integral_a^b exp(-(b - t)) profile(t) dt.
+    K(p; a, b) = integral_a^b exp(-(b - t)) p(t) dt = K_p(b) - exp(a - b) K_p(a)
 
-``kernel_convolve`` evaluates K by adaptive quadrature for any profile.
-For the exponential envelope sqrt(g) exp(-t g / 2) the integral has the
-closed form implemented by ``h_closed_form``; the two are kept as
-independent routes and cross-checked in the tests.
+of the memory-weighted absorption K_p(x) = K(p; 0, x).  ``_window_kernel``
+owns them all: ``h_closed_form`` for the exponential envelope
+sqrt(g) exp(-t g / 2), and for any other profile one table of K_p at
+its cell nodes, built once per (profile, quad) by the recurrence
+``_node_sums``; a query adds its partial cell to its node's value, so it
+depends on its own window only.  A sampled profile's cells (its sample
+intervals) are closed form for its linear interpolant (``_cell_weights``,
+shared with the correlated pairs), so its table is exact; a callable
+one's are min(0.5, timescale) wide, tabulated in one vector-valued
+``integrate``, with partial cells by the fixed 15-node Kronrod rule.
 
 The closed form degenerates at g = 2 where the pulse and memory decay
 rates coincide.  Within GAMMA_DEGENERATE_TOL of that point a series
@@ -23,47 +29,103 @@ factor (-1) per emission exactly once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import weakref
 
 import numpy as np
 
 from .model import PulseProfile, check_bandwidth
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
+from .quadrature import _MAX_PANELS, QuadratureSpec, _kronrod_rule, integrate
 
-__all__ = ["GAMMA_DEGENERATE_TOL", "KernelSpan", "h_closed_form", "kernel_convolve",
-           "weighted_h_norm_integral"]
+__all__ = ["GAMMA_DEGENERATE_TOL", "h_closed_form", "weighted_h_norm_integral"]
 
 # Width of the series branch around the degenerate bandwidth g = 2.
 GAMMA_DEGENERATE_TOL = 1e-6
 
-
-@dataclass(frozen=True)
-class KernelSpan:
-    """Absorption window (start, end) in lifetime units."""
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.start) and math.isfinite(self.end)):
-            raise ValueError(f"kernel span must be finite, got ({self.start!r}, {self.end!r})")
-        if self.start < 0.0:
-            raise ValueError("kernel spans live on t >= 0")
-        if self.end < self.start:
-            raise ValueError("kernel span must have end >= start")
+# one absorption table per live profile, keyed by the quadrature spec
+# (None for a sampled profile, whose table needs none)
+_ABSORPTION_TABLES = weakref.WeakKeyDictionary()
+# cells per tabulating integral: room for 64 panels each in the engine's budget
+_TABLE_CELLS = _MAX_PANELS // 64
 
 
-def kernel_convolve(profile: PulseProfile, span: KernelSpan,
-                    quad: QuadratureSpec = DEFAULT_QUAD) -> complex:
-    """K(profile; span) by adaptive Gauss-Kronrod quadrature."""
-    a, b = span.start, span.end
-    if a == b:
-        return 0.0 + 0.0j
-    width = min(0.5, profile.timescale)
+def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
+    """K(p; lo, hi) at broadcast window ends lo <= hi."""
+    if p.is_exponential:
+        return h_closed_form(hi, lo, p.gamma_bw)
+    hi, lo = np.broadcast_arrays(np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
+    return _absorbed(p, hi, quad) - np.exp(lo - hi) * _absorbed(p, lo, quad)
 
-    def integrand(t):
-        return np.exp(-(b - t)) * np.asarray(profile.value(t), dtype=complex)
 
-    return integrate(integrand, a, b, quad, panel_width=width)
+def _absorbed(p: PulseProfile, x: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
+    """K_p(x) at every x, from the node at or below it (zero before the grid)."""
+    shape = x.shape
+    x, where = np.unique(x, return_inverse=True)
+    grid, table = _table(p, quad)
+    k, k1, delta, width = _locate(grid, x)
+    # before the grid delta < 0 and table[0] = 0: no decay, so no overflow
+    value = np.exp(-np.maximum(delta, 0.0)) * table[k]
+    if p.kind == "sampled":
+        alpha, beta = _partial_cell(grid, x, delta, width)
+        value = value + alpha * p._values[k] + beta * p._values[k1]
+    else:
+        nodes, weights = _kronrod_rule()
+        half = 0.5 * (x - grid[k])
+        s = (grid[k] + half)[:, None] + half[:, None] * nodes
+        value = value + half * ((np.exp(s - x[:, None]) * p.value(s)) @ weights[:, 0])
+    return value[where.reshape(-1)].reshape(shape)
+
+
+def _table(p: PulseProfile, quad: QuadratureSpec):
+    """(grid, K_p at its nodes) of a sampled or callable profile, built on first use."""
+    tables = _ABSORPTION_TABLES.setdefault(p, {})
+    key = None if p.kind == "sampled" else quad
+    if key not in tables:
+        if p.kind == "sampled":
+            grid, widths = p._grid, np.diff(p._grid)
+            alpha, beta = _cell_weights(widths, widths)
+            cells = alpha * p._values[:-1] + beta * p._values[1:]
+        else:
+            grid = np.linspace(0.0, p.t_max, math.ceil(p.t_max / min(0.5, p.timescale)) + 1)
+            cells = []
+            # cell [g_c, g_c + h_c] mapped onto u in [0, 1], one component per cell
+            for i in range(0, grid.size - 1, _TABLE_CELLS):
+                edges = grid[i:i + _TABLE_CELLS + 1]
+                g, h = edges[:-1, None], np.diff(edges)[:, None]
+                cells.extend(integrate(lambda u: h * np.exp(h * (u - 1.0)) * p.value(g + h * u),
+                                       0.0, 1.0, quad))
+        tables[key] = grid, _node_sums(grid, lambda c: cells[c])
+    return tables[key]
+
+
+def _node_sums(grid: np.ndarray, cell, shape=()) -> np.ndarray:
+    """The decaying cell recurrence v(g_0) = 0, v(g_c+1) = exp(-h_c) v(g_c) + cell(c)."""
+    out = np.zeros((grid.size, *shape), dtype=complex)
+    decay = np.exp(-np.diff(grid))
+    for c in range(grid.size - 1):
+        out[c + 1] = decay[c] * out[c] + cell(c)
+    return out
+
+
+def _cell_weights(delta, width):
+    """Weights on the hats phi_k, phi_k+1 of a cell of the given width of
+    int_{g_k}^{g_k + delta} exp(-(g_k + delta - s)) phi(s) ds: with
+    E = 1 - exp(-delta), beta = (delta - E) / width and alpha = E - beta."""
+    beta = (delta + np.expm1(-delta)) / width
+    return -np.expm1(-delta) - beta, beta
+
+
+def _locate(grid: np.ndarray, x):
+    """The last node k at or below x (node 0 before the grid), the node
+    after it (k itself at the last node), x - g_k and the width of k's cell."""
+    k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
+    cell = np.minimum(k, grid.size - 2)
+    return k, np.minimum(k + 1, grid.size - 1), x - grid[k], grid[cell + 1] - grid[cell]
+
+
+def _partial_cell(grid: np.ndarray, x, delta, width):
+    """The weights on phi_k, phi_k+1 of x's part from [g_k, x] (zero off the grid)."""
+    inside = (x >= grid[0]) & (x < grid[-1])
+    return _cell_weights(np.where(inside, delta, 0.0), width)
 
 
 def h_closed_form(tau_i, tau_prev, gamma_bw: float):

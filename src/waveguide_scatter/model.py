@@ -98,8 +98,9 @@ class PulseProfile:
                  grid: np.ndarray | None = None, values: np.ndarray | None = None,
                  func: Callable | None = None, timescale: float | None = None,
                  norm_tol: float = DEFAULT_NORM_TOL):
-        if t_max <= 0.0:
-            raise ValueError("t_max must be positive")
+        for name, value in (("t_max", t_max), ("timescale", timescale)):
+            if value is not None and not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         self.kind = kind
         self.t_max = float(t_max)
         self.gamma_bw = gamma_bw

@@ -34,15 +34,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .amplitudes import (
+# exp_pair_channel_values has no caller here, but perfbench's tracer
+# patches observables.exp_pair_channel_values
+from .amplitudes import (  # noqa: F401
     CHANNELS,
+    _channel_sums,
     _emitter_amplitudes,
     _kernels,
     _outer_spec,
-    _window_kernel,
     exp_pair_channel_values,
 )
-from .kernel import h_closed_form
+from .kernel import _window_kernel, h_closed_form
 from .model import WavepacketN, check_bandwidth
 from .quadrature import (
     DEFAULT_QUAD,
@@ -130,11 +132,10 @@ def _excitation_values(times: np.ndarray, w: WavepacketN,
                        quad: QuadratureSpec) -> np.ndarray:
     if w.n_photons == 1:
         return np.abs(_window_kernel(w.entries[0][0], times, 0.0, quad)) ** 2
-    # blocks of times bound the integrand's temporaries.  Kernels that cost
-    # an integral per distinct window gain nothing from a shared mesh, which
-    # would only move their values within their resolution floor, so a
-    # product state with a non-exponential photon takes one time per call.
-    block = _TRACE_BLOCK if w.all_exponential or w.kind == "correlated2" else 1
+    # blocks of times bound the integrand's temporaries.  A shared mesh would
+    # move values within a sampled photon's resolution floor: one time per call
+    sampled = w.kind == "separable" and any(p.kind == "sampled" for p, _ in w.entries)
+    block = 1 if sampled else _TRACE_BLOCK
     values = [_excitation_two(times[i:i + block], w, quad)
               for i in range(0, times.size, block)]
     return np.concatenate(values) if values else np.zeros(0)
@@ -169,8 +170,9 @@ def excitation_trace(times, w: WavepacketN,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> ExcitationTrace:
     """Excitation probability on an array of times.
 
-    Two-photon traces of exponential or correlated pairs integrate blocks
-    of times as the components of one vector-valued integral.
+    Two-photon traces integrate blocks of times as the components of one
+    vector-valued integral, except for a product state with a sampled
+    photon, which takes one time per call (see ``_excitation_values``).
     """
     times = _checked_times(times, w)
     return ExcitationTrace(times=times, values=_excitation_values(times, w, quad))
@@ -331,38 +333,38 @@ def _ladder_axis(t_end: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
     return composite_gauss_legendre(np.array(edges), 10)
 
 
-def unitarity_check_two_photon(w: WavepacketN, t: float | None = None) -> float:
-    """Total weight of the three two-photon output channels.
+def _channel_weights(w: WavepacketN, t_end: float) -> dict:
+    """The weight of each two-photon output channel at dynamical time t_end, on
+    (first detection, delay) ladders: every panel sees a smooth integrand, as
+    the ordered-chain kink sits on the delay = 0 panel edge."""
+    scale = min(1.0, w.min_timescale)
+    base, base_w = _ladder_axis(t_end, scale)
+    delay_span = t_end
+    if w.all_exponential:
+        # the delay direction only needs to cover the slowest relaxation
+        # reach (emitter at rate 1, envelopes at gamma/2 each)
+        slowest = min(1.0, min(p.gamma_bw for p, _ in w.entries) / 2.0)
+        delay_span = min(max(_DECAY_FOLDINGS / slowest, 10.0), t_end)
+    delay, delay_w = _ladder_axis(delay_span, scale)
+    a, d = base[:, None], delay[None, :]
+    weight = base_w[:, None] * delay_w[None, :]
+    kernels = _kernels(w, DEFAULT_QUAD)
+    upper = _channel_sums(kernels, w, CHANNELS, a, a + d, t_end)
+    lower = _channel_sums(kernels, w, CHANNELS, a + d, a, t_end)
+    return {ch: float(np.sum(weight * (np.abs(upper[ch]) ** 2 + np.abs(lower[ch]) ** 2)))
+            for ch in CHANNELS}
 
-    Evaluated at a dynamical time ``t`` (finite and > 0; by default the
-    input's horizon) late enough for the emitter to have relaxed, so the
-    result should be 1 for any normalized input.  The time plane is
-    integrated in (first detection, delay) coordinates so every
-    quadrature panel sees a smooth integrand: the ordered-chain kink
-    sits exactly on the delay = 0 panel edge.
+
+def unitarity_check_two_photon(w: WavepacketN, t: float | None = None) -> float:
+    """Total weight of the three two-photon output channels at dynamical time t.
+
+    ``t`` must be finite and > 0.  By default it is the input's horizon,
+    which must leave the emitter relaxed; then the result is 1 for any
+    normalized two-photon input.
     """
     if w.n_photons != 2:
         raise ValueError("unitarity check is defined for two-photon inputs")
-    if not w.all_exponential:
-        raise ValueError("unitarity check currently needs exponential envelopes")
     t_end = float(t) if t is not None else w.horizon
     if not (math.isfinite(t_end) and t_end > 0.0):
         raise ValueError(f"t must be finite and > 0, got {t!r}")
-    scale = min(1.0, w.min_timescale)
-    base, base_w = _ladder_axis(t_end, scale)
-    # the delay direction only needs to cover the slowest relaxation
-    # reach (emitter at rate 1, envelopes at gamma/2 each)
-    slowest = min(1.0, min(p.gamma_bw for p, _ in w.entries) / 2.0)
-    delay_span = min(max(_DECAY_FOLDINGS / slowest, 10.0), t_end)
-    delay, delay_w = _ladder_axis(delay_span, scale)
-
-    a = base[:, None]
-    d = delay[None, :]
-    weight = base_w[:, None] * delay_w[None, :]
-    total = 0.0
-    for channel in CHANNELS:
-        upper = exp_pair_channel_values(w, channel, a, a + d, t_end)
-        lower = exp_pair_channel_values(w, channel, a + d, a, t_end)
-        total += float(np.sum(weight * (np.abs(upper) ** 2
-                                        + np.abs(lower) ** 2)))
-    return total
+    return sum(_channel_weights(w, t_end).values())

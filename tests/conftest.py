@@ -11,12 +11,12 @@ factorization of product states and owes nothing to the providers.
 """
 
 import math
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
 from scipy.integrate import quad
 
-from waveguide_scatter.amplitudes import _effective_quad
 from waveguide_scatter.model import Direction
 from waveguide_scatter.quadrature import integrate, integrate_2d_box
 
@@ -111,12 +111,17 @@ def brute_reflection_f0(times, profiles, order: int = 40) -> complex:
     return sign * raw / math.sqrt(abs(perm_g)) / math.sqrt(math.factorial(n))
 
 
-def fock_excitation(gamma_bw: float, n_photons: int, times, max_step: float = 4e-3):
+def exponential_envelope(gamma_bw: float):
+    """xi(t) = sqrt(G) exp(-G t / 2), the exponential photon as a scalar callable."""
+    return lambda t: math.sqrt(gamma_bw) * math.exp(-0.5 * gamma_bw * t)
+
+
+def fock_excitation(envelope, n_photons: int, times, max_step: float = 4e-3):
     """Excited population under an n-photon Fock drive, by the master-equation hierarchy.
 
     The hierarchy of Baragiola et al., PRA 86, 013811 (2012), for one
-    right-moving mode xi(t) = sqrt(G) exp(-G t / 2) with coupling 1 and
-    two decay directions with coupling 1 each:
+    right-moving mode xi(t) = envelope(t) (a real scalar callable) with
+    coupling 1 and two decay directions with coupling 1 each:
 
         d rho_{m,n} = 2 D[s] rho_{m,n} + sqrt(m) xi [rho_{m-1,n}, s+]
                       + sqrt(n) xi [s, rho_{m,n-1}],
@@ -130,7 +135,7 @@ def fock_excitation(gamma_bw: float, n_photons: int, times, max_step: float = 4e
     root = np.sqrt(np.arange(n_photons + 1.0))
 
     def rhs(t, rho):
-        xi = math.sqrt(gamma_bw) * math.exp(-0.5 * gamma_bw * t)
+        xi = envelope(t)
         out = 2.0 * (sm @ rho @ sp - 0.5 * (ee @ rho + rho @ ee))
         up = rho @ sp - sp @ rho
         down = sm @ rho - rho @ sm
@@ -192,7 +197,16 @@ class QuadratureKernels:
 
     def __init__(self, w, quad_spec):
         self._w = w
-        self._quad = _effective_quad(w, quad_spec)
+        # driving the engine far below the data resolution h^2 / 8 of an
+        # interpolated state burns panels without gaining accuracy
+        grids = ([w.grid] if w.kind == "correlated2" else
+                 [p._grid for p, _ in w.entries if p.kind == "sampled"])
+        h = max((float(np.max(np.diff(g))) for g in grids), default=0.0)
+        floor = h * h / 8.0
+        self._quad = quad_spec
+        if quad_spec.rel_tol < floor:
+            self._quad = replace(quad_spec, rel_tol=floor,
+                                 abs_tol=max(quad_spec.abs_tol, floor * 1e-3))
         # a sampled pair's grid step is a resolution, not a feature scale
         self._width = min(0.5, w.min_timescale * (8.0 if w.kind == "correlated2" else 1.0))
 

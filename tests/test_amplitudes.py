@@ -142,7 +142,7 @@ def test_correction_is_symmetric_and_gated():
 def test_two_photon_reflection_against_brute_tensor():
     rng = np.random.default_rng(7)
     q = PulseProfile.exponential(3.0)
-    # two exponential envelopes, then a Gaussian that takes the quadrature kernel
+    # two exponential envelopes, then a Gaussian read off its absorption table
     for p in (PulseProfile.exponential(1.0), _gaussian()):
         w = WavepacketN.product([(p, Direction.RIGHT), (q, Direction.RIGHT)])
         for _ in range(6):
@@ -437,8 +437,8 @@ def test_channel_grid_fill_matches_pointwise_channels(gammas, dirs, ax1, ax2, t_
 
 
 def test_channel_grid_fallback_matches_pointwise_outputs():
-    # a sampled envelope takes the product provider's per-window kernel
-    # integrals on the whole grid
+    # a sampled envelope takes the product provider's window kernels, read
+    # off its absorption table, on the whole grid
     t_samp = np.linspace(0.0, 30.0, 151)
     p = PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2)
     w = WavepacketN.product([(p, Direction.RIGHT), (PulseProfile.exponential(2.0),
@@ -451,6 +451,23 @@ def test_channel_grid_fallback_matches_pointwise_outputs():
             for j, t2 in enumerate(ax2):
                 point = two_photon_outputs(float(t1), float(t2), 1.5, w)[ch]
                 assert grid.values[i, j] == pytest.approx(point, abs=1e-14)
+
+
+@pytest.mark.parametrize("dirs", [(Direction.RIGHT, Direction.RIGHT),
+                                  (Direction.RIGHT, Direction.LEFT)])
+def test_gaussian_channel_grid_matches_pointwise_outputs(dirs):
+    # callable photons read every window off their absorption tables, so a
+    # grid point owes nothing to the other points of the grid
+    w = WavepacketN.product([(_gaussian(), dirs[0]), (_gaussian(centre=2.0, sigma=0.7), dirs[1])])
+    ax1 = np.linspace(0.0, 9.0, 7)
+    ax2 = np.array([0.2, 1.5, 3.0, 3.1, 6.0, 8.5])
+    for ch in CHANNELS:
+        grid = two_photon_channel_grid(w, ch, ax1, ax2, 4.5)
+        assert np.any(np.abs(grid.values) > 1e-3)
+        for i, t1 in enumerate(ax1):
+            for j, t2 in enumerate(ax2):
+                point = two_photon_outputs(float(t1), float(t2), 4.5, w)[ch]
+                assert grid.values[i, j] == pytest.approx(point, rel=0.0, abs=1e-14)
 
 
 def test_grid_csv_round_trip(tmp_path):

@@ -1,4 +1,4 @@
-"""Memory-kernel closed forms against quadrature and scipy oracles."""
+"""Memory-kernel closed forms and absorption tables against scipy oracles."""
 
 import math
 
@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from waveguide_scatter import (
+    DEFAULT_QUAD,
     GAMMA_DEGENERATE_TOL,
-    KernelSpan,
     PulseProfile,
+    QuadratureSpec,
     h_closed_form,
-    kernel_convolve,
     weighted_h_norm_integral,
 )
+from waveguide_scatter import kernel
+from waveguide_scatter.kernel import _window_kernel
 
 
 def test_closed_form_spot_values():
@@ -74,7 +76,7 @@ def test_convolve_matches_closed_form_random_sweep():
         a = float(rng.uniform(0.0, 3.0))
         b = a + float(rng.uniform(0.0, 4.0))
         p = PulseProfile.exponential(gamma)
-        qv = complex(kernel_convolve(p, KernelSpan(a, b)))
+        qv, _ = quad(lambda s: math.exp(-(b - s)) * p.value(s).real, a, b, limit=200)
         cv = h_closed_form(b, a, gamma)
         worst = max(worst, abs(qv - cv))
     assert worst <= 1e-8
@@ -92,11 +94,86 @@ def test_convolve_generic_profile_against_scipy():
     p = PulseProfile.from_callable(lambda t: env(t), t_max=t_max,
                                    norm_tol=1e-6)
     a, b = 0.8, 3.1
-    ours = complex(kernel_convolve(p, KernelSpan(a, b)))
+    ours = complex(_window_kernel(p, b, a, DEFAULT_QUAD))
     ref, _ = quad(lambda s: math.exp(-(b - s)) * float(env(s)), a, b,
                   limit=200)
     assert ours.real == pytest.approx(ref, abs=1e-8)
     assert ours.imag == pytest.approx(0.0, abs=1e-12)
+
+
+# -- absorption tables of non-exponential profiles ------------------------------
+
+def _scipy_window(p, lo, hi, breaks=()):
+    """K(p; lo, hi) by scipy quad, split at the breakpoints inside the window."""
+    edges = [lo, *(x for x in breaks if lo < x < hi), hi]
+    total = 0.0 + 0.0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        for part, unit in ((np.real, 1.0), (np.imag, 1j)):
+            val, _ = quad(lambda s: math.exp(-(hi - s)) * float(part(p.value(s))), a, b,
+                          epsabs=1e-15, epsrel=1e-13, limit=200)
+            total += unit * val
+    return total
+
+
+def _windows(t_end, rng):
+    """Random windows on [0, t_end], windows from 0, empty ones and ones 1e-9 wide."""
+    lo = rng.uniform(0.0, t_end, 40)
+    hi = lo + rng.uniform(0.0, t_end - lo)
+    narrow = rng.uniform(0.0, t_end - 1e-9, 6)
+    return (np.concatenate([lo, np.zeros(4), narrow, [1.0, t_end]]),
+            np.concatenate([hi, rng.uniform(0.0, t_end, 4), narrow + 1e-9, [1.0, t_end]]))
+
+
+def test_sampled_table_is_exact_for_the_linear_interpolant():
+    # a grid that starts after 0 with uneven steps, a complex envelope, and
+    # windows that run past t_max (where the photon has gone)
+    rng = np.random.default_rng(5)
+    grid = np.concatenate([[0.7], 0.7 + np.cumsum(rng.uniform(0.05, 0.4, 60))])
+    values = np.exp(-0.5 * (grid - 4.0) ** 2 + 0.8j * grid)
+    values /= math.sqrt(PulseProfile.from_samples(grid, values, norm_tol=math.inf).norm_sq())
+    p = PulseProfile.from_samples(grid, values)
+    lo, hi = _windows(p.t_max + 3.0, rng)
+    ours = _window_kernel(p, hi, lo, DEFAULT_QUAD)
+    assert np.any(lo < grid[0]) and np.any(hi > p.t_max)
+    for a, b, value in zip(lo, hi, ours):
+        assert abs(value - _scipy_window(p, a, b, grid)) <= 1e-13, (a, b)
+    # the same photon 750 later: windows from 0 start far before its grid
+    late = PulseProfile.from_samples(grid + 750.0, values)
+    shifted = _window_kernel(late, hi + 750.0, np.where(lo > 0.0, lo + 750.0, 0.0), DEFAULT_QUAD)
+    np.testing.assert_allclose(shifted, ours, rtol=0.0, atol=1e-11)
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "sine"])
+def test_callable_table_matches_scipy(shape):
+    if shape == "gaussian":
+        p = PulseProfile.from_callable(
+            lambda t: math.pi ** -0.25 * np.exp(-0.5 * (np.asarray(t) - 6.0) ** 2), t_max=14.0)
+    else:
+        p = PulseProfile.from_callable(
+            lambda t: math.sqrt(2.0 / 12.0) * np.sin(math.pi * np.asarray(t) / 12.0), t_max=12.0,
+            norm_tol=1e-6)
+    rng = np.random.default_rng(9)
+    lo, hi = _windows(p.t_max + 2.0, rng)
+    ours = _window_kernel(p, hi, lo, DEFAULT_QUAD)
+    for a, b, value in zip(lo, hi, ours):
+        assert abs(value - _scipy_window(p, a, b, [p.t_max])) <= 1e-12, (a, b)
+
+
+def test_callable_table_is_built_once_per_profile_and_quadrature(monkeypatch):
+    calls = []
+    engine = kernel.integrate
+    monkeypatch.setattr(kernel, "integrate",
+                        lambda *a, **k: calls.append(1) or engine(*a, **k))
+    p = PulseProfile.from_callable(
+        lambda t: math.pi ** -0.25 * np.exp(-0.5 * (np.asarray(t) - 6.0) ** 2), t_max=14.0)
+    first = _window_kernel(p, np.array([3.0, 7.5]), np.array([1.0, 2.0]), DEFAULT_QUAD)
+    assert len(calls) == 1
+    _window_kernel(p, 9.0, 0.0, DEFAULT_QUAD)
+    assert len(calls) == 1
+    # each value depends on its own window only, not on the other points
+    assert _window_kernel(p, 7.5, 2.0, DEFAULT_QUAD) == first[1]
+    _window_kernel(p, 9.0, 0.0, QuadratureSpec(rel_tol=1e-12))
+    assert len(calls) == 2
 
 
 def test_weighted_norm_integral_spot_values():
@@ -119,9 +196,3 @@ def test_weighted_norm_integral_against_scipy(m, gamma):
 
     ref, _ = quad(integrand, tau_p, np.inf, limit=400)
     assert closed == pytest.approx(ref, abs=1e-10)
-
-
-def test_kernel_span_validation():
-    for start, end in ((2.0, 1.0), (0.0, math.nan), (math.nan, 1.0), (0.0, math.inf)):
-        with pytest.raises(ValueError):
-            KernelSpan(start, end)

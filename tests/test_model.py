@@ -74,6 +74,19 @@ def test_from_callable_normalization_guard():
             lambda t: np.where(t > 3, np.nan, np.sqrt(2) * np.exp(-t)), 20.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_profile_rejects_a_non_finite_or_non_positive_t_max_or_timescale(bad):
+    def gaussian(t):
+        return math.pi ** -0.25 * np.exp(-0.5 * (np.asarray(t) - 6.0) ** 2)
+
+    with pytest.raises(ValueError, match="t_max must be finite and positive"):
+        PulseProfile.from_callable(gaussian, t_max=bad)
+    with pytest.raises(ValueError, match="t_max must be finite and positive"):
+        PulseProfile.exponential(1.0, t_max=bad)
+    with pytest.raises(ValueError, match="timescale must be finite and positive"):
+        PulseProfile.from_callable(gaussian, t_max=14.0, timescale=bad)
+
+
 def test_from_samples_rejects_unnormalized_data():
     grid = np.linspace(0.0, 10.0, 101)
     with pytest.raises(NormalizationError):

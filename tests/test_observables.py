@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from waveguide_scatter import (
 )
 from waveguide_scatter import observables
 
-from conftest import fock_excitation, rk4_excitation
+from conftest import exponential_envelope, fock_excitation, rk4_excitation
 
 
 def _pair(gamma1, gamma2=None, directions=(Direction.RIGHT, Direction.RIGHT)):
@@ -107,8 +108,28 @@ def test_correlated_trace_matches_hierarchy():
     wc = WavepacketN.correlated_pair(grid, xi2=np.outer(envelope, envelope), norm_tol=1e-5)
     times = np.linspace(0.25, 8.0, 24)
     trace = excitation_trace(times, wc)
-    ref = fock_excitation(1.0, 2, times)
+    ref = fock_excitation(exponential_envelope(1.0), 2, times)
     np.testing.assert_allclose(trace.values, ref, rtol=4.0 * 0.1 ** 2 / 8.0, atol=0.0)
+
+
+def _gaussian_envelope(t):
+    return math.pi ** -0.25 * math.exp(-0.5 * (t - 6.0) ** 2)
+
+
+def _gaussian_photon():
+    """pi^(-1/4) exp(-(t - 6)^2 / 2) on [0, 14], given as a closure."""
+    return PulseProfile.from_callable(
+        lambda t: math.pi ** -0.25 * np.exp(-0.5 * (np.asarray(t) - 6.0) ** 2), t_max=14.0)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_gaussian_trace_matches_hierarchy(n):
+    # n identical Gaussian photons in one mode, against the Fock-state
+    # hierarchy driven by the same envelope
+    w = WavepacketN.product([(_gaussian_photon(), Direction.RIGHT)] * n)
+    times = np.linspace(0.5, 16.0, 32)
+    ref = fock_excitation(_gaussian_envelope, n, times)
+    np.testing.assert_allclose(excitation_trace(times, w).values, ref, rtol=0.0, atol=1e-10)
 
 
 def test_excitation_validation():
@@ -382,6 +403,22 @@ def test_two_photon_unitarity_holds_to_rounding_over_bandwidths(gamma, gamma1, g
     # the channel probabilities sum to 1 within a few ulps over this range
     for w in (_pair(gamma), _pair(gamma1, gamma2, (Direction.RIGHT, Direction.LEFT))):
         assert abs(unitarity_check_two_photon(w) - 1.0) <= 1e-12
+
+
+def test_gaussian_pair_channel_weights_sum_to_one():
+    # two identical Gaussian photons, observed long after the emitter has
+    # relaxed; 0.191156356596226 is the LL weight that the time route and
+    # the frequency route give independently
+    w = WavepacketN.product([(_gaussian_photon(), Direction.RIGHT)] * 2)
+    start = time.perf_counter()
+    weights = observables._channel_weights(w, 40.0)
+    elapsed = time.perf_counter() - start
+    assert abs(sum(weights.values()) - 1.0) <= 1e-12
+    assert weights["LL"] == pytest.approx(0.191156356596226, rel=0.0, abs=1e-12)
+    assert elapsed <= 3.0
+    # the default t is the input's horizon, 14, where the emitter still
+    # holds ~1e-6 of the excitation
+    assert 1e-7 < 1.0 - unitarity_check_two_photon(w) < 1e-5
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0, 0.0])
