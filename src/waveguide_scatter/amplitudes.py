@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import weakref
 from dataclasses import dataclass, replace
 
@@ -649,32 +650,106 @@ class AmplitudeGrid:
 
 
 # rows per block of _write_table: each distinct value of a column is
-# formatted once per block, and one write takes the block's joined rows, so
-# no table is ever formatted or held whole
+# formatted once per block, and one write takes the block's rows, so no
+# table is ever formatted or held whole
 _TABLE_BLOCK_ROWS = 4096
+
+
+def _byte_table(texts) -> np.ndarray:
+    """Equal-length ASCII texts as one void array, one element per text."""
+    return np.frombuffer("".join(texts).encode("ascii"), dtype=f"V{len(texts[0])}")
+
+
+# the pieces of a '%.11e' cell: "d.dd", three groups "ddd" and "e-99".."e+99";
+# and the correctly rounded factor 10**(11 - e) for each of those exponents
+_LEAD = _byte_table([f"{i // 100}.{i % 100:02d}" for i in range(1000)])
+_DIGITS = _byte_table([f"{i:03d}" for i in range(1000)])
+_EXPONENT = _byte_table([f"e{e:+03d}" for e in range(-99, 100)])
+_SCALE = np.array([float(f"1e{11 - e}") for e in range(-99, 100)])
+# 19 NUL-padded bytes hold '%.11e' of any double
+_CELL = np.dtype([("sign", "u1"), ("lead", "V4"), ("d0", "V3"), ("d1", "V3"),
+                  ("d2", "V3"), ("exp", "V4"), ("end", "u1")])
+
+
+def _float_cells(x, out) -> None:
+    """Write '%.11e' % v for each float64 v of x into the _CELL array out.
+
+    With e = floor(log10|v|), the 12 digits are m = rint(|v| * 10**(11 - e)).
+    That product carries at most two roundings, ~2.2e-4 at 10**12, so m is
+    the correctly rounded mantissa '%' prints unless the product's fraction
+    lies within 1e-3 of 1/2.  Python's '%' writes those near-ties and the
+    other rare values: an m off [1e11, 1e12) (log10 off by one near a power
+    of ten, or digits rounding up to the next power), |v| outside
+    [1e-99, 1e100) (three-digit exponents and subnormals), nan and the
+    infinities.  Zero takes the array route with its sign.
+    """
+    a = np.abs(x)
+    normal = (a >= 1e-99) & (a < 1e100)
+    with np.errstate(all="ignore"):
+        # log10 can round past the ends of the table for |v| next to 1e-99 or 1e100
+        e = np.where(normal, np.clip(np.floor(np.log10(a)), -99, 99), 0.0).astype(np.int64)
+        s = a * _SCALE[e + 99]
+        m = np.rint(s)
+        fast = normal & (m >= 1e11) & (m < 1e12) & (np.abs(s - m) < 0.499)
+    m = np.where(fast, m, 0.0).astype(np.int64)
+    e[~fast] = 0
+    out["sign"] = np.where(np.signbit(x), ord("-"), 0)
+    for field, table, unit in (("lead", _LEAD, 10**9), ("d0", _DIGITS, 10**6),
+                               ("d1", _DIGITS, 10**3), ("d2", _DIGITS, 1)):
+        digits, m = np.divmod(m, unit)
+        out[field] = table.take(digits)
+    out["exp"] = _EXPONENT.take(e + 99)
+    out["end"] = 0
+    rare = np.flatnonzero(~fast & (a != 0.0))
+    if rare.size:
+        out[rare] = np.array(["%.11e" % v for v in x[rare].tolist()], dtype="S19").view(_CELL)
 
 
 def _write_table(fh, header, columns) -> None:
     """Write a header line and one CSV row per index of the equal-length columns.
 
-    Integer columns print as %d and the rest as floats with 12
-    significant digits, so repeated runs are byte-identical.  Cells are
-    keyed on their bit patterns, which keeps -0.0 apart from 0.0.
+    Integer columns print as %d and the rest as '%.11e' (12 significant
+    digits), so repeated runs are byte-identical.  Within each block of
+    rows, cells are keyed on their bit patterns, which keeps -0.0 apart
+    from 0.0, and each distinct float is formatted by array arithmetic and
+    byte tables, with Python's '%' only for the rare values _float_cells
+    lists.  A block's rows are laid out as NUL-padded cells, commas and
+    newlines in one byte array, which loses its NULs and is written at once.
     """
     fh.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
         cells = []
         for c in columns:
             c = c[lo:lo + _TABLE_BLOCK_ROWS]
-            fmt, bits = ("%d", c) if c.dtype.kind in "iu" else ("%.11e", c.view(f"i{c.itemsize}"))
-            keys, inverse = np.unique(bits, return_inverse=True)
-            text = list(map(fmt.__mod__, keys.view(c.dtype).tolist()))
-            cells.append(np.array(text, dtype=object)[inverse].tolist())
-        fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            if c.dtype.kind in "iu":
+                keys, inverse = np.unique(c, return_inverse=True)
+                text = keys.astype("S")
+            else:
+                keys, inverse = np.unique(c.view(f"i{c.itemsize}"), return_inverse=True)
+                text = np.empty(keys.size, _CELL)
+                _float_cells(keys.view(c.dtype).astype(np.float64), text)
+            cells.append(text.view(f"V{text.itemsize}").take(inverse))
+        fields = []
+        for j, cell in enumerate(cells):
+            fields += [(f"c{j}", cell.dtype), (f"s{j}", "u1")]
+        rows = np.empty(len(cells[0]), fields)
+        for j, cell in enumerate(cells):
+            rows[f"c{j}"] = cell
+            rows[f"s{j}"] = ord(",")
+        rows[f"s{len(cells) - 1}"] = ord("\n")
+        buf = rows.view(np.uint8)
+        fh.write(buf[buf != 0].tobytes().decode("ascii"))
 
 
 def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
-    """Deterministic CSV dump: one row per node, 12 significant digits."""
+    """Deterministic CSV dump: one row per node, 12 significant digits.
+
+    The JSON header, if asked for, must go to another file than the CSV;
+    ValueError is raised before any file is opened when both paths name one.
+    """
+    if header_path is not None and os.path.realpath(csv_path) == os.path.realpath(header_path):
+        raise ValueError(f"the grid's CSV and its JSON header would both be written "
+                         f"to {csv_path}; give them different paths")
     names = [f"tau{i + 1}" for i in range(grid.ndim)] + ["t", "re", "im"]
     vals = grid.values.ravel()
     columns = [m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")]
@@ -698,6 +773,11 @@ def load_grid_csv(csv_path, header_path) -> AmplitudeGrid:
     with open(header_path) as fh:
         header = json.load(fh)
     ndim = len(header["axes"])
+    with open(csv_path) as fh:
+        columns = fh.readline().rstrip("\n").split(",")
+    if columns != header["columns"]:
+        raise ValueError(f"{csv_path} has columns {columns}, its header {header_path} "
+                         f"says {header['columns']}")
     data = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2,
                       usecols=[*range(ndim), ndim + 1, ndim + 2])
     axes = [np.unique(data[:, i]) for i in range(ndim)]

@@ -2,9 +2,11 @@
 
 import csv
 import functools
+import io
 import math
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +38,7 @@ from waveguide_scatter.amplitudes import (
     _channel_sums,
     _emitter_amplitudes,
     _kernels,
+    _write_table,
 )
 from waveguide_scatter.model import _bilinear
 from waveguide_scatter.quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
@@ -523,8 +526,75 @@ def test_grid_csv_matches_csv_writer_reference(tmp_path, axes):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
+def _table_text(header, columns):
+    with io.StringIO() as fh:
+        _write_table(fh, header, columns)
+        return fh.getvalue()
+
+
+def _random_doubles():
+    # seeded bit patterns over every finite double, a quarter of them subnormal
+    bits = np.random.default_rng(20261019).integers(0, 2**64, 2**18, dtype=np.uint64)
+    bits[:2**16] &= np.uint64(0x800F_FFFF_FFFF_FFFF)
+    x = bits.view(np.float64)
+    return x[np.isfinite(x)]
+
+
+def _powers_of_ten():
+    p = np.array([float(f"1e{k}") for k in range(-99, 100)])
+    return np.r_[p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)]
+
+
+def _exponent_limits():
+    # the ends of the two-digit exponents, and values that round across them
+    x = np.array([1e-99, 1e100, 9.999999999995e-100, 9.9999999999995e99])
+    return np.r_[x, np.nextafter(x, 0.0), np.nextafter(x, np.inf)]
+
+
+def _half_ties():
+    # (m + 1/2) / 10**k for 12-digit m, ten at each exponent -99..99, rounded
+    # to the nearest double; for k = -5..0 the double is the tie itself
+    rng = np.random.default_rng(24)
+    ties = [(int(m), k) for k in range(-88, 111) for m in rng.integers(10**11, 10**12, 10)]
+    ties += [(int(m), k) for k in range(-5, 1) for m in rng.integers(10**11, 10**12, 100)]
+    return np.array([float(Fraction(2 * m + 1, 2) * Fraction(10) ** -k) for m, k in ties])
+
+
+@pytest.mark.parametrize("values", [
+    _random_doubles, _powers_of_ten, _exponent_limits, _half_ties,
+    lambda: np.array([0.0, math.nan, math.inf]),
+], ids=["random-bits", "powers-of-ten", "exponent-limits", "half-ties", "zero-nan-inf"])
+def test_float_cells_match_percent_format(values):
+    x = values()
+    x = np.r_[x, -x]
+    cells = _table_text(["x"], [x]).splitlines()[1:]
+    assert len(cells) == x.size
+    assert [(v, cell) for v, cell in zip(x.tolist(), cells) if cell != "%.11e" % v] == []
+
+
+def _csv_writer_table(header, columns):
+    """The table as csv.writer writes it, cell by cell with Python's %."""
+    with io.StringIO(newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*(c.tolist() for c in columns)):
+            writer.writerow(["%d" % x if isinstance(x, int) else "%.11e" % x for x in row])
+        return fh.getvalue()
+
+
+@pytest.mark.parametrize("columns", [
+    [np.array([-3, 0, 7, -3, np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1]),
+     np.array([0.1, -0.0, 1e-45, 3.4028235e38, -2.5, math.inf, math.nan], dtype=np.float32)],
+    [np.array([], dtype=np.int64), np.array([], dtype=np.float32)],
+    [np.array([-12]), np.array([0.1], dtype=np.float32)],
+], ids=["int64-and-float32", "zero-rows", "one-row"])
+def test_table_matches_csv_writer_reference(columns):
+    header = ["n", "x"]
+    assert _table_text(header, columns) == _csv_writer_table(header, columns)
+
+
 def test_grid_csv_writer_memory_is_bounded_by_its_block(tmp_path):
-    # the writer formats one block at a time (about 3.9 MB peak here);
+    # the writer formats one block at a time (about 4.2 MB peak here);
     # formatting whole columns at once peaked at about 27 MB
     ax = np.linspace(0.0, 8.0, 400)
     grid = two_photon_channel_grid(_pair(1.0, 2.0), "RR", ax, ax, 8.0)
@@ -563,6 +633,30 @@ def test_load_grid_csv_rejects_rows_off_their_nodes(tmp_path, edit, needle):
     csv_path.write_text("".join(edit(csv_path.read_text().splitlines(keepends=True))))
     with pytest.raises(ValueError, match=needle):
         load_grid_csv(csv_path, header_path)
+
+
+def test_load_grid_csv_rejects_columns_its_header_does_not_name(tmp_path):
+    csv_path = tmp_path / "grid.csv"
+    header_path = tmp_path / "grid.json"
+    write_grid_csv(two_photon_channel_grid(_pair(1.0, 2.0), "RL", np.linspace(0.0, 2.0, 3),
+                                           np.linspace(0.0, 3.0, 4), 6.0),
+                   csv_path, header_path)
+    # re and im swapped on every line, the header line included
+    lines = [line.rstrip("\n").split(",") for line in csv_path.read_text().splitlines()]
+    csv_path.write_text("".join(",".join(cells[:3] + cells[:2:-1]) + "\n" for cells in lines))
+    assert csv_path.read_text().startswith("tau1,tau2,t,im,re\n")
+    with pytest.raises(ValueError, match=r"grid\.csv has columns .*'im', 're'.* says .*'re', 'im'"):
+        load_grid_csv(csv_path, header_path)
+
+
+@pytest.mark.parametrize("header_name", ["grid.json", "sub/../grid.json"])
+def test_write_grid_csv_refuses_one_file_for_csv_and_header(tmp_path, header_name):
+    (tmp_path / "sub").mkdir()
+    grid = two_photon_channel_grid(_pair(1.0, 2.0), "RL", np.linspace(0.0, 2.0, 3),
+                                   np.linspace(0.0, 3.0, 4), 6.0)
+    with pytest.raises(ValueError, match="both be written"):
+        write_grid_csv(grid, tmp_path / "grid.json", tmp_path / header_name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 def test_load_grid_csv_rejects_a_truncated_file(tmp_path):

@@ -143,6 +143,19 @@ def test_two_photon_requires_file_output(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("channel", ["LL", "all"])
+def test_two_photon_refuses_an_output_named_like_its_header(tmp_path, capsys, channel):
+    # the header goes next to the CSV as <stem>.json, so a .json output
+    # would be overwritten by its own header
+    out = tmp_path / ("grid.json" if channel == "LL" else "grid_LL.json")
+    assert main(["two-photon", "--channel", channel, "--tau-points", "4",
+                 "-o", str(tmp_path / "grid.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: the grid's CSV and its JSON header would both be "
+                                f"written to {out}; give them different paths"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_figure3_closed_sweep(tmp_path):
     out = tmp_path / "f3.csv"
     assert main(["figure3", "--n-list", "1,2", "--gamma-grid",
