@@ -31,11 +31,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# h_closed_form, integrate and integrate_2d_box have no caller here, but
+# perfbench's tracer patches amplitudes.h_closed_form, amplitudes.integrate
+# and amplitudes.integrate_2d_box
 from .kernel import (_cell_weights, _locate, _node_sums, _partial_cell, _window_kernel,
-                     h_closed_form, h_factor_terms)
+                     h_closed_form)  # noqa: F401
 from .model import Direction, InitialState, WavepacketN, _permanent
-# integrate and integrate_2d_box have no caller here, but perfbench's
-# tracer patches amplitudes.integrate and amplitudes.integrate_2d_box
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box  # noqa: F401
 
 __all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
@@ -492,41 +493,42 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
     return _channel_sums(_kernels(w, DEFAULT_QUAD), w, (channel,), tau1, tau2, t)[channel]
 
 
-# Row blocks of the exponential grid fill: at most this many entries per
-# temporary, and at most this time span of rows, so that the rescaled
-# chain factors of h_factor_terms stay below exp(_BLOCK_SPAN).
+# Row blocks of the grid fill: at most this many entries per temporary,
+# and at most this time span of rows, so that the memory factors of
+# _pair_factors, rescaled at the block's last row, stay below exp(_BLOCK_SPAN)
+# (the memory decays at rate 1 whatever the photons' bandwidths).
 _BLOCK_ENTRIES = 1_000_000
 _BLOCK_SPAN = 256.0
 
 
-def _exp_pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
-                      t: float):
-    """The exponential grid fill as per-block factors: (scale, blocks).
+def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
+                  t: float, quad: QuadratureSpec = DEFAULT_QUAD):
+    """The grid fill of a product pair as per-block factors: (scale, blocks).
 
-    The amplitudes on ax1 x ax2 are the sum of :func:`exp_pair_channel_values`,
-    built from one-time factors.  The input and spectator terms are
-    products of a function of tau1 and a function of tau2 on the whole
-    plane; the chain term h(lo, 0) h(hi, lo) is such a product on each
-    triangle (tau1 <= tau2 and tau1 > tau2) once h(hi, lo) is split by
-    :func:`h_factor_terms`.  Each block (i0, (U, C_up), (L, C_low)) holds
-    the rows i0 <= i < i0 + len(U): row i is scale * U[i - i0] @ C_up where
-    tau1 <= tau2 and scale * L[i - i0] @ C_low where tau1 > tau2.
-    Exponential envelopes are real, so the factors are float64.
+    Each history of :func:`two_photon_outputs` is built from one-time values
+    on each axis, the envelopes p and absorptions K_p(x) = K(p; 0, x).  The
+    input, spectator and linear terms are whole-plane products of a function
+    of tau1 and one of tau2.  By K(p; lo, hi) = K_p(hi) - exp(lo - hi) K_p(lo),
+    the ordered chain is the linear term minus 2 exp(lo - hi) K_1(lo) K_2(lo),
+    one product on each triangle once split at the block's last row.  Each
+    block (i0, (U, C_up), (L, C_low)) holds the rows i0 <= i < i0 + len(U):
+    row i is scale * U[i - i0] @ C_up where tau1 <= tau2 and
+    scale * L[i - i0] @ C_low where tau1 > tau2.  Real values (every
+    exponential pair's) give float64 factors.
     """
     slots = tuple(Direction.RIGHT if c == "R" else Direction.LEFT for c in channel)
     scale = w.separable_normalization() / (_SQRT2 if slots[0] is slots[1] else 1.0)
     profiles = [p for p, _ in w.entries]
     dirs = [d for _, d in w.entries]
-    gammas = [p.gamma_bw for p in profiles]
     gate1 = (ax1 <= t).astype(float)
     gate2 = (ax2 <= t).astype(float)
-    env = [(p.value(ax1).real, p.value(ax2).real) for p in profiles]
-    kern = [(h_closed_form(ax1, np.zeros_like(ax1), g),
-             h_closed_form(ax2, np.zeros_like(ax2), g)) for g in gammas]
-    pairs = ((0, 1), (1, 0))
-
+    env = [(p.value(ax1), p.value(ax2)) for p in profiles]
+    kern = [(_window_kernel(p, ax1, 0.0, quad), _window_kernel(p, ax2, 0.0, quad))
+            for p in profiles]
+    if not any(np.imag(v).any() for pair in env + kern for v in pair):
+        env, kern = ([(v1.real, v2.real) for v1, v2 in f] for f in (env, kern))
     rows, cols = [], []
-    for a, b in pairs:
+    for a, b in ((0, 1), (1, 0)):
         if dirs[a] is slots[0] and dirs[b] is slots[1]:
             # neither photon touched the atom
             rows.append(env[a][0])
@@ -539,8 +541,14 @@ def _exp_pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.nda
             # b re-emitted at tau2, a passes to the first slot
             rows.append(env[a][0])
             cols.append(-gate2 * kern[b][1])
-    shared_rows = np.stack(rows, axis=1) if rows else np.zeros((ax1.size, 0))
-    shared_cols = np.stack(cols) if cols else np.zeros((0, ax2.size))
+        # both absorbed, each window opened from 0 (the linear amplitude)
+        rows.append(gate1 * kern[a][0])
+        cols.append(gate2 * kern[b][1])
+    shared_rows = np.stack(rows, axis=1)
+    shared_cols = np.stack(cols)
+    # -2 K_1 K_2 at the earlier emission, on either axis
+    both1 = -2.0 * gate1 * kern[0][0] * kern[1][0]
+    both2 = -2.0 * gate2 * kern[0][1] * kern[1][1]
 
     def blocks():
         block = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
@@ -550,33 +558,24 @@ def _exp_pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.nda
                      int(np.searchsorted(ax1, ax1[i0] + _BLOCK_SPAN, side="right")))
             i1 = max(i1, i0 + 1)
             t1 = ax1[i0:i1]
-            g1 = gate1[i0:i1]
-            # ordered chain, emissions at lo <= hi; each triangle's columns are
-            # clamped into the range it keeps so discarded entries stay finite
-            upper_hi = np.maximum(ax2, t1[0])
-            lower_lo = np.minimum(ax2, t1[-1])
-            up_rows, up_cols = [shared_rows[i0:i1]], [shared_cols]
-            low_rows, low_cols = [shared_rows[i0:i1]], [shared_cols]
-            for a, b in pairs:
-                for f_hi, g_lo in h_factor_terms(upper_hi, t1, gammas[b]):
-                    up_rows.append((g1 * kern[a][0][i0:i1] * g_lo)[:, None])
-                    up_cols.append((gate2 * f_hi)[None, :])
-                for f_hi, g_lo in h_factor_terms(t1, lower_lo, gammas[b]):
-                    low_rows.append((g1 * f_hi)[:, None])
-                    low_cols.append((gate2 * kern[a][1] * g_lo)[None, :])
-            yield (i0, (np.hstack(up_rows), np.vstack(up_cols)),
-                   (np.hstack(low_rows), np.vstack(low_cols)))
+            ref = t1[-1]
+            # exp(lo - hi) = exp(lo - ref) exp(ref - hi); each triangle's columns
+            # are clamped into the range it keeps so discarded entries stay finite
+            upper = (both1[i0:i1] * np.exp(t1 - ref), gate2 * np.exp(ref - np.maximum(ax2, t1[0])))
+            lower = (gate1[i0:i1] * np.exp(ref - t1), both2 * np.exp(np.minimum(ax2, ref) - ref))
+            yield (i0, *((np.hstack([shared_rows[i0:i1], u[:, None]]),
+                          np.vstack([shared_cols, v[None, :]])) for u, v in (upper, lower)))
             i0 = i1
 
     return scale, blocks()
 
 
-def _exp_pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
-                     t: float):
-    """Row blocks (i0, rows) of the channel amplitudes of two exponential photons,
-    multiplied out from :func:`_exp_pair_factors`: one small matmul per
+def _pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
+                 t: float, quad: QuadratureSpec = DEFAULT_QUAD):
+    """Row blocks (i0, rows) of the channel amplitudes of a product pair,
+    multiplied out from :func:`_pair_factors`: one small matmul per
     triangle, merged by the mask tau1 > tau2."""
-    scale, factors = _exp_pair_factors(w, channel, ax1, ax2, t)
+    scale, factors = _pair_factors(w, channel, ax1, ax2, t, quad)
     for i0, (up_rows, up_cols), (low_rows, low_cols) in factors:
         upper = up_rows @ up_cols
         # no name holds the lower triangle's product across the yield
@@ -590,13 +589,11 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
                             quad: QuadratureSpec = DEFAULT_QUAD) -> "AmplitudeGrid":
     """Channel amplitude tensor over axis1 x axis2 at dynamical time t.
 
-    Returns the full tensor.  When every envelope is exponential it is
-    copied in from the row blocks of :func:`_exp_pair_blocks` (the
-    two-route comparison contracts their factors instead).  Any other
-    product state reads its window kernels off its photons' absorption
-    tables, and a correlated pair takes the same closed-form window
-    integrals as :func:`two_photon_outputs`, a block of points at a time;
-    either way every point equals :func:`two_photon_outputs` there.
+    A product state's is copied in from the row blocks of :func:`_pair_blocks`
+    (the two-route comparison contracts their factors instead); a correlated
+    pair takes the window integrals of :func:`two_photon_outputs`, a block of
+    points at a time.  Either way every point equals :func:`two_photon_outputs`
+    there, to rounding.
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")
@@ -607,9 +604,9 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (ax1, ax2)):
         raise ValueError("detection-time axes must be finite and >= 0")
     _check_finite("dynamical time", t)
-    if w.all_exponential:
+    if w.kind == "separable":
         values = np.empty((ax1.size, ax2.size), dtype=complex)
-        for i0, block in _exp_pair_blocks(w, channel, ax1, ax2, t):
+        for i0, block in _pair_blocks(w, channel, ax1, ax2, t, quad):
             values[i0:i0 + len(block)] = block
     else:
         values = _channel_sums(_kernels(w, quad), w, (channel,),
@@ -649,9 +646,9 @@ class AmplitudeGrid:
         return float(np.max(np.abs(self.values - self.values.T)))
 
 
-# rows per block of _write_table: each distinct value of a column is
-# formatted once per block, and one write takes the block's rows, so no
-# table is ever formatted or held whole
+# rows per block of _write_table and write_grid_csv: each distinct value
+# of a column is formatted once per block, and one write takes the block's
+# rows, so no table is ever formatted or held whole
 _TABLE_BLOCK_ROWS = 4096
 
 
@@ -706,56 +703,64 @@ def _float_cells(x, out) -> None:
 
 
 def _write_table(fh, header, columns) -> None:
-    """Write a header line and one CSV row per index of the equal-length columns.
-
-    Integer columns print as %d and the rest as '%.11e' (12 significant
-    digits), so repeated runs are byte-identical.  Within each block of
-    rows, cells are keyed on their bit patterns, which keeps -0.0 apart
-    from 0.0, and each distinct float is formatted by array arithmetic and
-    byte tables, with Python's '%' only for the rare values _float_cells
-    lists.  A block's rows are laid out as NUL-padded cells, commas and
-    newlines in one byte array, which loses its NULs and is written at once.
-    """
+    """Write a header line and one CSV row per index of the equal-length columns."""
     fh.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
-        cells = []
-        for c in columns:
-            c = c[lo:lo + _TABLE_BLOCK_ROWS]
-            if c.dtype.kind in "iu":
-                keys, inverse = np.unique(c, return_inverse=True)
-                text = keys.astype("S")
-            else:
-                keys, inverse = np.unique(c.view(f"i{c.itemsize}"), return_inverse=True)
-                text = np.empty(keys.size, _CELL)
-                _float_cells(keys.view(c.dtype).astype(np.float64), text)
-            cells.append(text.view(f"V{text.itemsize}").take(inverse))
-        fields = []
-        for j, cell in enumerate(cells):
-            fields += [(f"c{j}", cell.dtype), (f"s{j}", "u1")]
-        rows = np.empty(len(cells[0]), fields)
-        for j, cell in enumerate(cells):
-            rows[f"c{j}"] = cell
-            rows[f"s{j}"] = ord(",")
-        rows[f"s{len(cells) - 1}"] = ord("\n")
-        buf = rows.view(np.uint8)
-        fh.write(buf[buf != 0].tobytes().decode("ascii"))
+        _write_rows(fh, [c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns])
+
+
+def _write_rows(fh, columns) -> None:
+    """Write one CSV row per index of the equal-length columns, in one write.
+
+    Integer columns print as %d and the rest as '%.11e' (12 significant
+    digits), so repeated runs are byte-identical.  Cells are keyed on their
+    bit patterns, which keeps -0.0 apart from 0.0, and each distinct float is
+    formatted by :func:`_float_cells`.  The rows are laid out as NUL-padded
+    cells, commas and newlines in one byte array, which loses its NULs.
+    """
+    cells = []
+    for c in columns:
+        if c.dtype.kind in "iu":
+            keys, inverse = np.unique(c, return_inverse=True)
+            text = keys.astype("S")
+        else:
+            keys, inverse = np.unique(c.view(f"i{c.itemsize}"), return_inverse=True)
+            text = np.empty(keys.size, _CELL)
+            _float_cells(keys.view(c.dtype).astype(np.float64), text)
+        cells.append(text.view(f"V{text.itemsize}").take(inverse))
+    fields = []
+    for j, cell in enumerate(cells):
+        fields += [(f"c{j}", cell.dtype), (f"s{j}", "u1")]
+    rows = np.empty(len(cells[0]), fields)
+    for j, cell in enumerate(cells):
+        rows[f"c{j}"] = cell
+        rows[f"s{j}"] = ord(",")
+    rows[f"s{len(cells) - 1}"] = ord("\n")
+    buf = rows.view(np.uint8)
+    fh.write(buf[buf != 0].tobytes().decode("ascii"))
 
 
 def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
     """Deterministic CSV dump: one row per node, 12 significant digits.
 
-    The JSON header, if asked for, must go to another file than the CSV;
-    ValueError is raised before any file is opened when both paths name one.
+    Each block of rows takes its tau cells from its flat row indices, so
+    no column is held whole.  The JSON header, if asked for, must go to
+    another file than the CSV; ValueError is raised before any file is
+    opened when both paths name one.
     """
     if header_path is not None and os.path.realpath(csv_path) == os.path.realpath(header_path):
         raise ValueError(f"the grid's CSV and its JSON header would both be written "
                          f"to {csv_path}; give them different paths")
     names = [f"tau{i + 1}" for i in range(grid.ndim)] + ["t", "re", "im"]
     vals = grid.values.ravel()
-    columns = [m.ravel() for m in np.meshgrid(*grid.axes, indexing="ij")]
-    columns += [np.broadcast_to(grid.dynamical_time, vals.shape), vals.real, vals.imag]
     with open(csv_path, "w", newline="") as fh:
-        _write_table(fh, names, columns)
+        fh.write(",".join(names) + "\n")
+        for lo in range(0, vals.size, _TABLE_BLOCK_ROWS):
+            rows = np.arange(lo, min(lo + _TABLE_BLOCK_ROWS, vals.size))
+            block = vals[lo:lo + _TABLE_BLOCK_ROWS]
+            taus = [a[i] for a, i in zip(grid.axes, np.unravel_index(rows, grid.values.shape))]
+            _write_rows(fh, [*taus, np.broadcast_to(grid.dynamical_time, rows.shape),
+                             block.real, block.imag])
     if header_path is not None:
         header = {
             "channel": grid.channel,

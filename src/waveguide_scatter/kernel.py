@@ -6,16 +6,18 @@ the time-domain method reduces to the window integrals
 
     K(p; a, b) = integral_a^b exp(-(b - t)) p(t) dt = K_p(b) - exp(a - b) K_p(a)
 
-of the memory-weighted absorption K_p(x) = K(p; 0, x).  ``_window_kernel``
-owns them all: ``h_closed_form`` for the exponential envelope
-sqrt(g) exp(-t g / 2), and for any other profile one table of K_p at
-its cell nodes, built once per (profile, quad) by the recurrence
-``_node_sums``; a query adds its partial cell to its node's value, so it
-depends on its own window only.  A sampled profile's cells (its sample
-intervals) are closed form for its linear interpolant (``_cell_weights``,
-shared with the correlated pairs), so its table is exact; a callable
-one's are min(0.5, timescale) wide, tabulated in one vector-valued
-``integrate``, with partial cells by the fixed 15-node Kronrod rule.
+of the memory-weighted absorption K_p(x) = K(p; 0, x): for any profile
+a rank-two split into functions of each end, which the grid fill of
+``amplitudes`` reads off K_p on each axis.  ``_window_kernel`` owns them
+all: ``h_closed_form`` for the exponential envelope sqrt(g) exp(-t g / 2),
+and for any other profile one table of K_p at its cell nodes, built once
+per (profile, quad) by the recurrence ``_node_sums``; a query adds its
+partial cell to its node's value, so it depends on its own window only.
+A sampled profile's cells (its sample intervals) are closed form for its
+linear interpolant (``_cell_weights``, shared with the correlated pairs),
+so its table is exact; a callable one's are min(0.5, timescale) wide,
+tabulated in one vector-valued ``integrate``, with partial cells by the
+fixed 15-node Kronrod rule.
 
 The closed form degenerates at g = 2 where the pulse and memory decay
 rates coincide.  Within GAMMA_DEGENERATE_TOL of that point a series
@@ -160,32 +162,6 @@ def h_closed_form(tau_i, tau_prev, gamma_bw: float):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def h_factor_terms(hi, lo, gamma_bw: float):
-    """h(hi, lo; g) split into two products of one-time factors.
-
-    Returns ((F1, G1), (F2, G2)), 1-D arrays with F on ``hi`` and G on
-    ``lo``, such that h(hi[i], lo[j]) = F1[i] G1[j] + F2[i] G2[j] for
-    every pair with lo[j] <= hi[i]; other pairs carry no meaning.  The
-    generic branch writes exp(-hi + x lo) as exp(x r - hi) exp(x (lo - r))
-    with the reference r at the end of ``lo`` that keeps G2 <= 1, so F2
-    stays below exp(max(x, 0) (max lo - min hi)): callers keep that span
-    short (their rows in blocks, their columns clamped into the kept
-    range).  The degenerate branch splits its polynomial the same way.
-    """
-    g = check_bandwidth(gamma_bw)
-    hi = np.asarray(hi, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    x = 1.0 - 0.5 * g
-    root = math.sqrt(g)
-    if abs(x) < GAMMA_DEGENERATE_TOL:
-        decay = np.exp(-hi)
-        return ((root * decay * (hi + 0.5 * x * hi * hi), np.ones_like(lo)),
-                (-root * decay, lo + 0.5 * x * lo * lo))
-    ref = float(np.max(lo)) if x > 0.0 else float(np.min(lo))
-    return ((root / x * np.exp(-0.5 * g * hi), np.ones_like(lo)),
-            (-root / x * np.exp(x * ref - hi), np.exp(x * (lo - ref))))
 
 
 def weighted_h_norm_integral(m: int, gamma_bw: float, tau_prev: float) -> float:

@@ -17,10 +17,10 @@ time grids carry a slope break along the equal-time diagonal, so each row's
 weights take the break as a segment boundary; since those weights
 differ from one only near the ends and the break, a held grid is summed
 as one matmul plus a banded correction.  The two-route comparison never
-forms those rows: it sums the exponential fill from its rank-few
-factors, with running sums in place of the matmul.  Every route ends in
-the one window check, which rejects non-finite samples and a window whose
-edge has not decayed.
+forms those rows: it sums the grid fill of its exponential pair from its
+rank-few factors, with running sums in place of the matmul.  Every route
+ends in the one window check, which rejects non-finite samples and a
+window whose edge has not decayed.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # two_photon_channel_grid: the held-grid reference, traced here by perfbench/spans.py
-from .amplitudes import (CHANNELS, _BLOCK_ENTRIES, AmplitudeGrid, _exp_pair_blocks,
-                         _exp_pair_factors, two_photon_channel_grid)
+from .amplitudes import (CHANNELS, _BLOCK_ENTRIES, AmplitudeGrid, _pair_blocks,
+                         _pair_factors, two_photon_channel_grid)
 from .kernel import h_closed_form
 from .model import Direction, PulseProfile, WavepacketN, _bilinear, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, _simpson_segment, integrate
@@ -299,7 +299,9 @@ def _running_sum(run: np.ndarray) -> None:
 def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
                      kern: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Spectrum of one exponential-pair channel on axis x axis, contracted from
-    the factors of :func:`_exp_pair_factors` without forming a row block.
+    the factors of :func:`_pair_factors` without forming a row block.  An
+    exponential pair's factors are float64, and meet the complex kernels
+    and running sums through their float views.
 
     ``kern`` is the second axis's kernel with unit weights and ``phase``
     the first axis's end-corrected one (each times the step).  With unit
@@ -314,7 +316,7 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
     :func:`_check_window` decides as it would on the held grid.
     """
     n = axis.size
-    scale, factors = _exp_pair_factors(w, channel, axis, axis, t)
+    scale, factors = _pair_factors(w, channel, axis, axis, t)
     kern_re = kern.view(float)
     inner = np.empty((n, kern.shape[1]), dtype=complex)
     peak = edge = 0.0
@@ -353,7 +355,7 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
     # the multiplied-out blocks give it
     if not edge < _WINDOW_EDGE_TOL * peak:
         _check_window(edge, np.max([np.max(np.abs(rows)) for _, rows in
-                                    _exp_pair_blocks(w, channel, axis, axis, t)]))
+                                    _pair_blocks(w, channel, axis, axis, t)]))
     return phase.T @ inner / _TWO_PI
 
 
@@ -366,6 +368,8 @@ def _frequency_axes(omega_axes, ndim: int) -> tuple[np.ndarray, ...]:
     if len(axes) != ndim or any(a.ndim != 1 for a in axes):
         raise ValueError(
             f"omega_axes must give one 1-D frequency axis per grid axis ({ndim})")
+    if not all(a.size and np.isfinite(a).all() for a in axes):
+        raise ValueError("every frequency axis must be non-empty and finite")
     return axes
 
 
@@ -465,6 +469,8 @@ def freq_nonlinear_correction(omega1, omega2, xi2,
     2 pi.  The convolution runs along the anti-diagonal over a finite
     span; the quartic tail is estimated and must stay below 1e-5.
     """
+    if not (math.isfinite(omega1) and math.isfinite(omega2)):
+        raise ValueError(f"detunings must be finite, got ({omega1!r}, {omega2!r})")
     r1, _ = single_photon_r_t(omega1)
     r2, _ = single_photon_r_t(omega2)
     s = float(omega1) + float(omega2)
@@ -493,11 +499,10 @@ def freq_two_photon_outputs(omega1: float, omega2: float, xi2,
     Assembled from the single-photon coefficients acting on the joint
     line plus the shared saturation correction.
     """
-    mode = _as_mode_callable(xi2)
+    b = freq_nonlinear_correction(omega1, omega2, xi2, quad, omega_span)
     r1, t1 = single_photon_r_t(omega1)
     r2, t2 = single_photon_r_t(omega2)
-    xi = mode(omega1, omega2)
-    b = freq_nonlinear_correction(omega1, omega2, xi2, quad, omega_span)
+    xi = _as_mode_callable(xi2)(omega1, omega2)
     return {ch: _freq_channel(ch, r1, t1, r2, t2, xi, b) for ch in CHANNELS}
 
 
@@ -547,6 +552,8 @@ def freq_channel_grid(channel: str, axis1, axis2, xi2,
         raise ValueError(f"channel must be one of {CHANNELS}")
     ax1 = np.asarray(axis1, dtype=float)
     ax2 = np.asarray(axis2, dtype=float)
+    if not (np.isfinite(ax1).all() and np.isfinite(ax2).all()):
+        raise ValueError("detuning axes must be finite")
     conv = _antidiagonal_convolution(ax1, ax2, xi2, quad, omega_span)
     return _channel_from_convolution(channel, ax1, ax2, xi2, conv)
 
@@ -667,7 +674,7 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     channel the sampled time amplitudes are transformed at the requested
     detunings and subtracted from the direct frequency-domain assembly;
     the report carries the worst and RMS deviations.  The time amplitudes
-    are summed from the one-time factors of the exponential fill
+    are summed from the one-time factors of the grid fill
     (:func:`_bridge_exp_pair`) with the weights and the window guard that
     ``fourier_bridge(two_photon_channel_grid(...))`` applies, but no row
     block of the time grid is formed.  Every argument is checked before

@@ -33,6 +33,7 @@ from waveguide_scatter import (
     write_grid_csv,
 )
 
+from waveguide_scatter import amplitudes
 from waveguide_scatter.amplitudes import (
     _ProductKernels,
     _channel_sums,
@@ -54,11 +55,12 @@ def _pair(gamma1, gamma2=None, directions=(Direction.RIGHT, Direction.RIGHT)):
     return WavepacketN.product([(p1, directions[0]), (p2, directions[1])])
 
 
-def _gaussian(centre=3.0, sigma=0.5, t_max=8.0):
-    """Unit-norm Gaussian envelope, given as a closure."""
+def _gaussian(centre=3.0, sigma=0.5, t_max=8.0, chirp=0.0):
+    """Unit-norm Gaussian envelope times exp(i chirp t), given as a closure."""
     amp = (2.0 / (math.pi * sigma ** 2)) ** 0.25
-    return PulseProfile.from_callable(lambda t: amp * np.exp(-((t - centre) / sigma) ** 2),
-                                      t_max, timescale=sigma)
+    return PulseProfile.from_callable(
+        lambda t: amp * np.exp(-((t - centre) / sigma) ** 2) * np.exp(1j * chirp * t),
+        t_max, timescale=sigma)
 
 
 # -- single photon ------------------------------------------------------------
@@ -418,7 +420,7 @@ def test_channel_grid_matches_fast_path_and_is_symmetric():
 @pytest.mark.parametrize("gammas, dirs, ax1, ax2, t_obs", [
     # slow pulse on its default horizon: rescaled chain factors
     ((0.1, 0.1), "RR", np.linspace(0.0, 800.0, 641), None, 800.0),
-    # either side of the matched bandwidth: the degenerate polynomial split
+    # either side of the matched bandwidth: the closed form's series branch
     ((2.0 - 1e-7, 2.0 - 1e-7), "RR", np.linspace(0.0, 20.0, 201), None, 20.0),
     ((2.0 + 1e-7, 2.0 + 1e-7), "RR", np.linspace(0.0, 20.0, 201), None, 20.0),
     # unequal pair, both and opposite directions, unequal axes
@@ -440,8 +442,8 @@ def test_channel_grid_fill_matches_pointwise_channels(gammas, dirs, ax1, ax2, t_
 
 
 def test_channel_grid_fallback_matches_pointwise_outputs():
-    # a sampled envelope takes the product provider's window kernels, read
-    # off its absorption table, on the whole grid
+    # a sampled envelope's grid fill reads K_p off its absorption table, and
+    # its exponential partner's closed form, on each axis
     t_samp = np.linspace(0.0, 30.0, 151)
     p = PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2)
     w = WavepacketN.product([(p, Direction.RIGHT), (PulseProfile.exponential(2.0),
@@ -456,12 +458,16 @@ def test_channel_grid_fallback_matches_pointwise_outputs():
                 assert grid.values[i, j] == pytest.approx(point, abs=1e-14)
 
 
-@pytest.mark.parametrize("dirs", [(Direction.RIGHT, Direction.RIGHT),
-                                  (Direction.RIGHT, Direction.LEFT)])
-def test_gaussian_channel_grid_matches_pointwise_outputs(dirs):
+@pytest.mark.parametrize("dirs, chirp", [((Direction.RIGHT, Direction.RIGHT), 0.0),
+                                         ((Direction.RIGHT, Direction.LEFT), 0.0),
+                                         ((Direction.RIGHT, Direction.RIGHT), 0.7)],
+                         ids=["dirs0", "dirs1", "chirped"])
+def test_gaussian_channel_grid_matches_pointwise_outputs(dirs, chirp):
     # callable photons read every window off their absorption tables, so a
-    # grid point owes nothing to the other points of the grid
-    w = WavepacketN.product([(_gaussian(), dirs[0]), (_gaussian(centre=2.0, sigma=0.7), dirs[1])])
+    # grid point owes nothing to the other points of the grid; a chirped
+    # photon makes the fill's factors complex
+    w = WavepacketN.product([(_gaussian(chirp=chirp), dirs[0]),
+                             (_gaussian(centre=2.0, sigma=0.7), dirs[1])])
     ax1 = np.linspace(0.0, 9.0, 7)
     ax2 = np.array([0.2, 1.5, 3.0, 3.1, 6.0, 8.5])
     for ch in CHANNELS:
@@ -471,6 +477,30 @@ def test_gaussian_channel_grid_matches_pointwise_outputs(dirs):
             for j, t2 in enumerate(ax2):
                 point = two_photon_outputs(float(t1), float(t2), 4.5, w)[ch]
                 assert grid.values[i, j] == pytest.approx(point, rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "sampled"])
+def test_product_channel_grid_takes_the_factor_fill(monkeypatch, kind):
+    # any product pair's grid is multiplied out from its photons' one-time
+    # absorptions K_p on each axis; the pointwise channel sums are left to
+    # single points and correlated pairs
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product pair's grid took the pointwise channel sums")
+
+    if kind == "gaussian":
+        photons = (_gaussian(), _gaussian(centre=2.0, sigma=0.7))
+    else:
+        t_samp = np.linspace(0.0, 30.0, 151)
+        photons = (PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2),
+                   PulseProfile.from_samples(t_samp, math.sqrt(2.0) * np.exp(-t_samp),
+                                             norm_tol=1e-2))
+    w = WavepacketN.product([(photons[0], Direction.RIGHT), (photons[1], Direction.LEFT)])
+    monkeypatch.setattr(amplitudes, "_channel_sums", refuse)
+    ax = np.linspace(0.0, 9.0, 37)
+    for ch in CHANNELS:
+        grid = two_photon_channel_grid(w, ch, ax, ax, 6.0)
+        assert np.all(np.isfinite(grid.values))
+        assert np.any(np.abs(grid.values) > 1e-3)
 
 
 def test_grid_csv_round_trip(tmp_path):
@@ -594,17 +624,22 @@ def test_table_matches_csv_writer_reference(columns):
 
 
 def test_grid_csv_writer_memory_is_bounded_by_its_block(tmp_path):
-    # the writer formats one block at a time (about 4.2 MB peak here);
-    # formatting whole columns at once peaked at about 27 MB
-    ax = np.linspace(0.0, 8.0, 400)
-    grid = two_photon_channel_grid(_pair(1.0, 2.0), "RR", ax, ax, 8.0)
-    tracemalloc.start()
-    try:
-        write_grid_csv(grid, tmp_path / "grid.csv")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 8e6
+    # the writer formats one block at a time and takes its tau cells from
+    # the block's row indices (about 1.7 MB peak at either size here);
+    # formatting whole columns at once peaked at about 27 MB, and whole
+    # meshgrid tau columns at 2.3 MB (200^2) and 4.2 MB (400^2)
+    peaks = []
+    for n in (200, 400):
+        ax = np.linspace(0.0, 8.0, n)
+        grid = two_photon_channel_grid(_pair(1.0, 2.0), "RR", ax, ax, 8.0)
+        tracemalloc.start()
+        try:
+            write_grid_csv(grid, tmp_path / "grid.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 8e6
+    assert abs(peaks[1] - peaks[0]) <= 0.5e6
 
 
 def test_amplitude_grid_takes_sequences_and_keeps_real_values_real():

@@ -293,6 +293,38 @@ def test_first_axis_alias_band_is_checked_before_the_window():
         fourier_bridge(grid, (np.array([0.0, 50.0]), np.linspace(-2.0, 2.0, 5)))
 
 
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("bad", [np.array([math.nan, 0.0]), np.array([0.0, math.inf]),
+                                 np.array([])], ids=["nan", "inf", "empty"])
+def test_bridge_rejects_a_non_finite_or_empty_frequency_axis(ndim, bad):
+    # a NaN frequency slipped past the alias check and bridged to NaN; an
+    # empty axis failed inside numpy's maximum
+    tau = np.linspace(0.0, 40.0, 401)
+    vals = np.exp(-tau) if ndim == 1 else np.exp(-tau[:, None] - tau[None, :])
+    grid = AmplitudeGrid(axes=(tau,) * ndim, values=vals, channel="", dynamical_time=0.0)
+    good = np.linspace(-1.0, 1.0, 3)
+    for axes in ([bad] if ndim == 1 else [(bad, good), (good, bad)]):
+        with pytest.raises(ValueError, match="non-empty and finite"):
+            fourier_bridge(grid, axes)
+
+
+@pytest.mark.parametrize("omegas", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+def test_frequency_side_rejects_non_finite_detunings_before_any_integral(monkeypatch, omegas):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an integral started on a non-finite detuning")
+
+    monkeypatch.setattr(spectral, "integrate", refuse)
+    xi2 = _product_line(1.0)
+    with pytest.raises(ValueError, match="detunings must be finite"):
+        freq_two_photon_outputs(*omegas, xi2)
+    with pytest.raises(ValueError, match="detunings must be finite"):
+        freq_nonlinear_correction(*omegas, xi2)
+    with pytest.raises(ValueError, match="detuning axes must be finite"):
+        freq_channel_grid("RL", np.array(omegas), np.linspace(-1.0, 1.0, 3), xi2)
+    with pytest.raises(ValueError, match="detuning axes must be finite"):
+        freq_channel_grid("LL", np.linspace(-1.0, 1.0, 3), np.array(omegas), xi2)
+
+
 # -- end-corrected weights -------------------------------------------------------
 
 def test_segment_weights_reproduce_interval_length():
@@ -585,7 +617,7 @@ def test_default_comparison_never_multiplies_out_a_row_block(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a row block of the time grid was formed")
 
-    monkeypatch.setattr(spectral, "_exp_pair_blocks", refuse)
+    monkeypatch.setattr(spectral, "_pair_blocks", refuse)
     report = appendix_comparison(1.0)
     assert report.passed
 
@@ -610,7 +642,7 @@ def test_appendix_comparison_checks_its_arguments_before_any_grid_work(
     def refuse(*args, **kwargs):
         raise AssertionError("grid work started before the arguments were checked")
 
-    for name in ("_axis_kernel", "_antidiagonal_convolution", "_exp_pair_factors"):
+    for name in ("_axis_kernel", "_antidiagonal_convolution", "_pair_factors"):
         monkeypatch.setattr(spectral, name, refuse)
     with pytest.raises(ValueError, match=needle):
         appendix_comparison(1.0, **kwargs)
