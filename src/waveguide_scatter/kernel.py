@@ -19,10 +19,9 @@ so its table is exact; a callable one's are min(0.5, timescale) wide,
 tabulated in one vector-valued ``integrate``, with partial cells by the
 fixed 15-node Kronrod rule.
 
-The closed form degenerates at g = 2 where the pulse and memory decay
-rates coincide.  Within GAMMA_DEGENERATE_TOL of that point a series
-branch (constant plus linear term in 1 - g/2) takes over, keeping the
-function continuous to well below 1e-6 across the switch.
+The closed form's quotient by 1 - g/2 is written without cancellation,
+so the matched bandwidth g = 2, where the pulse and memory decay rates
+coincide, needs no branch of its own.
 
 The kernel carries no emission sign; scattering amplitudes apply one
 factor (-1) per emission exactly once.
@@ -38,10 +37,7 @@ import numpy as np
 from .model import PulseProfile, check_bandwidth
 from .quadrature import _MAX_PANELS, QuadratureSpec, _kronrod_rule, integrate
 
-__all__ = ["GAMMA_DEGENERATE_TOL", "h_closed_form", "weighted_h_norm_integral"]
-
-# Width of the series branch around the degenerate bandwidth g = 2.
-GAMMA_DEGENERATE_TOL = 1e-6
+__all__ = ["h_closed_form", "weighted_h_norm_integral"]
 
 # one absorption table per live profile, keyed by the quadrature spec
 # (None for a sampled profile, whose table needs none)
@@ -134,17 +130,17 @@ def h_closed_form(tau_i, tau_prev, gamma_bw: float):
     """Closed form of K for the exponential envelope.
 
     h(tau_i, tau_prev; g) = sqrt(g) (exp(-tau_i g / 2)
-                            - exp(-tau_i + tau_prev (1 - g/2))) / (1 - g/2)
+                            - exp(-tau_i + tau_prev x)) / x,   x = 1 - g/2,
 
-    Vectorized over the two time arguments (gamma_bw is scalar).  At the
-    degenerate point g = 2 the quotient is replaced by its limit plus the
-    first series correction,
+    evaluated without cancellation: with d = tau_i - tau_prev,
 
-        sqrt(g) exp(-tau_i) [ (tau_i - tau_prev)
-                              + (1 - g/2)(tau_i^2 - tau_prev^2)/2 ],
+        h = sqrt(g) exp(-tau_i + x tau_prev + max(x, 0) d) d phi(|x| d),
+        phi(z) = -expm1(-z) / z,   phi(0) = 1,
 
-    which matches the generic branch to O((1 - g/2)^2) and keeps the
-    switch at |1 - g/2| = GAMMA_DEGENERATE_TOL continuous.
+    whose exponent is -tau_i g / 2 for g < 2 and -tau_i + x tau_prev
+    otherwise, never positive.  At the matched bandwidth g = 2 it is
+    sqrt(2) d exp(-tau_i).  Vectorized over the two time arguments
+    (gamma_bw is scalar).
     """
     check_bandwidth(gamma_bw)
     ti = np.asarray(tau_i, dtype=float)
@@ -154,11 +150,11 @@ def h_closed_form(tau_i, tau_prev, gamma_bw: float):
     if np.any(tp < 0.0):
         raise ValueError("h requires tau_prev >= 0")
     x = 1.0 - 0.5 * gamma_bw
-    root = math.sqrt(gamma_bw)
-    if abs(x) < GAMMA_DEGENERATE_TOL:
-        out = root * np.exp(-ti) * ((ti - tp) + 0.5 * x * (ti * ti - tp * tp))
-    else:
-        out = root * (np.exp(-0.5 * gamma_bw * ti) - np.exp(-ti + tp * x)) / x
+    d = ti - tp
+    # d phi(|x| d) = -expm1(-|x| d) / |x|, and d itself at x = 0
+    span = -np.expm1(-abs(x) * d) / abs(x) if x else d
+    lead = np.exp(-0.5 * gamma_bw * ti) if x > 0.0 else np.exp(-ti + x * tp)
+    out = math.sqrt(gamma_bw) * lead * span
     if out.ndim == 0:
         return float(out)
     return out

@@ -190,8 +190,8 @@ def test_08_three_photon_brute_tensor_quadrature():
 def test_09_kernel_fixtures():
     # closed-form continuity across the matched bandwidth on the
     # wavefront line, 1e-6 (the bandwidth slope there stays below 0.1,
-    # so the bound is meaningful); the series branch must also join the
-    # analytic branch seamlessly right at the switching edge
+    # so the bound is meaningful), and at 2 +- 2.1e-6, where the closed form
+    # once switched to a series branch
     for b in (0.25, 0.5, 1.0, 2.0, 4.0, 6.0):
         mid = h_closed_form(b, 0.0, 2.0)
         assert abs(h_closed_form(b, 0.0, 2.0 - 1e-5) - mid) <= 1e-6

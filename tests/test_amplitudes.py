@@ -105,8 +105,7 @@ def test_reflection_gates_on_observation_time():
 @settings(max_examples=60, deadline=None)
 @given(tau1=st.floats(0.0, 5.0), tau2=st.floats(0.0, 5.0), gamma=st.floats(0.2, 6.0))
 def test_ordered_equals_linear_plus_correction_random_sweep(tau1, tau2, gamma):
-    # every term is closed form; just outside the series branch at gamma = 2
-    # the closed form divides rounding by 1 - gamma/2, up to ~1e-10 here
+    # every term is closed form, accurate to rounding through gamma = 2
     w = _pair(gamma)
     lo, hi = sorted((tau1, tau2))
     ordered = complex(ordered_emission_amplitude([lo, hi], w))
@@ -420,7 +419,7 @@ def test_channel_grid_matches_fast_path_and_is_symmetric():
 @pytest.mark.parametrize("gammas, dirs, ax1, ax2, t_obs", [
     # slow pulse on its default horizon: rescaled chain factors
     ((0.1, 0.1), "RR", np.linspace(0.0, 800.0, 641), None, 800.0),
-    # either side of the matched bandwidth: the closed form's series branch
+    # either side of the matched bandwidth
     ((2.0 - 1e-7, 2.0 - 1e-7), "RR", np.linspace(0.0, 20.0, 201), None, 20.0),
     ((2.0 + 1e-7, 2.0 + 1e-7), "RR", np.linspace(0.0, 20.0, 201), None, 20.0),
     # unequal pair, both and opposite directions, unequal axes

@@ -1,5 +1,6 @@
 """Memory-kernel closed forms and absorption tables against scipy oracles."""
 
+import decimal
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from scipy.integrate import quad
 
 from waveguide_scatter import (
     DEFAULT_QUAD,
-    GAMMA_DEGENERATE_TOL,
     PulseProfile,
     QuadratureSpec,
     h_closed_form,
@@ -50,22 +50,48 @@ def test_closed_form_vectorizes():
 
 
 # bandwidth pairs whose h must agree: the matched bandwidth against either
-# side of it inside the series branch, and on each side of g = 2 one
-# bandwidth just inside and one just outside the switch to the generic
-# branch at |1 - g/2| = GAMMA_DEGENERATE_TOL
-_SWITCH = 2.0 * GAMMA_DEGENERATE_TOL
-_STRADDLES = ((2.0 - _SWITCH * (1.0 - 1e-6), 2.0 - _SWITCH * (1.0 + 1e-6)),
-              (2.0 + _SWITCH * (1.0 - 1e-6), 2.0 + _SWITCH * (1.0 + 1e-6)))
+# side of it, and on each side of g = 2 two bandwidths 4e-12 apart around
+# |1 - g/2| = 1e-6, where the closed form once switched to a series branch
+_STRADDLES = ((2.0, 2.0 - 1e-7), (2.0, 2.0 + 1e-7),
+              (1.999998000002, 1.999997999998), (2.000001999998, 2.000002000002))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(0.0, 20.0), st.floats(0.0, 1.0))
 def test_closed_form_continuous_across_matched_bandwidth(b, frac):
     a = frac * b  # 0 <= tau_prev <= tau_i
-    for g1, g2 in ((2.0, 2.0 - 1e-7), (2.0, 2.0 + 1e-7), *_STRADDLES):
+    for g1, g2 in _STRADDLES:
         assert abs(h_closed_form(b, a, g1) - h_closed_form(b, a, g2)) <= 1e-7
-    for inside, outside in _STRADDLES:
-        assert abs(1.0 - inside / 2.0) < GAMMA_DEGENERATE_TOL <= abs(1.0 - outside / 2.0)
+
+
+def _h_reference(tau_i: float, tau_prev: float, gamma: float) -> float:
+    """The closed form's difference quotient in 40-digit decimal arithmetic.
+
+    Every float converts to its decimal exactly, and x = 1 - g/2 is exact
+    in floats too near g = 2, so the quotient cancels only in digits the
+    40 carry: near g = 2 +- 1e-8 about 32 survive."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        g, ti, tp = (decimal.Decimal(v) for v in (gamma, tau_i, tau_prev))
+        x = 1 - g / 2
+        h = g.sqrt() * ((-ti * g / 2).exp() - (-ti + tp * x).exp()) / x
+        return float(h)
+
+
+@pytest.mark.parametrize("gamma", [2.0 - 1e-8, 2.0 + 1e-8, 2.0 - 1e-6, 2.0 + 1e-6,
+                                   2.0 - 3e-6, 2.0 + 3e-6, 2.0 - 1e-5, 2.0 + 1e-5,
+                                   2.0 - 1e-3, 2.0 + 1e-3, 0.1, 1.0, 30.0])
+def test_closed_form_is_accurate_to_rounding_at_every_bandwidth(gamma):
+    # the kernel is within 1e-15 of its largest value from a 40-digit
+    # reference, through g = 2 and over long spans at small g
+    rng = np.random.default_rng(int(gamma * 1e9) % 2**32)
+    t_end = 800.0 if gamma < 1.0 else 30.0
+    ti = np.concatenate([rng.uniform(0.0, t_end, 150), rng.uniform(0.0, 4.0, 50)])
+    tp = ti * np.concatenate([rng.uniform(0.0, 1.0, 190), np.zeros(5), np.ones(5)])
+    with np.errstate(all="raise", under="ignore"):
+        got = h_closed_form(ti, tp, gamma)
+    ref = np.array([_h_reference(a, b, gamma) for a, b in zip(ti, tp)])
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_convolve_matches_closed_form_random_sweep():
