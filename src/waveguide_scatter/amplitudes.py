@@ -34,9 +34,8 @@ import numpy as np
 # h_closed_form, integrate and integrate_2d_box have no caller here, but
 # perfbench's tracer patches amplitudes.h_closed_form, amplitudes.integrate
 # and amplitudes.integrate_2d_box
-from .kernel import (_cell_weights, _locate, _node_sums, _partial_cell, _window_kernel,
-                     h_closed_form)  # noqa: F401
-from .model import Direction, InitialState, WavepacketN, _permanent
+from .kernel import _locate, _window_kernel, h_closed_form  # noqa: F401
+from .model import Direction, InitialState, WavepacketN, _as_direction, _permanent
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box  # noqa: F401
 
 __all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
@@ -90,7 +89,7 @@ def _absorption_chain(lo, hi, w: WavepacketN, quad: QuadratureSpec) -> complex:
     """(-1)^n <vacuum| windowed-absorption chain |w>, window (lo[i], hi[i]) per photon.
 
     A product state takes the permanent of its window kernels, a
-    correlated pair the double window of its kernel provider.
+    correlated pair the double window of its photon pairs.
     """
     n = len(lo)
     if w.n_photons != n:
@@ -114,10 +113,10 @@ def ordered_emission_amplitude(times, state: InitialState | WavepacketN,
     fewer); a bare wavepacket is treated as the ground branch.  The
     excited branch re-emits its stored excitation first: amplitude
     exp(-tau_1) times the absorption chain over the remaining windows.
-    Window kernels are closed form for exponential envelopes and for a
-    correlated pair's bilinear interpolant, and read off each other
-    photon's absorption table (exact for sampled data); each depends only
-    on its own window.  :func:`reflection_amplitude_f0` is this amplitude
+    Window kernels are closed form for exponential envelopes, and read off
+    each other photon's absorption table (exact for sampled data, so for
+    the sampled photons a correlated pair decomposes into); each depends
+    only on its own window.  :func:`reflection_amplitude_f0` is this amplitude
     divided by sqrt(N!).
     """
     if isinstance(state, WavepacketN):
@@ -220,189 +219,163 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
 # tau_spec), or both absorbed over the windows (lo1, hi1) x (lo2, hi2),
 # each weighted by the memory up to its window's end, W(lo1, hi1, lo2, hi2):
 # the ordered chain is W(0, lo, lo, hi), the linear amplitude W(0, tau1, 0,
-# tau2) and the correction B the square W(0, lo, 0, lo).  A kernel provider
-# supplies S and W: a product state factorizes them into per-photon window
-# kernels, a correlated pair contracts its component tensors with the
-# closed-form window integrals of its bilinear interpolant, and _kernels
-# picks one by the state's kind.  Both take a gate mask and return zero
-# where it is closed (W a scalar 0.0 when it is closed everywhere).  W must
-# not be evaluated there: it is undefined for a window with lo > hi.
+# tau2) and the correction B the square W(0, lo, 0, lo).  The kernel provider
+# of every state sums S and W over its photon pairs (_PairKernels).  It takes
+# a gate mask and returns zero where it is closed (W a scalar 0.0 when it is
+# closed everywhere).  W must not be evaluated there: it is undefined for a
+# window with lo > hi.
 
-class _ProductKernels:
-    """S and W of a two-photon product state from window kernels; vectorized."""
-
-    def __init__(self, w: WavepacketN, quad: QuadratureSpec):
-        (p1, d1), (p2, d2) = w.entries
-        self._cnorm = w.separable_normalization()
-        self._profiles = (p1, p2)
-        self._quad = quad
-        # (spectator profile, its direction, the re-emitted partner)
-        self._spectators = ((p1, d1, p2), (p2, d2, p1))
-
-    def spectator(self, d: Direction, tau_emit, tau_spec, gate):
-        total = 0.0
-        for p, dk, partner in self._spectators:
-            if dk is d:
-                total = total + (np.asarray(p.value(tau_spec), dtype=complex)
-                                 * _window_kernel(partner, tau_emit, 0.0, self._quad))
-        return -self._cnorm * total * gate
-
-    def windows(self, lo1, hi1, lo2, hi2, gate):
-        if not np.any(gate):
-            return 0.0
-        lo1, hi1, lo2, hi2 = (np.where(gate, x, 0.0) for x in (lo1, hi1, lo2, hi2))
-        (p1, p2), q = self._profiles, self._quad
-        val = self._cnorm * (_window_kernel(p1, hi1, lo1, q) * _window_kernel(p2, hi2, lo2, q)
-                             + _window_kernel(p2, hi1, lo1, q) * _window_kernel(p1, hi2, lo2, q))
-        return np.where(gate, val, 0.0)
+# a correlated pair's decomposition stops once the residual it carries is
+# this small against its component tensor, in the Frobenius norm
+_CROSS_TOL = 1e-15
 
 
-# Points per block of the correlated provider: each row temporary of a
-# block holds at most this many complex entries (1 MB).
-_ROW_BLOCK_ENTRIES = 1 << 16
+class _SampledPhotons:
+    """Photons sampled on one grid, values (r, M), linear in between and zero
+    off it.  The window kernels of ``kernel`` take them as one sampled profile
+    whose values carry a leading photon axis, so each call serves all r."""
+
+    kind = "sampled"
+    is_exponential = False
+
+    def __init__(self, grid: np.ndarray, values: np.ndarray):
+        self._grid, self._values = grid, values
+
+    def value(self, t) -> np.ndarray:
+        g, t = self._grid, np.asarray(t, dtype=float)
+        k, k1, delta, width = _locate(g, t)
+        lin = self._values[:, k] + delta / width * (self._values[:, k1] - self._values[:, k])
+        return np.where((t >= g[0]) & (t <= g[-1]), lin, 0.0)
 
 
-class _CorrelatedKernels:
-    """S and W of a correlated two-photon pair; exact for its bilinear interpolant.
+def _cross_terms(x: np.ndarray):
+    """Rows u_k, v_k with x = sum_k outer(u_k, v_k) up to _CROSS_TOL ||x||_F.
 
-    The interpolant is sum_kl phi_k(s1) phi_l(s2) X[k, l] over the hat
-    functions phi of the grid g, so every window integral goes through
-    the memory-weighted hats a(x)_l = int_0^x exp(-(x - s)) phi_l(s) ds
-    and their windows m(lo, hi) = a(hi) - exp(-(hi - lo)) a(lo):
+    Gaussian elimination with complete pivoting: each term is the residual's
+    column and row through its largest entry, the row divided by that entry,
+    and takes that row and column out of the residual.  It stops on the
+    residual it carries, x minus the terms but for the rounding of its
+    updates, so a tensor of rank r takes r terms.
+    """
+    res, m = np.array(x, dtype=complex), len(x)
+    bound = (_CROSS_TOL * np.linalg.norm(res)) ** 2
+    rows, cols, us, vs = np.arange(m), np.arange(m), [], []
+    while (mag := res.real ** 2 + res.imag ** 2).sum() > bound:
+        i, j = np.unravel_index(np.argmax(mag), mag.shape)
+        u, v = np.zeros(m, dtype=complex), np.zeros(m, dtype=complex)
+        u[rows], v[cols] = res[:, j], res[i] / res[i, j]
+        us.append(u)
+        vs.append(v)
+        rows, cols = np.delete(rows, i), np.delete(cols, j)
+        res = np.delete(np.delete(res, i, 0), j, 1) - np.multiply.outer(u[rows], v[cols])
+    return np.reshape(us, (-1, m)), np.reshape(vs, (-1, m))
 
-        S(d, te, ts) = -sum_j phi_j(ts) a(te) . F_d[:, j],
-        W(lo1, hi1, lo2, hi2) = m(lo1, hi1)^T D m(lo2, hi2),
 
-    with F_R = (sqrt2 xi2 + xi1)^T and F_L = xi1 + sqrt2 xi0 (extracting
-    one photon beside a d-mover) and D = sqrt2 xi0 + xi1 + xi1^T + sqrt2
-    xi2 (extracting both at (s1, s2)).  a(x) is closed form cell by
-    cell, and a(x)^T D is read off the one resident table U[k] =
-    a(g_k)^T D, built by a recurrence over the cells on first use; a(x)
-    is zero up to the grid's start, so a first window that starts there
-    (every window from 0) needs one contraction, not two.  Everything
-    else is gathered from the component tensors per point, a block of
-    points at a time.
+# each live correlated pair's photons and pairs, decomposed on first use
+_DECOMPOSED = weakref.WeakKeyDictionary()
+
+
+class _PairKernels:
+    """S and W of a two-photon state as a weighted list of photon pairs.
+
+    Each photon object is a profile or a stack of photons along a first
+    axis.  The state is weight times the sum, over its pairs ((i, a), d1,
+    (j, b), d2) and over k, of the product pair of photon a[k] of object i,
+    moving in d1, and photon b[k] of object j, moving in d2, each at unit
+    normalization (a and b are slices).  A product state is one pair of its two
+    profiles, weighted by its normalization.  A correlated pair decomposes
+    each component tensor by :func:`_cross_terms` into photons sampled on its
+    grid (all of them one :class:`_SampledPhotons`), weight 1: xi1 as pairs
+    (right u_k, left v_k), xi2 and xi0 as same-direction pairs of u_k and
+    v_k / sqrt 2, whose symmetrised products sum to the symmetric tensor.
+    The bilinear interpolant of sum_k outer(u_k, v_k) is sum_k lin(u_k)
+    lin(v_k), and a sampled photon's kernels are exact for its linear
+    interpolant, so the pairs are exact for the state's interpolant.  S and
+    W are vectorized, each photon object evaluated once per call, in blocks
+    of points that keep each (photons x points) temporary within
+    _BLOCK_ENTRIES entries.
     """
 
-    def __init__(self, w: WavepacketN):
-        self._grid = w.grid
-        widths = np.diff(w.grid)
-        # a(g_{k+1}) = exp(-h_k) a(g_k) + alpha_k e_k + beta_k e_{k+1}
-        self._alpha, self._beta = _cell_weights(widths, widths)
-        xi0, xi1, xi2 = (w.tensors.get(n) for n in range(3))
-        xi0t, xi1t = (None if x is None else x.T for x in (xi0, xi1))
-        # the rows of F_d^T and of D, as (coefficient, tensor) terms
-        self._spectator_terms = {
-            Direction.RIGHT: _terms((_SQRT2, xi2), (1.0, xi1)),
-            Direction.LEFT: _terms((1.0, xi1t), (_SQRT2, xi0t)),
-        }
-        self._double_terms = _terms((_SQRT2, xi0), (1.0, xi1), (1.0, xi1t), (_SQRT2, xi2))
+    def __init__(self, w: WavepacketN, quad: QuadratureSpec):
+        self._quad = quad
+        if w.kind == "separable":
+            (p1, d1), (p2, d2) = w.entries
+            self._weight, self._photons = w.separable_normalization(), (p1, p2)
+            self._pairs = [((0, slice(0, 1)), d1, (1, slice(0, 1)), d2)]
+        else:
+            if w not in _DECOMPOSED:
+                values, pairs = [], []
+                for n, d1, d2 in ((2, "R", "R"), (0, "L", "L"), (1, "R", "L")):
+                    if n in w.tensors:
+                        u, v = _cross_terms(w.tensors[n])
+                        start, r = sum(map(len, values)), len(u)
+                        values += [u, v if n == 1 else v / _SQRT2]
+                        pairs.append(((0, slice(start, start + r)), _as_direction(d1),
+                                      (0, slice(start + r, start + 2 * r)), _as_direction(d2)))
+                _DECOMPOSED[w] = (_SampledPhotons(w.grid, np.concatenate(values)),), pairs
+            self._weight, (self._photons, self._pairs) = 1.0, _DECOMPOSED[w]
+        photons = sum(s.stop - s.start for (_, a), _, (_, b), _ in self._pairs for s in (a, b))
+        self._step = max(1, _BLOCK_ENTRIES // photons)
+
+    def envelopes(self, i: int, x) -> np.ndarray:
+        """The envelopes of photon object i at x, photons along the first axis."""
+        return np.reshape(self._photons[i].value(x), (-1, *np.shape(x)))
+
+    def kernels(self, i: int, hi, lo) -> np.ndarray:
+        """The window kernels K(p; lo, hi) of photon object i, photons along the first axis."""
+        return np.reshape(_window_kernel(self._photons[i], hi, lo, self._quad),
+                          (-1, *np.broadcast(hi, lo).shape))
 
     def spectator(self, d: Direction, tau_emit, tau_spec, gate):
-        terms = self._spectator_terms[d]
-        g = self._grid
+        # (spectator photons, their re-emitted partners): each photon of a
+        # pair that moves in d passes as the spectator in turn
+        roles = [(a, b) for first, d1, second, d2 in self._pairs
+                 for a, da, b in ((first, d1, second), (second, d2, first)) if da is d]
 
-        def block(emit, spec):
-            # the hats phi_k, phi_k1 at spec (zero off the grid)
-            k, k1, delta, width = _locate(self._grid, spec)
-            inside = (spec >= g[0]) & (spec <= g[-1])
-            frac = delta / width
-            w0, w1 = np.where(inside, 1.0 - frac, 0.0), np.where(inside, frac, 0.0)
-            return -_row_dots(terms, k, w0, k1, w1, self._memory(emit))
+        def block(tau_emit, tau_spec, gate):
+            env = {i: self.envelopes(i, tau_spec) for i in {i for (i, _), _ in roles}}
+            kern = {j: self.kernels(j, tau_emit, 0.0) for j in {j for _, (j, _) in roles}}
+            total = 0.0
+            for (i, a), (j, b) in roles:
+                total = total + _sum_terms(env[i][a] * kern[j][b])
+            return -self._weight * total * gate
 
-        # no component of the state leaves a d-mover behind: S is zero
-        return self._blocks(block, gate if terms else False, tau_emit, tau_spec)
+        return self._blocks(block, tau_emit, tau_spec, gate)
 
     def windows(self, lo1, hi1, lo2, hi2, gate):
         if not np.any(gate):
             return 0.0
 
-        def block(lo1, hi1, lo2, hi2):
-            second = self._memory(hi2) - np.exp(lo2 - hi2)[:, None] * self._memory(lo2)
-            out = self._contract(hi1, second)
-            late = lo1 > self._grid[0]
-            if np.any(late):
-                out[late] -= np.exp(lo1 - hi1)[late] * self._contract(lo1[late], second[late])
-            return out
+        def block(lo1, hi1, lo2, hi2, gate):
+            lo1, hi1, lo2, hi2 = (np.where(gate, x, 0.0) for x in (lo1, hi1, lo2, hi2))
+            k1, k2 = ([self.kernels(i, hi, lo) for i in range(len(self._photons))]
+                      for lo, hi in ((lo1, hi1), (lo2, hi2)))
+            terms = np.concatenate([k1[i][a] * k2[j][b] + k1[j][b] * k2[i][a]
+                                    for (i, a), _, (j, b), _ in self._pairs])
+            return np.where(gate, self._weight * _sum_terms(terms), 0.0)
 
-        return self._blocks(block, gate, lo1, hi1, lo2, hi2)
+        return self._blocks(block, lo1, hi1, lo2, hi2, gate)
 
-    def _contract(self, x, v) -> np.ndarray:
-        """a(x)^T D v, one value per point, from the table row of x's node and x's own cell."""
-        k, k1, delta, width = _locate(self._grid, x)
-        alpha, beta = _partial_cell(self._grid, x, delta, width)
-        # (before the grid U[0] = a(g_0)^T D = 0)
-        decay = np.exp(-np.maximum(delta, 0.0))
-        return (decay * _row_dot(self._table[k], v)
-                + _row_dots(self._double_terms, k, alpha, k1, beta, v))
-
-    def _blocks(self, func, gate, *args) -> np.ndarray:
-        """func at the points where gate is open, a block of points per call; zero elsewhere."""
-        gate, *args = np.broadcast_arrays(gate, *args)
-        out = np.zeros(gate.shape, dtype=complex)
-        flat = out.reshape(-1)
-        live = np.flatnonzero(gate)
-        step = max(1, _ROW_BLOCK_ENTRIES // self._grid.size)
-        for i in range(0, live.size, step):
-            points = live[i:i + step]
-            flat[points] = func(*(a.flat[points] for a in args))
-        return out
-
-    def _memory(self, x) -> np.ndarray:
-        """a(x), one real row per point."""
-        g = self._grid
-        x, where = np.unique(x, return_inverse=True)
-        # every cell wholly below x adds its node weights, decayed from
-        # the cell's right end to x
-        decay = np.where(g[1:] <= x[:, None], np.exp(np.minimum(g[1:] - x[:, None], 0.0)), 0.0)
-        a = np.zeros((x.size, g.size))
-        a[:, :-1] = decay * self._alpha
-        a[:, 1:] += decay * self._beta
-        k, k1, delta, width = _locate(self._grid, x)
-        alpha, beta = _partial_cell(self._grid, x, delta, width)
-        points = np.arange(x.size)
-        a[points, k] += alpha
-        a[points, k1] += beta
-        return a[where]
-
-    @functools.cached_property
-    def _table(self) -> np.ndarray:
-        """U[k] = a(g_k)^T D at every node, by the recurrence over the cells."""
-        return _node_sums(self._grid, lambda c: sum(
-            coef * (self._alpha[c] * x[c] + self._beta[c] * x[c + 1])
-            for coef, x in self._double_terms), (self._grid.size,))
+    def _blocks(self, func, *args):
+        """func(*args), a block of self._step points per call."""
+        points = np.broadcast(*args)
+        if points.size <= self._step:
+            return func(*args)
+        flat = [np.broadcast_to(a, points.shape).reshape(-1) for a in args]
+        out = np.empty(points.size, dtype=complex)
+        for i in range(0, out.size, self._step):
+            out[i:i + self._step] = func(*(a[i:i + self._step] for a in flat))
+        return out.reshape(points.shape)
 
 
-def _terms(*pairs) -> list:
-    """The (coefficient, tensor) pairs whose tensor the state carries."""
-    return [(c, x) for c, x in pairs if x is not None]
+# the kernel provider of a two-photon state
+_kernels = _PairKernels
 
 
-def _row_dots(terms, k0, w0, k1, w1, vec) -> np.ndarray:
-    """The sum over terms of c (w0 X[k0] + w1 X[k1]) . vec, one value per point."""
-    total = 0.0
-    for c, x in terms:
-        total = total + c * (w0 * _row_dot(x[k0], vec) + w1 * _row_dot(x[k1], vec))
-    return total
-
-
-def _row_dot(a, b) -> np.ndarray:
-    """The dot product of each row of a with the same row of b."""
-    return np.einsum("ij,ij->i", a, b)
-
-
-# one correlated provider per live state, so its table is built once
-_CORRELATED_KERNELS = weakref.WeakKeyDictionary()
-
-
-def _kernels(w: WavepacketN, quad: QuadratureSpec):
-    """The kernel provider of a two-photon state."""
-    if w.kind == "separable":
-        return _ProductKernels(w, quad)
-    kernels = _CORRELATED_KERNELS.get(w)
-    if kernels is None:
-        kernels = _CORRELATED_KERNELS[w] = _CorrelatedKernels(w)
-    return kernels
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """terms summed over their first axis; one term as it is, signed zeros
+    included (np.sum starts from 0.0, which turns -0.0 into 0.0)."""
+    return terms[0] if len(terms) == 1 else terms.sum(axis=0)
 
 
 def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> dict:
@@ -429,7 +402,7 @@ def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> di
 
     out = {}
     for channel in channels:
-        d1, d2 = (Direction.RIGHT if c == "R" else Direction.LEFT for c in channel)
+        d1, d2 = map(_as_direction, channel)
         emitted = spectator(d2, True) + spectator(d1, False) + chain
         xi = w.component(channel.count("R"), (T1, T2))
         out[channel] = xi + (emitted / _SQRT2 if d1 is d2 else emitted)
@@ -457,11 +430,11 @@ def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
     Each channel sums four histories: neither photon touched the atom,
     either one was absorbed and re-emitted (the other passing as a
     spectator), or both were.  Emissions are gated by theta(t - tau_i)
-    with the closed boundary.  A product state takes the window kernels
-    of its photons (closed form for exponential envelopes, read off the
-    absorption table of any other photon), a correlated
-    pair the window integrals of its bilinear interpolant (closed form
-    too); grids of detection times are :func:`two_photon_channel_grid`.
+    with the closed boundary.  Every state takes the window kernels of its
+    photon pairs (closed form for exponential envelopes, read off the
+    absorption table of any other photon, among them the sampled photons
+    of a correlated pair's decomposition, exact for its bilinear
+    interpolant); grids of detection times are :func:`two_photon_channel_grid`.
     """
     if w.n_photons != 2:
         raise ValueError("two-photon outputs need a two-photon input")
@@ -503,52 +476,60 @@ _BLOCK_SPAN = 256.0
 
 def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
                   t: float, quad: QuadratureSpec = DEFAULT_QUAD):
-    """The grid fill of a product pair as per-block factors: (scale, blocks).
+    """The grid fill of a two-photon state as per-block factors: (scale, blocks).
 
-    Each history of :func:`two_photon_outputs` is built from one-time values
-    on each axis, the envelopes p and absorptions K_p(x) = K(p; 0, x).  The
-    input, spectator and linear terms are whole-plane products of a function
-    of tau1 and one of tau2.  By K(p; lo, hi) = K_p(hi) - exp(lo - hi) K_p(lo),
-    the ordered chain is the linear term minus 2 exp(lo - hi) K_1(lo) K_2(lo),
-    one product on each triangle once split at the block's last row.  Each
-    block (i0, (U, C_up), (L, C_low)) holds the rows i0 <= i < i0 + len(U):
-    row i is scale * U[i - i0] @ C_up where tau1 <= tau2 and
-    scale * L[i - i0] @ C_low where tau1 > tau2.  Real values (every
-    exponential pair's) give float64 factors.
+    Each history of :func:`two_photon_outputs` is, for every product pair of
+    the state's photon pairs (:class:`_PairKernels`), built from one-time
+    values on each axis, the envelopes p and absorptions K_p(x) = K(p; 0, x).
+    The input, spectator and linear terms are whole-plane products of a
+    function of tau1 and one of tau2.  By K(p; lo, hi) = K_p(hi) - exp(lo - hi)
+    K_p(lo), the ordered chain is the linear term minus 2 exp(lo - hi)
+    K_1(lo) K_2(lo), summed over the product pairs into one product on each
+    triangle once split at the block's last row.  Each block (i0, (U, C_up),
+    (L, C_low)) holds the rows i0 <= i < i0 + len(U): row i is scale *
+    U[i - i0] @ C_up where tau1 <= tau2 and scale * L[i - i0] @ C_low where
+    tau1 > tau2.  Real values (every exponential pair's) give float64 factors.
     """
-    slots = tuple(Direction.RIGHT if c == "R" else Direction.LEFT for c in channel)
-    scale = w.separable_normalization() / (_SQRT2 if slots[0] is slots[1] else 1.0)
-    profiles = [p for p, _ in w.entries]
-    dirs = [d for _, d in w.entries]
+    slots = tuple(map(_as_direction, channel))
+    kernels = _PairKernels(w, quad)
+    scale = kernels._weight / (_SQRT2 if slots[0] is slots[1] else 1.0)
     gate1 = (ax1 <= t).astype(float)
     gate2 = (ax2 <= t).astype(float)
-    env = [(p.value(ax1), p.value(ax2)) for p in profiles]
-    kern = [(_window_kernel(p, ax1, 0.0, quad), _window_kernel(p, ax2, 0.0, quad))
-            for p in profiles]
+    # each photon object's values on each axis, photons along the first axis
+    objects = range(len(kernels._photons))
+    env = [(kernels.envelopes(i, ax1), kernels.envelopes(i, ax2)) for i in objects]
+    kern = [(kernels.kernels(i, ax1, 0.0), kernels.kernels(i, ax2, 0.0)) for i in objects]
     if not any(np.imag(v).any() for pair in env + kern for v in pair):
         env, kern = ([(v1.real, v2.real) for v1, v2 in f] for f in (env, kern))
-    rows, cols = [], []
-    for a, b in ((0, 1), (1, 0)):
-        if dirs[a] is slots[0] and dirs[b] is slots[1]:
-            # neither photon touched the atom
-            rows.append(env[a][0])
-            cols.append(env[b][1])
-        if dirs[b] is slots[1]:
-            # a re-emitted at tau1, b passes to the second slot
-            rows.append(-gate1 * kern[a][0])
-            cols.append(env[b][1])
-        if dirs[a] is slots[0]:
-            # b re-emitted at tau2, a passes to the first slot
-            rows.append(env[a][0])
-            cols.append(-gate2 * kern[b][1])
-        # both absorbed, each window opened from 0 (the linear amplitude)
-        rows.append(gate1 * kern[a][0])
-        cols.append(gate2 * kern[b][1])
-    shared_rows = np.stack(rows, axis=1)
-    shared_cols = np.stack(cols)
-    # -2 K_1 K_2 at the earlier emission, on either axis
-    both1 = -2.0 * gate1 * kern[0][0] * kern[1][0]
-    both2 = -2.0 * gate2 * kern[0][1] * kern[1][1]
+    def at(values, photons, axis):
+        (i, part) = photons
+        return values[i][axis][part]
+
+    rows, cols, both1, both2 = [], [], [], []
+    for first, d1, second, d2 in kernels._pairs:
+        for a, da, b, db in ((first, d1, second, d2), (second, d2, first, d1)):
+            if da is slots[0] and db is slots[1]:
+                # neither photon touched the atom
+                rows.append(at(env, a, 0))
+                cols.append(at(env, b, 1))
+            if db is slots[1]:
+                # a re-emitted at tau1, b passes to the second slot
+                rows.append(-gate1 * at(kern, a, 0))
+                cols.append(at(env, b, 1))
+            if da is slots[0]:
+                # b re-emitted at tau2, a passes to the first slot
+                rows.append(at(env, a, 0))
+                cols.append(-gate2 * at(kern, b, 1))
+            # both absorbed, each window opened from 0 (the linear amplitude)
+            rows.append(gate1 * at(kern, a, 0))
+            cols.append(gate2 * at(kern, b, 1))
+        # -2 K_1 K_2 at the earlier emission, on either axis
+        both1.append(-2.0 * gate1 * at(kern, first, 0) * at(kern, second, 0))
+        both2.append(-2.0 * gate2 * at(kern, first, 1) * at(kern, second, 1))
+    shared_rows = np.concatenate(rows).T
+    shared_cols = np.concatenate(cols)
+    both1 = _sum_terms(np.concatenate(both1))
+    both2 = _sum_terms(np.concatenate(both2))
 
     def blocks():
         block = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
@@ -572,7 +553,7 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
 
 def _pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
                  t: float, quad: QuadratureSpec = DEFAULT_QUAD):
-    """Row blocks (i0, rows) of the channel amplitudes of a product pair,
+    """Row blocks (i0, rows) of the channel amplitudes of a two-photon state,
     multiplied out from :func:`_pair_factors`: one small matmul per
     triangle, merged by the mask tau1 > tau2."""
     scale, factors = _pair_factors(w, channel, ax1, ax2, t, quad)
@@ -589,11 +570,9 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
                             quad: QuadratureSpec = DEFAULT_QUAD) -> "AmplitudeGrid":
     """Channel amplitude tensor over axis1 x axis2 at dynamical time t.
 
-    A product state's is copied in from the row blocks of :func:`_pair_blocks`
-    (the two-route comparison contracts their factors instead); a correlated
-    pair takes the window integrals of :func:`two_photon_outputs`, a block of
-    points at a time.  Either way every point equals :func:`two_photon_outputs`
-    there, to rounding.
+    Every state's is copied in from the row blocks of :func:`_pair_blocks`
+    (the two-route comparison contracts their factors instead), so every
+    point equals :func:`two_photon_outputs` there, to rounding.
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")
@@ -604,13 +583,9 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
     if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (ax1, ax2)):
         raise ValueError("detection-time axes must be finite and >= 0")
     _check_finite("dynamical time", t)
-    if w.kind == "separable":
-        values = np.empty((ax1.size, ax2.size), dtype=complex)
-        for i0, block in _pair_blocks(w, channel, ax1, ax2, t, quad):
-            values[i0:i0 + len(block)] = block
-    else:
-        values = _channel_sums(_kernels(w, quad), w, (channel,),
-                               ax1[:, None], ax2[None, :], t)[channel]
+    values = np.empty((ax1.size, ax2.size), dtype=complex)
+    for i0, block in _pair_blocks(w, channel, ax1, ax2, t, quad):
+        values[i0:i0 + len(block)] = block
     return AmplitudeGrid(axes=(ax1, ax2), values=values, channel=channel,
                          dynamical_time=t)
 
@@ -745,9 +720,13 @@ def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
 
     Each block of rows takes its tau cells from its flat row indices, so
     no column is held whole.  The JSON header, if asked for, must go to
-    another file than the CSV; ValueError is raised before any file is
-    opened when both paths name one.
+    another file than the CSV.  ValueError is raised before any file is
+    opened when both paths name one, or when an axis of the grid is empty
+    (it has no node to write and no range for the header).
     """
+    if any(a.size == 0 for a in grid.axes):
+        raise ValueError(f"the grid has an empty axis (shape {grid.values.shape}); "
+                         "it has no node to write")
     if header_path is not None and os.path.realpath(csv_path) == os.path.realpath(header_path):
         raise ValueError(f"the grid's CSV and its JSON header would both be written "
                          f"to {csv_path}; give them different paths")

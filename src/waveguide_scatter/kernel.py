@@ -14,10 +14,12 @@ and for any other profile one table of K_p at its cell nodes, built once
 per (profile, quad) by the recurrence ``_node_sums``; a query adds its
 partial cell to its node's value, so it depends on its own window only.
 A sampled profile's cells (its sample intervals) are closed form for its
-linear interpolant (``_cell_weights``, shared with the correlated pairs),
-so its table is exact; a callable one's are min(0.5, timescale) wide,
-tabulated in one vector-valued ``integrate``, with partial cells by the
-fixed 15-node Kronrod rule.
+linear interpolant (``_cell_weights``), so its table is exact; its values
+may carry leading axes, photons side by side on one grid (the terms of a
+correlated pair), whose tables come from one recurrence and whose queries
+locate each node once for all of them.  A callable profile's cells are
+min(0.5, timescale) wide, tabulated in one vector-valued ``integrate``,
+with partial cells by the fixed 15-node Kronrod rule.
 
 The closed form's quotient by 1 - g/2 is written without cancellation,
 so the matched bandwidth g = 2, where the pulse and memory decay rates
@@ -47,30 +49,35 @@ _TABLE_CELLS = _MAX_PANELS // 64
 
 
 def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
-    """K(p; lo, hi) at broadcast window ends lo <= hi."""
+    """K(p; lo, hi) at broadcast window ends lo <= hi; a window from 0 is K_p(hi)."""
     if p.is_exponential:
         return h_closed_form(hi, lo, p.gamma_bw)
     hi, lo = np.broadcast_arrays(np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
+    if not lo.any():
+        return _absorbed(p, hi, quad)
     return _absorbed(p, hi, quad) - np.exp(lo - hi) * _absorbed(p, lo, quad)
 
 
 def _absorbed(p: PulseProfile, x: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
-    """K_p(x) at every x, from the node at or below it (zero before the grid)."""
+    """K_p(x) at every x, from the node at or below it (zero before the grid);
+    the leading axes of a sampled profile's values lead the result."""
     shape = x.shape
     x, where = np.unique(x, return_inverse=True)
     grid, table = _table(p, quad)
     k, k1, delta, width = _locate(grid, x)
     # before the grid delta < 0 and table[0] = 0: no decay, so no overflow
-    value = np.exp(-np.maximum(delta, 0.0)) * table[k]
+    value = np.exp(-np.maximum(delta, 0.0)) * table[..., k]
     if p.kind == "sampled":
-        alpha, beta = _partial_cell(grid, x, delta, width)
-        value = value + alpha * p._values[k] + beta * p._values[k1]
+        # x's part [g_k, x] of its cell (none off the grid)
+        inside = (x >= grid[0]) & (x < grid[-1])
+        alpha, beta = _cell_weights(np.where(inside, delta, 0.0), width)
+        value = value + alpha * p._values[..., k] + beta * p._values[..., k1]
     else:
         nodes, weights = _kronrod_rule()
         half = 0.5 * (x - grid[k])
         s = (grid[k] + half)[:, None] + half[:, None] * nodes
         value = value + half * ((np.exp(s - x[:, None]) * p.value(s)) @ weights[:, 0])
-    return value[where.reshape(-1)].reshape(shape)
+    return value[..., where.reshape(-1)].reshape(value.shape[:-1] + shape)
 
 
 def _table(p: PulseProfile, quad: QuadratureSpec):
@@ -81,7 +88,8 @@ def _table(p: PulseProfile, quad: QuadratureSpec):
         if p.kind == "sampled":
             grid, widths = p._grid, np.diff(p._grid)
             alpha, beta = _cell_weights(widths, widths)
-            cells = alpha * p._values[:-1] + beta * p._values[1:]
+            # one row per cell: the leading value axes share the recurrence
+            cells = np.moveaxis(alpha * p._values[..., :-1] + beta * p._values[..., 1:], -1, 0)
         else:
             grid = np.linspace(0.0, p.t_max, math.ceil(p.t_max / min(0.5, p.timescale)) + 1)
             cells = []
@@ -91,7 +99,8 @@ def _table(p: PulseProfile, quad: QuadratureSpec):
                 g, h = edges[:-1, None], np.diff(edges)[:, None]
                 cells.extend(integrate(lambda u: h * np.exp(h * (u - 1.0)) * p.value(g + h * u),
                                        0.0, 1.0, quad))
-        tables[key] = grid, _node_sums(grid, lambda c: cells[c])
+        table = _node_sums(grid, lambda c: cells[c], np.shape(cells)[1:])
+        tables[key] = grid, np.ascontiguousarray(np.moveaxis(table, 0, -1))
     return tables[key]
 
 
@@ -118,12 +127,6 @@ def _locate(grid: np.ndarray, x):
     k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
     cell = np.minimum(k, grid.size - 2)
     return k, np.minimum(k + 1, grid.size - 1), x - grid[k], grid[cell + 1] - grid[cell]
-
-
-def _partial_cell(grid: np.ndarray, x, delta, width):
-    """The weights on phi_k, phi_k+1 of x's part from [g_k, x] (zero off the grid)."""
-    inside = (x >= grid[0]) & (x < grid[-1])
-    return _cell_weights(np.where(inside, delta, 0.0), width)
 
 
 def h_closed_form(tau_i, tau_prev, gamma_bw: float):

@@ -158,8 +158,9 @@ def excitation_probability(t: float, w: WavepacketN,
     """Probability that the emitter is excited at dynamical time t.
 
     Supports one- and two-photon product drives, whose photons enter
-    through their window kernels, and two-photon correlated pairs, whose
-    window integrals are closed form for their bilinear interpolant.  The
+    through their window kernels, and two-photon correlated pairs, through
+    the sampled photon pairs they decompose into, exact for their bilinear
+    interpolant.  The
     one-photon value is the squared absorption kernel; the two-photon
     value traces out the photon that has already been re-emitted.
     """

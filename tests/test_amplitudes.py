@@ -35,7 +35,6 @@ from waveguide_scatter import (
 
 from waveguide_scatter import amplitudes
 from waveguide_scatter.amplitudes import (
-    _ProductKernels,
     _channel_sums,
     _emitter_amplitudes,
     _kernels,
@@ -228,7 +227,7 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
     p = (PulseProfile.exponential(1.3) if first == "exponential"
          else _gaussian(centre=1.5, sigma=0.35))
     w = WavepacketN.product([(p, dirs[0]), (PulseProfile.exponential(2.7), dirs[1])])
-    product = _ProductKernels(w, DEFAULT_QUAD)
+    product = _kernels(w, DEFAULT_QUAD)
     quad = QuadratureKernels(w, DEFAULT_QUAD)
     t = 1.1
     # before t, at t (closed gate, theta(0) = 1) and past t, where the
@@ -381,6 +380,59 @@ def test_correlated_channel_grid_matches_pointwise_outputs():
                 assert values[i, j] == pytest.approx(point, abs=1e-14)
 
 
+def test_rank_one_correlated_pair_is_its_sampled_product_pair():
+    # the 351-node sampled copy of two g = 1 photons is one product pair of
+    # the sampled photon, exactly for their interpolants
+    grid = np.linspace(0.0, 35.0, 351)
+    x = np.exp(-0.5 * grid)
+    wc = WavepacketN.correlated_pair(grid, xi2=np.outer(x, x), norm_tol=1e-5)
+    # (the interpolant's norm is 4e-4 off the pair's Simpson norm; a product
+    # state of one profile twice normalizes by exchange alone)
+    p = PulseProfile.from_samples(grid, x, norm_tol=1e-3)
+    wp = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    (photons,) = _kernels(wc, DEFAULT_QUAD)._photons
+    assert len(photons._values) == 2  # one term: two photons
+    for a, b in ((0.3, 2.1), (1.7, 1.7), (4.0, 0.25), (7.5, 9.0), (36.0, 2.0)):
+        out_c, out_p = two_photon_outputs(a, b, 8.0, wc), two_photon_outputs(a, b, 8.0, wp)
+        for ch in CHANNELS:
+            assert abs(out_c[ch] - out_p[ch]) <= 1e-14
+    ax = np.linspace(0.0, 12.0, 201)
+    np.testing.assert_allclose(two_photon_channel_grid(wc, "RR", ax, ax, 8.0).values,
+                               two_photon_channel_grid(wp, "RR", ax, ax, 8.0).values,
+                               rtol=0.0, atol=1e-14)
+
+
+def _cusp_pair():
+    """A 101-node pair with an exp(-2 |t1 - t2|) cusp, full rank on its grid."""
+    grid = np.linspace(0.0, 10.0, 101)
+    t1, t2 = grid[:, None], grid[None, :]
+    xi1 = np.exp(-0.5 * (t1 + t2) - 2.0 * np.abs(t1 - t2)) + 0j
+    norm = WavepacketN.correlated_pair(grid, xi1=xi1, norm_tol=math.inf).total_norm_sq_numeric()
+    return WavepacketN.correlated_pair(grid, xi1=xi1 / math.sqrt(norm))
+
+
+@pytest.mark.parametrize("kind", ["random", "cusp"])
+def test_full_rank_pair_grid_matches_pointwise_outputs(kind):
+    # every term of each component's decomposition is one product pair of
+    # the fill; axes before, on and past the grid, gated inside them
+    w = (_random_pair(np.linspace(0.0, 10.0, 101), (0, 1, 2), seed=11) if kind == "random"
+         else _cusp_pair())
+    for n, x in w.tensors.items():
+        u, v = amplitudes._cross_terms(x)
+        assert len(u) == x.shape[0]
+        # the residual in extended precision, against the decomposition's bound
+        exact = x.astype(np.clongdouble) - u.T.astype(np.clongdouble) @ v.astype(np.clongdouble)
+        assert (np.sqrt(np.sum(np.abs(exact) ** 2))
+                <= amplitudes._CROSS_TOL * np.sqrt(np.sum(np.abs(x.astype(np.clongdouble)) ** 2)))
+    ax1 = np.linspace(0.0, 11.0, 12)
+    ax2 = np.array([0.0, 0.45, 2.0, 3.33, 6.0, 7.0, 9.95, 10.0, 10.5])
+    for ch in CHANNELS:
+        values = two_photon_channel_grid(w, ch, ax1, ax2, 7.0).values
+        points = [[two_photon_outputs(float(a), float(b), 7.0, w)[ch] for b in ax2] for a in ax1]
+        np.testing.assert_allclose(values, points, rtol=0.0, atol=1e-13)
+        assert np.max(np.abs(values)) > 1e-2
+
+
 def test_channels_gate_past_observation_time():
     w = _pair(1.0)
     out = two_photon_outputs(1.0, 5.0, 3.0, w)
@@ -478,22 +530,25 @@ def test_gaussian_channel_grid_matches_pointwise_outputs(dirs, chirp):
                 assert grid.values[i, j] == pytest.approx(point, rel=0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "sampled"])
+@pytest.mark.parametrize("kind", ["gaussian", "sampled", "correlated"])
 def test_product_channel_grid_takes_the_factor_fill(monkeypatch, kind):
-    # any product pair's grid is multiplied out from its photons' one-time
+    # any state's grid is multiplied out from its photons' one-time
     # absorptions K_p on each axis; the pointwise channel sums are left to
-    # single points and correlated pairs
+    # single points
     def refuse(*args, **kwargs):
-        raise AssertionError("a product pair's grid took the pointwise channel sums")
+        raise AssertionError("a grid took the pointwise channel sums")
 
     if kind == "gaussian":
         photons = (_gaussian(), _gaussian(centre=2.0, sigma=0.7))
-    else:
+    elif kind == "sampled":
         t_samp = np.linspace(0.0, 30.0, 151)
         photons = (PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2),
                    PulseProfile.from_samples(t_samp, math.sqrt(2.0) * np.exp(-t_samp),
                                              norm_tol=1e-2))
-    w = WavepacketN.product([(photons[0], Direction.RIGHT), (photons[1], Direction.LEFT)])
+    if kind == "correlated":
+        w = _random_pair(np.linspace(0.0, 6.0, 25), (0, 1, 2), seed=5)
+    else:
+        w = WavepacketN.product([(photons[0], Direction.RIGHT), (photons[1], Direction.LEFT)])
     monkeypatch.setattr(amplitudes, "_channel_sums", refuse)
     ax = np.linspace(0.0, 9.0, 37)
     for ch in CHANNELS:
@@ -691,6 +746,17 @@ def test_write_grid_csv_refuses_one_file_for_csv_and_header(tmp_path, header_nam
     with pytest.raises(ValueError, match="both be written"):
         write_grid_csv(grid, tmp_path / "grid.json", tmp_path / header_name)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0)])
+def test_write_grid_csv_refuses_an_empty_axis_before_opening_a_file(tmp_path, shape):
+    axes = tuple(np.linspace(0.0, 2.0, n) for n in shape)
+    grid = AmplitudeGrid(axes=axes, values=np.zeros(shape, dtype=complex), channel="RL",
+                         dynamical_time=6.0)
+    for header in (tmp_path / "grid.json", None):
+        with pytest.raises(ValueError, match="empty axis"):
+            write_grid_csv(grid, tmp_path / "grid.csv", header)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_load_grid_csv_rejects_a_truncated_file(tmp_path):
