@@ -22,6 +22,7 @@ Conventions:
 
 from __future__ import annotations
 
+import collections
 import functools
 import json
 import math
@@ -34,8 +35,8 @@ import numpy as np
 # h_closed_form, integrate and integrate_2d_box have no caller here, but
 # perfbench's tracer patches amplitudes.h_closed_form, amplitudes.integrate
 # and amplitudes.integrate_2d_box
-from .kernel import _locate, _window_kernel, h_closed_form  # noqa: F401
-from .model import Direction, InitialState, WavepacketN, _as_direction, _permanent
+from .kernel import _window_kernel, h_closed_form  # noqa: F401
+from .model import Direction, InitialState, PulseProfile, WavepacketN, _as_direction, _permanent
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_2d_box  # noqa: F401
 
 __all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
@@ -98,7 +99,7 @@ def _absorption_chain(lo, hi, w: WavepacketN, quad: QuadratureSpec) -> complex:
         return 1.0 + 0.0j
     sign = -1.0 if n % 2 else 1.0
     if w.kind == "correlated2":
-        return sign * complex(_kernels(w, quad).windows(lo[0], hi[0], lo[1], hi[1], True))
+        return sign * complex(_PairKernels(w, quad).windows(lo[0], hi[0], lo[1], hi[1], True))
     mat = np.stack([_window_kernel(p, hi, lo, quad) for p, _ in w.entries], axis=1,
                    dtype=complex)
     return sign * w.separable_normalization() * _permanent(mat)
@@ -150,7 +151,7 @@ def linear_beamsplitter_amplitude(tau1: float, tau2: float, w: WavepacketN,
     _check_finite("emission times", tau1, tau2)
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("emission times must be >= 0")
-    return complex(_kernels(w, quad).windows(0.0, tau1, 0.0, tau2, True))
+    return complex(_PairKernels(w, quad).windows(0.0, tau1, 0.0, tau2, True))
 
 
 def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
@@ -175,7 +176,7 @@ def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("emission times must be >= 0")
     lo, hi = sorted((tau1, tau2))
-    square = complex(_kernels(w, quad).windows(0.0, lo, 0.0, lo, True))
+    square = complex(_PairKernels(w, quad).windows(0.0, lo, 0.0, lo, True))
     return -math.exp(-(hi - lo)) * square / _SQRT2
 
 
@@ -228,117 +229,145 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
 # a correlated pair's decomposition stops once the residual it carries is
 # this small against its component tensor, in the Frobenius norm
 _CROSS_TOL = 1e-15
+# a symmetric tensor pivots on its largest diagonal entry while that is at
+# least this share of its largest entry, in magnitude (Bunch and Kaufman's)
+_DIAGONAL_PIVOT = (1.0 + math.sqrt(17.0)) / 8.0
 
 
-class _SampledPhotons:
-    """Photons sampled on one grid, values (r, M), linear in between and zero
-    off it.  The window kernels of ``kernel`` take them as one sampled profile
-    whose values carry a leading photon axis, so each call serves all r."""
-
-    kind = "sampled"
-    is_exponential = False
-
-    def __init__(self, grid: np.ndarray, values: np.ndarray):
-        self._grid, self._values = grid, values
-
-    def value(self, t) -> np.ndarray:
-        g, t = self._grid, np.asarray(t, dtype=float)
-        k, k1, delta, width = _locate(g, t)
-        lin = self._values[:, k] + delta / width * (self._values[:, k1] - self._values[:, k])
-        return np.where((t >= g[0]) & (t <= g[-1]), lin, 0.0)
-
-
-def _cross_terms(x: np.ndarray):
-    """Rows u_k, v_k with x = sum_k outer(u_k, v_k) up to _CROSS_TOL ||x||_F.
-
-    Gaussian elimination with complete pivoting: each term is the residual's
-    column and row through its largest entry, the row divided by that entry,
-    and takes that row and column out of the residual.  It stops on the
-    residual it carries, x minus the terms but for the rounding of its
-    updates, so a tensor of rank r takes r terms.
+def _cross_terms(x: np.ndarray, symmetric: bool = False):
+    """Rows u_k, v_k with x = sum_k outer(u_k, v_k), by Gaussian elimination
+    with complete pivoting: each term is the residual's column and row through
+    its largest entry, the row over that entry, and takes them out of the
+    residual (one residual held, updated in place).  It stops once the
+    residual it carries is <= _CROSS_TOL ||x||_F, so a rank-r tensor takes r
+    terms; the terms' own residual differs from it by the rounding of the
+    updates, about m eps ||x||_F for an m x m tensor.  A symmetric x is taken
+    as (x + x^T) / 2 and gives v_k = u_k: it pivots on the largest diagonal
+    entry while _DIAGONAL_PIVOT allows, else on the 2 x 2 block through the
+    largest entry, whose inverse :func:`_symmetric_root` splits in two terms.
     """
-    res, m = np.array(x, dtype=complex), len(x)
+    if symmetric:
+        res = x + x.T
+        res *= 0.5
+    else:
+        res = np.asarray(x, dtype=complex)
+    m = len(res)
     bound = (_CROSS_TOL * np.linalg.norm(res)) ** 2
-    rows, cols, us, vs = np.arange(m), np.arange(m), [], []
-    while (mag := res.real ** 2 + res.imag ** 2).sum() > bound:
-        i, j = np.unravel_index(np.argmax(mag), mag.shape)
-        u, v = np.zeros(m, dtype=complex), np.zeros(m, dtype=complex)
-        u[rows], v[cols] = res[:, j], res[i] / res[i, j]
-        us.append(u)
-        vs.append(v)
-        rows, cols = np.delete(rows, i), np.delete(cols, j)
-        res = np.delete(np.delete(res, i, 0), j, 1) - np.multiply.outer(u[rows], v[cols])
-    return np.reshape(us, (-1, m)), np.reshape(vs, (-1, m))
+    rows, cols = np.arange(m), np.arange(m)
+    us, vs = [np.zeros((m, 0), dtype=complex)], [np.zeros((m, 0), dtype=complex)]
+    while np.vdot(res, res).real > bound:
+        i, j = np.unravel_index(np.argmax(np.abs(res)), res.shape)
+        if symmetric:
+            k = np.argmax(np.abs(np.diagonal(res)))
+            i = j = [k] if abs(res[k, k]) >= _DIAGONAL_PIVOT * abs(res[i, j]) else [i, j]
+            u = v = res[:, j] @ _symmetric_root(np.linalg.inv(res[np.ix_(i, j)]))
+        else:
+            u, v, i, j = res[:, [j]], res[[i]].T / res[i, j], [i], [j]
+        for out, part, at in ((us, u, rows), (vs, v, cols)):
+            out.append(np.zeros((m, part.shape[1]), dtype=complex))
+            out[-1][at] = part
+        keep_rows, keep_cols = (np.delete(np.arange(len(rows)), i),
+                                np.delete(np.arange(len(cols)), j))
+        rows, cols = rows[keep_rows], cols[keep_cols]
+        res = res[np.ix_(keep_rows, keep_cols)]
+        res -= u[keep_rows] @ v[keep_cols].T
+    u = np.concatenate(us, axis=1).T
+    return (u, u) if symmetric else (u, np.concatenate(vs, axis=1).T)
 
 
-# each live correlated pair's photons and pairs, decomposed on first use
+def _symmetric_root(s: np.ndarray) -> np.ndarray:
+    """L with L L^T = s, for a nonsingular complex symmetric s of size 1 or 2.
+    Of size 2, with sigma = +-1 making mu = s11 + s22 + 2 sigma s12 largest, L's
+    first column s (1, sigma) / sqrt(mu) leaves det(s) / mu (-sigma, 1) (-sigma, 1)^T.
+    """
+    if len(s) == 1:
+        return np.sqrt(s)
+    (a, b), (_, c) = s
+    sigma = 1.0 if abs(a + c + 2.0 * b) >= abs(a + c - 2.0 * b) else -1.0
+    mu = a + c + 2.0 * sigma * b
+    rest = np.sqrt((a * c - b * b) / mu)
+    return np.array([[(a + sigma * b) / np.sqrt(mu), -sigma * rest],
+                     [(b + sigma * c) / np.sqrt(mu), rest]])
+
+
+# each live correlated pair's photon pairs, decomposed on first use
 _DECOMPOSED = weakref.WeakKeyDictionary()
+
+
+def _decomposed_pairs(w: WavepacketN) -> list:
+    """The photon pairs (p, d1, q, d2) of a correlated pair: stacks of photons
+    sampled on its grid, at no particular norm, from :func:`_cross_terms`.
+
+    xi1 gives (right u_k, left v_k).  xi2 and xi0 give same-direction pairs
+    (u_k, u_k) / 2^(1/4) of their symmetric terms, whose symmetrised
+    products sum to sqrt 2 times the tensor.
+    """
+    photons = functools.partial(PulseProfile, "sampled", w.grid[-1], grid=w.grid,
+                                norm_tol=math.inf)
+    pairs = []
+    for n, d1, d2 in ((2, Direction.RIGHT, Direction.RIGHT), (0, Direction.LEFT, Direction.LEFT),
+                      (1, Direction.RIGHT, Direction.LEFT)):
+        if n in w.tensors:
+            u, v = _cross_terms(w.tensors[n], symmetric=d1 is d2)
+            p = q = photons(values=u / 2.0 ** 0.25 if d1 is d2 else u)
+            if d1 is not d2:
+                q = photons(values=v)
+            pairs.append((p, d1, q, d2))
+    return pairs
 
 
 class _PairKernels:
     """S and W of a two-photon state as a weighted list of photon pairs.
 
-    Each photon object is a profile or a stack of photons along a first
-    axis.  The state is weight times the sum, over its pairs ((i, a), d1,
-    (j, b), d2) and over k, of the product pair of photon a[k] of object i,
-    moving in d1, and photon b[k] of object j, moving in d2, each at unit
-    normalization (a and b are slices).  A product state is one pair of its two
-    profiles, weighted by its normalization.  A correlated pair decomposes
-    each component tensor by :func:`_cross_terms` into photons sampled on its
-    grid (all of them one :class:`_SampledPhotons`), weight 1: xi1 as pairs
-    (right u_k, left v_k), xi2 and xi0 as same-direction pairs of u_k and
-    v_k / sqrt 2, whose symmetrised products sum to the symmetric tensor.
-    The bilinear interpolant of sum_k outer(u_k, v_k) is sum_k lin(u_k)
-    lin(v_k), and a sampled photon's kernels are exact for its linear
-    interpolant, so the pairs are exact for the state's interpolant.  S and
-    W are vectorized, each photon object evaluated once per call, in blocks
-    of points that keep each (photons x points) temporary within
-    _BLOCK_ENTRIES entries.
+    The state is weight times the sum over its pairs (p, d1, q, d2) and over
+    k of the product pair of photon p[k], moving in d1, and photon q[k],
+    moving in d2, each at unit normalization; p and q are profiles, one
+    photon each or photons stacked along a leading axis.  A product state is
+    one pair of its two profiles, weighted by its normalization.  A
+    correlated pair's pairs come from :func:`_decomposed_pairs`, weight 1:
+    sampled photons on its grid, whose bilinear interpolant is the state's.
+    A sampled photon's kernels are exact for its linear interpolant, so the
+    pairs are exact for the state's interpolant.  S and W are vectorized,
+    each profile evaluated once per call, in blocks of points that keep each
+    (photons x points) temporary within _BLOCK_ENTRIES entries.
     """
 
     def __init__(self, w: WavepacketN, quad: QuadratureSpec):
         self._quad = quad
         if w.kind == "separable":
             (p1, d1), (p2, d2) = w.entries
-            self._weight, self._photons = w.separable_normalization(), (p1, p2)
-            self._pairs = [((0, slice(0, 1)), d1, (1, slice(0, 1)), d2)]
+            self.weight, self.pairs = w.separable_normalization(), [(p1, d1, p2, d2)]
         else:
             if w not in _DECOMPOSED:
-                values, pairs = [], []
-                for n, d1, d2 in ((2, "R", "R"), (0, "L", "L"), (1, "R", "L")):
-                    if n in w.tensors:
-                        u, v = _cross_terms(w.tensors[n])
-                        start, r = sum(map(len, values)), len(u)
-                        values += [u, v if n == 1 else v / _SQRT2]
-                        pairs.append(((0, slice(start, start + r)), _as_direction(d1),
-                                      (0, slice(start + r, start + 2 * r)), _as_direction(d2)))
-                _DECOMPOSED[w] = (_SampledPhotons(w.grid, np.concatenate(values)),), pairs
-            self._weight, (self._photons, self._pairs) = 1.0, _DECOMPOSED[w]
-        photons = sum(s.stop - s.start for (_, a), _, (_, b), _ in self._pairs for s in (a, b))
-        self._step = max(1, _BLOCK_ENTRIES // photons)
+                _DECOMPOSED[w] = _decomposed_pairs(w)
+            self.weight, self.pairs = 1.0, _DECOMPOSED[w]
+        # each profile once; its values carry its photon axes (none but a sampled stack's)
+        self.profiles = dict.fromkeys(p for pair in self.pairs for p in pair[::2])
+        photons = sum(math.prod(np.shape(p._values)[:-1]) for p in self.profiles)
+        self._step = max(1, _BLOCK_ENTRIES // max(1, photons))
 
-    def envelopes(self, i: int, x) -> np.ndarray:
-        """The envelopes of photon object i at x, photons along the first axis."""
-        return np.reshape(self._photons[i].value(x), (-1, *np.shape(x)))
+    def envelopes(self, p: PulseProfile, x) -> np.ndarray:
+        """The envelopes of profile p at x, photons along the first axis."""
+        return np.reshape(p.value(x), (-1, *np.shape(x)))
 
-    def kernels(self, i: int, hi, lo) -> np.ndarray:
-        """The window kernels K(p; lo, hi) of photon object i, photons along the first axis."""
-        return np.reshape(_window_kernel(self._photons[i], hi, lo, self._quad),
+    def kernels(self, p: PulseProfile, hi, lo) -> np.ndarray:
+        """The window kernels K(p; lo, hi), photons along the first axis."""
+        return np.reshape(_window_kernel(p, hi, lo, self._quad),
                           (-1, *np.broadcast(hi, lo).shape))
 
     def spectator(self, d: Direction, tau_emit, tau_spec, gate):
         # (spectator photons, their re-emitted partners): each photon of a
         # pair that moves in d passes as the spectator in turn
-        roles = [(a, b) for first, d1, second, d2 in self._pairs
-                 for a, da, b in ((first, d1, second), (second, d2, first)) if da is d]
+        roles = collections.Counter((a, b) for p, dp, q, dq in self.pairs
+                                    for a, da, b in ((p, dp, q), (q, dq, p)) if da is d)
 
         def block(tau_emit, tau_spec, gate):
-            env = {i: self.envelopes(i, tau_spec) for i in {i for (i, _), _ in roles}}
-            kern = {j: self.kernels(j, tau_emit, 0.0) for j in {j for _, (j, _) in roles}}
+            env = {a: self.envelopes(a, tau_spec) for a, _ in roles}
+            kern = {b: self.kernels(b, tau_emit, 0.0) for _, b in roles}
             total = 0.0
-            for (i, a), (j, b) in roles:
-                total = total + _sum_terms(env[i][a] * kern[j][b])
-            return -self._weight * total * gate
+            for (a, b), n in roles.items():
+                total = total + n * _sum_terms(env[a] * kern[b])
+            return -self.weight * total * gate
 
         return self._blocks(block, tau_emit, tau_spec, gate)
 
@@ -348,11 +377,10 @@ class _PairKernels:
 
         def block(lo1, hi1, lo2, hi2, gate):
             lo1, hi1, lo2, hi2 = (np.where(gate, x, 0.0) for x in (lo1, hi1, lo2, hi2))
-            k1, k2 = ([self.kernels(i, hi, lo) for i in range(len(self._photons))]
+            k1, k2 = ({p: self.kernels(p, hi, lo) for p in self.profiles}
                       for lo, hi in ((lo1, hi1), (lo2, hi2)))
-            terms = np.concatenate([k1[i][a] * k2[j][b] + k1[j][b] * k2[i][a]
-                                    for (i, a), _, (j, b), _ in self._pairs])
-            return np.where(gate, self._weight * _sum_terms(terms), 0.0)
+            terms = np.concatenate([k1[p] * k2[q] + k1[q] * k2[p] for p, _, q, _ in self.pairs])
+            return np.where(gate, self.weight * _sum_terms(terms), 0.0)
 
         return self._blocks(block, lo1, hi1, lo2, hi2, gate)
 
@@ -366,10 +394,6 @@ class _PairKernels:
         for i in range(0, out.size, self._step):
             out[i:i + self._step] = func(*(a[i:i + self._step] for a in flat))
         return out.reshape(points.shape)
-
-
-# the kernel provider of a two-photon state
-_kernels = _PairKernels
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
@@ -388,8 +412,9 @@ def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> di
     included; same-direction channels carry the 1/sqrt(2) of their
     normalization.  Each S and W is evaluated once for all channels.
     """
-    T1, T2 = np.broadcast_arrays(np.asarray(tau1, dtype=float),
-                                 np.asarray(tau2, dtype=float))
+    # (not broadcast here: a spectator's kernels at a time axis that
+    # repeats along the other are evaluated once per distinct time)
+    T1, T2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
     g1 = T1 <= t
     g2 = T2 <= t
     lo = np.minimum(T1, T2)
@@ -441,7 +466,7 @@ def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
     _check_finite("detection and dynamical times", tau1, tau2, t)
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("detection times must be >= 0")
-    vals = _channel_sums(_kernels(w, quad), w, CHANNELS, tau1, tau2, t)
+    vals = _channel_sums(_PairKernels(w, quad), w, CHANNELS, tau1, tau2, t)
     return {ch: complex(v) for ch, v in vals.items()}
 
 
@@ -463,7 +488,7 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
         raise ValueError("detection and dynamical times must be finite")
     if (tau1 < 0.0).any() or (tau2 < 0.0).any():
         raise ValueError("detection times must be >= 0")
-    return _channel_sums(_kernels(w, DEFAULT_QUAD), w, (channel,), tau1, tau2, t)[channel]
+    return _channel_sums(_PairKernels(w, DEFAULT_QUAD), w, (channel,), tau1, tau2, t)[channel]
 
 
 # Row blocks of the grid fill: at most this many entries per temporary,
@@ -492,40 +517,37 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
     """
     slots = tuple(map(_as_direction, channel))
     kernels = _PairKernels(w, quad)
-    scale = kernels._weight / (_SQRT2 if slots[0] is slots[1] else 1.0)
+    scale = kernels.weight / (_SQRT2 if slots[0] is slots[1] else 1.0)
     gate1 = (ax1 <= t).astype(float)
     gate2 = (ax2 <= t).astype(float)
-    # each photon object's values on each axis, photons along the first axis
-    objects = range(len(kernels._photons))
-    env = [(kernels.envelopes(i, ax1), kernels.envelopes(i, ax2)) for i in objects]
-    kern = [(kernels.kernels(i, ax1, 0.0), kernels.kernels(i, ax2, 0.0)) for i in objects]
-    if not any(np.imag(v).any() for pair in env + kern for v in pair):
-        env, kern = ([(v1.real, v2.real) for v1, v2 in f] for f in (env, kern))
-    def at(values, photons, axis):
-        (i, part) = photons
-        return values[i][axis][part]
+    # each profile's values on each axis, photons along the first axis
+    env = {p: (kernels.envelopes(p, ax1), kernels.envelopes(p, ax2)) for p in kernels.profiles}
+    kern = {p: (kernels.kernels(p, ax1, 0.0), kernels.kernels(p, ax2, 0.0))
+            for p in kernels.profiles}
+    if not any(np.imag(v).any() for f in (env, kern) for pair in f.values() for v in pair):
+        env, kern = ({p: (v1.real, v2.real) for p, (v1, v2) in f.items()} for f in (env, kern))
 
     rows, cols, both1, both2 = [], [], [], []
-    for first, d1, second, d2 in kernels._pairs:
+    for first, d1, second, d2 in kernels.pairs:
         for a, da, b, db in ((first, d1, second, d2), (second, d2, first, d1)):
             if da is slots[0] and db is slots[1]:
                 # neither photon touched the atom
-                rows.append(at(env, a, 0))
-                cols.append(at(env, b, 1))
+                rows.append(env[a][0])
+                cols.append(env[b][1])
             if db is slots[1]:
                 # a re-emitted at tau1, b passes to the second slot
-                rows.append(-gate1 * at(kern, a, 0))
-                cols.append(at(env, b, 1))
+                rows.append(-gate1 * kern[a][0])
+                cols.append(env[b][1])
             if da is slots[0]:
                 # b re-emitted at tau2, a passes to the first slot
-                rows.append(at(env, a, 0))
-                cols.append(-gate2 * at(kern, b, 1))
+                rows.append(env[a][0])
+                cols.append(-gate2 * kern[b][1])
             # both absorbed, each window opened from 0 (the linear amplitude)
-            rows.append(gate1 * at(kern, a, 0))
-            cols.append(gate2 * at(kern, b, 1))
+            rows.append(gate1 * kern[a][0])
+            cols.append(gate2 * kern[b][1])
         # -2 K_1 K_2 at the earlier emission, on either axis
-        both1.append(-2.0 * gate1 * at(kern, first, 0) * at(kern, second, 0))
-        both2.append(-2.0 * gate2 * at(kern, first, 1) * at(kern, second, 1))
+        both1.append(-2.0 * gate1 * kern[first][0] * kern[second][0])
+        both2.append(-2.0 * gate2 * kern[first][1] * kern[second][1])
     shared_rows = np.concatenate(rows).T
     shared_cols = np.concatenate(cols)
     both1 = _sum_terms(np.concatenate(both1))

@@ -16,10 +16,11 @@ partial cell to its node's value, so it depends on its own window only.
 A sampled profile's cells (its sample intervals) are closed form for its
 linear interpolant (``_cell_weights``), so its table is exact; its values
 may carry leading axes, photons side by side on one grid (the terms of a
-correlated pair), whose tables come from one recurrence and whose queries
-locate each node once for all of them.  A callable profile's cells are
-min(0.5, timescale) wide, tabulated in one vector-valued ``integrate``,
-with partial cells by the fixed 15-node Kronrod rule.
+correlated pair's decomposition), whose tables come from one recurrence
+and whose queries locate each node once for all of them.  A callable
+profile's cells are min(0.5, timescale) wide, tabulated in one
+vector-valued ``integrate``, with partial cells by the fixed 15-node
+Kronrod rule.
 
 The closed form's quotient by 1 - g/2 is written without cancellation,
 so the matched bandwidth g = 2, where the pulse and memory decay rates
@@ -49,12 +50,10 @@ _TABLE_CELLS = _MAX_PANELS // 64
 
 
 def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
-    """K(p; lo, hi) at broadcast window ends lo <= hi; a window from 0 is K_p(hi)."""
+    """K(p; lo, hi) at broadcast window ends lo <= hi."""
     if p.is_exponential:
         return h_closed_form(hi, lo, p.gamma_bw)
     hi, lo = np.broadcast_arrays(np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
-    if not lo.any():
-        return _absorbed(p, hi, quad)
     return _absorbed(p, hi, quad) - np.exp(lo - hi) * _absorbed(p, lo, quad)
 
 
@@ -124,7 +123,7 @@ def _cell_weights(delta, width):
 def _locate(grid: np.ndarray, x):
     """The last node k at or below x (node 0 before the grid), the node
     after it (k itself at the last node), x - g_k and the width of k's cell."""
-    k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0, grid.size - 1)
+    k = np.maximum(np.searchsorted(grid, x, side="right") - 1, 0)
     cell = np.minimum(k, grid.size - 2)
     return k, np.minimum(k + 1, grid.size - 1), x - grid[k], grid[cell + 1] - grid[cell]
 

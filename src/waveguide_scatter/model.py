@@ -90,7 +90,9 @@ class PulseProfile:
     * ``exponential``: xi(t) = sqrt(gamma) * exp(-t * gamma / 2), the
       envelope whose kernel integrals have closed forms.
     * ``sampled``: values on a strictly increasing grid, linear
-      interpolation in between, zero outside.
+      interpolation in between, zero outside.  The values may carry
+      leading axes: photons side by side on one grid, each checked
+      against ``norm_tol`` (the terms of a correlated pair pass inf).
     * ``callable``: arbitrary closure, zero outside [0, t_max].
     """
 
@@ -113,23 +115,28 @@ class PulseProfile:
         elif kind == "sampled":
             if grid is None or values is None:
                 raise ValueError("sampled profile needs grid and values")
-            if grid.ndim != 1 or grid.shape != values.shape:
-                raise ValueError("grid and values must be 1-D and congruent")
+            if grid.ndim != 1 or grid.shape != values.shape[-1:]:
+                raise ValueError("grid must be 1-D and congruent with the values' last axis")
             if np.any(np.diff(grid) <= 0.0):
                 raise ValueError("sample grid must be strictly increasing")
             if grid[0] < 0.0:
                 raise ValueError("sample grid must start at t >= 0")
             self.timescale = timescale or max(float(np.min(np.diff(grid))), 1e-3)
+            # the linear pieces, with a zero piece for points off the grid
+            slopes = np.zeros(values.shape[:-1] + (grid.size + 1,), dtype=complex)
+            slopes.real[..., :-2] = np.diff(values.real) / np.diff(grid)
+            slopes.imag[..., :-2] = np.diff(values.imag) / np.diff(grid)
+            self._pieces = np.append(values, np.zeros(values.shape[:-1] + (1,)), axis=-1), slopes
         elif kind == "callable":
             if func is None:
                 raise ValueError("callable profile needs a closure")
             self.timescale = timescale or 1.0
         else:
             raise ValueError(f"unknown profile kind: {kind}")
-        nsq = self.norm_sq()
-        if not abs(nsq - 1.0) <= norm_tol:
+        nsq = np.asarray(self.norm_sq())
+        if not np.all(np.abs(nsq - 1.0) <= norm_tol):
             raise NormalizationError(
-                f"profile norm^2 = {nsq:.12g}, off unity by more than {norm_tol:g}; "
+                f"profile norm^2 = {np.max(nsq):.12g}, off unity by more than {norm_tol:g}; "
                 "extend t_max or renormalize the samples")
 
     # -- constructors ------------------------------------------------------
@@ -170,9 +177,13 @@ class PulseProfile:
                            math.sqrt(self.gamma_bw) * np.exp(-0.5 * self.gamma_bw * t),
                            0.0).astype(complex)
         elif self.kind == "sampled":
-            re = np.interp(t, self._grid, self._values.real, left=0.0, right=0.0)
-            im = np.interp(t, self._grid, self._values.imag, left=0.0, right=0.0)
-            out = np.where(inside, re + 1j * im, 0.0)
+            # np.interp's value in the piece at or below t, photons along the leading axes
+            g = self._grid
+            on = (t >= g[0]) & (t <= g[-1])
+            k = np.where(on, np.searchsorted(g, t, side="right") - 1, g.size)
+            values, slopes = self._pieces
+            dt = np.where(on, t - g[np.minimum(k, g.size - 1)], 0.0)
+            out = values[..., k] + slopes[..., k] * dt
         else:
             vals = np.asarray(self._func(t), dtype=complex)
             out = np.where(inside, vals, 0.0)
@@ -186,10 +197,11 @@ class PulseProfile:
             return 1.0 - math.exp(-self.gamma_bw * self.t_max)
         if self.kind == "sampled":
             # exact L2 norm of the linear interpolant, segment by segment
-            v0 = self._values[:-1]
-            v1 = self._values[1:]
+            v0 = self._values[..., :-1]
+            v1 = self._values[..., 1:]
             seg = (np.abs(v0) ** 2 + (v0.conjugate() * v1).real + np.abs(v1) ** 2) / 3.0
-            return float(np.sum(seg * np.diff(self._grid)))
+            nsq = np.sum(seg * np.diff(self._grid), axis=-1)
+            return float(nsq) if nsq.ndim == 0 else nsq
         # closure: composite Simpson on a dense uniform grid
         n = max(4096, int(8 * self.t_max / self.timescale))
         n += n % 2

@@ -40,7 +40,7 @@ from .amplitudes import (  # noqa: F401
     CHANNELS,
     _channel_sums,
     _emitter_amplitudes,
-    _kernels,
+    _PairKernels,
     _outer_spec,
     exp_pair_channel_values,
 )
@@ -111,7 +111,7 @@ def _excitation_two(times: np.ndarray, w: WavepacketN,
     live = times > 0.0
     if not np.any(live):
         return out
-    kernels = _kernels(w, quad)
+    kernels = _PairKernels(w, quad)
     outer = _outer_spec(w, quad)
     t = times[live][:, None]
 
@@ -160,9 +160,8 @@ def excitation_probability(t: float, w: WavepacketN,
     Supports one- and two-photon product drives, whose photons enter
     through their window kernels, and two-photon correlated pairs, through
     the sampled photon pairs they decompose into, exact for their bilinear
-    interpolant.  The
-    one-photon value is the squared absorption kernel; the two-photon
-    value traces out the photon that has already been re-emitted.
+    interpolant.  The one-photon value is the squared absorption kernel;
+    the two-photon value traces out the photon that has already been re-emitted.
     """
     return float(_excitation_values(_checked_times([t], w), w, quad)[0])
 
@@ -349,7 +348,7 @@ def _channel_weights(w: WavepacketN, t_end: float) -> dict:
     delay, delay_w = _ladder_axis(delay_span, scale)
     a, d = base[:, None], delay[None, :]
     weight = base_w[:, None] * delay_w[None, :]
-    kernels = _kernels(w, DEFAULT_QUAD)
+    kernels = _PairKernels(w, DEFAULT_QUAD)
     upper = _channel_sums(kernels, w, CHANNELS, a, a + d, t_end)
     lower = _channel_sums(kernels, w, CHANNELS, a + d, a, t_end)
     return {ch: float(np.sum(weight * (np.abs(upper[ch]) ** 2 + np.abs(lower[ch]) ** 2)))

@@ -37,7 +37,7 @@ from waveguide_scatter import amplitudes
 from waveguide_scatter.amplitudes import (
     _channel_sums,
     _emitter_amplitudes,
-    _kernels,
+    _PairKernels,
     _write_table,
 )
 from waveguide_scatter.model import _bilinear
@@ -227,7 +227,7 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
     p = (PulseProfile.exponential(1.3) if first == "exponential"
          else _gaussian(centre=1.5, sigma=0.35))
     w = WavepacketN.product([(p, dirs[0]), (PulseProfile.exponential(2.7), dirs[1])])
-    product = _kernels(w, DEFAULT_QUAD)
+    product = _PairKernels(w, DEFAULT_QUAD)
     quad = QuadratureKernels(w, DEFAULT_QUAD)
     t = 1.1
     # before t, at t (closed gate, theta(0) = 1) and past t, where the
@@ -321,7 +321,7 @@ def test_correlated_kernels_are_exact_for_the_bilinear_interpolant(components):
     # inside cells and past its end
     grid = np.array([0.5, 0.9, 1.6, 2.0, 2.7, 3.05, 4.0])
     w = _random_pair(grid, components, seed=len(components))
-    kernels = _kernels(w, DEFAULT_QUAD)
+    kernels = _PairKernels(w, DEFAULT_QUAD)
     emit = np.array([0.3, 0.5, 1.2, 2.0, 3.3, 4.0, 5.1])
     spec = np.array([0.2, 0.5, 1.9, 2.7, 4.0, 4.4, 0.9])
     for d in (Direction.RIGHT, Direction.LEFT):
@@ -390,8 +390,8 @@ def test_rank_one_correlated_pair_is_its_sampled_product_pair():
     # state of one profile twice normalizes by exchange alone)
     p = PulseProfile.from_samples(grid, x, norm_tol=1e-3)
     wp = WavepacketN.product([(p, Direction.RIGHT)] * 2)
-    (photons,) = _kernels(wc, DEFAULT_QUAD)._photons
-    assert len(photons._values) == 2  # one term: two photons
+    ((photons, _, partner, _),) = _PairKernels(wc, DEFAULT_QUAD).pairs
+    assert photons is partner and len(photons._values) == 1  # one term: one photon, twice
     for a, b in ((0.3, 2.1), (1.7, 1.7), (4.0, 0.25), (7.5, 9.0), (36.0, 2.0)):
         out_c, out_p = two_photon_outputs(a, b, 8.0, wc), two_photon_outputs(a, b, 8.0, wp)
         for ch in CHANNELS:
@@ -418,12 +418,15 @@ def test_full_rank_pair_grid_matches_pointwise_outputs(kind):
     w = (_random_pair(np.linspace(0.0, 10.0, 101), (0, 1, 2), seed=11) if kind == "random"
          else _cusp_pair())
     for n, x in w.tensors.items():
-        u, v = amplitudes._cross_terms(x)
+        u, v = amplitudes._cross_terms(x, symmetric=n != 1)
         assert len(u) == x.shape[0]
-        # the residual in extended precision, against the decomposition's bound
-        exact = x.astype(np.clongdouble) - u.T.astype(np.clongdouble) @ v.astype(np.clongdouble)
-        assert (np.sqrt(np.sum(np.abs(exact) ** 2))
-                <= amplitudes._CROSS_TOL * np.sqrt(np.sum(np.abs(x.astype(np.clongdouble)) ** 2)))
+        assert (u is v) == (n != 1)
+        # the residual in extended precision, against the decomposition's
+        # bound: the carried residual plus the rounding of m updates
+        x = x.astype(np.clongdouble)
+        exact = x - u.T.astype(np.clongdouble) @ v.astype(np.clongdouble)
+        bound = amplitudes._CROSS_TOL + len(x) * np.finfo(float).eps
+        assert np.sqrt(np.sum(np.abs(exact) ** 2)) <= bound * np.sqrt(np.sum(np.abs(x) ** 2))
     ax1 = np.linspace(0.0, 11.0, 12)
     ax2 = np.array([0.0, 0.45, 2.0, 3.33, 6.0, 7.0, 9.95, 10.0, 10.5])
     for ch in CHANNELS:
@@ -431,6 +434,19 @@ def test_full_rank_pair_grid_matches_pointwise_outputs(kind):
         points = [[two_photon_outputs(float(a), float(b), 7.0, w)[ch] for b in ax2] for a in ax1]
         np.testing.assert_allclose(values, points, rtol=0.0, atol=1e-13)
         assert np.max(np.abs(values)) > 1e-2
+
+
+def test_symmetric_decomposition_pivots_on_blocks_off_a_zero_diagonal():
+    # two photons in disjoint modes: x = a b^T + b a^T has rank 2 and a zero
+    # diagonal, so no diagonal entry can serve as a pivot
+    grid = np.linspace(0.0, 4.0, 9)
+    a = np.where(grid < 2.0, np.exp(-grid), 0.0) + 0j
+    b = np.where(grid > 2.0, 1j * np.sin(grid), 0.0)
+    x = np.outer(a, b) + np.outer(b, a)
+    u, v = amplitudes._cross_terms(x, symmetric=True)
+    assert u is v and len(u) == 2
+    bound = amplitudes._CROSS_TOL + len(x) * np.finfo(float).eps
+    assert np.linalg.norm(u.T @ u - x) <= bound * np.linalg.norm(x)
 
 
 def test_channels_gate_past_observation_time():
