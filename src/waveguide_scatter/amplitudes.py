@@ -252,17 +252,20 @@ def _cross_terms(x: np.ndarray, symmetric: bool = False):
     else:
         res = np.asarray(x, dtype=complex)
     m = len(res)
-    bound = (_CROSS_TOL * np.linalg.norm(res)) ** 2
+    # (no BLAS call: on a small tensor its start-up would cost more than the work)
+    bound = _CROSS_TOL ** 2 * (res.real ** 2 + res.imag ** 2).sum()
     rows, cols = np.arange(m), np.arange(m)
     us, vs = [np.zeros((m, 0), dtype=complex)], [np.zeros((m, 0), dtype=complex)]
-    while np.vdot(res, res).real > bound:
-        i, j = np.unravel_index(np.argmax(np.abs(res)), res.shape)
+    while (mag := res.real ** 2 + res.imag ** 2).sum() > bound:
+        i, j = np.unravel_index(np.argmax(mag), mag.shape)
         if symmetric:
-            k = np.argmax(np.abs(np.diagonal(res)))
-            i = j = [k] if abs(res[k, k]) >= _DIAGONAL_PIVOT * abs(res[i, j]) else [i, j]
-            u = v = res[:, j] @ _symmetric_root(np.linalg.inv(res[np.ix_(i, j)]))
+            k = np.argmax(np.diagonal(mag))
+            i = j = [k] if mag[k, k] >= _DIAGONAL_PIVOT ** 2 * mag[i, j] else [i, j]
+            root = _symmetric_root(np.linalg.inv(res[np.ix_(i, j)]))
+            u = v = np.einsum("ik,kl->il", res[:, j], root)
         else:
             u, v, i, j = res[:, [j]], res[[i]].T / res[i, j], [i], [j]
+        del mag
         for out, part, at in ((us, u, rows), (vs, v, cols)):
             out.append(np.zeros((m, part.shape[1]), dtype=complex))
             out[-1][at] = part
@@ -270,7 +273,8 @@ def _cross_terms(x: np.ndarray, symmetric: bool = False):
                                 np.delete(np.arange(len(cols)), j))
         rows, cols = rows[keep_rows], cols[keep_cols]
         res = res[np.ix_(keep_rows, keep_cols)]
-        res -= u[keep_rows] @ v[keep_cols].T
+        for a, b in zip(u[keep_rows].T, v[keep_cols].T):
+            res -= np.multiply.outer(a, b)
     u = np.concatenate(us, axis=1).T
     return (u, u) if symmetric else (u, np.concatenate(vs, axis=1).T)
 
