@@ -252,7 +252,7 @@ def _cross_terms(x: np.ndarray, symmetric: bool = False):
     else:
         res = np.asarray(x, dtype=complex)
     m = len(res)
-    # (no BLAS call: on a small tensor its start-up would cost more than the work)
+    # element-wise only: on a small tensor a BLAS call costs more to start than the work
     bound = _CROSS_TOL ** 2 * (res.real ** 2 + res.imag ** 2).sum()
     rows, cols = np.arange(m), np.arange(m)
     us, vs = [np.zeros((m, 0), dtype=complex)], [np.zeros((m, 0), dtype=complex)]
