@@ -510,14 +510,17 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
     Each history of :func:`two_photon_outputs` is, for every product pair of
     the state's photon pairs (:class:`_PairKernels`), built from one-time
     values on each axis, the envelopes p and absorptions K_p(x) = K(p; 0, x).
-    The input, spectator and linear terms are whole-plane products of a
-    function of tau1 and one of tau2.  By K(p; lo, hi) = K_p(hi) - exp(lo - hi)
-    K_p(lo), the ordered chain is the linear term minus 2 exp(lo - hi)
-    K_1(lo) K_2(lo), summed over the product pairs into one product on each
-    triangle once split at the block's last row.  Each block (i0, (U, C_up),
-    (L, C_low)) holds the rows i0 <= i < i0 + len(U): row i is scale *
-    U[i - i0] @ C_up where tau1 <= tau2 and scale * L[i - i0] @ C_low where
-    tau1 > tau2.  Real values (every exponential pair's) give float64 factors.
+    With photon a in the first slot and b in the second, the input, both
+    spectator terms and the linear term make one whole-plane product,
+    (p_a [a moves in slot 1] - g1 K_a)(tau1) (p_b [b moves in slot 2] - g2
+    K_b)(tau2) with g_i = theta(t - tau_i): rank 2 per photon pair, one per
+    order.  By K(p; lo, hi) = K_p(hi) - exp(lo - hi) K_p(lo), the ordered
+    chain is the linear term minus 2 exp(lo - hi) K_1(lo) K_2(lo), summed
+    over the product pairs into one product on each triangle once split at
+    the block's last row.  Each block (i0, (U, C_up), (L, C_low)) holds the
+    rows i0 <= i < i0 + len(U): row i is scale * U[i - i0] @ C_up where
+    tau1 <= tau2 and scale * L[i - i0] @ C_low where tau1 > tau2.  Real
+    values (every exponential pair's) give float64 factors.
     """
     slots = tuple(map(_as_direction, channel))
     kernels = _PairKernels(w, quad)
@@ -534,21 +537,11 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
     rows, cols, both1, both2 = [], [], [], []
     for first, d1, second, d2 in kernels.pairs:
         for a, da, b, db in ((first, d1, second, d2), (second, d2, first, d1)):
-            if da is slots[0] and db is slots[1]:
-                # neither photon touched the atom
-                rows.append(env[a][0])
-                cols.append(env[b][1])
-            if db is slots[1]:
-                # a re-emitted at tau1, b passes to the second slot
-                rows.append(-gate1 * kern[a][0])
-                cols.append(env[b][1])
-            if da is slots[0]:
-                # b re-emitted at tau2, a passes to the first slot
-                rows.append(env[a][0])
-                cols.append(-gate2 * kern[b][1])
-            # both absorbed, each window opened from 0 (the linear amplitude)
-            rows.append(gate1 * kern[a][0])
-            cols.append(gate2 * kern[b][1])
+            # a in the first slot and b in the second: the input, either
+            # spectator and both absorbed from 0 (the linear amplitude) in one
+            row, col = -gate1 * kern[a][0], -gate2 * kern[b][1]
+            rows.append(row + env[a][0] if da is slots[0] else row)
+            cols.append(col + env[b][1] if db is slots[1] else col)
         # -2 K_1 K_2 at the earlier emission, on either axis
         both1.append(-2.0 * gate1 * kern[first][0] * kern[second][0])
         both2.append(-2.0 * gate2 * kern[first][1] * kern[second][1])

@@ -18,9 +18,9 @@ weights take the break as a segment boundary; since those weights
 differ from one only near the ends and the break, a held grid is summed
 as one matmul plus a banded correction.  The two-route comparison never
 forms those rows: it sums the grid fill of its exponential pair from its
-rank-few factors, with running sums in place of the matmul.  Every route
-ends in the one window check, which rejects non-finite samples and a
-window whose edge has not decayed.
+rank-few factors, with running sums in place of the matmul, block by
+block.  Every route ends in the one window check, which rejects
+non-finite samples and a window whose edge has not decayed.
 """
 
 from __future__ import annotations
@@ -241,7 +241,8 @@ def _axis_kernel(axis: np.ndarray, omega: np.ndarray, end_corrected: bool = True
             f"requested frequencies reach {top:.3g}, beyond the alias-safe "
             f"band {limit:.3g} of the sampling step {dt:.3g}")
     weights = _quad_segment(axis.size) if end_corrected else np.ones(axis.size)
-    return np.exp(1j * axis[:, None] * omega[None, :]), weights * dt
+    table = 1j * axis[:, None] * omega[None, :]
+    return np.exp(table, out=table), weights * dt
 
 
 def _diagonal_break_rows(entries, kern: np.ndarray, row0: int, stop: int, n: int,
@@ -297,34 +298,36 @@ def _running_sum(run: np.ndarray) -> None:
 
 
 def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
-                     kern: np.ndarray, phase: np.ndarray) -> np.ndarray:
+                     kern: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Spectrum of one exponential-pair channel on axis x axis, contracted from
     the factors of :func:`_pair_factors` without forming a row block.  An
     exponential pair's factors are float64, and meet the complex kernels
     and running sums through their float views.
 
-    ``kern`` is the second axis's kernel with unit weights and ``phase``
-    the first axis's end-corrected one (each times the step).  With unit
-    weights, row i sums to U_i . sum_{j >= i} C_up[:, j] kern[j] +
-    L_i . sum_{j < i} C_low[:, j] kern[j]: running sums per rank term
-    inside the block, and one product for the columns outside it, at
-    O(N r n_omega) instead of O(N^2 n_omega).  :func:`_diagonal_break_rows`
-    adds the break correction from factor dot products.  The window
-    guard's edge (the last row and column) is exact, and the entries
-    read bound the peak from below; only when that bound cannot clear
-    the edge is the peak read off the multiplied-out blocks, so that
+    ``kern`` is the axis's kernel exp(i omega tau) times the step, shared by
+    both axes, and ``weights`` the first axis's end-corrected weights.  With
+    unit weights, row i sums to U_i . sum_{j >= i} C_up[:, j] kern[j] +
+    L_i . sum_{j < i} C_low[:, j] kern[j]: running sums per rank term (two
+    per photon pair and the triangle's one) inside the block, and one product
+    for the columns outside it, at O(N r n_omega) instead of O(N^2 n_omega).
+    :func:`_diagonal_break_rows` adds the break correction from factor dot
+    products.  Each block's rows are weighted and summed into the result as
+    soon as they are done, so no N x n_omega array is held.  The window
+    guard's edge (the last row and column) is exact, and the entries read
+    bound the peak from below; only when that bound cannot clear the edge
+    is the peak read off the multiplied-out blocks, so that
     :func:`_check_window` decides as it would on the held grid.
     """
     n = axis.size
     scale, factors = _pair_factors(w, channel, axis, axis, t)
     kern_re = kern.view(float)
-    inner = np.empty((n, kern.shape[1]), dtype=complex)
+    values = np.zeros((kern.shape[1],) * 2, dtype=complex)
     peak = edge = 0.0
     for i0, (up_rows, up_cols), (low_rows, low_cols) in factors:
         i1 = i0 + len(up_rows)
         up_rows, low_rows = scale * up_rows, scale * low_rows
         up_t, low_t = up_cols.T.copy(), low_cols.T.copy()
-        part = inner[i0:i1]
+        part = np.empty((i1 - i0, kern.shape[1]), dtype=complex)
         # columns j >= i: suffix sums from the product past the block; the real
         # row factors meet the complex sums' float views (re, im interleaved)
         run = np.empty((i1 - i0 + 1, up_t.shape[1], kern.shape[1]), dtype=complex)
@@ -337,6 +340,8 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
         np.multiply(low_t[i0:i1 - 1, :, None], kern[i0:i1 - 1, None], out=run[1:-1])
         _running_sum(run[:-1])
         part += (low_rows[:, None] @ run[:-1].view(float))[:, 0].view(complex)
+        # not held beside the next block's running sums
+        del run
 
         def entries(k, cols):
             nonlocal peak
@@ -350,13 +355,15 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
         edge = np.maximum(edge, np.max(np.abs(entries(np.arange(i1 - i0), n - 1))))
         if i1 == n:
             edge = np.maximum(edge, np.max(np.abs(entries(i1 - i0 - 1, np.arange(n)))))
+        part *= weights[i0:i1, None]
+        values += kern[i0:i1].T @ part
     # below the bound, the held grid's guard passes too; otherwise (an all-zero
     # or non-finite read included) the bound may sit under the true peak, and
     # the multiplied-out blocks give it
     if not edge < _WINDOW_EDGE_TOL * peak:
         _check_window(edge, np.max([np.max(np.abs(rows)) for _, rows in
                                     _pair_blocks(w, channel, axis, axis, t)]))
-    return phase.T @ inner / _TWO_PI
+    return values / _TWO_PI
 
 
 def _frequency_axes(omega_axes, ndim: int) -> tuple[np.ndarray, ...]:
@@ -413,7 +420,8 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
             if same_axes:
                 _diagonal_break_rows(lambda k, cols: f[k, cols], kern2, 0, len(f), len(f),
                                      inner)
-            values = (phase * w[:, None]).T @ inner / _TWO_PI
+            inner *= w[:, None]
+            values = phase.T @ inner / _TWO_PI
         return FreqAmplitudeGrid(axes=omegas, values=values, channel=grid.channel)
     omegas = tuple(_TWO_PI * np.fft.fftshift(np.fft.fftfreq(a.size, dt))
                    for a, dt in zip(axes, steps))
@@ -677,8 +685,9 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     are summed from the one-time factors of the grid fill
     (:func:`_bridge_exp_pair`) with the weights and the window guard that
     ``fourier_bridge(two_photon_channel_grid(...))`` applies, but no row
-    block of the time grid is formed.  Every argument is checked before
-    any grid work.
+    block of the time grid is formed, and the one time-by-frequency array
+    held is the kernel exp(i omega tau) dt that both axes share.  Every
+    argument is checked before any grid work.
     """
     start = time.perf_counter()
     gamma_bw = check_bandwidth(gamma_bw)
@@ -704,16 +713,15 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     def xi2(w1, w2):
         return mode(w1) * mode(w2)
 
-    # the axis kernels and the convolution do not depend on the channel:
-    # one of each per comparison
+    # the axis kernel and the convolution do not depend on the channel, and
+    # both axes share the kernel: one of each per comparison
     kern, unit = _axis_kernel(axis, om, end_corrected=False)
     kern *= unit[:, None]
-    phase, weights = _axis_kernel(axis, om)
-    phase *= weights[:, None]
+    weights = _quad_segment(axis.size)
     conv = _antidiagonal_convolution(om, om, xi2, quad, DEFAULT_ANTIDIAG_SPAN)
     results = []
     for channel in CHANNELS:
-        bridged = _bridge_exp_pair(w, channel, axis, float(t_end), kern, phase)
+        bridged = _bridge_exp_pair(w, channel, axis, float(t_end), kern, weights)
         direct = _channel_from_convolution(channel, om, om, xi2, conv)
         err = np.abs(bridged - direct.values)
         results.append(ChannelComparison(

@@ -573,6 +573,27 @@ def test_product_channel_grid_takes_the_factor_fill(monkeypatch, kind):
         assert np.any(np.abs(grid.values) > 1e-3)
 
 
+@pytest.mark.parametrize("kind", ["exponential", "mixed", "correlated"])
+def test_grid_fill_takes_rank_two_per_photon_pair(kind):
+    # an ordered photon pair's input, spectator and linear histories are one
+    # product of a tau1 factor and a tau2 factor: two per photon pair (one per
+    # order) and the ordered chain's column on each triangle, in every channel
+    if kind == "exponential":
+        w, photon_pairs = _pair(1.0), 1
+    elif kind == "mixed":
+        w, photon_pairs = _pair(0.7, 3.0, (Direction.RIGHT, Direction.LEFT)), 1
+    else:
+        # a full-rank 25-node tensor decomposes into 25 photon pairs per component
+        w, photon_pairs = _random_pair(np.linspace(0.0, 6.0, 25), (0, 1, 2), seed=5), 75
+        assert sum(len(p._values) for p, _, _, _ in _PairKernels(w, DEFAULT_QUAD).pairs) == 75
+    ax = np.linspace(0.0, 12.0, 41)
+    for ch in CHANNELS:
+        _, blocks = amplitudes._pair_factors(w, ch, ax, ax, 8.0)
+        for _, (up_rows, up_cols), (low_rows, low_cols) in blocks:
+            for rows, cols in ((up_rows, up_cols), (low_rows, low_cols)):
+                assert rows.shape[1] == len(cols) == 2 * photon_pairs + 1, ch
+
+
 def test_grid_csv_round_trip(tmp_path):
     w = _pair(1.0, 2.0)
     ax1 = np.linspace(0.0, 3.0, 7)

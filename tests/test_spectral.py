@@ -558,9 +558,8 @@ def test_appendix_comparison_shares_one_convolution(monkeypatch):
 def _factor_bridge(w, channel, axis, t, om):
     """The comparison's factor route for one channel on axis x axis at om x om."""
     kern, unit = spectral._axis_kernel(axis, om, end_corrected=False)
-    phase, weights = spectral._axis_kernel(axis, om)
     return spectral._bridge_exp_pair(w, channel, axis, t, kern * unit[:, None],
-                                     phase * weights[:, None])
+                                     _quad_segment(axis.size))
 
 
 def _assert_factor_route_matches_dense(w, axis, t, om):
@@ -661,7 +660,7 @@ def test_appendix_comparison_never_holds_a_full_time_grid():
 
 def test_appendix_comparison_holds_no_row_block():
     # streaming multiplied-out row blocks peaked at 28.6 MB here; the
-    # factor route holds factors and running sums, about 9 MB in all
+    # factor route holds factors and running sums, about 4.3 MB in all
     tracemalloc.start()
     try:
         appendix_comparison(1.0, n_omega=16)
@@ -669,6 +668,21 @@ def test_appendix_comparison_holds_no_row_block():
     finally:
         tracemalloc.stop()
     assert peak < 20e6
+
+
+def test_default_comparison_holds_one_axis_kernel_and_no_inner_table():
+    # both axes share one 4097 x 64 complex kernel (4.2 MB), and each row
+    # block's sums go into the 64 x 64 result as soon as they are done; with
+    # a second, weighted kernel and a whole 4097 x 64 inner table per channel
+    # the peak was 19.4 MB
+    tracemalloc.start()
+    try:
+        report = appendix_comparison(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak <= 10e6
 
 
 def test_bridge_of_time_channels_matches_freq_route_spotwise():
