@@ -340,8 +340,7 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
         np.multiply(low_t[i0:i1 - 1, :, None], kern[i0:i1 - 1, None], out=run[1:-1])
         _running_sum(run[:-1])
         part += (low_rows[:, None] @ run[:-1].view(float))[:, 0].view(complex)
-        # not held beside the next block's running sums
-        del run
+        del run  # not held beside the next block's running sums
 
         def entries(k, cols):
             nonlocal peak
