@@ -17,7 +17,7 @@ as an integer), and ``--numeric`` is a switch.
 Options may come from a JSON config file (keys are the option names
 with underscores); explicit flags override the file.  Exit codes: 0 on
 success, 1 when a validation suite fails, 2 for bad input, configuration
-errors and quadrature that does not converge.
+errors, quadrature that does not converge and sizes beyond memory.
 Every table (the ``reflect``, ``figure3`` and ``excite`` rows and the
 ``two-photon`` grids) goes through the one CSV writer of
 ``amplitudes``: floats carry 12 significant digits and photon numbers
@@ -258,6 +258,8 @@ def _effective_options(command: str, args: argparse.Namespace) -> dict:
             if not math.isfinite(val):
                 raise ValueError(f"{key} must be finite, got {opts[key]!r}")
             opts[key] = val
+    if opts.get("t_max") is not None and not opts["t_max"] > 0.0:
+        raise ValueError(f"t_max must be > 0, got {opts['t_max']!r}")
     for key, least in _COUNT_OPTIONS.items():
         if key in opts and _as_number(int, key, opts[key]) < least:
             raise ValueError(f"{key} must be at least {least}, got {opts[key]!r}")
@@ -272,16 +274,21 @@ def _as_number(kind, key: str, value):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    opts = {}
     try:
-        run = _COMMANDS[args.command][0]
-        return run(_effective_options(args.command, args))
+        opts = _effective_options(args.command, args)
+        return _COMMANDS[args.command][0](opts)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        sizes = ", ".join(f"{key} = {opts[key]}" for key in _COUNT_OPTIONS if key in opts)
+        print(f"error: out of memory at {sizes or 'these inputs'}; {exc}".rstrip("; "),
+              file=sys.stderr)
         return 2
 
 

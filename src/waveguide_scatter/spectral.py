@@ -9,22 +9,23 @@ Frequency conventions used throughout:
 * the single-photon coefficients are r(w) = -i/(w + i) (reversed) and
   t(w) = w/(w + i) (transmitted), with t = 1 + r.
 
-The bridge evaluates the transform of sampled time grids two ways: a
-plain unitary FFT when the caller accepts the natural conjugate axes
-(exactly norm-preserving on the samples), and an end-corrected
-trapezoid (Gregory) summation at caller-chosen frequencies.  Two-photon
-time grids carry a slope break along the equal-time diagonal, so each row's
-weights take the break as a segment boundary; since those weights
-differ from one only near the ends and the break, a held grid is summed
-as one matmul plus a banded correction.  The two-route comparison never
-forms those rows: it sums the grid fill of its exponential pair from its
-rank-few factors, with running sums in place of the matmul, block by
-block.  Every route ends in the one window check, which rejects
-non-finite samples and a window whose edge has not decayed.
+The bridge evaluates the transform of sampled time grids two ways: a plain
+unitary FFT when the caller accepts the natural conjugate axes (exactly
+norm-preserving on the samples), and an end-corrected trapezoid (Gregory)
+summation at caller-chosen frequencies.  Two-photon time grids carry a slope
+break along the equal-time diagonal, so each row's weights take the break as
+a segment boundary; since those weights differ from one only near the ends
+and the break, a held grid is summed as one matmul plus a correction read
+tile by tile along the diagonal.  The two-route comparison never forms those
+rows: it sums its exponential pair's fill from the rank-few factors, one
+product per tile in place of the matmul, with the same correction.  Every
+route ends in the one window check, which rejects non-finite samples and a
+window whose edge has not decayed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -63,8 +64,8 @@ DEFAULT_ANTIDIAG_SPAN = 50.0
 _ANTIDIAG_TAIL_TOL = 1e-5
 # largest edge-to-peak ratio of |f| a bridged time window may keep
 _WINDOW_EDGE_TOL = 1e-5
-# rows summed in one sequential run by _running_sum
-_RUN_CHUNK = 16
+# rows per tile of the break correction (_break_sum)
+_TILE = 16
 
 
 def single_photon_r_t(omega):
@@ -245,78 +246,67 @@ def _axis_kernel(axis: np.ndarray, omega: np.ndarray, end_corrected: bool = True
     return np.exp(table, out=table), weights * dt
 
 
-def _diagonal_break_rows(entries, kern: np.ndarray, row0: int, stop: int, n: int,
-                         inner: np.ndarray) -> None:
-    """Turn inner[k] = sum_j f[i, j] kern[j] into sum_j w_i[j] f[i, j] kern[j],
-    w_i = _row_weights(n, i), for the rows i = row0 + k < stop of a square grid
-    of width n.
+@functools.lru_cache(maxsize=64)
+def _tile_weights(n: int, a: int):
+    """c_i = _row_weights(n, i) - 1 of the tile rows a <= i < a + _TILE (the last
+    row's past n) as (s, window, ends, on_ends): on the window s <= j < s + width,
+    and on the end columns, zero where the window holds them.  Shared: read only."""
+    halo = len(_GREGORY_END_6) - 1
+    width = min(_TILE + 2 * halo, n)
+    s = min(max(a - halo, 0), n - width)
+    corr = np.array([_row_weights(n, min(i, n - 1)) for i in range(a, a + _TILE)]) - 1.0
+    ends = np.array(sorted({*range(min(halo + 1, n)), *range(max(n - halo - 1, 0), n)}))
+    outside = (ends < s) | (ends >= s + width)
+    return s, corr[:, s:s + width].copy(), ends, corr[:, ends] * outside
 
-    ``entries(k, cols)`` returns f[row0 + k, cols] for index arrays that
-    broadcast together: rows of a held block, or dot products of the
-    fill's factors.  w_i - 1 vanishes except at the two ends and within
-    the end-stencil reach of the break at i, and away from the edges
-    that pattern only shifts with i.  So the correction reads the end
-    columns and the band around the diagonal, with weights read off one
-    middle row; rows near an edge, where short segments change the
-    stencils, are read whole and take their exact weights.
+
+def _break_sum(entries, kern: np.ndarray, row0: int, stop: int, n: int, out: np.ndarray,
+               own: bool = False) -> None:
+    """Add sum_j c_i[j] f[i, j] kern[j], c_i = _row_weights(n, i) - 1, to
+    out[i - row0] for the rows row0 <= i < stop of a square grid of width n;
+    with ``own``, the columns of i's tile take c_i[j] + 1, for a caller whose
+    unit sums leave them out.
+
+    The tile of _TILE rows at a reads the window s <= j < s + width: its own
+    columns and a halo as wide as the break's stencils reach, shifted inside the
+    grid at its edges; outside it, c_i vanishes but on the end columns.  All
+    windows are read in one ``entries(rows, cols)`` call (f at index arrays of
+    shapes (..., R, 1) and (..., 1, C)), each meets its slice of the kernel (the
+    float view for a real f), and the end columns take one product.  Tiles whose
+    windows miss the end columns share one pattern.
     """
-    stencil = len(_GREGORY_END_6)
-    reach = stencil - 1
-    # rows first <= i < last have two segments that both get the full end stencils
-    first, last = 2 * stencil - 1, n - 2 * stencil + 1
-    lo, hi = max(first, row0), min(last, stop)
-    if lo < hi:
-        ref = first + (last - first) // 2
-        corr = _row_weights(n, ref) - 1.0
-        band = corr[ref - reach:ref + reach + 1].copy()
-        corr[ref - reach:ref + reach + 1] = 0.0
-        ends = np.flatnonzero(corr)
-        k = np.arange(lo, hi)[:, None] - row0
-        part = inner[lo - row0:hi - row0]
-        part += (entries(k, ends) * corr[ends]) @ kern[ends]
-        # the band's entries f[i, i + d], |d| <= reach, in one read
-        offsets = np.arange(-reach, reach + 1)
-        near = entries(k, k + row0 + offsets) * band
-        for d, col in zip(offsets, near.T):
-            part += col[:, None] * kern[lo + d:hi + d]
-    edge_rows = np.array([i for i in range(row0, stop) if not first <= i < last], dtype=int)
-    if edge_rows.size:
-        for i, f in zip(edge_rows, entries(edge_rows[:, None] - row0, np.arange(n))):
-            inner[i - row0] = (_row_weights(n, i) * f) @ kern
-
-
-def _running_sum(run: np.ndarray) -> None:
-    """Replace run[k] by run[0] + ... + run[k] in place.  Each chunk of
-    _RUN_CHUNK rows is summed from zero and then carried from the last
-    row before it, so rounding grows with the chunk and the number of
-    chunks, not with the length."""
-    starts = range(0, len(run), _RUN_CHUNK)
-    for c0 in starts:
-        np.cumsum(run[c0:c0 + _RUN_CHUNK], axis=0, out=run[c0:c0 + _RUN_CHUNK])
-    for c0 in starts[1:]:
-        run[c0:c0 + _RUN_CHUNK] += run[c0 - 1]
+    halo = len(_GREGORY_END_6) - 1
+    lo, hi = len(_GREGORY_END_6) + halo, n - len(_GREGORY_END_6) - halo - _TILE
+    starts = np.arange(row0, stop, _TILE)
+    keys = [lo if lo <= a <= hi else a for a in starts.tolist()]
+    s, window, ends, on_ends = zip(*map(functools.partial(_tile_weights, n), keys))
+    s, a = np.add(s, starts - keys), starts[:, None, None]
+    cols = s[:, None, None] + np.arange(window[0].shape[1])
+    vals = entries(np.minimum(a + np.arange(_TILE)[:, None], stop - 1), cols)
+    vals *= np.stack(window) + own * ((cols >= a) & (cols < a + _TILE))
+    acc, k = (out, kern) if np.iscomplexobj(vals) else (out.view(float), kern.view(float))
+    for q, sq in enumerate(s.tolist()):
+        rows = acc[q * _TILE:(q + 1) * _TILE]
+        rows += vals[q, :len(rows)] @ k[sq:sq + cols.shape[-1]]
+    vals = entries(np.arange(row0, stop)[:, None], ends[0][None, :])
+    acc += (vals * np.concatenate(on_ends)[:stop - row0]) @ k[ends[0]]
 
 
 def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
                      kern: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Spectrum of one exponential-pair channel on axis x axis, contracted from
-    the factors of :func:`_pair_factors` without forming a row block.  An
-    exponential pair's factors are float64, and meet the complex kernels
-    and running sums through their float views.
+    the float64 factors of :func:`_pair_factors` without forming a row block.
 
     ``kern`` is the axis's kernel exp(i omega tau) times the step, shared by
-    both axes, and ``weights`` the first axis's end-corrected weights.  With
-    unit weights, row i sums to U_i . sum_{j >= i} C_up[:, j] kern[j] +
-    L_i . sum_{j < i} C_low[:, j] kern[j]: running sums per rank term (two
-    per photon pair and the triangle's one) inside the block, and one product
-    for the columns outside it, at O(N r n_omega) instead of O(N^2 n_omega).
-    :func:`_diagonal_break_rows` adds the break correction from factor dot
-    products.  Each block's rows are weighted and summed into the result as
-    soon as they are done, so no N x n_omega array is held.  The window
-    guard's edge (the last row and column) is exact, and the entries read
-    bound the peak from below; only when that bound cannot clear the edge
-    is the peak read off the multiplied-out blocks, so that
-    :func:`_check_window` decides as it would on the held grid.
+    both axes, and ``weights`` the first axis's end-corrected weights.  Row i
+    of the tile at a (:func:`_break_sum`) sums U_i . C_up[:, j] kern[j] over
+    j >= a + _TILE and L_i . C_low[:, j] kern[j] over j < a from one product
+    C[:, tile] @ kern[tile] per tile, at O(N r n_omega) in place of
+    O(N^2 n_omega); :func:`_break_sum` adds its own columns and the break
+    weights.  Each block's rows go into the result when done.  The window
+    guard's edge (the last row and column) is exact, and the entries read bound
+    the peak from below; only when that bound cannot clear the edge is the peak
+    read off the multiplied-out blocks, as :func:`_check_window` needs.
     """
     n = axis.size
     scale, factors = _pair_factors(w, channel, axis, axis, t)
@@ -325,40 +315,43 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
     peak = edge = 0.0
     for i0, (up_rows, up_cols), (low_rows, low_cols) in factors:
         i1 = i0 + len(up_rows)
-        up_rows, low_rows = scale * up_rows, scale * low_rows
-        up_t, low_t = up_cols.T.copy(), low_cols.T.copy()
-        part = np.empty((i1 - i0, kern.shape[1]), dtype=complex)
-        # columns j >= i: suffix sums from the product past the block; the real
-        # row factors meet the complex sums' float views (re, im interleaved)
-        run = np.empty((i1 - i0 + 1, up_t.shape[1], kern.shape[1]), dtype=complex)
-        np.multiply(up_t[i0:i1, :, None], kern[i0:i1, None], out=run[:-1])
-        run[-1] = (up_cols[:, i1:] @ kern_re[i1:]).view(complex)
-        _running_sum(run[::-1])
-        np.matmul(up_rows[:, None], run[:-1].view(float), out=part.view(float)[:, None])
-        # columns j < i: prefix sums from the product before the block
-        run[0] = (low_cols[:, :i0] @ kern_re[:i0]).view(complex)
-        np.multiply(low_t[i0:i1 - 1, :, None], kern[i0:i1 - 1, None], out=run[1:-1])
-        _running_sum(run[:-1])
-        part += (low_rows[:, None] @ run[:-1].view(float))[:, 0].view(complex)
-        del run  # not held beside the next block's running sums
+        rank, tiles = len(up_cols), -(-(i1 - i0) // _TILE)
+        last = i0 + (tiles - 1) * _TILE  # the last tile's columns: last <= j < stop
+        stop = min(last + _TILE, n)
+        # per triangle, the product outside the block's tiles, then one per tile
+        sums = np.empty((2, tiles + 1, rank, kern_re.shape[1]))
+        for cols, out, outside in zip((up_cols, low_cols), sums, (slice(stop, n), slice(0, i0))):
+            out[0] = cols[:, outside] @ kern_re[outside]
+            np.matmul(cols[:, i0:last].reshape(rank, -1, _TILE).transpose(1, 0, 2),
+                      kern_re[i0:last].reshape(-1, _TILE, kern_re.shape[1]), out=out[1:-1])
+            out[-1] = cols[:, last:stop] @ kern_re[last:stop]
+        # a tile's rows take the columns past it from C_up, those before it from C_low
+        past = np.cumsum(np.concatenate([sums[0, :1], sums[0, :1:-1]]), axis=0)[::-1]
+        lead = np.zeros((tiles * _TILE, 2 * rank))
+        lead[:i1 - i0] = scale * np.hstack([up_rows, low_rows])
+        up_rows, low_rows = lead[:, :rank], lead[:, rank:]
+        before = np.cumsum(sums[1, :-1], axis=0)
+        part = lead.reshape(tiles, _TILE, -1) @ np.concatenate([past, before], axis=1)
+        part = part.reshape(tiles * _TILE, -1).view(complex)[:i1 - i0]
 
-        def entries(k, cols):
+        def entries(rows, cols):
             nonlocal peak
-            vals = np.where(cols >= i0 + k,
-                            np.einsum("...r,...r->...", up_rows[k], up_t[cols]),
-                            np.einsum("...r,...r->...", low_rows[k], low_t[cols]))
+            k, c = rows[..., 0] - i0, cols[..., 0, :]
+            vals = np.where(cols >= rows,
+                            up_rows[k] @ np.moveaxis(up_cols[:, c], 0, -2),
+                            low_rows[k] @ np.moveaxis(low_cols[:, c], 0, -2))
             peak = np.maximum(peak, np.max(np.abs(vals)))
             return vals
 
-        _diagonal_break_rows(entries, kern, i0, i1, n, part)
-        edge = np.maximum(edge, np.max(np.abs(entries(np.arange(i1 - i0), n - 1))))
+        _break_sum(entries, kern, i0, i1, n, part, own=True)
+        rim = np.array([[n - 1]])
+        edge = np.maximum(edge, np.max(np.abs(entries(np.arange(i0, i1)[:, None], rim))))
         if i1 == n:
-            edge = np.maximum(edge, np.max(np.abs(entries(i1 - i0 - 1, np.arange(n)))))
+            edge = np.maximum(edge, np.max(np.abs(entries(rim, np.arange(n)[None]))))
         part *= weights[i0:i1, None]
         values += kern[i0:i1].T @ part
-    # below the bound, the held grid's guard passes too; otherwise (an all-zero
-    # or non-finite read included) the bound may sit under the true peak, and
-    # the multiplied-out blocks give it
+    # below the bound, the held grid's guard passes too; otherwise (an all-zero or
+    # non-finite read included) the multiplied-out blocks give the true peak
     if not edge < _WINDOW_EDGE_TOL * peak:
         _check_window(edge, np.max([np.max(np.abs(rows)) for _, rows in
                                     _pair_blocks(w, channel, axis, axis, t)]))
@@ -389,7 +382,7 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
     weights at the requested frequencies.  On a square grid each row's
     weights treat the equal-time slope break as a segment edge, so the
     break never sits inside a stencil; the grid is summed as one matmul
-    plus a banded correction (:func:`_diagonal_break_rows`).  Guards
+    plus the tile correction of :func:`_break_sum`.  Guards
     reject non-uniform sampling and frequencies beyond the alias-safe
     band on every axis first, then non-finite samples and truncated
     windows (:func:`_check_window`).
@@ -417,8 +410,7 @@ def fourier_bridge(grid: AmplitudeGrid, omega_axes=None) -> FreqAmplitudeGrid:
             # a real grid meets kern2's float view, so it is never cast to complex whole
             inner = f @ kern2 if np.iscomplexobj(f) else (f @ kern2.view(float)).view(complex)
             if same_axes:
-                _diagonal_break_rows(lambda k, cols: f[k, cols], kern2, 0, len(f), len(f),
-                                     inner)
+                _break_sum(lambda rows, cols: f[rows, cols], kern2, 0, len(f), len(f), inner)
             inner *= w[:, None]
             values = phase.T @ inner / _TWO_PI
         return FreqAmplitudeGrid(axes=omegas, values=values, channel=grid.channel)

@@ -298,6 +298,28 @@ def test_convergence_failure_exits_2(monkeypatch, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 745. GiB for an array", ""])
+def test_out_of_memory_exits_2_naming_the_size(monkeypatch, capsys, message):
+    # exit 1 would read as a validation breach; nothing large is allocated here
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "appendix_comparison", fail)
+    assert main(["validate", "--time-points", "100000000000", "-o", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and len(err.strip().splitlines()) == 1
+    assert "time_points = 100000000000" in err and message in err
+
+
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_excite_rejects_a_non_positive_t_max(capsys, t_max):
+    # t_max 0 wrote 201 rows at t = 0, and -1 failed later on a trace time
+    assert main(["excite", "--t-max", t_max, "-o", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: t_max must be > 0")
+
+
 def test_unknown_command_exits_via_argparse(capsys):
     with pytest.raises(SystemExit):
         main(["no-such-command"])

@@ -27,7 +27,7 @@ from waveguide_scatter import (
     single_photon_reflection_freq,
     two_photon_channel_grid,
 )
-from waveguide_scatter import spectral
+from waveguide_scatter import amplitudes, spectral
 from waveguide_scatter.spectral import _quad_segment, _row_weights
 
 _SQRT2 = math.sqrt(2.0)
@@ -172,6 +172,27 @@ def test_two_axis_bridge_factorizes_product_states():
     assert np.max(np.abs(spec.values - np.outer(m1, m2))) <= 1e-6
 
 
+@pytest.mark.parametrize("n", [21, 22, 23, 40, 1025])
+def test_tile_weights_expand_to_the_row_weights(n):
+    # unit entries against the identity kernel: the sums of each row are its
+    # weights, read off tile by tile, whole or in blocks that end inside a tile
+    def ones(rows, cols):
+        return np.ones(np.broadcast_shapes(rows.shape, cols.shape))
+
+    eye = np.eye(n, dtype=complex)
+    for block, own in ((n, False), (37, False), (37, True), (1, True)):
+        for row0 in range(0, n, block):
+            stop = min(row0 + block, n)
+            out = np.zeros((stop - row0, n), dtype=complex)
+            spectral._break_sum(ones, eye, row0, stop, n, out, own)
+            for i in range(row0, stop):
+                want = _row_weights(n, i) - 1.0
+                if own:
+                    tile = row0 + (i - row0) // spectral._TILE * spectral._TILE
+                    want[tile:tile + spectral._TILE] += 1.0
+                assert np.array_equal(out[i - row0], want), (block, i)
+
+
 def test_two_axis_native_bridge_preserves_discrete_norm():
     tau1, v1 = _exp_time_grid(1.0, n=512)
     tau2, v2 = _exp_time_grid(2.0, n=512)
@@ -201,12 +222,13 @@ def _per_row_bridge(f, ax1, ax2, om1, om2):
     return (kern1 * w1[:, None]).T @ inner / (2.0 * math.pi)
 
 
-@pytest.mark.parametrize("n2", [301, 263])
+@pytest.mark.parametrize("n2", [301, 263, 23])
 def test_two_axis_bridge_matches_per_row_weights(n2):
     # a grid with a slope break on the diagonal, plus noise so that no
-    # stencil error can hide in a smooth sample
+    # stencil error can hide in a smooth sample; 263 makes it rectangular, and
+    # 23 a square grid too narrow for any tile to miss the end columns
     rng = np.random.default_rng(5)
-    ax1 = np.linspace(0.0, 30.0, 301)
+    ax1 = np.linspace(0.0, 30.0, 301)[:23 if n2 == 23 else None]
     ax2 = ax1 if n2 == ax1.size else np.linspace(0.0, 30.0, n2)
     f = (np.exp(-0.4 * ax1[:, None] - 0.7 * np.abs(ax1[:, None] - ax2[None, :]))
          * (1.0 + 0.5j) + 1e-3 * rng.standard_normal((ax1.size, n2)))
@@ -562,12 +584,12 @@ def _factor_bridge(w, channel, axis, t, om):
                                      _quad_segment(axis.size))
 
 
-def _assert_factor_route_matches_dense(w, axis, t, om):
+def _assert_factor_route_matches_dense(w, axis, t, om, rel=1e-15):
     for channel in ("LL", "RL", "RR"):
         ref = fourier_bridge(two_photon_channel_grid(w, channel, axis, axis, t),
                              (om, om)).values
         got = _factor_bridge(w, channel, axis, t, om)
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), channel
+        assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref)), channel
 
 
 @pytest.mark.parametrize("gamma", [0.25, 0.5, 1.0, 2.0])
@@ -595,6 +617,22 @@ def test_factor_route_equals_the_held_grid_when_every_row_is_an_edge_row():
     w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
     _assert_factor_route_matches_dense(w, np.linspace(0.0, 40.0, 21), 40.0,
                                        np.linspace(-0.5, 0.5, 5))
+
+
+@pytest.mark.parametrize("rows", [37, 1])
+def test_factor_route_equals_the_held_grid_across_blocks_that_end_inside_a_tile(
+        monkeypatch, rows):
+    # row blocks that end inside a tile, from the first rows on, where the
+    # amplitudes have not decayed: the columns past a block's end but inside its
+    # last tile must be summed once (summed twice, they moved LL by up to 5e-2 of its
+    # peak).  Many short blocks round the factor sums more: running sums in
+    # place of the tiles deviated 1.3e-15 (37 rows) and 3.4e-15 (1 row) here.
+    n = 1025
+    monkeypatch.setattr(amplitudes, "_BLOCK_ENTRIES", rows * n)
+    p = PulseProfile.exponential(1.0)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    _assert_factor_route_matches_dense(w, np.linspace(0.0, 40.0, n), 40.0,
+                                       np.linspace(-2.0, 2.0, 16), rel=1e-14)
 
 
 def test_appendix_comparison_rejects_a_truncated_window():
@@ -660,7 +698,7 @@ def test_appendix_comparison_never_holds_a_full_time_grid():
 
 def test_appendix_comparison_holds_no_row_block():
     # streaming multiplied-out row blocks peaked at 28.6 MB here; the
-    # factor route holds factors and running sums, about 4.3 MB in all
+    # factor route holds factors and per-tile sums, about 2.9 MB in all
     tracemalloc.start()
     try:
         appendix_comparison(1.0, n_omega=16)
