@@ -254,10 +254,11 @@ def _tile_weights(n: int, a: int):
     halo = len(_GREGORY_END_6) - 1
     width = min(_TILE + 2 * halo, n)
     s = min(max(a - halo, 0), n - width)
-    corr = np.array([_row_weights(n, min(i, n - 1)) for i in range(a, a + _TILE)]) - 1.0
     ends = np.array(sorted({*range(min(halo + 1, n)), *range(max(n - halo - 1, 0), n)}))
-    outside = (ends < s) | (ends >= s + width)
-    return s, corr[:, s:s + width].copy(), ends, corr[:, ends] * outside
+    # one row of width n at a time: the tile's rows whole would raise the peak memory
+    cols = np.concatenate([np.arange(s, s + width), ends])
+    corr = np.array([_row_weights(n, min(i, n - 1))[cols] for i in range(a, a + _TILE)]) - 1.0
+    return s, corr[:, :width], ends, corr[:, width:] * ((ends < s) | (ends >= s + width))
 
 
 def _break_sum(entries, kern: np.ndarray, row0: int, stop: int, n: int, out: np.ndarray,
