@@ -698,7 +698,7 @@ def test_appendix_comparison_never_holds_a_full_time_grid():
 
 def test_appendix_comparison_holds_no_row_block():
     # streaming multiplied-out row blocks peaked at 28.6 MB here; the
-    # factor route holds factors and per-tile sums, about 2.9 MB in all
+    # factor route holds factors and per-tile sums, about 2.1 MB in all
     tracemalloc.start()
     try:
         appendix_comparison(1.0, n_omega=16)
