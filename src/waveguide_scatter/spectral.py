@@ -248,8 +248,8 @@ def _axis_kernel(axis: np.ndarray, omega: np.ndarray, end_corrected: bool = True
 
 @functools.lru_cache(maxsize=64)
 def _tile_weights(n: int, a: int):
-    """c_i = _row_weights(n, i) - 1 of the tile rows a <= i < a + _TILE (the last
-    row's past n) as (s, window, ends, on_ends): on the window s <= j < s + width,
+    """c_i = _row_weights(n, i) - 1 of the tile rows a <= i < a + _TILE (past n,
+    the last row's) as (s, window, ends, on_ends): on the window s <= j < s + width,
     and on the end columns, zero where the window holds them.  Shared: read only."""
     halo = len(_GREGORY_END_6) - 1
     width = min(_TILE + 2 * halo, n)

@@ -624,9 +624,9 @@ def test_factor_route_equals_the_held_grid_across_blocks_that_end_inside_a_tile(
         monkeypatch, rows):
     # row blocks that end inside a tile, from the first rows on, where the
     # amplitudes have not decayed: the columns past a block's end but inside its
-    # last tile must be summed once (summed twice, they moved LL by up to 5e-2 of its
-    # peak).  Many short blocks round the factor sums more: running sums in
-    # place of the tiles deviated 1.3e-15 (37 rows) and 3.4e-15 (1 row) here.
+    # last tile must be summed once (summed twice, they move LL by up to 5e-2 of
+    # its peak).  Many short blocks round the factor sums more, up to 3.9e-15
+    # of the peak here, hence 1e-14.
     n = 1025
     monkeypatch.setattr(amplitudes, "_BLOCK_ENTRIES", rows * n)
     p = PulseProfile.exponential(1.0)
