@@ -155,7 +155,9 @@ class PulseProfile:
                      norm_tol: float = DEFAULT_NORM_TOL) -> "PulseProfile":
         g = np.asarray(grid, dtype=float)
         v = np.asarray(values, dtype=complex)
-        return cls("sampled", float(g[-1]), grid=g, values=v, norm_tol=norm_tol)
+        if g.size == 0:
+            raise ValueError("sample grid is empty")
+        return cls("sampled", float(g.flat[-1]), grid=g, values=v, norm_tol=norm_tol)
 
     @classmethod
     def from_callable(cls, func: Callable, t_max: float, timescale: float | None = None,

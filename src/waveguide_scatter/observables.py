@@ -32,13 +32,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import chebyshev
+from numpy.polynomial import chebyshev, legendre
 
+from . import amplitudes
 # exp_pair_channel_values has no caller here, but perfbench's tracer
 # patches observables.exp_pair_channel_values
 from .amplitudes import (  # noqa: F401
     CHANNELS,
-    _channel_sums,
     _emitter_amplitudes,
     _PairKernels,
     _outer_spec,
@@ -46,13 +46,7 @@ from .amplitudes import (  # noqa: F401
 )
 from .kernel import _window_kernel, h_closed_form
 from .model import WavepacketN, check_bandwidth
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureSpec,
-    composite_gauss_legendre,
-    integrate,
-    integrate_semi_infinite,
-)
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_semi_infinite
 
 __all__ = [
     "ExcitationTrace",
@@ -73,6 +67,8 @@ _LOG_FLOOR = 1e-300
 # times of one two-photon excitation integral, which bounds the
 # temporaries of one integrand call
 _TRACE_BLOCK = 32
+# Gauss-Legendre nodes per panel of the two-photon channel weights' axis
+_PANEL_NODES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +184,7 @@ def reflection_probability_closed(n_photons: int, gamma_bw: float) -> float:
     Product over emission layers, evaluated as a log-domain sum so deep
     suppression (large n, extreme bandwidth) cannot underflow stepwise.
     """
-    if n_photons < 1 or n_photons != int(n_photons):
+    if not (math.isfinite(n_photons) and n_photons >= 1 and n_photons == int(n_photons)):
         raise ValueError("photon number must be a positive integer")
     g = check_bandwidth(gamma_bw)
     n = int(n_photons)
@@ -323,44 +319,69 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
 # two-photon output-norm bookkeeping
 
 
-def _ladder_axis(t_end: float, scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on geometrically widening panels."""
-    width = min(0.25, 0.5 * scale)
+def _triangle_weights(w: WavepacketN, t: float):
+    """The channel weights' axis x and its row blocks (i0, upper, lower), whole
+    panels within _BLOCK_ENTRIES entries, of the weights of the triangles row <=
+    column and row > column.  Panels of _PANEL_NODES Gauss-Legendre nodes run to
+    max(t, horizon), from min(0.25, scale / 2) wide and widening by 1.4 up to 1,
+    with an edge at t, where the gates theta(t - tau) jump.  The weights are w_i
+    w_j across panels and, exact at the equal-time kink, h^2 w_m S[m, k] (upper)
+    or h^2 w_k S[k, m] (lower) inside one of half-width h, S[m, k] = int_{-1}^{x_m}
+    l_k (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991))."""
+    end = max(t, w.horizon)
+    width = min(0.25, 0.5 * min(1.0, w.min_timescale))
     edges = [0.0]
-    while edges[-1] < t_end:
-        edges.append(min(t_end, edges[-1] + width))
+    while edges[-1] < end:
+        edges.append(min(end, edges[-1] + width))
         width = min(1.0, width * 1.4)
-    return composite_gauss_legendre(np.array(edges), 10)
+    edges = np.union1d(edges, t)
+    halves = 0.5 * np.diff(edges)
+    gl_x, gl_w = legendre.leggauss(_PANEL_NODES)
+    # l_k = sum_n (n + 1/2) w_k P_n(x_k) P_n, as the rule integrates l_k P_n exactly
+    coef = (np.arange(_PANEL_NODES)[:, None] + 0.5) * legendre.legvander(gl_x, _PANEL_NODES - 1).T
+    s = legendre.legvander(gl_x, _PANEL_NODES) @ legendre.legint(coef * gl_w, lbnd=-1)
+    x = (edges[:-1, None] + halves[:, None] * (1.0 + gl_x)).ravel()
+    weights = (halves[:, None] * gl_w).ravel()
+    panel = np.arange(x.size) // _PANEL_NODES
+    step = _PANEL_NODES * max(1, amplitudes._BLOCK_ENTRIES // (x.size * _PANEL_NODES))
+
+    def blocks():
+        for i0 in range(0, x.size, step):
+            rows = slice(i0, i0 + step)
+            across = np.outer(weights[rows], weights)
+            squares = np.diag(halves[i0 // _PANEL_NODES:(i0 + step) // _PANEL_NODES] ** 2)
+            upper = np.where(panel[rows, None] < panel, across, 0.0)
+            upper[:, rows] += np.kron(squares, s.T * gl_w)
+            lower = np.where(panel[rows, None] > panel, across, 0.0)
+            lower[:, rows] += np.kron(squares, gl_w[:, None] * s)
+            yield i0, upper, lower
+
+    return x, blocks()
 
 
-def _channel_weights(w: WavepacketN, t_end: float) -> dict:
-    """The weight of each two-photon output channel at dynamical time t_end, on
-    (first detection, delay) ladders: every panel sees a smooth integrand, as
-    the ordered-chain kink sits on the delay = 0 panel edge."""
-    scale = min(1.0, w.min_timescale)
-    base, base_w = _ladder_axis(t_end, scale)
-    delay_span = t_end
-    if w.all_exponential:
-        # the delay direction only needs to cover the slowest relaxation
-        # reach (emitter at rate 1, envelopes at gamma/2 each)
-        slowest = min(1.0, min(p.gamma_bw for p, _ in w.entries) / 2.0)
-        delay_span = min(max(_DECAY_FOLDINGS / slowest, 10.0), t_end)
-    delay, delay_w = _ladder_axis(delay_span, scale)
-    a, d = base[:, None], delay[None, :]
-    weight = base_w[:, None] * delay_w[None, :]
-    kernels = _PairKernels(w, DEFAULT_QUAD)
-    upper = _channel_sums(kernels, w, CHANNELS, a, a + d, t_end)
-    lower = _channel_sums(kernels, w, CHANNELS, a + d, a, t_end)
-    return {ch: float(np.sum(weight * (np.abs(upper[ch]) ** 2 + np.abs(lower[ch]) ** 2)))
-            for ch in CHANNELS}
+def _channel_weights(w: WavepacketN, t: float) -> dict:
+    """The weight of each two-photon output channel at dynamical time t > 0, |A|^2
+    over [0, max(t, horizon)]^2 (past it nothing is emitted or incoming); they sum
+    to 1 - P_e(t).  A comes from the fill's factors in blocks of whole panels, as
+    a block clamps its triangles' memory factors at its first and last rows."""
+    x, blocks = _triangle_weights(w, t)
+    out = dict.fromkeys(CHANNELS, 0.0)
+    for i0, upper, lower in blocks:
+        for ch in CHANNELS:
+            scale, factors = amplitudes._pair_factors(w, ch, x[i0:i0 + len(upper)], x, t)
+            for j0, (u, c_up), (l, c_low) in factors:
+                rows = slice(j0, j0 + len(u))
+                out[ch] += scale ** 2 * float(np.sum(upper[rows] * np.abs(u @ c_up) ** 2)
+                                              + np.sum(lower[rows] * np.abs(l @ c_low) ** 2))
+    return out
 
 
 def unitarity_check_two_photon(w: WavepacketN, t: float | None = None) -> float:
     """Total weight of the three two-photon output channels at dynamical time t.
 
-    ``t`` must be finite and > 0.  By default it is the input's horizon,
-    which must leave the emitter relaxed; then the result is 1 for any
-    normalized two-photon input.
+    ``t`` must be finite and > 0; by default it is the input's horizon.  At
+    any such t the result is 1 - P_e(t) for a normalized two-photon input,
+    P_e the :func:`excitation_probability`, so 1 once the emitter has relaxed.
     """
     if w.n_photons != 2:
         raise ValueError("unitarity check is defined for two-photon inputs")

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ConvergenceError", "DEFAULT_QUAD", "QuadratureSpec", "gauss_legendre_nodes",
-           "integrate", "integrate_2d_box", "integrate_semi_infinite"]
+__all__ = ["ConvergenceError", "DEFAULT_QUAD", "QuadratureSpec", "integrate",
+           "integrate_2d_box", "integrate_semi_infinite"]
 
 # live panels (times components) of one integral; an integrand call
 # then sees at most 15x this many points
@@ -32,11 +32,6 @@ _MAX_PANELS = 1 << 16
 # march of integrate_semi_infinite: panels per stretch, stretch budget
 _STRETCH_PANELS = 8
 _MAX_STRETCHES = 100
-
-
-@functools.cache
-def _gl(order: int):
-    return np.polynomial.legendre.leggauss(order)
 
 
 @functools.cache
@@ -51,7 +46,7 @@ def _kronrod_rule():
                     0.20443294007529889, 0.20948214108472782])
     wk = np.concatenate([wgk, wgk[-2::-1]])
     wg = np.zeros(15)
-    wg[1::2] = _gl(7)[1]  # the G7 nodes are every other K15 node
+    wg[1::2] = np.polynomial.legendre.leggauss(7)[1]  # the G7 nodes are every other K15 node
     return np.concatenate([-xgk, xgk[-2::-1]]), np.stack([wk, wk - wg], axis=1)
 
 
@@ -78,24 +73,6 @@ class QuadratureSpec:
 
 
 DEFAULT_QUAD = QuadratureSpec()
-
-
-def composite_gauss_legendre(edges: np.ndarray, order: int):
-    """Gauss-Legendre nodes and weights of the given order on every panel.
-
-    Panel k spans [edges[k], edges[k + 1]]; nodes and weights are
-    concatenated panel by panel.
-    """
-    x, w = _gl(order)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * np.diff(edges)
-    return ((mids[:, None] + halves[:, None] * x[None, :]).ravel(),
-            (halves[:, None] * w[None, :]).ravel())
-
-
-def gauss_legendre_nodes(order: int, a: float, b: float):
-    """Gauss-Legendre nodes and weights mapped onto [a, b]."""
-    return composite_gauss_legendre(np.array([a, b], dtype=float), order)
 
 
 def _simpson_segment(npts: int) -> np.ndarray:

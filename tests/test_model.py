@@ -93,6 +93,11 @@ def test_from_samples_rejects_unnormalized_data():
         PulseProfile.from_samples(grid, np.exp(-grid))
 
 
+def test_from_samples_rejects_an_empty_grid():
+    with pytest.raises(ValueError, match="sample grid is empty"):
+        PulseProfile.from_samples([], [])
+
+
 def test_product_wavepacket_identical_normalization():
     # permanent of the all-ones overlap matrix is N!, so the prefactor
     # must be 1/sqrt(N!)

@@ -23,7 +23,7 @@ from waveguide_scatter import (
     unitarity_check_two_photon,
     weighted_h_norm_integral,
 )
-from waveguide_scatter import observables
+from waveguide_scatter import amplitudes, observables
 
 from conftest import exponential_envelope, fock_excitation, rk4_excitation
 
@@ -210,6 +210,12 @@ def test_closed_reversal_spot_values():
 def test_single_photon_reversal_closed_form(gamma):
     assert reflection_probability_closed(1, gamma) == pytest.approx(
         2.0 / (2.0 + gamma), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, 2.5, 0])
+def test_closed_reversal_rejects_a_bad_photon_number(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        reflection_probability_closed(n, 1.0)
 
 
 def test_closed_reversal_log_domain_handles_deep_tails():
@@ -430,8 +436,51 @@ def test_unitarity_rejects_a_non_finite_or_non_positive_time(t):
         unitarity_check_two_photon(_pair(1.0), t)
 
 
-def test_unitarity_needs_two_exponential_photons():
+def test_unitarity_rejects_a_one_photon_input():
     w1 = WavepacketN.product([(PulseProfile.exponential(1.0),
                                Direction.RIGHT)])
     with pytest.raises(ValueError):
         unitarity_check_two_photon(w1)
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 3.0, 10.0])
+def test_channel_weights_and_excitation_sum_to_one_at_any_time(t):
+    # what the channels have not received by t, the emitter holds
+    for w in (_pair(1.0), _pair(1.0, 2.0, (Direction.RIGHT, Direction.LEFT)),
+              WavepacketN.product([(_gaussian_photon(), Direction.RIGHT)] * 2)):
+        total = unitarity_check_two_photon(w, t) + excitation_probability(t, w)
+        assert abs(total - 1.0) <= 1e-12
+
+
+def test_two_photon_unitarity_of_a_slow_pair():
+    # g = 0.1: an axis of ~4,000 nodes over [0, 400], read in several fill blocks
+    assert abs(unitarity_check_two_photon(_pair(0.1)) - 1.0) <= 1e-12
+
+
+def test_triangle_weights_integrate_polynomials_exactly():
+    # t = 3.3 is a panel edge inside the axis over [0, 40]: rows gated at t are exact
+    end, t = 40.0, 3.3
+    x, blocks = observables._triangle_weights(_pair(1.0), t)
+    (_, upper, lower), = blocks
+    for a in range(10):
+        for b in range(10):
+            n = a + b + 2
+            f = np.outer(x ** a, x ** b)
+            gated = np.outer((x <= t) * x ** a, x ** b)
+            for got, exact in (
+                    (np.sum(upper * f), end ** n / ((a + 1) * n)),
+                    (np.sum(lower * f), end ** n / ((b + 1) * n)),
+                    (np.sum(upper * gated),
+                     (end ** (b + 1) * t ** (a + 1) / (a + 1) - t ** n / n) / (b + 1)),
+                    (np.sum(lower * gated), t ** n / ((b + 1) * n))):
+                assert got == pytest.approx(exact, rel=1e-13, abs=0.0), (a, b)
+
+
+def test_channel_weights_do_not_depend_on_the_fill_blocks(monkeypatch):
+    w = _pair(1.0, 2.0, (Direction.RIGHT, Direction.LEFT))
+    whole = observables._channel_weights(w, 3.0)
+    monkeypatch.setattr(amplitudes, "_BLOCK_ENTRIES", 37_000)
+    assert len(list(observables._triangle_weights(w, 3.0)[1])) > 1
+    blocked = observables._channel_weights(w, 3.0)
+    for channel, value in whole.items():
+        assert blocked[channel] == pytest.approx(value, rel=0.0, abs=1e-15)

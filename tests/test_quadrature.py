@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from waveguide_scatter import (
     ConvergenceError,
     QuadratureSpec,
-    gauss_legendre_nodes,
     integrate,
     integrate_2d_box,
     integrate_semi_infinite,
@@ -24,13 +23,6 @@ def test_spec_validation():
         QuadratureSpec(abs_tol=-1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(max_subdivisions=0)
-
-
-def test_gauss_legendre_nodes_integrate_polynomials_exactly():
-    x, w = gauss_legendre_nodes(6, -1.5, 2.5)
-    for k in range(0, 12):
-        exact = (2.5 ** (k + 1) - (-1.5) ** (k + 1)) / (k + 1)
-        assert float(np.sum(w * x ** k)) == pytest.approx(exact, rel=1e-13)
 
 
 def test_integrate_exponential():
