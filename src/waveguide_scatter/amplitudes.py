@@ -28,7 +28,7 @@ import json
 import math
 import os
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,23 +47,6 @@ __all__ = ["AmplitudeGrid", "CHANNELS", "exp_pair_channel_values",
 _SQRT2 = math.sqrt(2.0)
 
 CHANNELS = ("LL", "RL", "RR")
-
-
-def _outer_spec(w: WavepacketN, quad: QuadratureSpec) -> QuadratureSpec:
-    """quad for integrals over the S and W of w, floored at their noise.
-
-    Closed-form kernels are exact to rounding; any other S and W carries
-    the inner engine's error and the data resolution h^2 / 8 of sampled
-    states (linear or bilinear interpolation on the widest spacing h).
-    """
-    if w.all_exponential:
-        return quad
-    grids = ([w.grid] if w.kind == "correlated2" else
-             [p._grid for p, _ in w.entries if p.kind == "sampled"])
-    h = max((float(np.max(np.diff(g))) for g in grids), default=0.0)
-    noise = h * h / 8.0
-    return replace(quad, rel_tol=max(quad.rel_tol, 1e-8, 4.0 * noise),
-                   abs_tol=max(quad.abs_tol, 1e-11, noise * 1e-2))
 
 
 def _validate_times(times) -> np.ndarray:
@@ -438,18 +421,39 @@ def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> di
     return out
 
 
-def _emitter_amplitudes(kernels, tau, t: float):
-    """(right, left) emitter amplitudes at t with one photon out at tau.
-
-    The photon out at tau is either the spectator, while the emitter
-    holds the other one, or the first of the ordered chain (tau <= t,
-    boundary included).  The emitter radiates into both directions with
-    equal coupling, so the chain feeds both branches alike.
-    """
-    tau = np.asarray(tau, dtype=float)
-    chain = kernels.windows(0.0, tau, tau, t, tau <= t)
-    return tuple(kernels.spectator(d, t, tau, True) + chain
-                 for d in (Direction.RIGHT, Direction.LEFT))
+def _emitter_blocks(w: WavepacketN, times: np.ndarray, x: np.ndarray,
+                    quad: QuadratureSpec = DEFAULT_QUAD):
+    """Row blocks (i0, right, left) of the emitter amplitudes at the ascending
+    times (row i at times[i0 + i]) with one photon out at x: the spectator, or
+    the first of the ordered chain (x <= t, boundary included), which feeds
+    both directions alike.  With a out at x and b absorbed by t, per order of
+    each photon pair, they are -[a moves in d] p_a(x) K_b(t) and K_a(x) K_b(t)
+    - exp(x - t) K_a(x) K_b(x), from one-time values as in :func:`_pair_factors`,
+    exp(x - t) rescaled at each block's last time."""
+    kernels = _PairKernels(w, quad)
+    at_t = {p: kernels.kernels(p, times, 0.0) for p in kernels.profiles}
+    env = {p: kernels.envelopes(p, x) for p in kernels.profiles}
+    kern = {p: kernels.kernels(p, x, 0.0) for p in kernels.profiles}
+    if not any(np.imag(v).any() for f in (at_t, env, kern) for v in f.values()):
+        at_t, env, kern = ({p: v.real for p, v in f.items()} for f in (at_t, env, kern))
+    rows, cols, spectators, both = [], [], [], []
+    for first, d1, second, d2 in kernels.pairs:
+        for a, da, b in ((first, d1, second), (second, d2, first)):
+            rows.append(kernels.weight * at_t[b])
+            cols.append(kern[a])
+            # the spectator's columns of the right, then of the left amplitude
+            spectators.append(np.concatenate([-(da is d) * env[a] for d in Direction], -1))
+        both.append(-2.0 * kernels.weight * kern[first] * kern[second])
+    rows, cols, spectators = np.concatenate(rows).T, np.concatenate(cols), np.concatenate(spectators)
+    both = _sum_terms(np.concatenate(both))
+    for i0, i1 in _row_blocks(times, max(1, _EMITTER_ENTRIES // max(1, x.size))):
+        t, ref = times[i0:i1], times[i1 - 1]
+        # the gated columns are clamped at ref so that they stay finite
+        chain = (np.hstack([rows[i0:i1], np.exp(ref - t)[:, None]])
+                 @ np.vstack([cols, both * np.exp(np.minimum(x, ref) - ref)]))
+        chain *= x <= t[:, None]
+        passing = rows[i0:i1] @ spectators
+        yield i0, passing[:, :x.size] + chain, passing[:, x.size:] + chain
 
 
 def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
@@ -495,12 +499,14 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
     return _channel_sums(_PairKernels(w, DEFAULT_QUAD), w, (channel,), tau1, tau2, t)[channel]
 
 
-# Row blocks of the grid fill: at most this many entries per temporary,
-# and at most this time span of rows, so that the memory factors of
-# _pair_factors, rescaled at the block's last row, stay below exp(_BLOCK_SPAN)
+# Row blocks of the grid fill: at most this many entries per temporary, and
+# (the emitter amplitudes' too) at most this time span of rows, so that
+# memory factors rescaled at the block's last row stay below exp(_BLOCK_SPAN)
 # (the memory decays at rate 1 whatever the photons' bandwidths).
 _BLOCK_ENTRIES = 1_000_000
 _BLOCK_SPAN = 256.0
+# smaller blocks of the emitter amplitudes: a trace's temporaries stay in cache
+_EMITTER_ENTRIES = 2 ** 13
 
 
 def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
@@ -551,12 +557,7 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
     both2 = _sum_terms(np.concatenate(both2))
 
     def blocks():
-        block = max(1, _BLOCK_ENTRIES // max(1, ax2.size))
-        i0 = 0
-        while i0 < ax1.size:
-            i1 = min(i0 + block,
-                     int(np.searchsorted(ax1, ax1[i0] + _BLOCK_SPAN, side="right")))
-            i1 = max(i1, i0 + 1)
+        for i0, i1 in _row_blocks(ax1, max(1, _BLOCK_ENTRIES // max(1, ax2.size))):
             t1 = ax1[i0:i1]
             ref = t1[-1]
             # exp(lo - hi) = exp(lo - ref) exp(ref - hi); each triangle's columns
@@ -565,9 +566,18 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
             lower = (gate1[i0:i1] * np.exp(ref - t1), both2 * np.exp(np.minimum(ax2, ref) - ref))
             yield (i0, *((np.hstack([shared_rows[i0:i1], u[:, None]]),
                           np.vstack([shared_cols, v[None, :]])) for u, v in (upper, lower)))
-            i0 = i1
 
     return scale, blocks()
+
+
+def _row_blocks(ax: np.ndarray, size: int):
+    """(i0, i1) of the blocks of the ascending ax: at most size entries, spanning
+    at most _BLOCK_SPAN."""
+    i0 = 0
+    while i0 < ax.size:
+        i1 = min(i0 + size, int(np.searchsorted(ax, ax[i0] + _BLOCK_SPAN, side="right")))
+        yield i0, i1
+        i0 = i1
 
 
 def _pair_blocks(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,

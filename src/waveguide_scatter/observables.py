@@ -18,11 +18,11 @@ rounding (the layer functions are pure decaying exponentials, so their
 logs are nearly linear and most layers stop at degree 8), which
 turns an O(q^N) cost into O(N q^2).
 
-Integrals that share a domain after a shift or an affine map run as the
-components of one vector-valued engine call: the node integrals of one
-layer (shifted by their start times), and the two-photon excitation at
-a block of times (the stretch before the emission kink mapped onto
-[0, 1], the one after it shifted to start at 0).
+The node integrals of one layer, shifted by their start times, run as
+the components of one vector-valued engine call.  The two-photon
+excitation and channel weights are fixed-rule sums over one axis of
+emission times (``_axis``), with panel edges at every time asked for and
+at a sampled state's nodes, so they are exact for its interpolant.
 """
 
 from __future__ import annotations
@@ -35,28 +35,16 @@ import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
 from . import amplitudes
-# exp_pair_channel_values has no caller here, but perfbench's tracer
-# patches observables.exp_pair_channel_values
-from .amplitudes import (  # noqa: F401
-    CHANNELS,
-    _emitter_amplitudes,
-    _PairKernels,
-    _outer_spec,
-    exp_pair_channel_values,
-)
+# no caller here, but perfbench's tracer patches them: exp_pair_channel_values, integrate
+from .amplitudes import CHANNELS, exp_pair_channel_values  # noqa: F401
 from .kernel import _window_kernel, h_closed_form
 from .model import WavepacketN, check_bandwidth
-from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate, integrate_semi_infinite
+from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate  # noqa: F401
+from .quadrature import integrate_semi_infinite
 
-__all__ = [
-    "ExcitationTrace",
-    "ReflectionResult",
-    "excitation_probability",
-    "excitation_trace",
-    "reflection_probability_closed",
-    "reflection_probability_numeric",
-    "unitarity_check_two_photon",
-]
+__all__ = ["ExcitationTrace", "ReflectionResult", "excitation_probability", "excitation_trace",
+           "reflection_probability_closed", "reflection_probability_numeric",
+           "unitarity_check_two_photon"]
 
 _MAX_NUMERIC_PHOTONS = 20
 # log layers: the series degrees tried in turn and the decay depth (in
@@ -64,11 +52,10 @@ _MAX_NUMERIC_PHOTONS = 20
 _CHEB_DEGREES = (8, 16, 32, 64)
 _DECAY_FOLDINGS = 45.0
 _LOG_FLOOR = 1e-300
-# times of one two-photon excitation integral, which bounds the
-# temporaries of one integrand call
-_TRACE_BLOCK = 32
-# Gauss-Legendre nodes per panel of the two-photon channel weights' axis
+# Gauss-Legendre nodes per panel of the two-photon axis: a ladder panel, and a
+# sample cell of a state whose photons are all sampled, so linear on the cell
 _PANEL_NODES = 10
+_CELL_NODES = 6
 
 
 # ---------------------------------------------------------------------------
@@ -94,47 +81,18 @@ class ExcitationTrace:
         return float(self.times[idx]), float(self.values[idx])
 
 
-def _excitation_two(times: np.ndarray, w: WavepacketN,
-                    quad: QuadratureSpec) -> np.ndarray:
-    """Two-photon excitation at every time, each one component of one integral.
-
-    The re-emitted photon's time tau is integrated per time t in two
-    pieces split at the kink tau = t where the time-ordered chain
-    switches on: tau = t u on [0, 1] (Jacobian t) before it, tau = t + u
-    on [0, inf) after it.  t = 0 gives 0.
-    """
-    out = np.zeros(times.shape)
-    live = times > 0.0
-    if not np.any(live):
-        return out
-    kernels = _PairKernels(w, quad)
-    outer = _outer_spec(w, quad)
-    t = times[live][:, None]
-
-    def weight(tau):
-        right, left = _emitter_amplitudes(kernels, tau, t)
-        return np.abs(right) ** 2 + np.abs(left) ** 2
-
-    # the grid step of a sampled pair is a resolution, not a decay scale
-    scale = 1.0 if w.kind == "correlated2" else min(1.0, w.min_timescale)
-    before = integrate(lambda u: t * weight(t * u), 0.0, 1.0, outer,
-                       panel_width=min(0.5, scale) / t.max())
-    after = integrate_semi_infinite(lambda u: weight(t + u), 0.0, outer, scale=scale)
-    out[live] = np.real(before + after)
-    return out
-
-
 def _excitation_values(times: np.ndarray, w: WavepacketN,
                        quad: QuadratureSpec) -> np.ndarray:
     if w.n_photons == 1:
         return np.abs(_window_kernel(w.entries[0][0], times, 0.0, quad)) ** 2
-    # blocks of times bound the integrand's temporaries.  A shared mesh would
-    # move values within a sampled photon's resolution floor: one time per call
-    sampled = w.kind == "separable" and any(p.kind == "sampled" for p, _ in w.entries)
-    block = 1 if sampled else _TRACE_BLOCK
-    values = [_excitation_two(times[i:i + block], w, quad)
-              for i in range(0, times.size, block)]
-    return np.concatenate(values) if values else np.zeros(0)
+    # |R|^2 + |L|^2 summed over the re-emitted photon's time by the axis rule
+    out, order = np.zeros(times.shape), np.argsort(times)
+    if not times.size:
+        return out
+    x, weights, _, _ = _axis(w, times[order])
+    for i0, right, left in amplitudes._emitter_blocks(w, times[order], x, quad):
+        out[order[i0:i0 + len(right)]] = sum((a * a.conj()).real @ weights for a in (right, left))
+    return out
 
 
 def _checked_times(times, w: WavepacketN) -> np.ndarray:
@@ -155,9 +113,10 @@ def excitation_probability(t: float, w: WavepacketN,
 
     Supports one- and two-photon product drives, whose photons enter
     through their window kernels, and two-photon correlated pairs, through
-    the sampled photon pairs they decompose into, exact for their bilinear
-    interpolant.  The one-photon value is the squared absorption kernel;
-    the two-photon value traces out the photon that has already been re-emitted.
+    the sampled photon pairs they decompose into.  The one-photon value is
+    the squared absorption kernel; the two-photon value traces out the photon
+    that has already been re-emitted, by a fixed rule exact for a sampled
+    state's interpolant, over its times up to the horizon plus 45 lifetimes.
     """
     return float(_excitation_values(_checked_times([t], w), w, quad)[0])
 
@@ -166,9 +125,8 @@ def excitation_trace(times, w: WavepacketN,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> ExcitationTrace:
     """Excitation probability on an array of times.
 
-    Two-photon traces integrate blocks of times as the components of one
-    vector-valued integral, except for a product state with a sampled
-    photon, which takes one time per call (see ``_excitation_values``).
+    A two-photon trace reads the emitter amplitudes on one axis with an edge
+    at every time; each value is :func:`excitation_probability`'s, to rounding.
     """
     times = _checked_times(times, w)
     return ExcitationTrace(times=times, values=_excitation_values(times, w, quad))
@@ -319,49 +277,80 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
 # two-photon output-norm bookkeeping
 
 
-def _triangle_weights(w: WavepacketN, t: float):
-    """The channel weights' axis x and its row blocks (i0, upper, lower), whole
-    panels within _BLOCK_ENTRIES entries, of the weights of the triangles row <=
-    column and row > column.  Panels of _PANEL_NODES Gauss-Legendre nodes run to
-    max(t, horizon), from min(0.25, scale / 2) wide and widening by 1.4 up to 1,
-    with an edge at t, where the gates theta(t - tau) jump.  The weights are w_i
-    w_j across panels and, exact at the equal-time kink, h^2 w_m S[m, k] (upper)
-    or h^2 w_k S[k, m] (lower) inside one of half-width h, S[m, k] = int_{-1}^{x_m}
-    l_k (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991))."""
-    end = max(t, w.horizon)
+@functools.cache
+def _panel_rule(n: int):
+    """n-node Gauss-Legendre nodes and weights on [-1, 1], and the in-panel
+    triangle weights w_m S[m, k] and w_k S[k, m] of the integration matrix
+    S[m, k] = int_{-1}^{x_m} l_k (Greengard, SIAM J. Numer. Anal. 28, 1071 (1991))."""
+    gl_x, gl_w = legendre.leggauss(n)
+    # l_k = sum_j (j + 1/2) w_k P_j(x_k) P_j, as the rule integrates l_k P_j exactly
+    coef = (np.arange(n)[:, None] + 0.5) * legendre.legvander(gl_x, n - 1).T
+    s = legendre.legvander(gl_x, n) @ legendre.legint(coef * gl_w, lbnd=-1)
+    return gl_x, gl_w, s.T * gl_w, gl_w[:, None] * s
+
+
+def _axis(w: WavepacketN, times: np.ndarray):
+    """Nodes, weights, and each panel's node count and squared half-width, of the
+    two-photon axis to min(max(t, horizon), horizon + _DECAY_FOLDINGS), t the last
+    of the ascending times (past the horizon nothing is incoming and the memory
+    decays at rate 1): _PANEL_NODES Gauss-Legendre nodes on panels min(0.25, scale
+    / 2) wide, widening by 1.4 up to 1, with an edge at each time and sample node;
+    a state of sampled photons has panels of _CELL_NODES on their grids' cells."""
+    end = min(max(times[-1], w.horizon), w.horizon + _DECAY_FOLDINGS)
     width = min(0.25, 0.5 * min(1.0, w.min_timescale))
     edges = [0.0]
     while edges[-1] < end:
         edges.append(min(end, edges[-1] + width))
         width = min(1.0, width * 1.4)
-    edges = np.union1d(edges, t)
+    grids = ([w.grid] if w.kind == "correlated2" else
+             [p._grid for p, _ in w.entries if p.kind == "sampled"])
+    cells = grids if w.kind == "correlated2" or len(grids) == len(w.entries) else []
+    for g in cells:
+        edges = [e for e in edges if e < g[0] or e > g[-1]]
+    edges = np.union1d(edges, np.concatenate([*grids, times[times <= end]]))
     halves = 0.5 * np.diff(edges)
-    gl_x, gl_w = legendre.leggauss(_PANEL_NODES)
-    # l_k = sum_n (n + 1/2) w_k P_n(x_k) P_n, as the rule integrates l_k P_n exactly
-    coef = (np.arange(_PANEL_NODES)[:, None] + 0.5) * legendre.legvander(gl_x, _PANEL_NODES - 1).T
-    s = legendre.legvander(gl_x, _PANEL_NODES) @ legendre.legint(coef * gl_w, lbnd=-1)
-    x = (edges[:-1, None] + halves[:, None] * (1.0 + gl_x)).ravel()
-    weights = (halves[:, None] * gl_w).ravel()
-    panel = np.arange(x.size) // _PANEL_NODES
-    step = _PANEL_NODES * max(1, amplitudes._BLOCK_ENTRIES // (x.size * _PANEL_NODES))
+    nodes = np.full(halves.size, _PANEL_NODES)
+    for g in cells:
+        nodes[(edges[:-1] >= g[0]) & (edges[1:] <= g[-1])] = _CELL_NODES
+    rules = [_panel_rule(n) for n in nodes]
+    half = np.repeat(halves, nodes)
+    x = np.repeat(edges[:-1], nodes) + half * (1.0 + np.concatenate([r[0] for r in rules]))
+    return x, half * np.concatenate([r[1] for r in rules]), nodes, halves ** 2
+
+
+def _triangle_weights(w: WavepacketN, t: float):
+    """The channel weights' axis x, through t (:func:`_axis`), and its row blocks
+    (i0, upper, lower), whole panels within _BLOCK_ENTRIES entries, of the weights
+    of the triangles row <= column and row > column: w_i w_j across panels and,
+    exact at the equal-time kink, h^2 times a panel's triangle weights
+    (:func:`_panel_rule`) inside one of half-width h."""
+    x, weights, nodes, squares = _axis(w, np.array([t]))
+    starts = np.concatenate([[0], np.cumsum(nodes)])
+    panel = np.repeat(np.arange(nodes.size), nodes)
+    most = amplitudes._BLOCK_ENTRIES // x.size
 
     def blocks():
-        for i0 in range(0, x.size, step):
-            rows = slice(i0, i0 + step)
+        k0 = 0
+        while k0 < nodes.size:
+            k1 = max(k0 + 1, int(np.searchsorted(starts, starts[k0] + most, side="right")) - 1)
+            rows = slice(starts[k0], starts[k1])
             across = np.outer(weights[rows], weights)
-            squares = np.diag(halves[i0 // _PANEL_NODES:(i0 + step) // _PANEL_NODES] ** 2)
             upper = np.where(panel[rows, None] < panel, across, 0.0)
-            upper[:, rows] += np.kron(squares, s.T * gl_w)
             lower = np.where(panel[rows, None] > panel, across, 0.0)
-            lower[:, rows] += np.kron(squares, gl_w[:, None] * s)
-            yield i0, upper, lower
+            for k in range(k0, k1):
+                inside = (slice(starts[k] - starts[k0], starts[k + 1] - starts[k0]),
+                          slice(starts[k], starts[k + 1]))
+                upper[inside] += squares[k] * _panel_rule(nodes[k])[2]
+                lower[inside] += squares[k] * _panel_rule(nodes[k])[3]
+            yield starts[k0], upper, lower
+            k0 = k1
 
     return x, blocks()
 
 
 def _channel_weights(w: WavepacketN, t: float) -> dict:
     """The weight of each two-photon output channel at dynamical time t > 0, |A|^2
-    over [0, max(t, horizon)]^2 (past it nothing is emitted or incoming); they sum
+    over the square of the axis through t (past it the memory is spent); they sum
     to 1 - P_e(t).  A comes from the fill's factors in blocks of whole panels, as
     a block clamps its triangles' memory factors at its first and last rows."""
     x, blocks = _triangle_weights(w, t)

@@ -8,6 +8,9 @@ pulse-envelope evaluation.  The reference kernel provider integrates
 the joint amplitude point by point with the package's adaptive engine
 (1-D for S, a 2-D box for W), so it checks the window-kernel
 factorization of product states and owes nothing to the providers.
+The emitter amplitudes are read off any provider point by point, and a
+sampled state's norm is its interpolant's, from the hat functions' mass
+matrix.
 """
 
 import math
@@ -228,3 +231,42 @@ class QuadratureKernels:
 
     def windows(self, lo1, hi1, lo2, hi2, gate):
         return _pointwise(self._double_window, gate, lo1, hi1, lo2, hi2)
+
+
+def emitter_amplitudes(kernels, tau, t: float):
+    """(right, left) emitter amplitudes at t with one photon out at tau.
+
+    The photon out at tau is either the spectator, while the emitter
+    holds the other one, or the first of the ordered chain (tau <= t,
+    boundary included).  The emitter radiates into both directions with
+    equal coupling, so the chain feeds both branches alike.
+    """
+    tau, t = np.broadcast_arrays(np.asarray(tau, dtype=float), t)
+    chain = kernels.windows(0.0, tau, tau, t, tau <= t)
+    return tuple(kernels.spectator(d, t, tau, True) + chain
+                 for d in (Direction.RIGHT, Direction.LEFT))
+
+
+def _hat_mass_matrix(grid) -> np.ndarray:
+    """int phi_i phi_j of the hat functions on the grid: h/3 per adjacent cell
+    on the diagonal, h/6 off it."""
+    h = np.diff(grid)
+    diagonal = np.zeros(grid.size)
+    diagonal[:-1] += h / 3.0
+    diagonal[1:] += h / 3.0
+    return np.diag(diagonal) + np.diag(h / 6.0, 1) + np.diag(h / 6.0, -1)
+
+
+def interpolant_norm_sq(w) -> float:
+    """Norm^2 of a two-photon state's bilinear interpolant, Re sum conj(X) (M X M^T)
+    over its component tensors X at the grid nodes.  A product state's sampled
+    photons must share one grid; its tensors are its components there."""
+    if w.kind == "correlated2":
+        grid, tensors = w.grid, list(w.tensors.values())
+    else:
+        grid, = {tuple(p._grid) for p, _ in w.entries}
+        grid = np.array(grid)
+        mesh = np.meshgrid(grid, grid, indexing="ij")
+        tensors = [np.asarray(w.component(n, mesh)) for n in range(3)]
+    m = _hat_mass_matrix(grid)
+    return sum(float(np.sum(np.conj(x) * (m @ x @ m.T)).real) for x in tensors)

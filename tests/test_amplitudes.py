@@ -36,14 +36,13 @@ from waveguide_scatter import (
 from waveguide_scatter import amplitudes
 from waveguide_scatter.amplitudes import (
     _channel_sums,
-    _emitter_amplitudes,
     _PairKernels,
     _write_table,
 )
 from waveguide_scatter.model import _bilinear
 from waveguide_scatter.quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
-from conftest import QuadratureKernels, brute_reflection_f0
+from conftest import QuadratureKernels, brute_reflection_f0, emitter_amplitudes
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -244,8 +243,8 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
     np.testing.assert_allclose(t_quad, t_product, rtol=0.0, atol=1e-9)
     assert abs(t_product[0]) > 1e-3
     assert t_product[2] == 0.0 and t_quad[2] == 0.0
-    for a_quad, a_product in zip(_emitter_amplitudes(quad, tau, t),
-                                 _emitter_amplitudes(product, tau, t)):
+    for a_quad, a_product in zip(emitter_amplitudes(quad, tau, t),
+                                 emitter_amplitudes(product, tau, t)):
         np.testing.assert_allclose(a_quad, a_product, rtol=0.0, atol=1e-9)
     # channel sums with an emission exactly at the observation time
     for a, b in ((t, 0.4), (0.4, t), (t, t), (t, 2.3)):
@@ -256,6 +255,31 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
             assert complex(by_quad[ch]) == pytest.approx(complex(by_product[ch]), abs=1e-9)
         # four spectator terms and one double window serve all three channels
         assert counted.calls == {"spectator": 4, "windows": 1}
+
+
+@pytest.mark.parametrize("kind", ["exponential", "gaussian", "correlated"])
+def test_emitter_blocks_match_the_point_form(monkeypatch, kind):
+    # the emitter amplitudes from one-time values equal the provider's point
+    # form before, at and past each time; blocks of three times, and t = 1000
+    # apart from 2.3 by more than the block span
+    if kind == "exponential":
+        w = _pair(0.7, 3.0, (Direction.RIGHT, Direction.LEFT))
+    elif kind == "gaussian":
+        w = WavepacketN.product([(_gaussian(), Direction.RIGHT),
+                                 (_gaussian(centre=2.0, sigma=0.7), Direction.RIGHT)])
+    else:
+        w = _random_pair(np.linspace(0.0, 6.0, 25), (0, 1, 2), seed=5)
+    times = np.array([0.0, 0.4, 1.1, 2.3, 1000.0])
+    x = np.union1d(np.linspace(0.0, 9.0, 37), times[:-1])
+    kernels = _PairKernels(w, DEFAULT_QUAD)
+    monkeypatch.setattr(amplitudes, "_EMITTER_ENTRIES", 3 * x.size)
+    seen = []
+    for i0, right, left in amplitudes._emitter_blocks(w, times, x):
+        for i, t in enumerate(times[i0:i0 + len(right)]):
+            seen.append(t)
+            for got, want in zip((right[i], left[i]), emitter_amplitudes(kernels, x, t)):
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+    assert seen == list(times)
 
 
 # -- correlated pairs: window integrals of the bilinear interpolant ---------------

@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,9 +24,9 @@ from waveguide_scatter import (
     unitarity_check_two_photon,
     weighted_h_norm_integral,
 )
-from waveguide_scatter import amplitudes, observables
+from waveguide_scatter import amplitudes, kernel, observables, quadrature
 
-from conftest import exponential_envelope, fock_excitation, rk4_excitation
+from conftest import exponential_envelope, fock_excitation, interpolant_norm_sq, rk4_excitation
 
 
 def _pair(gamma1, gamma2=None, directions=(Direction.RIGHT, Direction.RIGHT)):
@@ -99,13 +100,18 @@ def test_two_photon_excitation_exp_vs_generic_engine():
         excitation_probability(1.0, w), abs=5e-4)
 
 
+def _sampled_351():
+    """The 351-node sampled copy of two identical g = 1 photons on [0, 35]."""
+    grid = np.linspace(0.0, 35.0, 351)
+    envelope = np.exp(-0.5 * grid)
+    return WavepacketN.correlated_pair(grid, xi2=np.outer(envelope, envelope), norm_tol=1e-5)
+
+
 def test_correlated_trace_matches_hierarchy():
     # the sampled copy of two identical g = 1 photons, traced in blocks of
     # times, against the Fock-state hierarchy within 4 x its bilinear
     # resolution floor h^2 / 8
-    grid = np.linspace(0.0, 35.0, 351)
-    envelope = np.exp(-0.5 * grid)
-    wc = WavepacketN.correlated_pair(grid, xi2=np.outer(envelope, envelope), norm_tol=1e-5)
+    wc = _sampled_351()
     times = np.linspace(0.25, 8.0, 24)
     trace = excitation_trace(times, wc)
     ref = fock_excitation(exponential_envelope(1.0), 2, times)
@@ -174,26 +180,95 @@ def test_excitation_trace_matches_per_time_values(w, times):
     np.testing.assert_allclose(trace.values, per_time, rtol=0.0, atol=1e-13)
 
 
-def test_two_photon_trace_integrates_blocks_of_times(monkeypatch):
-    calls = []
-    for name in ("integrate", "integrate_semi_infinite"):
-        engine = getattr(observables, name)
-        monkeypatch.setattr(observables, name,
-                            lambda *a, _engine=engine, **k: calls.append(1) or _engine(*a, **k))
-    excitation_trace(np.linspace(0.05, 8.0, 161), _pair(2.0))
-    assert 0 < len(calls) <= 2 * math.ceil(161 / observables._TRACE_BLOCK)
+def test_two_photon_trace_takes_no_adaptive_integral(monkeypatch):
+    # the trace is a fixed-rule sum over the two-photon axis
+    def refuse(*args, **kwargs):
+        raise AssertionError("the trace called the adaptive engine")
+
+    for mod in (quadrature, kernel, amplitudes, observables):
+        for name in ("integrate", "integrate_semi_infinite"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, refuse)
+    for w in (_pair(2.0), _pair(0.7, 3.1, (Direction.RIGHT, Direction.LEFT))):
+        assert np.all(excitation_trace(np.linspace(0.05, 8.0, 161), w).values > 0.0)
+
+
+def test_two_photon_trace_memory_is_bounded_by_its_blocks():
+    # a slow right-mover's axis runs to t = 80: ~2,500 nodes by 161 times,
+    # read a few times at a time (in blocks of a million entries it would
+    # hold 13 MB)
+    w = _pair(0.5, 4.0, (Direction.RIGHT, Direction.LEFT))
+    times = np.linspace(0.05, 8.0, 161)
+    excitation_trace(times, w)
+    tracemalloc.start()
+    try:
+        excitation_trace(times, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_sampled_profiles_run_at_their_data_resolution():
-    # two photons sampled at h = 0.4 from the g = 1 exponential: the
-    # engine floors its tolerance at h^2 / 8, as for sampled pairs, and
-    # the value lands within that of the exponential pair's
+    # two photons sampled at h = 0.4 from the g = 1 exponential: the value
+    # is exact for their linear interpolant, which lies within the data
+    # resolution h^2 / 8 of the exponential pair's
     grid = np.linspace(0.0, 40.0, 101)
     p = PulseProfile.from_samples(grid, np.exp(-0.5 * grid), norm_tol=1e-2)
     w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
     floor = 0.4 ** 2 / 8.0
     assert excitation_probability(0.5, w) == pytest.approx(
         excitation_probability(0.5, _pair(1.0)), abs=floor)
+
+
+def test_sampled_pair_trace_matches_hierarchy_on_its_interpolant():
+    # the hierarchy driven by the same linear interpolant (np.interp), with
+    # RK4 steps that land on the sample nodes, where the envelope kinks
+    grid = np.linspace(0.0, 40.0, 101)
+    values = np.exp(-0.5 * grid)
+    values /= math.sqrt(PulseProfile.from_samples(grid, values, norm_tol=1e-2).norm_sq())
+    p = PulseProfile.from_samples(grid, values)
+    w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
+    times = np.linspace(0.2, 8.0, 41)
+    targets = np.union1d(times, grid[grid < times[-1]])
+    ref = fock_excitation(lambda t: np.interp(t, grid, values), 2, targets)
+    np.testing.assert_allclose(excitation_trace(times, w).values,
+                               ref[np.searchsorted(targets, times)], rtol=0.0, atol=1e-9)
+
+
+def _random_pair(component, seed):
+    """A correlated pair with one random complex component on 25 nodes, its
+    samples normalized by the Simpson norm that the norm check uses."""
+    grid = np.linspace(0.0, 6.0, 25)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+    x = x if component == "xi1" else x + x.T
+    norm = WavepacketN.correlated_pair(grid, norm_tol=math.inf, **{component: x})
+    return WavepacketN.correlated_pair(
+        grid, **{component: x / math.sqrt(norm.total_norm_sq_numeric())})
+
+
+def _counter_sampled_pair():
+    grid = np.linspace(0.0, 40.0, 101)
+    right = PulseProfile.from_samples(grid, np.exp(-0.5 * grid), norm_tol=1e-2)
+    left = PulseProfile.from_samples(grid, 2.0 * grid * np.exp(-grid), norm_tol=5e-2)
+    return WavepacketN.product([(right, Direction.RIGHT), (left, Direction.LEFT)])
+
+
+@pytest.mark.parametrize("make", [
+    _sampled_351,
+    lambda: _random_pair("xi1", seed=3),
+    lambda: _random_pair("xi2", seed=4),
+    _counter_sampled_pair,
+], ids=["351-node", "random-xi1", "random-xi2", "sampled-product"])
+def test_channel_weights_and_excitation_conserve_the_interpolant_norm(make):
+    # a sampled state's weights and trace are exact for its interpolant, so
+    # they sum to the interpolant's norm, not to the norm of its samples
+    w = make()
+    norm = interpolant_norm_sq(w)
+    for t in (0.5, 3.0, 40.0):
+        total = unitarity_check_two_photon(w, t) + excitation_probability(t, w)
+        assert total == pytest.approx(norm, rel=0.0, abs=1e-12), t
 
 
 # -- full-reversal probabilities -------------------------------------------------
@@ -450,6 +525,33 @@ def test_channel_weights_and_excitation_sum_to_one_at_any_time(t):
               WavepacketN.product([(_gaussian_photon(), Direction.RIGHT)] * 2)):
         total = unitarity_check_two_photon(w, t) + excitation_probability(t, w)
         assert abs(total - 1.0) <= 1e-12
+
+
+def test_a_sampled_photon_with_a_fast_partner_conserves_its_norm():
+    # a g = 20 partner decays within a few 0.4-wide sample cells, which are
+    # then split by the ladder's panels and take its rule
+    grid = np.linspace(0.0, 40.0, 101)
+    sampled = PulseProfile.from_samples(grid, np.exp(-0.5 * grid), norm_tol=1e-2)
+    fast = PulseProfile.exponential(20.0)
+    w = WavepacketN.product([(sampled, Direction.RIGHT), (fast, Direction.LEFT)])
+    norm = sampled.norm_sq() * fast.norm_sq()
+    for t in (0.5, 3.0, 40.0):
+        total = unitarity_check_two_photon(w, t) + excitation_probability(t, w)
+        assert total == pytest.approx(norm, rel=0.0, abs=1e-12), t
+
+
+def test_two_photon_axis_ends_once_the_memory_is_spent():
+    # past horizon + 45 nothing is incoming and the memory has decayed by
+    # e^-45, so a late time takes the axis of horizon + 45
+    w = _pair(1.0, 2.0, (Direction.RIGHT, Direction.LEFT))
+    spent = w.horizon + 45.0
+    x_late, _ = observables._triangle_weights(w, 1e4)
+    x_spent, _ = observables._triangle_weights(w, spent)
+    assert x_late.size == x_spent.size
+    late, at_spent = observables._channel_weights(w, 1e4), observables._channel_weights(w, spent)
+    for channel, value in at_spent.items():
+        assert late[channel] == pytest.approx(value, rel=0.0, abs=1e-15)
+    assert 0.0 <= excitation_probability(1e6, w) <= 1e-30
 
 
 def test_two_photon_unitarity_of_a_slow_pair():
