@@ -609,6 +609,9 @@ def two_photon_channel_grid(w: WavepacketN, channel: str, axis1, axis2, t: float
         raise ValueError("a two-photon channel grid needs a two-photon input")
     ax1 = np.asarray(axis1, dtype=float)
     ax2 = np.asarray(axis2, dtype=float)
+    for name, a in (("axis1", ax1), ("axis2", ax2)):
+        if not a.size:
+            raise ValueError(f"{name} is an empty axis: a grid needs a node on each axis")
     if not all(np.all(np.isfinite(a) & (a >= 0.0)) for a in (ax1, ax2)):
         raise ValueError("detection-time axes must be finite and >= 0")
     _check_finite("dynamical time", t)

@@ -151,15 +151,19 @@ def h_closed_form(tau_i, tau_prev, gamma_bw: float):
         raise ValueError("h requires tau_prev <= tau_i")
     if np.any(tp < 0.0):
         raise ValueError("h requires tau_prev >= 0")
+    out = _h(ti, tp, gamma_bw)
+    return float(out) if out.ndim == 0 else out
+
+
+def _h(ti: np.ndarray, tp: np.ndarray, gamma_bw: float) -> np.ndarray:
+    """``h_closed_form`` on float arrays, unchecked: for callers whose
+    0 <= tp <= ti and bandwidth hold by construction."""
     x = 1.0 - 0.5 * gamma_bw
     d = ti - tp
     # d phi(|x| d) = -expm1(-|x| d) / |x|, and d itself at x = 0
     span = -np.expm1(-abs(x) * d) / abs(x) if x else d
     lead = np.exp(-0.5 * gamma_bw * ti) if x > 0.0 else np.exp(-ti + x * tp)
-    out = math.sqrt(gamma_bw) * lead * span
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return math.sqrt(gamma_bw) * lead * span
 
 
 def weighted_h_norm_integral(m: int, gamma_bw: float, tau_prev: float) -> float:

@@ -19,7 +19,10 @@ logs are nearly linear and most layers stop at degree 8), which
 turns an O(q^N) cost into O(N q^2).
 
 The node integrals of one layer, shifted by their start times, run as
-the components of one vector-valued engine call.  The two-photon
+the components of one vector-valued engine call; the decay probe that
+may cap the layer's span rides the first one, so a layer whose span is
+not capped takes one call.  Each series is fitted by the cached inverse
+of the Chebyshev-Vandermonde matrix at the nodes.  The two-photon
 excitation and channel weights are fixed-rule sums over one axis of
 emission times (``_axis``), with panel edges at every time asked for and
 at a sampled state's nodes, so they are exact for its interpolant.
@@ -35,9 +38,10 @@ import numpy as np
 from numpy.polynomial import chebyshev, legendre
 
 from . import amplitudes
-# no caller here, but perfbench's tracer patches them: exp_pair_channel_values, integrate
+# no caller here, but perfbench's tracer patches them: exp_pair_channel_values,
+# h_closed_form and integrate
 from .amplitudes import CHANNELS, exp_pair_channel_values  # noqa: F401
-from .kernel import _window_kernel, h_closed_form
+from .kernel import _h, _window_kernel, h_closed_form  # noqa: F401
 from .model import WavepacketN, check_bandwidth
 from .quadrature import DEFAULT_QUAD, QuadratureSpec, integrate  # noqa: F401
 from .quadrature import integrate_semi_infinite
@@ -172,21 +176,24 @@ class _LogLayer:
 
     ``evaluator`` maps an array of times to the layer's values there.
     The logs are tabulated at Chebyshev-Lobatto points of degree 8, 16,
-    32 and 64 in turn, and the chord through the two end logs is kept
-    apart from a series fitted to the rest, so Clenshaw summation never
-    carries logs of several hundred.  The first degree whose upper half
-    of coefficients is at rounding level relative to the logs is kept,
-    and the last one if none is.  Evaluations beyond the tabulated span
-    return zero: the span is sized so the outer integrand has already
-    decayed by ~exp(-45) there, and values past the representable range
-    underflow anyway.
+    32 and 64 in turn; the first call also takes the decay probe, and
+    only a span the probe caps is tabulated again at its own nodes.  The
+    chord through the two end logs is kept apart from a series fitted to
+    the rest (by the cached inverse of the Chebyshev-Vandermonde matrix at
+    the nodes), so Clenshaw summation never carries logs of several
+    hundred.  The first degree whose upper half of coefficients is at
+    rounding level relative to the logs is kept, and the last one if none
+    is.  Evaluations beyond the tabulated span return zero: the span is
+    sized so the outer integrand has already decayed by ~exp(-45) there,
+    and values past the representable range underflow anyway.
     """
 
     def __init__(self, evaluator, t_span: float):
-        # probe the decay rate so the span can be capped before the
-        # layer values underflow to exact zero
+        # probe the decay rate so the span can be capped before the layer
+        # values underflow to exact zero; the probe rides the first tabulation
         probe_t = min(t_span, max(1e-3, 0.05 * t_span))
-        f0, f_probe = evaluator(np.array([0.0, probe_t]))
+        head = evaluator(np.append(0.5 * t_span * (1.0 + _lobatto(_CHEB_DEGREES[0])[0]), probe_t))
+        f0, f_probe, head = head[0], head[-1], head[:-1]
         if not f0 > 0.0:
             raise RuntimeError("layer evaluated to a non-positive value at 0")
         while not f_probe > 0.0:  # an underflowed probe is fast decay, not none
@@ -198,15 +205,16 @@ class _LogLayer:
         if rate_est > 0.0:
             # a log drop of 500, or less where it would reach the log floor
             drop = min(500.0, math.log(f0) - math.log(_LOG_FLOOR))
-            t_span = min(t_span, drop / rate_est)
+            if drop / rate_est < t_span:  # capped: tabulate again at the new nodes
+                t_span, head = drop / rate_est, None
         self.t_span = float(t_span)
         for degree in _CHEB_DEGREES:
-            x = -np.cos(np.pi * np.arange(degree + 1) / degree)
+            x, fit = _lobatto(degree)
             nodes = 0.5 * self.t_span * (1.0 + x)
-            logs = np.log(np.maximum(evaluator(nodes), _LOG_FLOOR))
+            logs = np.log(np.maximum(evaluator(nodes) if head is None else head, _LOG_FLOOR))
+            head = None
             self._chord = np.array([logs[0] + logs[-1], logs[-1] - logs[0]]) / 2.0
-            rest = logs - chebyshev.chebval(x, self._chord)
-            self._series = chebyshev.chebfit(x, rest, degree)
+            self._series = fit @ (logs - (self._chord[0] + self._chord[1] * x))
             tail = np.abs(self._series[degree // 2:]).max()
             if tail <= 8.0 * np.finfo(float).eps * np.abs(logs).max():
                 break
@@ -216,15 +224,23 @@ class _LogLayer:
 
     def _interp(self, tau: np.ndarray) -> np.ndarray:
         x = tau * (2.0 / self.t_span) - 1.0
-        return chebyshev.chebval(x, self._chord) + chebyshev.chebval(x, self._series)
+        return self._chord[0] + self._chord[1] * x + chebyshev.chebval(x, self._series)
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)
-        out = np.zeros(tau.shape, dtype=float)
         inside = tau <= self.t_span
-        if np.any(inside):
-            out[inside] = np.exp(self._interp(tau[inside]))
+        if inside.all():
+            return np.exp(self._interp(tau))
+        out = np.zeros(tau.shape, dtype=float)
+        out[inside] = np.exp(self._interp(tau[inside]))
         return out
+
+
+@functools.cache
+def _lobatto(degree: int):
+    """Chebyshev-Lobatto points on [-1, 1] and the fit: values -> series coefficients."""
+    x = -np.cos(np.pi * np.arange(degree + 1) / degree)
+    return x, np.linalg.inv(chebyshev.chebvander(x, degree))
 
 
 def reflection_probability_numeric(n_photons: int, gamma_bw: float,
@@ -250,7 +266,7 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
 
         def integrand(u):
             tau = tp + u
-            h = h_closed_form(tau, tp, g)
+            h = _h(tau, tp, g)  # tau >= tp >= 0 by construction
             val = h * h
             if inner is not None:
                 val = val * inner(tau)

@@ -111,6 +111,15 @@ def _gk15(f, lo: np.ndarray, hi: np.ndarray):
     return rules[..., 0], np.abs(rules[..., 1]).reshape(-1, lo.size).max(axis=0)
 
 
+def _edges(a: float, b: float, n: int) -> np.ndarray:
+    """np.linspace(a, b, n + 1) by its own arithmetic, without its call cost."""
+    step = (b - a) / n
+    # linspace's branch for a step that underflows to zero
+    edges = (np.arange(n + 1) * step if step else np.arange(n + 1) / n * (b - a)) + a
+    edges[-1] = b
+    return edges
+
+
 def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
               panel_width: float | None = None):
     """Integral of f over [a, b].
@@ -130,10 +139,10 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
     width = b - a
     if panel_width is None or panel_width <= 0:
         panel_width = width
-    edges = np.linspace(a, b, max(1, int(np.ceil(width / min(panel_width, width)))) + 1)
+    edges = _edges(a, b, max(1, int(np.ceil(width / min(panel_width, width)))))
     lo, hi = edges[:-1], edges[1:]
     val, err = _gk15(f, lo, hi)
-    depth = np.zeros(lo.size, dtype=int)
+    depth = None  # bisections per panel, counted once a round refines
     while True:
         total = val.sum(axis=-1)
         err_total = err.sum()
@@ -145,6 +154,8 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
             return total
         order = np.argsort(-err, kind="stable")
         pick = order[:np.searchsorted(np.cumsum(err[order]), err_total - tol) + 1]
+        if depth is None:
+            depth = np.zeros(lo.size, dtype=int)
         if (depth[pick].max() >= spec.max_subdivisions
                 or (lo.size + pick.size) * (val.size // lo.size) > _MAX_PANELS):
             raise ConvergenceError(f"integral over [{a:g}, {b:g}] did not converge", err_total)

@@ -820,6 +820,16 @@ def test_write_grid_csv_refuses_an_empty_axis_before_opening_a_file(tmp_path, sh
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("pair", ["exponential", "callable"])
+@pytest.mark.parametrize("empty", ["axis1", "axis2"])
+def test_channel_grid_names_an_empty_axis(pair, empty):
+    w = _pair(1.0, 2.0) if pair == "exponential" else WavepacketN.product(
+        [(_gaussian(), Direction.RIGHT), (_gaussian(centre=4.0), Direction.LEFT)])
+    axes = {"axis1": np.linspace(0.0, 2.0, 3), "axis2": np.linspace(0.0, 3.0, 4), empty: []}
+    with pytest.raises(ValueError, match=f"{empty} is an empty axis"):
+        two_photon_channel_grid(w, "RL", axes["axis1"], axes["axis2"], 6.0)
+
+
 def test_load_grid_csv_rejects_a_truncated_file(tmp_path):
     w = _pair(1.0, 2.0)
     ax = np.linspace(0.0, 3.0, 6)

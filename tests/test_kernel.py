@@ -19,6 +19,24 @@ from waveguide_scatter import kernel
 from waveguide_scatter.kernel import _window_kernel
 
 
+def test_unchecked_kernel_equals_the_checked_one_bit_for_bit():
+    rng = np.random.default_rng(34)
+    tp = rng.uniform(0.0, 30.0, 500)
+    tau = tp + rng.exponential(3.0, 500)
+    tau[:5] = tp[:5]  # d = 0
+    for g in [2.0, 2.0 + 1e-8, 2.0 - 1e-8, *rng.uniform(0.01, 20.0, 6)]:
+        assert np.array_equal(kernel._h(tau, tp, g), h_closed_form(tau, tp, g))
+        assert float(kernel._h(tau[7], tp[7], g)) == h_closed_form(float(tau[7]), float(tp[7]), g)
+
+
+@pytest.mark.parametrize("tau,tau_prev", [
+    (1.0, 1.5), (1.0, -0.1), (np.array([1.0, 2.0]), np.array([0.5, 2.5]))])
+def test_closed_form_rejects_misordered_or_negative_times(tau, tau_prev):
+    # a bad bandwidth: test_observables::test_bandwidth_must_be_finite_and_positive
+    with pytest.raises(ValueError, match="h requires tau_prev"):
+        h_closed_form(tau, tau_prev, 1.0)
+
+
 def test_closed_form_spot_values():
     # bandwidth matched to the emitter: sqrt(2) t exp(-t)
     assert h_closed_form(1.0, 0.0, 2.0) == pytest.approx(0.520260095022889,

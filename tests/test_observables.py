@@ -339,13 +339,14 @@ def test_bandwidth_must_be_finite_and_positive(gamma):
 
 
 @pytest.mark.parametrize("n", [1, 3, 5])
-def test_numeric_reversal_integrates_each_layer_in_two_calls(monkeypatch, n):
+def test_numeric_reversal_integrates_each_layer_in_one_call(monkeypatch, n):
+    # no layer's span is capped at g = 1, so its decay probe rides its tabulation
     calls = []
     engine = observables.integrate_semi_infinite
     monkeypatch.setattr(observables, "integrate_semi_infinite",
                         lambda *a, **k: calls.append(1) or engine(*a, **k))
     reflection_probability_numeric(n, 1.0)
-    assert len(calls) <= 2 * (n - 1) + 1
+    assert len(calls) == n
 
 
 def test_numeric_reversal_layers_match_per_node_integrals(monkeypatch):
@@ -411,6 +412,19 @@ def test_log_layer_caps_its_span_when_the_decay_probe_underflows():
     assert layer.t_span == pytest.approx(5.0, rel=1e-12)
     t = np.array([0.5, 1.0, 2.0])
     np.testing.assert_allclose(layer(t), np.exp(-30.0 - 100.0 * t), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("f,span,sizes", [
+    (lambda t: np.exp(-t), 10.0, [10]),
+    (lambda t: np.exp(-10.0 * t), 250.0, [10, 9]),
+    (lambda t: np.exp(-30.0 - 100.0 * t), 250.0, [10, 1, 9]),
+], ids=["uncapped", "capped", "capped-after-an-underflowed-probe"])
+def test_log_layer_tabulates_once_unless_its_span_is_capped(f, span, sizes):
+    # the probe rides the degree-8 tabulation; a capped span is tabulated
+    # again at its own nodes, after any probe shrunk past an underflow
+    seen = []
+    observables._LogLayer(lambda t: seen.append(t.size) or f(t), span)
+    assert seen == sizes
 
 
 def test_numeric_reversal_repeats_across_processes():

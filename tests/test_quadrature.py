@@ -81,6 +81,28 @@ def test_vector_valued_rows_equal_scalar_integrals():
         assert row == pytest.approx(scalar, rel=1e-10, abs=1e-13)
 
 
+def test_first_round_edges_are_linspace_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(34)
+    cases = [(-3e-300, 1e-300, 7), (0.0, 5e-324, 4), (-1e6, 1e6, 1)]  # 5e-324 / 4 underflows
+    for scale in 10.0 ** rng.uniform(-300.0, 6.0, 200):  # a and b - a of one scale
+        cases.append((float(rng.uniform(-50.0, 50.0) * scale),
+                      float(rng.uniform(0.01, 100.0) * scale), int(rng.integers(1, 200))))
+    for a, width, n in cases:
+        b = a + width
+        assert b > a
+        assert np.array_equal(quadrature._edges(a, b, n), np.linspace(a, b, n + 1))
+    # integrate's first round takes those edges
+    seen, gk15 = [], quadrature._gk15
+    monkeypatch.setattr(quadrature, "_gk15",
+                        lambda f, lo, hi: seen.append((lo, hi)) or gk15(f, lo, hi))
+    for a, width, n in cases[3:23]:
+        seen.clear()
+        b = a + max(width, 1e-6)
+        integrate(lambda x: np.exp(-x * x), a, b, panel_width=(b - a) / n)
+        lo, hi = seen[0]
+        assert np.array_equal(np.append(lo, hi[-1]), np.linspace(a, b, lo.size + 1))
+
+
 def test_semi_infinite_exponential_tail():
     for a in (0.0, 1.5, 4.0):
         val = complex(integrate_semi_infinite(lambda x: np.exp(-x), a)).real
