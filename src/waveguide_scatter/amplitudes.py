@@ -22,7 +22,6 @@ Conventions:
 
 from __future__ import annotations
 
-import collections
 import functools
 import json
 import math
@@ -82,7 +81,7 @@ def _absorption_chain(lo, hi, w: WavepacketN, quad: QuadratureSpec) -> complex:
         return 1.0 + 0.0j
     sign = -1.0 if n % 2 else 1.0
     if w.kind == "correlated2":
-        return sign * complex(_PairKernels(w, quad).windows(lo[0], hi[0], lo[1], hi[1], True))
+        return sign * _double_window(w, lo[0], hi[0], lo[1], hi[1], quad)
     mat = np.stack([_window_kernel(p, hi, lo, quad) for p, _ in w.entries], axis=1,
                    dtype=complex)
     return sign * w.separable_normalization() * _permanent(mat)
@@ -134,7 +133,7 @@ def linear_beamsplitter_amplitude(tau1: float, tau2: float, w: WavepacketN,
     _check_finite("emission times", tau1, tau2)
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("emission times must be >= 0")
-    return complex(_PairKernels(w, quad).windows(0.0, tau1, 0.0, tau2, True))
+    return _double_window(w, 0.0, tau1, 0.0, tau2, quad)
 
 
 def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
@@ -159,7 +158,7 @@ def nonlinear_correction_B(tau1: float, tau2: float, w: WavepacketN,
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("emission times must be >= 0")
     lo, hi = sorted((tau1, tau2))
-    square = complex(_PairKernels(w, quad).windows(0.0, lo, 0.0, lo, True))
+    square = _double_window(w, 0.0, lo, 0.0, lo, quad)
     return -math.exp(-(hi - lo)) * square / _SQRT2
 
 
@@ -196,18 +195,6 @@ def reflection_amplitude_f0(times, w: WavepacketN, t: float,
 
 
 # -- two-photon output channels ----------------------------------------------
-#
-# Every two-photon quantity is the input plus the histories in which the
-# atom re-emits: one photon absorbed and re-emitted at tau_emit while the
-# other passes as a direction-d spectator at tau_spec, S(d, tau_emit,
-# tau_spec), or both absorbed over the windows (lo1, hi1) x (lo2, hi2),
-# each weighted by the memory up to its window's end, W(lo1, hi1, lo2, hi2):
-# the ordered chain is W(0, lo, lo, hi), the linear amplitude W(0, tau1, 0,
-# tau2) and the correction B the square W(0, lo, 0, lo).  The kernel provider
-# of every state sums S and W over its photon pairs (_PairKernels).  It takes
-# a gate mask and returns zero where it is closed (W a scalar 0.0 when it is
-# closed everywhere).  W must not be evaluated there: it is undefined for a
-# window with lo > hi.
 
 # a correlated pair's decomposition stops once the residual it carries is
 # this small against its component tensor, in the Frobenius norm
@@ -304,7 +291,7 @@ def _decomposed_pairs(w: WavepacketN) -> list:
 
 
 class _PairKernels:
-    """S and W of a two-photon state as a weighted list of photon pairs.
+    """A two-photon state as a weighted list of photon pairs.
 
     The state is weight times the sum over its pairs (p, d1, q, d2) and over
     k of the product pair of photon p[k], moving in d1, and photon q[k],
@@ -314,9 +301,9 @@ class _PairKernels:
     correlated pair's pairs come from :func:`_decomposed_pairs`, weight 1:
     sampled photons on its grid, whose bilinear interpolant is the state's.
     A sampled photon's kernels are exact for its linear interpolant, so the
-    pairs are exact for the state's interpolant.  S and W are vectorized,
-    each profile evaluated once per call, in blocks of points that keep each
-    (photons x points) temporary within _BLOCK_ENTRIES entries.
+    pairs are exact for the state's interpolant.  Every amplitude is built
+    from each profile's one-time values, its envelopes p and absorptions
+    K_p(x) = K(p; 0, x).
     """
 
     def __init__(self, w: WavepacketN, quad: QuadratureSpec):
@@ -330,57 +317,29 @@ class _PairKernels:
             self.weight, self.pairs = 1.0, _DECOMPOSED[w]
         # each profile once; its values carry its photon axes (none but a sampled stack's)
         self.profiles = dict.fromkeys(p for pair in self.pairs for p in pair[::2])
-        photons = sum(math.prod(np.shape(p._values)[:-1]) for p in self.profiles)
-        self._step = max(1, _BLOCK_ENTRIES // max(1, photons))
 
-    def envelopes(self, p: PulseProfile, x) -> np.ndarray:
-        """The envelopes of profile p at x, photons along the first axis."""
-        return np.reshape(p.value(x), (-1, *np.shape(x)))
+    def absorptions(self, p: PulseProfile, x: np.ndarray) -> np.ndarray:
+        """K_p at the points x (1-D), photons along the first axis."""
+        return _photon_rows(_window_kernel(p, x, 0.0, self._quad), x.size)
 
-    def kernels(self, p: PulseProfile, hi, lo) -> np.ndarray:
-        """The window kernels K(p; lo, hi), photons along the first axis."""
-        return np.reshape(_window_kernel(p, hi, lo, self._quad),
-                          (-1, *np.broadcast(hi, lo).shape))
+    def one_time(self, *axes) -> list:
+        """Each profile's envelopes and absorptions K_p on each 1-D axis, photons
+        along the first axis: one (envelopes, absorptions) pair of dicts by
+        profile per axis, from one evaluation per profile at the axes' points
+        joined; float64 when every value is real."""
+        x = np.concatenate(axes)
+        env = {p: _photon_rows(p.value(x), x.size) for p in self.profiles}
+        kern = {p: self.absorptions(p, x) for p in self.profiles}
+        if not any(np.imag(v).any() for f in (env, kern) for v in f.values()):
+            env, kern = ({p: v.real for p, v in f.items()} for f in (env, kern))
+        ends = np.cumsum([a.size for a in axes])
+        return [tuple({p: v[:, i - a.size:i] for p, v in f.items()} for f in (env, kern))
+                for a, i in zip(axes, ends)]
 
-    def spectator(self, d: Direction, tau_emit, tau_spec, gate):
-        # (spectator photons, their re-emitted partners): each photon of a
-        # pair that moves in d passes as the spectator in turn
-        roles = collections.Counter((a, b) for p, dp, q, dq in self.pairs
-                                    for a, da, b in ((p, dp, q), (q, dq, p)) if da is d)
 
-        def block(tau_emit, tau_spec, gate):
-            env = {a: self.envelopes(a, tau_spec) for a, _ in roles}
-            kern = {b: self.kernels(b, tau_emit, 0.0) for _, b in roles}
-            total = 0.0
-            for (a, b), n in roles.items():
-                total = total + n * _sum_terms(env[a] * kern[b])
-            return -self.weight * total * gate
-
-        return self._blocks(block, tau_emit, tau_spec, gate)
-
-    def windows(self, lo1, hi1, lo2, hi2, gate):
-        if not np.any(gate):
-            return 0.0
-
-        def block(lo1, hi1, lo2, hi2, gate):
-            lo1, hi1, lo2, hi2 = (np.where(gate, x, 0.0) for x in (lo1, hi1, lo2, hi2))
-            k1, k2 = ({p: self.kernels(p, hi, lo) for p in self.profiles}
-                      for lo, hi in ((lo1, hi1), (lo2, hi2)))
-            terms = np.concatenate([k1[p] * k2[q] + k1[q] * k2[p] for p, _, q, _ in self.pairs])
-            return np.where(gate, self.weight * _sum_terms(terms), 0.0)
-
-        return self._blocks(block, lo1, hi1, lo2, hi2, gate)
-
-    def _blocks(self, func, *args):
-        """func(*args), a block of self._step points per call."""
-        points = np.broadcast(*args)
-        if points.size <= self._step:
-            return func(*args)
-        flat = [np.broadcast_to(a, points.shape).reshape(-1) for a in args]
-        out = np.empty(points.size, dtype=complex)
-        for i in range(0, out.size, self._step):
-            out[i:i + self._step] = func(*(a[i:i + self._step] for a in flat))
-        return out.reshape(points.shape)
+def _photon_rows(values, n: int) -> np.ndarray:
+    """A profile's values at n points, its photon axes flattened into the first."""
+    return np.reshape(values, (math.prod(np.shape(values)[:-1]), n))
 
 
 def _sum_terms(terms: np.ndarray) -> np.ndarray:
@@ -389,35 +348,73 @@ def _sum_terms(terms: np.ndarray) -> np.ndarray:
     return terms[0] if len(terms) == 1 else terms.sum(axis=0)
 
 
-def _channel_sums(kernels, w: WavepacketN, channels, tau1, tau2, t: float) -> dict:
-    """Channel amplitudes at detection times (tau1, tau2) from a kernel provider.
+def _double_window(w: WavepacketN, lo1: float, hi1: float, lo2: float, hi2: float,
+                   quad: QuadratureSpec) -> complex:
+    """W(lo1, hi1, lo2, hi2): both photons absorbed, one over each window, each
+    weighted by the memory up to its window's end.  Per photon pair (p, q) it is
+    K(p; lo1, hi1) K(q; lo2, hi2) + K(q; lo1, hi1) K(p; lo2, hi2), with K(p; lo,
+    hi) = K_p(hi) - exp(lo - hi) K_p(lo) from one K_p evaluation per profile at
+    the window ends.  The ordered chain is W(0, lo, lo, hi), the linear amplitude
+    W(0, tau1, 0, tau2) and the correction B the square W(0, lo, 0, lo)."""
+    kernels = _PairKernels(w, quad)
+    ends = np.array([lo1, lo2, hi1, hi2], dtype=float)
+    memory = np.exp(ends[:2] - ends[2:])
+    # K(p; lo, hi) of the first and the second window, photons along the first axis
+    win = {p: k[:, 2:] - memory * k[:, :2]
+           for p, k in ((p, kernels.absorptions(p, ends)) for p in kernels.profiles)}
+    terms = np.concatenate([win[p][:, 0] * win[q][:, 1] + win[q][:, 0] * win[p][:, 1]
+                            for p, _, q, _ in kernels.pairs])
+    return complex(kernels.weight * _sum_terms(terms))
 
-    A channel with slot directions (d1, d2) sums the input component with
-    that many right-movers, the re-emission at tau1 whose spectator leaves
-    in d2, the re-emission at tau2 whose spectator leaves in d1, and the
-    ordered chain.  Emissions are gated by theta(t - tau_i), boundary
-    included; same-direction channels carry the 1/sqrt(2) of their
-    normalization.  Each S and W is evaluated once for all channels.
+
+def _factors(kernels: _PairKernels, channel: str, values1, values2, gate1, gate2):
+    """One channel's fill factors from the one-time values on two axes: (scale,
+    rows, cols, both1, both2), rows and cols stacked along their first (rank)
+    axis, one per ordered photon pair.
+
+    With photon a in the first slot and b in the second, the input, both
+    spectator terms and the linear term make one product, (p_a [a moves in
+    slot 1] - g1 K_a)(tau1) (p_b [b moves in slot 2] - g2 K_b)(tau2) with g_i
+    = theta(t - tau_i) the gates: rank 2 per photon pair, one per order.  By
+    K(p; lo, hi) = K_p(hi) - exp(lo - hi) K_p(lo), the ordered chain is the
+    linear term minus 2 exp(lo - hi) K_1(lo) K_2(lo), whose -2 g K_1 K_2 on
+    either axis, summed over the photon pairs, are both1 and both2.  The
+    amplitude is scale times the sum of the products and of the chain.
     """
-    # (not broadcast here: a spectator's kernels at a time axis that
-    # repeats along the other are evaluated once per distinct time)
-    T1, T2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
-    g1 = T1 <= t
-    g2 = T2 <= t
-    lo = np.minimum(T1, T2)
-    chain = kernels.windows(0.0, lo, lo, np.maximum(T1, T2), g1 & g2)
+    slots = tuple(map(_as_direction, channel))
+    scale = kernels.weight / (_SQRT2 if slots[0] is slots[1] else 1.0)
+    (env1, kern1), (env2, kern2) = values1, values2
+    rows, cols, both1, both2 = [], [], [], []
+    for first, d1, second, d2 in kernels.pairs:
+        for a, da, b, db in ((first, d1, second, d2), (second, d2, first, d1)):
+            row, col = -gate1 * kern1[a], -gate2 * kern2[b]
+            rows.append(row + env1[a] if da is slots[0] else row)
+            cols.append(col + env2[b] if db is slots[1] else col)
+        both1.append(-2.0 * gate1 * kern1[first] * kern1[second])
+        both2.append(-2.0 * gate2 * kern2[first] * kern2[second])
+    return (scale, np.concatenate(rows), np.concatenate(cols),
+            _sum_terms(np.concatenate(both1)), _sum_terms(np.concatenate(both2)))
 
-    @functools.cache
-    def spectator(d, emit_first):
-        return (kernels.spectator(d, T1, T2, g1) if emit_first
-                else kernels.spectator(d, T2, T1, g2))
 
+def _point_values(w: WavepacketN, channels, tau1, tau2, t: float,
+                  quad: QuadratureSpec) -> dict:
+    """Channel amplitudes at the broadcast detection times tau1 and tau2: at
+    each point the fill of :func:`_factors` on one-point axes, its products
+    summed along the rank axis and the ordered chain's memory factor
+    exp(-|tau1 - tau2|).  Each profile's one-time values are evaluated once,
+    at the times of both arrays (a mesh's axes, not its points)."""
+    ndim = max(np.ndim(tau1), np.ndim(tau2))
+    T1, T2 = (np.array(tau, dtype=float, ndmin=ndim) for tau in (tau1, tau2))
+    kernels = _PairKernels(w, quad)
+    values = [tuple({p: v.reshape(len(v), *T.shape) for p, v in f.items()} for f in pair)
+              for T, pair in zip((T1, T2), kernels.one_time(T1.ravel(), T2.ravel()))]
+    gate1, gate2 = (T1 <= t).astype(float), (T2 <= t).astype(float)
+    memory = np.exp(-np.abs(T1 - T2))
     out = {}
     for channel in channels:
-        d1, d2 = map(_as_direction, channel)
-        emitted = spectator(d2, True) + spectator(d1, False) + chain
-        xi = w.component(channel.count("R"), (T1, T2))
-        out[channel] = xi + (emitted / _SQRT2 if d1 is d2 else emitted)
+        scale, rows, cols, both1, both2 = _factors(kernels, channel, *values, gate1, gate2)
+        chain = np.where(T1 <= T2, both1 * gate2, both2 * gate1) * memory
+        out[channel] = scale * ((rows * cols).sum(axis=0) + chain)
     return out
 
 
@@ -431,11 +428,7 @@ def _emitter_blocks(w: WavepacketN, times: np.ndarray, x: np.ndarray,
     - exp(x - t) K_a(x) K_b(x), from one-time values as in :func:`_pair_factors`,
     exp(x - t) rescaled at each block's last time."""
     kernels = _PairKernels(w, quad)
-    at_t = {p: kernels.kernels(p, times, 0.0) for p in kernels.profiles}
-    env = {p: kernels.envelopes(p, x) for p in kernels.profiles}
-    kern = {p: kernels.kernels(p, x, 0.0) for p in kernels.profiles}
-    if not any(np.imag(v).any() for f in (at_t, env, kern) for v in f.values()):
-        at_t, env, kern = ({p: v.real for p, v in f.items()} for f in (at_t, env, kern))
+    (env, kern), (_, at_t) = kernels.one_time(x, times)
     rows, cols, spectators, both = [], [], [], []
     for first, d1, second, d2 in kernels.pairs:
         for a, da, b in ((first, d1, second), (second, d2, first)):
@@ -463,18 +456,20 @@ def two_photon_outputs(tau1: float, tau2: float, t: float, w: WavepacketN,
     Each channel sums four histories: neither photon touched the atom,
     either one was absorbed and re-emitted (the other passing as a
     spectator), or both were.  Emissions are gated by theta(t - tau_i)
-    with the closed boundary.  Every state takes the window kernels of its
-    photon pairs (closed form for exponential envelopes, read off the
-    absorption table of any other photon, among them the sampled photons
-    of a correlated pair's decomposition, exact for its bilinear
-    interpolant); grids of detection times are :func:`two_photon_channel_grid`.
+    with the closed boundary.  Every channel is the grid fill on the
+    one-point axes (tau1) and (tau2), from one evaluation of each profile's
+    envelope and absorption K_p at the two times (closed form for
+    exponential envelopes, read off the absorption table of any other
+    photon, among them the sampled photons of a correlated pair's
+    decomposition, exact for its bilinear interpolant); grids of detection
+    times are :func:`two_photon_channel_grid`.
     """
     if w.n_photons != 2:
         raise ValueError("two-photon outputs need a two-photon input")
     _check_finite("detection and dynamical times", tau1, tau2, t)
     if tau1 < 0.0 or tau2 < 0.0:
         raise ValueError("detection times must be >= 0")
-    vals = _channel_sums(_PairKernels(w, quad), w, CHANNELS, tau1, tau2, t)
+    vals = _point_values(w, CHANNELS, tau1, tau2, t, quad)
     return {ch: complex(v) for ch, v in vals.items()}
 
 
@@ -482,9 +477,11 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
     """Closed-form channel amplitudes for two exponential envelopes.
 
     ``tau1`` and ``tau2`` broadcast together (meshes, axis pairs, or
-    scalars) and must be finite and >= 0.  The envelope tails past their truncation horizons are
-    below exp(-20), so the analytic kernel closed form stands in for the
-    truncated integral everywhere.
+    scalars) and must be finite and >= 0; empty arrays give an empty result
+    of their broadcast shape.  The envelope tails past their truncation
+    horizons are below exp(-20), so the analytic kernel closed form stands
+    in for the truncated integral everywhere.  Each point is
+    :func:`two_photon_outputs`' value there.
     """
     if channel not in CHANNELS:
         raise ValueError(f"channel must be one of {CHANNELS}")
@@ -496,7 +493,8 @@ def exp_pair_channel_values(w: WavepacketN, channel: str, tau1, tau2, t: float) 
         raise ValueError("detection and dynamical times must be finite")
     if (tau1 < 0.0).any() or (tau2 < 0.0).any():
         raise ValueError("detection times must be >= 0")
-    return _channel_sums(_PairKernels(w, DEFAULT_QUAD), w, (channel,), tau1, tau2, t)[channel]
+    values = _point_values(w, (channel,), tau1, tau2, t, DEFAULT_QUAD)[channel]
+    return np.asarray(values, dtype=complex)
 
 
 # Row blocks of the grid fill: at most this many entries per temporary, and
@@ -510,51 +508,28 @@ _EMITTER_ENTRIES = 2 ** 13
 
 
 def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
-                  t: float, quad: QuadratureSpec = DEFAULT_QUAD):
+                  t: float, quad: QuadratureSpec = DEFAULT_QUAD, values=None):
     """The grid fill of a two-photon state as per-block factors: (scale, blocks).
 
     Each history of :func:`two_photon_outputs` is, for every product pair of
     the state's photon pairs (:class:`_PairKernels`), built from one-time
-    values on each axis, the envelopes p and absorptions K_p(x) = K(p; 0, x).
-    With photon a in the first slot and b in the second, the input, both
-    spectator terms and the linear term make one whole-plane product,
-    (p_a [a moves in slot 1] - g1 K_a)(tau1) (p_b [b moves in slot 2] - g2
-    K_b)(tau2) with g_i = theta(t - tau_i): rank 2 per photon pair, one per
-    order.  By K(p; lo, hi) = K_p(hi) - exp(lo - hi) K_p(lo), the ordered
-    chain is the linear term minus 2 exp(lo - hi) K_1(lo) K_2(lo), summed
-    over the product pairs into one product on each triangle once split at
-    the block's last row.  Each block (i0, (U, C_up), (L, C_low)) holds the
-    rows i0 <= i < i0 + len(U): row i is scale * U[i - i0] @ C_up where
-    tau1 <= tau2 and scale * L[i - i0] @ C_low where tau1 > tau2.  Real
-    values (every exponential pair's) give float64 factors.
+    values on each axis, the envelopes p and absorptions K_p(x) = K(p; 0, x):
+    the factors of :func:`_factors`, whose ordered chain is summed over the
+    product pairs into one product on each triangle once split at the
+    block's last row.  Each block (i0, (U, C_up), (L, C_low)) holds the rows
+    i0 <= i < i0 + len(U): row i is scale * U[i - i0] @ C_up where tau1 <=
+    tau2 and scale * L[i - i0] @ C_low where tau1 > tau2.  Real values (every
+    exponential pair's) give float64 factors.  ``values`` are the one-time
+    values on ax1 and on ax2 (:meth:`_PairKernels.one_time`) when the caller
+    holds them.
     """
-    slots = tuple(map(_as_direction, channel))
     kernels = _PairKernels(w, quad)
-    scale = kernels.weight / (_SQRT2 if slots[0] is slots[1] else 1.0)
+    if values is None:
+        values = kernels.one_time(ax1, ax2)
     gate1 = (ax1 <= t).astype(float)
     gate2 = (ax2 <= t).astype(float)
-    # each profile's values on each axis, photons along the first axis
-    env = {p: (kernels.envelopes(p, ax1), kernels.envelopes(p, ax2)) for p in kernels.profiles}
-    kern = {p: (kernels.kernels(p, ax1, 0.0), kernels.kernels(p, ax2, 0.0))
-            for p in kernels.profiles}
-    if not any(np.imag(v).any() for f in (env, kern) for pair in f.values() for v in pair):
-        env, kern = ({p: (v1.real, v2.real) for p, (v1, v2) in f.items()} for f in (env, kern))
-
-    rows, cols, both1, both2 = [], [], [], []
-    for first, d1, second, d2 in kernels.pairs:
-        for a, da, b, db in ((first, d1, second, d2), (second, d2, first, d1)):
-            # a in the first slot and b in the second: the input, either
-            # spectator and both absorbed from 0 (the linear amplitude) in one
-            row, col = -gate1 * kern[a][0], -gate2 * kern[b][1]
-            rows.append(row + env[a][0] if da is slots[0] else row)
-            cols.append(col + env[b][1] if db is slots[1] else col)
-        # -2 K_1 K_2 at the earlier emission, on either axis
-        both1.append(-2.0 * gate1 * kern[first][0] * kern[second][0])
-        both2.append(-2.0 * gate2 * kern[first][1] * kern[second][1])
-    shared_rows = np.concatenate(rows).T
-    shared_cols = np.concatenate(cols)
-    both1 = _sum_terms(np.concatenate(both1))
-    both2 = _sum_terms(np.concatenate(both2))
+    scale, rows, shared_cols, both1, both2 = _factors(kernels, channel, *values, gate1, gate2)
+    shared_rows = rows.T
 
     def blocks():
         for i0, i1 in _row_blocks(ax1, max(1, _BLOCK_ENTRIES // max(1, ax2.size))):
@@ -653,9 +628,8 @@ class AmplitudeGrid:
         return float(np.max(np.abs(self.values - self.values.T)))
 
 
-# rows per block of _write_table and write_grid_csv: each distinct value
-# of a column is formatted once per block, and one write takes the block's
-# rows, so no table is ever formatted or held whole
+# rows per block of _write_table and write_grid_csv: one write takes the
+# block's rows, so no table is ever formatted or held whole
 _TABLE_BLOCK_ROWS = 4096
 
 
@@ -713,28 +687,25 @@ def _write_table(fh, header, columns) -> None:
     """Write a header line and one CSV row per index of the equal-length columns."""
     fh.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
-        _write_rows(fh, [c[lo:lo + _TABLE_BLOCK_ROWS] for c in columns])
+        _write_rows(fh, [_cells(c[lo:lo + _TABLE_BLOCK_ROWS]) for c in columns])
 
 
-def _write_rows(fh, columns) -> None:
-    """Write one CSV row per index of the equal-length columns, in one write.
+def _cells(column) -> np.ndarray:
+    """The CSV cells of a column as NUL-padded void bytes: integers as %d and
+    the rest as '%.11e' (12 significant digits, by :func:`_float_cells`), so
+    repeated runs are byte-identical."""
+    if column.dtype.kind in "iu":
+        text = column.astype("S")
+    else:
+        text = np.empty(column.size, _CELL)
+        _float_cells(np.asarray(column, dtype=np.float64), text)
+    return text.view(f"V{text.itemsize}")
 
-    Integer columns print as %d and the rest as '%.11e' (12 significant
-    digits), so repeated runs are byte-identical.  Cells are keyed on their
-    bit patterns, which keeps -0.0 apart from 0.0, and each distinct float is
-    formatted by :func:`_float_cells`.  The rows are laid out as NUL-padded
-    cells, commas and newlines in one byte array, which loses its NULs.
-    """
-    cells = []
-    for c in columns:
-        if c.dtype.kind in "iu":
-            keys, inverse = np.unique(c, return_inverse=True)
-            text = keys.astype("S")
-        else:
-            keys, inverse = np.unique(c.view(f"i{c.itemsize}"), return_inverse=True)
-            text = np.empty(keys.size, _CELL)
-            _float_cells(keys.view(c.dtype).astype(np.float64), text)
-        cells.append(text.view(f"V{text.itemsize}").take(inverse))
+
+def _write_rows(fh, cells) -> None:
+    """Write one CSV row per index of the equal-length cell columns (:func:`_cells`),
+    in one write: the cells, commas and newlines are laid out in one byte
+    array, which loses its NULs."""
     fields = []
     for j, cell in enumerate(cells):
         fields += [(f"c{j}", cell.dtype), (f"s{j}", "u1")]
@@ -750,11 +721,12 @@ def _write_rows(fh, columns) -> None:
 def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
     """Deterministic CSV dump: one row per node, 12 significant digits.
 
-    Each block of rows takes its tau cells from its flat row indices, so
-    no column is held whole.  The JSON header, if asked for, must go to
-    another file than the CSV.  ValueError is raised before any file is
-    opened when both paths name one, or when an axis of the grid is empty
-    (it has no node to write and no range for the header).
+    Each axis and the dynamical time are formatted once; each block of rows
+    takes its tau cells from its flat row indices, so no column is held
+    whole.  The JSON header, if asked for, must go to another file than the
+    CSV.  ValueError is raised before any file is opened when both paths
+    name one, or when an axis of the grid is empty (it has no node to write
+    and no range for the header).
     """
     if any(a.size == 0 for a in grid.axes):
         raise ValueError(f"the grid has an empty axis (shape {grid.values.shape}); "
@@ -764,14 +736,16 @@ def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
                          f"to {csv_path}; give them different paths")
     names = [f"tau{i + 1}" for i in range(grid.ndim)] + ["t", "re", "im"]
     vals = grid.values.ravel()
+    axes = [_cells(a) for a in grid.axes]
+    t_cell = _cells(np.array([grid.dynamical_time]))
     with open(csv_path, "w", newline="") as fh:
         fh.write(",".join(names) + "\n")
         for lo in range(0, vals.size, _TABLE_BLOCK_ROWS):
             rows = np.arange(lo, min(lo + _TABLE_BLOCK_ROWS, vals.size))
             block = vals[lo:lo + _TABLE_BLOCK_ROWS]
-            taus = [a[i] for a, i in zip(grid.axes, np.unravel_index(rows, grid.values.shape))]
-            _write_rows(fh, [*taus, np.broadcast_to(grid.dynamical_time, rows.shape),
-                             block.real, block.imag])
+            taus = [a.take(i) for a, i in zip(axes, np.unravel_index(rows, grid.values.shape))]
+            _write_rows(fh, [*taus, np.broadcast_to(t_cell, rows.shape),
+                             _cells(block.real), _cells(block.imag)])
     if header_path is not None:
         header = {
             "channel": grid.channel,

@@ -54,6 +54,9 @@ def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
     if p.is_exponential:
         return h_closed_form(hi, lo, p.gamma_bw)
     hi, lo = np.broadcast_arrays(np.asarray(hi, dtype=float), np.asarray(lo, dtype=float))
+    if not lo.any():
+        # K_p(0) is +0, so the difference would be K_p(hi) bit for bit
+        return _absorbed(p, hi, quad)
     return _absorbed(p, hi, quad) - np.exp(lo - hi) * _absorbed(p, lo, quad)
 
 

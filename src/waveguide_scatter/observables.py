@@ -368,12 +368,17 @@ def _channel_weights(w: WavepacketN, t: float) -> dict:
     """The weight of each two-photon output channel at dynamical time t > 0, |A|^2
     over the square of the axis through t (past it the memory is spent); they sum
     to 1 - P_e(t).  A comes from the fill's factors in blocks of whole panels, as
-    a block clamps its triangles' memory factors at its first and last rows."""
+    a block clamps its triangles' memory factors at its first and last rows.  The
+    one-time values are evaluated once on the axis and sliced per block."""
     x, blocks = _triangle_weights(w, t)
+    whole, = amplitudes._PairKernels(w, DEFAULT_QUAD).one_time(x)
     out = dict.fromkeys(CHANNELS, 0.0)
     for i0, upper, lower in blocks:
+        block = slice(i0, i0 + len(upper))
+        part = tuple({p: v[:, block] for p, v in f.items()} for f in whole)
         for ch in CHANNELS:
-            scale, factors = amplitudes._pair_factors(w, ch, x[i0:i0 + len(upper)], x, t)
+            scale, factors = amplitudes._pair_factors(w, ch, x[block], x, t,
+                                                      values=(part, whole))
             for j0, (u, c_up), (l, c_low) in factors:
                 rows = slice(j0, j0 + len(u))
                 out[ch] += scale ** 2 * float(np.sum(upper[rows] * np.abs(u @ c_up) ** 2)

@@ -4,15 +4,27 @@ The excitation oracles step the driven-decay ODE and the Fock-state
 master-equation hierarchy with fixed-step RK4, and the emission oracle
 contracts the symmetrized wavefunction against the memory weights on a
 dense tensor mesh; they share nothing with the code under test beyond
-pulse-envelope evaluation.  The reference kernel provider integrates
-the joint amplitude point by point with the package's adaptive engine
-(1-D for S, a 2-D box for W), so it checks the window-kernel
-factorization of product states and owes nothing to the providers.
-The emitter amplitudes are read off any provider point by point, and a
-sampled state's norm is its interpolant's, from the hat functions' mass
-matrix.
+pulse-envelope evaluation.
+
+Every two-photon history is the input plus S, one photon re-emitted at
+tau_emit while the other passes as a direction-d spectator at tau_spec,
+and W, both absorbed over the windows (lo1, hi1) x (lo2, hi2), each
+weighted by the memory up to its window's end: the ordered chain is
+W(0, lo, lo, hi).  Two kernel providers give S and W.  The reference
+provider integrates the joint amplitude point by point with the
+package's adaptive engine (1-D for S, a 2-D box for W), so it checks
+the window-kernel factorization of product states and owes nothing to
+the package's one-time values.  The window-kernel provider sums each
+photon pair's window kernels history by history, each at its own
+window, not through the grid fill's factors.  The
+channel sums, written once over either provider, are the oracle of the
+package's point values and grids; the emitter amplitudes are read off
+any provider point by point, and a sampled state's norm is its
+interpolant's, from the hat functions' mass matrix.
 """
 
+import collections
+import functools
 import math
 from dataclasses import replace
 from itertools import permutations
@@ -20,7 +32,9 @@ from itertools import permutations
 import numpy as np
 from scipy.integrate import quad
 
-from waveguide_scatter.model import Direction
+from waveguide_scatter.amplitudes import _PairKernels
+from waveguide_scatter.kernel import _window_kernel
+from waveguide_scatter.model import Direction, _as_direction
 from waveguide_scatter.quadrature import integrate, integrate_2d_box
 
 
@@ -195,7 +209,7 @@ class QuadratureKernels:
     (``_pair_with_spectator``) over [0, tau_emit], one ``integrate`` call
     per point, and W the joint extraction amplitude (``_double_extraction``)
     over its two windows, one ``integrate_2d_box`` call per point.  Same
-    interface as the package's providers.
+    interface as :class:`WindowKernels`.
     """
 
     def __init__(self, w, quad_spec):
@@ -231,6 +245,78 @@ class QuadratureKernels:
 
     def windows(self, lo1, hi1, lo2, hi2, gate):
         return _pointwise(self._double_window, gate, lo1, hi1, lo2, hi2)
+
+
+class WindowKernels:
+    """S and W of a two-photon state from its photon pairs' window kernels.
+
+    The state is the package's weighted list of photon pairs
+    (``amplitudes._PairKernels``).  S sums, over each photon a of a pair
+    that moves in d (the spectator) and its partner b, p_a(tau_spec)
+    K(b; 0, tau_emit), and W sums K(p; lo1, hi1) K(q; lo2, hi2) + K(q; lo1,
+    hi1) K(p; lo2, hi2) over the pairs (p, q), each window kernel evaluated
+    at its own ends.  Vectorized over broadcast times; a closed gate gives
+    zero, and W is not evaluated where it is closed (a window with lo > hi
+    is undefined).
+    """
+
+    def __init__(self, w, quad_spec):
+        self._quad = quad_spec
+        state = _PairKernels(w, quad_spec)
+        self.weight, self.pairs, self.profiles = state.weight, state.pairs, state.profiles
+
+    def _kernels(self, p, hi, lo):
+        return np.reshape(_window_kernel(p, hi, lo, self._quad),
+                          (-1, *np.broadcast(hi, lo).shape))
+
+    def spectator(self, d, tau_emit, tau_spec, gate):
+        # (spectator photons, their re-emitted partners), with multiplicity
+        roles = collections.Counter((a, b) for p, dp, q, dq in self.pairs
+                                    for a, da, b in ((p, dp, q), (q, dq, p)) if da is d)
+        total = 0.0
+        for (a, b), n in roles.items():
+            env = np.reshape(a.value(tau_spec), (-1, *np.shape(tau_spec)))
+            total = total + n * (env * self._kernels(b, tau_emit, 0.0)).sum(axis=0)
+        return -self.weight * total * gate
+
+    def windows(self, lo1, hi1, lo2, hi2, gate):
+        if not np.any(gate):
+            return 0.0
+        lo1, hi1, lo2, hi2 = (np.where(gate, x, 0.0) for x in (lo1, hi1, lo2, hi2))
+        k1, k2 = ({p: self._kernels(p, hi, lo) for p in self.profiles}
+                  for lo, hi in ((lo1, hi1), (lo2, hi2)))
+        terms = np.concatenate([k1[p] * k2[q] + k1[q] * k2[p] for p, _, q, _ in self.pairs])
+        return np.where(gate, self.weight * terms.sum(axis=0), 0.0)
+
+
+def channel_sums(kernels, w, channels, tau1, tau2, t: float) -> dict:
+    """Channel amplitudes at detection times (tau1, tau2) from a kernel provider.
+
+    A channel with slot directions (d1, d2) sums the input component with
+    that many right-movers, the re-emission at tau1 whose spectator leaves
+    in d2, the re-emission at tau2 whose spectator leaves in d1, and the
+    ordered chain.  Emissions are gated by theta(t - tau_i), boundary
+    included; same-direction channels carry the 1/sqrt(2) of their
+    normalization.  Each S and W is evaluated once for all channels.
+    """
+    T1, T2 = np.asarray(tau1, dtype=float), np.asarray(tau2, dtype=float)
+    g1 = T1 <= t
+    g2 = T2 <= t
+    lo = np.minimum(T1, T2)
+    chain = kernels.windows(0.0, lo, lo, np.maximum(T1, T2), g1 & g2)
+
+    @functools.cache
+    def spectator(d, emit_first):
+        return (kernels.spectator(d, T1, T2, g1) if emit_first
+                else kernels.spectator(d, T2, T1, g2))
+
+    out = {}
+    for channel in channels:
+        d1, d2 = map(_as_direction, channel)
+        emitted = spectator(d2, True) + spectator(d1, False) + chain
+        xi = w.component(channel.count("R"), (T1, T2))
+        out[channel] = xi + (emitted / math.sqrt(2.0) if d1 is d2 else emitted)
+    return out
 
 
 def emitter_amplitudes(kernels, tau, t: float):

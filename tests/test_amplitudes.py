@@ -1,5 +1,6 @@
 """Time-domain scattering amplitudes against independent oracles."""
 
+import collections
 import csv
 import functools
 import io
@@ -33,16 +34,13 @@ from waveguide_scatter import (
     write_grid_csv,
 )
 
-from waveguide_scatter import amplitudes
-from waveguide_scatter.amplitudes import (
-    _channel_sums,
-    _PairKernels,
-    _write_table,
-)
+from waveguide_scatter import amplitudes, observables
+from waveguide_scatter.amplitudes import _PairKernels, _write_table
 from waveguide_scatter.model import _bilinear
 from waveguide_scatter.quadrature import DEFAULT_QUAD, QuadratureSpec, integrate
 
-from conftest import QuadratureKernels, brute_reflection_f0, emitter_amplitudes
+from conftest import (QuadratureKernels, WindowKernels, brute_reflection_f0, channel_sums,
+                      emitter_amplitudes)
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -195,8 +193,8 @@ def test_channel_fast_path_matches_pointwise_engine():
             t1 = float(rng.uniform(0.0, 6.0))
             t2 = float(rng.uniform(0.0, 6.0))
             t_obs = float(rng.uniform(1.0, 7.0))
-            slow = _channel_sums(QuadratureKernels(w, DEFAULT_QUAD), w, CHANNELS,
-                                 t1, t2, t_obs)
+            slow = channel_sums(QuadratureKernels(w, DEFAULT_QUAD), w, CHANNELS,
+                                t1, t2, t_obs)
             for ch in CHANNELS:
                 fast = complex(exp_pair_channel_values(
                     w, ch, np.asarray(t1), np.asarray(t2), t_obs))
@@ -226,7 +224,7 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
     p = (PulseProfile.exponential(1.3) if first == "exponential"
          else _gaussian(centre=1.5, sigma=0.35))
     w = WavepacketN.product([(p, dirs[0]), (PulseProfile.exponential(2.7), dirs[1])])
-    product = _PairKernels(w, DEFAULT_QUAD)
+    product = WindowKernels(w, DEFAULT_QUAD)
     quad = QuadratureKernels(w, DEFAULT_QUAD)
     t = 1.1
     # before t, at t (closed gate, theta(0) = 1) and past t, where the
@@ -249,8 +247,8 @@ def test_kernel_providers_agree_on_product_pairs(dirs, first):
     # channel sums with an emission exactly at the observation time
     for a, b in ((t, 0.4), (0.4, t), (t, t), (t, 2.3)):
         counted = _Counted(quad)
-        by_quad = _channel_sums(counted, w, CHANNELS, a, b, t)
-        by_product = _channel_sums(product, w, CHANNELS, a, b, t)
+        by_quad = channel_sums(counted, w, CHANNELS, a, b, t)
+        by_product = channel_sums(product, w, CHANNELS, a, b, t)
         for ch in CHANNELS:
             assert complex(by_quad[ch]) == pytest.approx(complex(by_product[ch]), abs=1e-9)
         # four spectator terms and one double window serve all three channels
@@ -271,7 +269,7 @@ def test_emitter_blocks_match_the_point_form(monkeypatch, kind):
         w = _random_pair(np.linspace(0.0, 6.0, 25), (0, 1, 2), seed=5)
     times = np.array([0.0, 0.4, 1.1, 2.3, 1000.0])
     x = np.union1d(np.linspace(0.0, 9.0, 37), times[:-1])
-    kernels = _PairKernels(w, DEFAULT_QUAD)
+    kernels = WindowKernels(w, DEFAULT_QUAD)
     monkeypatch.setattr(amplitudes, "_EMITTER_ENTRIES", 3 * x.size)
     seen = []
     for i0, right, left in amplitudes._emitter_blocks(w, times, x):
@@ -280,6 +278,122 @@ def test_emitter_blocks_match_the_point_form(monkeypatch, kind):
             for got, want in zip((right[i], left[i]), emitter_amplitudes(kernels, x, t)):
                 np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
     assert seen == list(times)
+
+
+# -- point values from one-time values -------------------------------------------
+
+_POINT_STATES = ["exp-RR", "exp-RL", "gaussian", "sampled", "xi0", "xi1", "xi2"]
+
+
+def _point_state(kind):
+    """Two-photon states of every kind the point values take: exponential
+    pairs, chirped (complex) Gaussians, a sampled product and correlated
+    pairs with one random component each."""
+    if kind == "exp-RR":
+        return _pair(1.3, 2.7)
+    if kind == "exp-RL":
+        return _pair(1.3, 2.7, (Direction.RIGHT, Direction.LEFT))
+    if kind == "gaussian":
+        return WavepacketN.product([(_gaussian(centre=1.5, chirp=0.7), Direction.RIGHT),
+                                    (_gaussian(centre=2.0, sigma=0.7), Direction.RIGHT)])
+    if kind == "sampled":
+        t_samp = np.linspace(0.0, 30.0, 151)
+        return WavepacketN.product([
+            (PulseProfile.from_samples(t_samp, np.exp(-0.5 * t_samp), norm_tol=1e-2),
+             Direction.RIGHT),
+            (PulseProfile.from_samples(t_samp, _SQRT2 * np.exp(-t_samp), norm_tol=1e-2),
+             Direction.LEFT)])
+    return _random_pair(np.linspace(0.0, 6.0, 25), (int(kind[-1]),), seed=int(kind[-1]) + 40)
+
+
+# detection times before, at (theta(0) = 1) and past t = 2.4, on and off
+# the diagonal tau1 = tau2
+_T_OBS = 2.4
+_POINTS = np.array([(0.4, 1.3), (1.3, 0.4), (2.4, 0.7), (0.7, 2.4), (2.4, 2.4), (1.1, 1.1),
+                    (0.0, 0.0), (0.0, 1.7), (3.0, 0.9), (0.9, 3.5), (3.0, 3.5), (3.2, 3.2)])
+
+
+@pytest.mark.parametrize("kind", _POINT_STATES)
+def test_point_values_match_the_window_kernel_oracle(kind):
+    w = _point_state(kind)
+    oracle = channel_sums(WindowKernels(w, DEFAULT_QUAD), w, CHANNELS, *_POINTS.T, _T_OBS)
+    for k, (a, b) in enumerate(_POINTS):
+        out = two_photon_outputs(a, b, _T_OBS, w)
+        for ch in CHANNELS:
+            assert abs(out[ch] - oracle[ch][k]) <= 1e-14, (a, b, ch)
+    assert max(np.max(np.abs(v)) for v in oracle.values()) > 1e-2
+    # the windows of the linear amplitude, the correction B and the ordered chain
+    kernels = WindowKernels(w, DEFAULT_QUAD)
+    for a, b in _POINTS:
+        lo, hi = min(a, b), max(a, b)
+        linear = complex(kernels.windows(0.0, a, 0.0, b, True))
+        square = complex(kernels.windows(0.0, lo, 0.0, lo, True))
+        assert abs(linear_beamsplitter_amplitude(a, b, w) - linear) <= 1e-14
+        assert abs(nonlinear_correction_B(a, b, w) - (-math.exp(lo - hi) * square / _SQRT2)) <= 1e-14
+        chain = complex(kernels.windows(0.0, lo, lo, hi, True))
+        assert abs(ordered_emission_amplitude([lo, hi], w) - chain) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["exp-RR", "exp-RL", "gaussian", "sampled"])
+def test_point_values_match_the_quadrature_oracle(kind):
+    # the engine integrates the joint amplitude itself, to its tolerance; for
+    # the sampled state that is raised to the data resolution h^2 / 8
+    w = _point_state(kind)
+    floor = 0.2 ** 2 / 8.0 if kind == "sampled" else 0.0
+    points = _POINTS[[0, 2, 4, 8, 9]]
+    oracle = channel_sums(QuadratureKernels(w, DEFAULT_QUAD), w, CHANNELS, *points.T, _T_OBS)
+    for k, (a, b) in enumerate(points):
+        out = two_photon_outputs(a, b, _T_OBS, w)
+        for ch in CHANNELS:
+            ref = oracle[ch][k]
+            assert abs(out[ch] - ref) <= max(1e-9, floor * (abs(ref) + 0.1)), (a, b, ch)
+
+
+@pytest.mark.parametrize("kind", ["exp-RR", "exp-RL"])
+def test_exp_pair_values_are_the_point_values_on_a_mesh(kind):
+    w = _point_state(kind)
+    ax1, ax2 = np.unique(_POINTS[:, 0]), np.unique(_POINTS[:, 1])
+    oracle = channel_sums(WindowKernels(w, DEFAULT_QUAD), w, CHANNELS,
+                          ax1[:, None], ax2[None, :], _T_OBS)
+    for ch in CHANNELS:
+        mesh = exp_pair_channel_values(w, ch, ax1[:, None], ax2[None, :], _T_OBS)
+        assert mesh.shape == (ax1.size, ax2.size) and mesh.dtype == complex
+        np.testing.assert_allclose(mesh, oracle[ch], rtol=0.0, atol=1e-14)
+        for i, a in enumerate(ax1):
+            for j, b in enumerate(ax2):
+                assert abs(mesh[i, j] - two_photon_outputs(a, b, _T_OBS, w)[ch]) <= 1e-15
+
+
+@pytest.mark.parametrize("tau1, tau2, shape", [
+    ([], 1.0, (0,)), ([], [], (0,)), (np.zeros((0, 1)), [0.5, 1.0, 2.0], (0, 3)),
+    (np.zeros((2, 1)), [], (2, 0))])
+def test_exp_pair_channel_values_takes_empty_times(tau1, tau2, shape):
+    for ch in CHANNELS:
+        out = exp_pair_channel_values(_pair(1.0, 2.0), ch, tau1, tau2, 3.0)
+        assert out.shape == shape and out.dtype == complex
+
+
+@pytest.mark.parametrize("kind", ["exp-RL", "gaussian", "sampled", "xi1"])
+def test_points_and_weights_evaluate_each_profile_once(monkeypatch, kind):
+    # one window-kernel call per profile per two_photon_outputs call, and per
+    # channel weights call, whatever its blocks and channels
+    w = _point_state(kind)
+    calls = collections.Counter()
+    window_kernel = amplitudes._window_kernel
+
+    def counted(p, *args):
+        calls[id(p)] += 1
+        return window_kernel(p, *args)
+
+    monkeypatch.setattr(amplitudes, "_window_kernel", counted)
+    once = dict.fromkeys(map(id, _PairKernels(w, DEFAULT_QUAD).profiles), 1)
+    two_photon_outputs(0.7, 1.9, _T_OBS, w)
+    assert calls == once
+    calls.clear()
+    monkeypatch.setattr(amplitudes, "_BLOCK_ENTRIES", 4_000)
+    assert len(list(observables._triangle_weights(w, 3.0)[1])) > 1
+    observables._channel_weights(w, 3.0)
+    assert calls == once
 
 
 # -- correlated pairs: window integrals of the bilinear interpolant ---------------
@@ -345,7 +459,7 @@ def test_correlated_kernels_are_exact_for_the_bilinear_interpolant(components):
     # inside cells and past its end
     grid = np.array([0.5, 0.9, 1.6, 2.0, 2.7, 3.05, 4.0])
     w = _random_pair(grid, components, seed=len(components))
-    kernels = _PairKernels(w, DEFAULT_QUAD)
+    kernels = WindowKernels(w, DEFAULT_QUAD)
     emit = np.array([0.3, 0.5, 1.2, 2.0, 3.3, 4.0, 5.1])
     spec = np.array([0.2, 0.5, 1.9, 2.7, 4.0, 4.4, 0.9])
     for d in (Direction.RIGHT, Direction.LEFT):
@@ -361,6 +475,10 @@ def test_correlated_kernels_are_exact_for_the_bilinear_interpolant(components):
     ref = [_reference_W(w, (0.0, a), (a, b)) if open_ else 0.0
            for a, b, open_ in zip(lo, hi, gate)]
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    # the package's W of the ordered chain, window by window
+    chains = [amplitudes._double_window(w, 0.0, a, a, b, DEFAULT_QUAD) if open_ else 0.0
+              for a, b, open_ in zip(lo, hi, gate)]
+    np.testing.assert_allclose(chains, ref, rtol=0.0, atol=1e-12)
     # lo == hi closes the second window, and the reversed window is gated off
     assert got[2] == 0.0 and got[3] == 0.0 and got[-1] == 0.0
     # (0, 0.3) ends before the grid and (4.5, 4.9) starts past it; the
@@ -379,6 +497,9 @@ def test_correlated_kernels_are_exact_for_the_bilinear_interpolant(components):
     ref = [_reference_W(w, (a, b), (c, d)) if open_ else 0.0
            for a, b, c, d, open_ in zip(lo1, hi1, lo2, hi2, gate)]
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose([amplitudes._double_window(w, a, b, c, d, DEFAULT_QUAD)
+                                for a, b, c, d, open_ in zip(lo1, hi1, lo2, hi2, gate) if open_],
+                               np.array(ref)[gate], rtol=0.0, atol=1e-12)
     assert got[2] == 0.0 and got[3] == 0.0 and got[-1] == 0.0
     assert np.all(np.abs(got[[0, 1]]) > 1e-3)
     # past the grid's end a(x) only decays, so the two contractions cancel
@@ -453,10 +574,12 @@ def test_full_rank_pair_grid_matches_pointwise_outputs(kind):
         assert np.sqrt(np.sum(np.abs(exact) ** 2)) <= bound * np.sqrt(np.sum(np.abs(x) ** 2))
     ax1 = np.linspace(0.0, 11.0, 12)
     ax2 = np.array([0.0, 0.45, 2.0, 3.33, 6.0, 7.0, 9.95, 10.0, 10.5])
+    # the points share the grid's route, so the grid answers to the oracle
+    oracle = channel_sums(WindowKernels(w, DEFAULT_QUAD), w, CHANNELS,
+                          ax1[:, None], ax2[None, :], 7.0)
     for ch in CHANNELS:
         values = two_photon_channel_grid(w, ch, ax1, ax2, 7.0).values
-        points = [[two_photon_outputs(float(a), float(b), 7.0, w)[ch] for b in ax2] for a in ax1]
-        np.testing.assert_allclose(values, points, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(values, oracle[ch], rtol=0.0, atol=1e-13)
         assert np.max(np.abs(values)) > 1e-2
 
 
@@ -573,10 +696,10 @@ def test_gaussian_channel_grid_matches_pointwise_outputs(dirs, chirp):
 @pytest.mark.parametrize("kind", ["gaussian", "sampled", "correlated"])
 def test_product_channel_grid_takes_the_factor_fill(monkeypatch, kind):
     # any state's grid is multiplied out from its photons' one-time
-    # absorptions K_p on each axis; the pointwise channel sums are left to
-    # single points
+    # absorptions K_p on each axis, its input term included: it never reads
+    # the state's components
     def refuse(*args, **kwargs):
-        raise AssertionError("a grid took the pointwise channel sums")
+        raise AssertionError("a grid read the state's components")
 
     if kind == "gaussian":
         photons = (_gaussian(), _gaussian(centre=2.0, sigma=0.7))
@@ -589,7 +712,7 @@ def test_product_channel_grid_takes_the_factor_fill(monkeypatch, kind):
         w = _random_pair(np.linspace(0.0, 6.0, 25), (0, 1, 2), seed=5)
     else:
         w = WavepacketN.product([(photons[0], Direction.RIGHT), (photons[1], Direction.LEFT)])
-    monkeypatch.setattr(amplitudes, "_channel_sums", refuse)
+    monkeypatch.setattr(WavepacketN, "component", refuse)
     ax = np.linspace(0.0, 9.0, 37)
     for ch in CHANNELS:
         grid = two_photon_channel_grid(w, ch, ax, ax, 6.0)

@@ -220,6 +220,28 @@ def test_callable_table_is_built_once_per_profile_and_quadrature(monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("kind", ["sampled", "stack", "callable"])
+def test_windows_from_zero_are_the_absorption_bit_for_bit(kind):
+    # K(p; 0, hi) = K_p(hi) - exp(-hi) K_p(0) with K_p(0) = +0: the window
+    # kernel returns K_p(hi) itself, signed zeros included
+    rng = np.random.default_rng(35)
+    grid = np.linspace(0.5, 9.0, 41)
+    values = np.exp(-0.5 * (grid - 4.0) ** 2 + 0.8j * grid)
+    if kind == "sampled":
+        p = PulseProfile.from_samples(grid, values, norm_tol=math.inf)
+    elif kind == "stack":
+        p = PulseProfile("sampled", grid[-1], grid=grid, values=np.stack([values, -values.conj()]),
+                         norm_tol=math.inf)
+    else:
+        p = PulseProfile.from_callable(
+            lambda t: math.pi ** -0.25 * np.exp(-0.5 * (np.asarray(t) - 6.0) ** 2), t_max=14.0)
+    hi = np.concatenate([[0.0, -0.0, grid[0], p.t_max], rng.uniform(0.0, p.t_max + 3.0, 40)])
+    general = (kernel._absorbed(p, hi, DEFAULT_QUAD)
+               - np.exp(-hi) * kernel._absorbed(p, np.zeros_like(hi), DEFAULT_QUAD))
+    for lo in (0.0, np.zeros_like(hi)):
+        assert _window_kernel(p, hi, lo, DEFAULT_QUAD).tobytes() == general.tobytes()
+
+
 def test_weighted_norm_integral_spot_values():
     # m = 0, matched bandwidth, from the wavefront: 4 / (1*2*4) = 1/2
     assert weighted_h_norm_integral(0, 2.0, 0.0) == pytest.approx(0.5,

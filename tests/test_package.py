@@ -1,8 +1,11 @@
 """The package's public surface: each name declared once, by its module."""
 
 import collections
+import importlib.util
+from pathlib import Path
 
 import waveguide_scatter as ws
+import waveguide_scatter.cli  # noqa: F401  (the tracer wraps names in cli too)
 from waveguide_scatter import amplitudes, kernel, model, observables, quadrature, spectral
 
 # the public names, by the module that defines them
@@ -49,3 +52,26 @@ def test_no_name_is_exported_by_two_modules():
     # star imports would let the later module silently win
     counts = collections.Counter(name for module in _PUBLIC for name in module.__all__)
     assert [name for name, k in counts.items() if k > 1] == []
+
+
+def _benchmark_tracer():
+    """The span tracer of the benchmark harness (perfbench/spans.py), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_benchmark_tracer_wraps_the_package_and_comes_off():
+    # the tracer looks up every name it wraps in the module that calls it, so
+    # a package change that drops one fails here, not only in a traced run
+    tracer = _benchmark_tracer()
+    tracer.install(ws)
+    try:
+        installed = [(owner, attr, original) for owner, attr, original in tracer._installed]
+        assert installed
+        assert all(owner.__dict__[attr] is not original for owner, attr, original in installed)
+    finally:
+        tracer.uninstall()
+    assert all(owner.__dict__[attr] is original for owner, attr, original in installed)
