@@ -508,7 +508,7 @@ _EMITTER_ENTRIES = 2 ** 13
 
 
 def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray,
-                  t: float, quad: QuadratureSpec = DEFAULT_QUAD, values=None):
+                  t: float, quad: QuadratureSpec = DEFAULT_QUAD, values=None, block_rows=None):
     """The grid fill of a two-photon state as per-block factors: (scale, blocks).
 
     Each history of :func:`two_photon_outputs` is, for every product pair of
@@ -521,7 +521,8 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
     tau2 and scale * L[i - i0] @ C_low where tau1 > tau2.  Real values (every
     exponential pair's) give float64 factors.  ``values`` are the one-time
     values on ax1 and on ax2 (:meth:`_PairKernels.one_time`) when the caller
-    holds them.
+    holds them.  A block holds at most ``block_rows`` rows, by default _BLOCK_ENTRIES
+    entries of the multiplied-out grid, and spans at most _BLOCK_SPAN.
     """
     kernels = _PairKernels(w, quad)
     if values is None:
@@ -531,16 +532,20 @@ def _pair_factors(w: WavepacketN, channel: str, ax1: np.ndarray, ax2: np.ndarray
     scale, rows, shared_cols, both1, both2 = _factors(kernels, channel, *values, gate1, gate2)
     shared_rows = rows.T
 
+    # a block's exp columns live only while its triangles' factors are stacked
+    def triangle(i0, i1, u, v):
+        return np.hstack([shared_rows[i0:i1], u[:, None]]), np.vstack([shared_cols, v[None, :]])
+
     def blocks():
-        for i0, i1 in _row_blocks(ax1, max(1, _BLOCK_ENTRIES // max(1, ax2.size))):
+        for i0, i1 in _row_blocks(ax1, block_rows or max(1, _BLOCK_ENTRIES // max(1, ax2.size))):
             t1 = ax1[i0:i1]
             ref = t1[-1]
             # exp(lo - hi) = exp(lo - ref) exp(ref - hi); each triangle's columns
             # are clamped into the range it keeps so discarded entries stay finite
-            upper = (both1[i0:i1] * np.exp(t1 - ref), gate2 * np.exp(ref - np.maximum(ax2, t1[0])))
-            lower = (gate1[i0:i1] * np.exp(ref - t1), both2 * np.exp(np.minimum(ax2, ref) - ref))
-            yield (i0, *((np.hstack([shared_rows[i0:i1], u[:, None]]),
-                          np.vstack([shared_cols, v[None, :]])) for u, v in (upper, lower)))
+            yield (i0, triangle(i0, i1, both1[i0:i1] * np.exp(t1 - ref),
+                                gate2 * np.exp(ref - np.maximum(ax2, t1[0]))),
+                   triangle(i0, i1, gate1[i0:i1] * np.exp(ref - t1),
+                            both2 * np.exp(np.minimum(ax2, ref) - ref)))
 
     return scale, blocks()
 

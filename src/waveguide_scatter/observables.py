@@ -313,25 +313,35 @@ def _axis(w: WavepacketN, times: np.ndarray):
     / 2) wide, widening by 1.4 up to 1, with an edge at each time and sample node;
     a state of sampled photons has panels of _CELL_NODES on their grids' cells."""
     end = min(max(times[-1], w.horizon), w.horizon + _DECAY_FOLDINGS)
-    width = min(0.25, 0.5 * min(1.0, w.min_timescale))
-    edges = [0.0]
-    while edges[-1] < end:
-        edges.append(min(end, edges[-1] + width))
-        width = min(1.0, width * 1.4)
+    # widths from min(0.25, scale / 2), times 1.4 per panel up to 1, past the end
+    widths = np.full(math.ceil(math.log(4.0 / min(1.0, w.min_timescale), 1.4) + end) + 2, 1.4)
+    widths[0] = min(0.25, 0.5 * min(1.0, w.min_timescale))
+    edges = np.cumsum(np.minimum(1.0, np.multiply.accumulate(widths)))
+    edges = np.concatenate([[0.0], edges[edges < end], [end]])
     grids = ([w.grid] if w.kind == "correlated2" else
              [p._grid for p, _ in w.entries if p.kind == "sampled"])
     cells = grids if w.kind == "correlated2" or len(grids) == len(w.entries) else []
     for g in cells:
-        edges = [e for e in edges if e < g[0] or e > g[-1]]
+        edges = edges[(edges < g[0]) | (edges > g[-1])]
     edges = np.union1d(edges, np.concatenate([*grids, times[times <= end]]))
     halves = 0.5 * np.diff(edges)
     nodes = np.full(halves.size, _PANEL_NODES)
     for g in cells:
         nodes[(edges[:-1] >= g[0]) & (edges[1:] <= g[-1])] = _CELL_NODES
-    rules = [_panel_rule(n) for n in nodes]
-    half = np.repeat(halves, nodes)
-    x = np.repeat(edges[:-1], nodes) + half * (1.0 + np.concatenate([r[0] for r in rules]))
-    return x, half * np.concatenate([r[1] for r in rules]), nodes, halves ** 2
+    return (*_panel_nodes(edges, nodes), nodes, halves ** 2)
+
+
+def _panel_nodes(edges: np.ndarray, nodes: np.ndarray):
+    """Nodes and weights of nodes[k]-node Gauss-Legendre rules on the panels
+    between the ascending edges, placed from one rule per distinct count."""
+    counts, which = np.unique(nodes, return_inverse=True)
+    table = np.zeros((2, counts.size, counts.max()))
+    for i, count in enumerate(counts.tolist()):
+        table[:, i, :count] = _panel_rule(count)[:2]
+    within = np.arange(nodes.sum()) - np.repeat(np.cumsum(nodes) - nodes, nodes)
+    rule = table[:, np.repeat(which, nodes), within]
+    half = np.repeat(0.5 * np.diff(edges), nodes)
+    return np.repeat(edges[:-1], nodes) + half * (1.0 + rule[0]), half * rule[1]
 
 
 def _triangle_weights(w: WavepacketN, t: float):

@@ -66,6 +66,9 @@ _ANTIDIAG_TAIL_TOL = 1e-5
 _WINDOW_EDGE_TOL = 1e-5
 # rows per tile of the break correction (_break_sum)
 _TILE = 16
+# rows per block of the comparison's contraction: its per-block tables hold
+# rows x n_omega complex sums, about this many entries a block
+_BRIDGE_ENTRIES = 2 ** 15
 
 
 def single_photon_r_t(omega):
@@ -74,12 +77,16 @@ def single_photon_r_t(omega):
     Vectorized; returns the pair (r, t) with t = 1 + r.
     """
     om = np.asarray(omega, dtype=float)
-    denom = om + 1j
-    r = -1j / denom
-    t = om / denom
+    r = _reversal(om)
+    t = om / (om + 1j)
     if om.ndim == 0:
         return complex(r), complex(t)
     return r, t
+
+
+def _reversal(om: np.ndarray) -> np.ndarray:
+    """The reversal coefficient r = -i/(omega + i) at float detunings, alone."""
+    return -1j / (om + 1j)
 
 
 def lorentzian_mode(gamma_bw: float):
@@ -247,10 +254,11 @@ def _axis_kernel(axis: np.ndarray, omega: np.ndarray, end_corrected: bool = True
 
 
 @functools.lru_cache(maxsize=64)
-def _tile_weights(n: int, a: int):
+def _tile_weights(n: int, a: int, own: int = 0):
     """c_i = _row_weights(n, i) - 1 of the tile rows a <= i < a + _TILE (past n,
     the last row's) as (s, window, ends, on_ends): on the window s <= j < s + width,
-    and on the end columns, zero where the window holds them.  Shared: read only."""
+    plus one on the tile's first ``own`` columns, and on the end columns, zero
+    where the window holds them.  Shared: read only."""
     halo = len(_GREGORY_END_6) - 1
     width = min(_TILE + 2 * halo, n)
     s = min(max(a - halo, 0), n - width)
@@ -258,6 +266,7 @@ def _tile_weights(n: int, a: int):
     # one row of width n at a time: the tile's rows whole would raise the peak memory
     cols = np.concatenate([np.arange(s, s + width), ends])
     corr = np.array([_row_weights(n, min(i, n - 1))[cols] for i in range(a, a + _TILE)]) - 1.0
+    corr[:, a - s:a - s + own] += 1.0
     return s, corr[:, :width], ends, corr[:, width:] * ((ends < s) | (ends >= s + width))
 
 
@@ -265,32 +274,89 @@ def _break_sum(entries, kern: np.ndarray, row0: int, stop: int, n: int, out: np.
                own: bool = False) -> None:
     """Add sum_j c_i[j] f[i, j] kern[j], c_i = _row_weights(n, i) - 1, to
     out[i - row0] for the rows row0 <= i < stop of a square grid of width n;
-    with ``own``, the columns of i's tile take c_i[j] + 1, for a caller whose
-    unit sums leave them out.
+    with ``own``, the columns of i's tile before stop take c_i[j] + 1, for a
+    caller whose unit sums leave them out.
 
     The tile of _TILE rows at a reads the window s <= j < s + width: its own
     columns and a halo as wide as the break's stencils reach, shifted inside the
     grid at its edges; outside it, c_i vanishes but on the end columns.  All
     windows are read in one ``entries(rows, cols)`` call (f at index arrays of
-    shapes (..., R, 1) and (..., 1, C)), each meets its slice of the kernel (the
-    float view for a real f), and the end columns take one product.  Tiles whose
-    windows miss the end columns share one pattern.
+    shapes (..., R, 1) and (..., 1, C)), and the end columns in one more; each
+    tile's window meets its slice of the kernel (the float view for a real f),
+    then its end columns theirs.  Tiles whose windows miss the end columns
+    share one pattern.
     """
     halo = len(_GREGORY_END_6) - 1
     lo, hi = len(_GREGORY_END_6) + halo, n - len(_GREGORY_END_6) - halo - _TILE
     starts = np.arange(row0, stop, _TILE)
     keys = [lo if lo <= a <= hi else a for a in starts.tolist()]
-    s, window, ends, on_ends = zip(*map(functools.partial(_tile_weights, n), keys))
+    s, window, ends, on_ends = zip(*(_tile_weights(n, key, own * min(_TILE, stop - a))
+                                     for key, a in zip(keys, starts.tolist())))
     s, a = np.add(s, starts - keys), starts[:, None, None]
     cols = s[:, None, None] + np.arange(window[0].shape[1])
     vals = entries(np.minimum(a + np.arange(_TILE)[:, None], stop - 1), cols)
-    vals *= np.stack(window) + own * ((cols >= a) & (cols < a + _TILE))
+    edges = entries(np.arange(row0, stop)[:, None], ends[0][None, :])
+    edges *= np.concatenate(on_ends)[:stop - row0]
     acc, k = (out, kern) if np.iscomplexobj(vals) else (out.view(float), kern.view(float))
+    at_ends = k[ends[0]]
     for q, sq in enumerate(s.tolist()):
         rows = acc[q * _TILE:(q + 1) * _TILE]
-        rows += vals[q, :len(rows)] @ k[sq:sq + cols.shape[-1]]
-    vals = entries(np.arange(row0, stop)[:, None], ends[0][None, :])
-    acc += (vals * np.concatenate(on_ends)[:stop - row0]) @ k[ends[0]]
+        rows += (vals[q] * window[q])[:len(rows)] @ k[sq:sq + cols.shape[-1]]
+        rows += edges[q * _TILE:(q + 1) * _TILE] @ at_ends
+
+
+def _outside_sums(blocks, axis: np.ndarray, kern_re: np.ndarray) -> np.ndarray:
+    """For each of the fill's row blocks (:func:`_pair_factors` on axis x axis),
+    its column factors [C; v; m] summed against the kernel's float view kern_re
+    over the columns outside it: C past and before it, v past it, m before it.
+    Each block's columns meet the kernel on its rows once; those sums are then
+    added up past and before each block, each rescaled to the next block's last
+    time ref by exp(ref_b - ref_b') <= 1."""
+    refs, totals = [], []
+    for i0, (up_rows, up_cols), (_, low_cols) in blocks:
+        i1 = i0 + len(up_rows)
+        refs.append(axis[i1 - 1])
+        totals.append(np.vstack([up_cols[:, i0:i1], low_cols[-1:, i0:i1]]) @ kern_re[i0:i1])
+    totals = np.array(totals)
+    past, before, rank = np.zeros_like(totals), np.zeros_like(totals), totals.shape[1] - 1
+    for b in range(len(refs) - 1):
+        past[-2 - b] = past[-1 - b] + totals[-1 - b]
+        past[-2 - b, rank - 1] *= math.exp(refs[-2 - b] - refs[-1 - b])
+        before[b + 1] = before[b] + totals[b]
+        before[b + 1, rank] *= math.exp(refs[b] - refs[b + 1])
+    past[:, :rank - 1] += before[:, :rank - 1]
+    past[:, rank] = before[:, rank]
+    return past
+
+
+def _block_sums(cols: np.ndarray, lead: np.ndarray, kern_re: np.ndarray,
+                outside: np.ndarray) -> np.ndarray:
+    """The table of lead_i @ [C; v; m] summed against the kernel over the columns
+    outside row i's tile: C past and before it, v past it and m before it.  cols
+    holds a block's column factors [C; v; m] (C shared, v the upper triangle's,
+    m the lower's), lead its row factors [S, u, l], kern_re the kernel's float
+    view on its rows, and ``outside`` those sums over the columns outside the
+    block.  Each kernel tile meets the block's columns in one product."""
+    (size, width), rank = kern_re.shape, len(cols)
+    tiles, whole = -(-size // _TILE), size // _TILE * _TILE
+    sums = np.empty((tiles, rank, width))
+    np.matmul(cols[:, :whole].reshape(rank, -1, _TILE).transpose(1, 0, 2),
+              kern_re[:whole].reshape(-1, _TILE, width), out=sums[:whole // _TILE])
+    if whole < size:
+        sums[-1] = cols[:, whole:] @ kern_re[whole:]
+    flat, lower = sums.reshape(tiles, -1), np.tri(tiles, k=-1)
+    # the tiles before each tile and past it: C takes both, v those past, m those before
+    v = slice((rank - 2) * width, (rank - 1) * width)
+    past = lower.T @ flat[:, :v.stop]
+    flat[:] = lower @ flat
+    flat[:, v] = 0.0
+    flat[:, :v.stop] += past
+    del past  # freed before the table is made
+    flat += outside.ravel()
+    padded = np.zeros((tiles * _TILE, rank))
+    padded[:size] = lead
+    part = (padded.reshape(tiles, _TILE, rank) @ sums).reshape(-1, width)
+    return part.view(complex)[:size]
 
 
 def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
@@ -300,59 +366,58 @@ def _bridge_exp_pair(w: WavepacketN, channel: str, axis: np.ndarray, t: float,
 
     ``kern`` is the axis's kernel exp(i omega tau) times the step, shared by
     both axes, and ``weights`` the first axis's end-corrected weights.  Row i
-    of the tile at a (:func:`_break_sum`) sums U_i . C_up[:, j] kern[j] over
-    j >= a + _TILE and L_i . C_low[:, j] kern[j] over j < a from one product
-    C[:, tile] @ kern[tile] per tile, at O(N r n_omega) in place of
-    O(N^2 n_omega); :func:`_break_sum` adds its own columns and the break
-    weights.  Each block's rows go into the result when done.  The window
-    guard's edge (the last row and column) is exact, and the entries read bound
-    the peak from below; only when that bound cannot clear the edge is the peak
-    read off the multiplied-out blocks, as :func:`_check_window` needs.
+    of a block has f[i, j] = S_i . C_j + u_i v_j (j >= i) or + l_i m_j (j < i):
+    shared factors, and one column per triangle rescaled at the block's last
+    time ref.  A first pass gives each block the sums of the columns outside
+    it (:func:`_outside_sums`); then a block reads the kernel on its rows tile
+    by tile (:func:`_block_sums`), and row i of the tile at a takes every
+    column outside the tile from those sums, at O(N r n_omega) in place of
+    O(N^2 n_omega).  :func:`_break_sum` adds the tile's own columns and the
+    break weights, and each block's rows go into the result when done.
+    The window guard's edge (the last row and column) is exact, and the entries
+    read bound the peak from below; only when that bound cannot clear the edge
+    is the peak read off the multiplied-out blocks, as :func:`_check_window`
+    needs.
     """
-    n = axis.size
-    scale, factors = _pair_factors(w, channel, axis, axis, t)
+    n, n_omega = kern.shape
     kern_re = kern.view(float)
-    values = np.zeros((kern.shape[1],) * 2, dtype=complex)
+
+    def factors():
+        return _pair_factors(w, channel, axis, axis, t,
+                             block_rows=max(1, _BRIDGE_ENTRIES // n_omega))
+
+    outside = _outside_sums(factors()[1], axis, kern_re)
+    scale, blocks = factors()
+    values = np.zeros((n_omega, n_omega), dtype=complex)
     peak = edge = 0.0
-    for i0, (up_rows, up_cols), (low_rows, low_cols) in factors:
-        i1 = i0 + len(up_rows)
-        rank, tiles = len(up_cols), -(-(i1 - i0) // _TILE)
-        last = i0 + (tiles - 1) * _TILE  # the last tile's columns: last <= j < stop
-        stop = min(last + _TILE, n)
-        # per triangle, the product outside the block's tiles, then one per tile
-        sums = np.empty((2, tiles + 1, rank, kern_re.shape[1]))
-        for cols, out, outside in zip((up_cols, low_cols), sums, (slice(stop, n), slice(0, i0))):
-            out[0] = cols[:, outside] @ kern_re[outside]
-            np.matmul(cols[:, i0:last].reshape(rank, -1, _TILE).transpose(1, 0, 2),
-                      kern_re[i0:last].reshape(-1, _TILE, kern_re.shape[1]), out=out[1:-1])
-            out[-1] = cols[:, last:stop] @ kern_re[last:stop]
-        # a tile's rows take the columns past it from C_up, those before it from C_low
-        past = np.cumsum(np.concatenate([sums[0, :1], sums[0, :1:-1]]), axis=0)[::-1]
-        lead = np.zeros((tiles * _TILE, 2 * rank))
-        lead[:i1 - i0] = scale * np.hstack([up_rows, low_rows])
-        up_rows, low_rows = lead[:, :rank], lead[:, rank:]
-        before = np.cumsum(sums[1, :-1], axis=0)
-        part = lead.reshape(tiles, _TILE, -1) @ np.concatenate([past, before], axis=1)
-        part = part.reshape(tiles * _TILE, -1).view(complex)[:i1 - i0]
+    for (i0, (up_rows, up_cols), (low_rows, low_cols)), beyond in zip(blocks, outside):
+        i1, rank = i0 + len(up_rows), len(up_cols)
+        lead = scale * np.hstack([up_rows, low_rows[:, -1:]])
+        part = _block_sums(np.vstack([up_cols[:, i0:i1], low_cols[-1:, i0:i1]]),
+                           lead, kern_re[i0:i1], beyond)
+        up_rows, low_rows = lead[:, :rank], np.delete(lead, rank - 1, axis=1)
+        up_t, low_t = up_cols.T, low_cols.T
 
         def entries(rows, cols):
             nonlocal peak
             k, c = rows[..., 0] - i0, cols[..., 0, :]
-            vals = np.where(cols >= rows,
-                            up_rows[k] @ np.moveaxis(up_cols[:, c], 0, -2),
-                            low_rows[k] @ np.moveaxis(low_cols[:, c], 0, -2))
-            peak = np.maximum(peak, np.max(np.abs(vals)))
+            vals = up_rows[k] @ up_t[c].swapaxes(-1, -2)
+            np.copyto(vals, low_rows[k] @ low_t[c].swapaxes(-1, -2), where=cols < rows)
+            peak = np.max((peak, vals.max(), -vals.min()))
             return vals
 
         _break_sum(entries, kern, i0, i1, n, part, own=True)
-        rim = np.array([[n - 1]])
-        edge = np.maximum(edge, np.max(np.abs(entries(np.arange(i0, i1)[:, None], rim))))
-        if i1 == n:
-            edge = np.maximum(edge, np.max(np.abs(entries(rim, np.arange(n)[None]))))
         part *= weights[i0:i1, None]
         values += kern[i0:i1].T @ part
+        del part  # so the next block's table is not made beside this one
+        # the last column, and on the last block the last row
+        rim = np.abs(up_rows @ up_cols[:, -1])
+        if i1 == n:
+            rim = np.append(rim, np.abs(low_rows[-1] @ low_cols[:, :-1]))
+        edge = np.max((edge, rim.max()))
     # below the bound, the held grid's guard passes too; otherwise (an all-zero or
     # non-finite read included) the multiplied-out blocks give the true peak
+    peak = np.max((peak, edge))
     if not edge < _WINDOW_EDGE_TOL * peak:
         _check_window(edge, np.max([np.max(np.abs(rows)) for _, rows in
                                     _pair_blocks(w, channel, axis, axis, t)]))
@@ -443,9 +508,8 @@ def _antidiagonal_integral(s: float, xi2, quad: QuadratureSpec, omega_span: floa
     mode = _as_mode_callable(xi2)
 
     def integrand(wp):
-        r_a, _ = single_photon_r_t(wp)
-        r_b, _ = single_photon_r_t(s - wp)
-        return r_a * r_b * mode(wp, s - wp)
+        other = s - wp
+        return _reversal(wp) * _reversal(other) * mode(wp, other)
 
     lo = -omega_span + min(0.0, s)
     hi = omega_span + max(0.0, s)
@@ -573,8 +637,7 @@ def single_photon_reflection_freq(gamma_bw: float,
     mode = lorentzian_mode(gamma_bw)
 
     def weight(om):
-        r, _ = single_photon_r_t(om)
-        return np.abs(mode(om)) ** 2 * np.abs(r) ** 2
+        return np.abs(mode(om)) ** 2 * np.abs(_reversal(om)) ** 2
 
     core = 40.0 * max(1.0, 0.5 * gamma_bw)
     width = 0.5 * min(1.0, 0.5 * gamma_bw)
@@ -713,9 +776,9 @@ def appendix_comparison(gamma_bw: float, omega_min: float = -10.0,
     conv = _antidiagonal_convolution(om, om, xi2, quad, DEFAULT_ANTIDIAG_SPAN)
     results = []
     for channel in CHANNELS:
-        bridged = _bridge_exp_pair(w, channel, axis, float(t_end), kern, weights)
-        direct = _channel_from_convolution(channel, om, om, xi2, conv)
-        err = np.abs(bridged - direct.values)
+        # neither route's spectrum is held through the next channel's contraction
+        err = np.abs(_bridge_exp_pair(w, channel, axis, float(t_end), kern, weights)
+                     - _channel_from_convolution(channel, om, om, xi2, conv).values)
         results.append(ChannelComparison(
             channel=channel,
             max_abs_err=float(np.max(err)),

@@ -592,6 +592,21 @@ def test_triangle_weights_integrate_polynomials_exactly():
                 assert got == pytest.approx(exact, rel=1e-13, abs=0.0), (a, b)
 
 
+def test_panel_nodes_equal_the_per_panel_rules_joined():
+    # placed from one rule per distinct node count, the nodes and weights are
+    # each panel's rule joined in panel order, bit for bit, for counts mixed
+    # in any order (the axes use 6 and 10)
+    rng = np.random.default_rng(5)
+    edges = np.cumsum(np.concatenate([[0.0], rng.uniform(0.05, 1.0, 60)]))
+    nodes = rng.choice([3, observables._CELL_NODES, observables._PANEL_NODES], 60)
+    rules = [observables._panel_rule(n) for n in nodes]
+    half = np.repeat(0.5 * np.diff(edges), nodes)
+    x, weights = observables._panel_nodes(edges, nodes)
+    assert np.array_equal(
+        x, np.repeat(edges[:-1], nodes) + half * (1.0 + np.concatenate([r[0] for r in rules])))
+    assert np.array_equal(weights, half * np.concatenate([r[1] for r in rules]))
+
+
 def test_channel_weights_do_not_depend_on_the_fill_blocks(monkeypatch):
     w = _pair(1.0, 2.0, (Direction.RIGHT, Direction.LEFT))
     whole = observables._channel_weights(w, 3.0)

@@ -27,7 +27,7 @@ from waveguide_scatter import (
     single_photon_reflection_freq,
     two_photon_channel_grid,
 )
-from waveguide_scatter import amplitudes, spectral
+from waveguide_scatter import spectral
 from waveguide_scatter.spectral import _quad_segment, _row_weights
 
 _SQRT2 = math.sqrt(2.0)
@@ -175,7 +175,8 @@ def test_two_axis_bridge_factorizes_product_states():
 @pytest.mark.parametrize("n", [21, 22, 23, 40, 1025])
 def test_tile_weights_expand_to_the_row_weights(n):
     # unit entries against the identity kernel: the sums of each row are its
-    # weights, read off tile by tile, whole or in blocks that end inside a tile
+    # weights, read off tile by tile, whole or in blocks that end inside a tile;
+    # a tile's own columns end with its block
     def ones(rows, cols):
         return np.ones(np.broadcast_shapes(rows.shape, cols.shape))
 
@@ -189,7 +190,7 @@ def test_tile_weights_expand_to_the_row_weights(n):
                 want = _row_weights(n, i) - 1.0
                 if own:
                     tile = row0 + (i - row0) // spectral._TILE * spectral._TILE
-                    want[tile:tile + spectral._TILE] += 1.0
+                    want[tile:min(tile + spectral._TILE, stop)] += 1.0
                 assert np.array_equal(out[i - row0], want), (block, i)
 
 
@@ -619,20 +620,27 @@ def test_factor_route_equals_the_held_grid_when_every_row_is_an_edge_row():
                                        np.linspace(-0.5, 0.5, 5))
 
 
-@pytest.mark.parametrize("rows", [37, 1])
+@pytest.mark.parametrize("rows", [37, 1, 1025])
 def test_factor_route_equals_the_held_grid_across_blocks_that_end_inside_a_tile(
         monkeypatch, rows):
     # row blocks that end inside a tile, from the first rows on, where the
     # amplitudes have not decayed: the columns past a block's end but inside its
     # last tile must be summed once (summed twice, they move LL by up to 5e-2 of
-    # its peak).  Many short blocks round the factor sums more, up to 3.9e-15
-    # of the peak here, hence 1e-14.
-    n = 1025
-    monkeypatch.setattr(amplitudes, "_BLOCK_ENTRIES", rows * n)
+    # its peak); 1025 rows hold the whole axis in one block.  Many short blocks
+    # round the factor sums more, up to 3.3e-15 of the peak here, hence 1e-14.
+    n, om = 1025, np.linspace(-2.0, 2.0, 16)
+    monkeypatch.setattr(spectral, "_BRIDGE_ENTRIES", rows * om.size)
+    sizes, fill = [], spectral._pair_factors
+
+    def recorded(*args, **kwargs):
+        scale, blocks = fill(*args, **kwargs)
+        return scale, (sizes.append(len(block[1][0])) or block for block in blocks)
+
+    monkeypatch.setattr(spectral, "_pair_factors", recorded)
     p = PulseProfile.exponential(1.0)
     w = WavepacketN.product([(p, Direction.RIGHT)] * 2)
-    _assert_factor_route_matches_dense(w, np.linspace(0.0, 40.0, n), 40.0,
-                                       np.linspace(-2.0, 2.0, 16), rel=1e-14)
+    _assert_factor_route_matches_dense(w, np.linspace(0.0, 40.0, n), 40.0, om, rel=1e-14)
+    assert max(sizes) == rows
 
 
 def test_appendix_comparison_rejects_a_truncated_window():
@@ -721,6 +729,22 @@ def test_default_comparison_holds_one_axis_kernel_and_no_inner_table():
         tracemalloc.stop()
     assert report.passed
     assert peak <= 10e6
+
+
+def test_default_comparison_peak_stays_at_its_measured_level():
+    # at defaults the contraction's row blocks are 512 rows long, and the peak
+    # measured 5.92 MB with the one 4097 x 64 kernel (4.2 MB; 5.98 MB with the
+    # earlier 244-row blocks); each further row of a block adds ~1.5 KB, so
+    # this 0.06 MB margin stops a block growing unseen.  A first run fills the
+    # caches, which the count then leaves out.
+    appendix_comparison(1.0)
+    tracemalloc.start()
+    try:
+        appendix_comparison(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.98e6
 
 
 def test_bridge_of_time_channels_matches_freq_route_spotwise():
