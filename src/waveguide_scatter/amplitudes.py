@@ -689,10 +689,12 @@ def _float_cells(x, out) -> None:
 
 
 def _write_table(fh, header, columns) -> None:
-    """Write a header line and one CSV row per index of the equal-length columns."""
+    """Write a header line and one CSV row per index of the equal-length columns
+    to a text file."""
     fh.write(",".join(header) + "\n")
     for lo in range(0, len(columns[0]), _TABLE_BLOCK_ROWS):
-        _write_rows(fh, [_cells(c[lo:lo + _TABLE_BLOCK_ROWS]) for c in columns])
+        fh.write(_row_bytes([_cells(c[lo:lo + _TABLE_BLOCK_ROWS]) for c in columns])
+                 .decode("ascii"))
 
 
 def _cells(column) -> np.ndarray:
@@ -707,10 +709,10 @@ def _cells(column) -> np.ndarray:
     return text.view(f"V{text.itemsize}")
 
 
-def _write_rows(fh, cells) -> None:
-    """Write one CSV row per index of the equal-length cell columns (:func:`_cells`),
-    in one write: the cells, commas and newlines are laid out in one byte
-    array, which loses its NULs."""
+def _row_bytes(cells) -> bytes:
+    """One CSV row per index of the equal-length cell columns (:func:`_cells`),
+    as bytes: the cells, commas and newlines are laid out in one byte array,
+    which loses its NULs."""
     fields = []
     for j, cell in enumerate(cells):
         fields += [(f"c{j}", cell.dtype), (f"s{j}", "u1")]
@@ -720,7 +722,7 @@ def _write_rows(fh, cells) -> None:
         rows[f"s{j}"] = ord(",")
     rows[f"s{len(cells) - 1}"] = ord("\n")
     buf = rows.view(np.uint8)
-    fh.write(buf[buf != 0].tobytes().decode("ascii"))
+    return buf[buf != 0].tobytes()
 
 
 def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
@@ -743,14 +745,14 @@ def write_grid_csv(grid: AmplitudeGrid, csv_path, header_path=None) -> None:
     vals = grid.values.ravel()
     axes = [_cells(a) for a in grid.axes]
     t_cell = _cells(np.array([grid.dynamical_time]))
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(csv_path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode("ascii"))
         for lo in range(0, vals.size, _TABLE_BLOCK_ROWS):
             rows = np.arange(lo, min(lo + _TABLE_BLOCK_ROWS, vals.size))
             block = vals[lo:lo + _TABLE_BLOCK_ROWS]
             taus = [a.take(i) for a, i in zip(axes, np.unravel_index(rows, grid.values.shape))]
-            _write_rows(fh, [*taus, np.broadcast_to(t_cell, rows.shape),
-                             _cells(block.real), _cells(block.imag)])
+            fh.write(_row_bytes([*taus, np.broadcast_to(t_cell, rows.shape),
+                                 _cells(block.real), _cells(block.imag)]))
     if header_path is not None:
         header = {
             "channel": grid.channel,

@@ -63,23 +63,24 @@ def _window_kernel(p: PulseProfile, hi, lo, quad: QuadratureSpec):
 def _absorbed(p: PulseProfile, x: np.ndarray, quad: QuadratureSpec) -> np.ndarray:
     """K_p(x) at every x, from the node at or below it (zero before the grid);
     the leading axes of a sampled profile's values lead the result."""
-    shape = x.shape
-    x, where = np.unique(x, return_inverse=True)
     grid, table = _table(p, quad)
+    if p.kind != "sampled":
+        # a callable's partial cell costs 15 envelope calls: each distinct x once
+        shape = x.shape
+        x, where = np.unique(x, return_inverse=True)
     k, k1, delta, width = _locate(grid, x)
     # before the grid delta < 0 and table[0] = 0: no decay, so no overflow
     value = np.exp(-np.maximum(delta, 0.0)) * table[..., k]
     if p.kind == "sampled":
-        # x's part [g_k, x] of its cell (none off the grid)
+        # x's part [g_k, x] of its cell (none off the grid), elementwise
         inside = (x >= grid[0]) & (x < grid[-1])
         alpha, beta = _cell_weights(np.where(inside, delta, 0.0), width)
-        value = value + alpha * p._values[..., k] + beta * p._values[..., k1]
-    else:
-        nodes, weights = _kronrod_rule()
-        half = 0.5 * (x - grid[k])
-        s = (grid[k] + half)[:, None] + half[:, None] * nodes
-        value = value + half * ((np.exp(s - x[:, None]) * p.value(s)) @ weights[:, 0])
-    return value[..., where.reshape(-1)].reshape(value.shape[:-1] + shape)
+        return value + alpha * p._values[..., k] + beta * p._values[..., k1]
+    nodes, weights = _kronrod_rule()
+    half = 0.5 * (x - grid[k])
+    s = (grid[k] + half)[:, None] + half[:, None] * nodes
+    value = value + half * ((np.exp(s - x[:, None]) * p.value(s)) @ weights[:, 0])
+    return value[where.reshape(shape)]
 
 
 def _table(p: PulseProfile, quad: QuadratureSpec):
@@ -154,15 +155,16 @@ def h_closed_form(tau_i, tau_prev, gamma_bw: float):
         raise ValueError("h requires tau_prev <= tau_i")
     if np.any(tp < 0.0):
         raise ValueError("h requires tau_prev >= 0")
-    out = _h(ti, tp, gamma_bw)
+    out = _h(ti, tp, ti - tp, gamma_bw)
     return float(out) if out.ndim == 0 else out
 
 
-def _h(ti: np.ndarray, tp: np.ndarray, gamma_bw: float) -> np.ndarray:
-    """``h_closed_form`` on float arrays, unchecked: for callers whose
-    0 <= tp <= ti and bandwidth hold by construction."""
+def _h(ti: np.ndarray, tp: np.ndarray, d: np.ndarray, gamma_bw: float) -> np.ndarray:
+    """``h_closed_form`` on float arrays, unchecked, with the span d = ti - tp
+    from the caller, which may hold it on fewer points or without the rounding
+    of the difference: for callers whose 0 <= tp <= ti and bandwidth hold by
+    construction."""
     x = 1.0 - 0.5 * gamma_bw
-    d = ti - tp
     # d phi(|x| d) = -expm1(-|x| d) / |x|, and d itself at x = 0
     span = -np.expm1(-abs(x) * d) / abs(x) if x else d
     lead = np.exp(-0.5 * gamma_bw * ti) if x > 0.0 else np.exp(-ti + x * tp)

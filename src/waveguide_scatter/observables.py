@@ -13,16 +13,18 @@ Three families live here:
 The nested-quadrature reversal route deliberately re-derives everything
 from time-ordered integrals.  Each layer of the nest is tabulated at
 Chebyshev-Lobatto points and kept as a Chebyshev series of its logs,
-of the lowest degree in 8, 16, 32, 64 whose tail has decayed to
+of the lowest degree in 4, 8, 16, 32, 64 whose tail has decayed to
 rounding (the layer functions are pure decaying exponentials, so their
-logs are nearly linear and most layers stop at degree 8), which
-turns an O(q^N) cost into O(N q^2).
+logs are nearly linear and most layers stop at degree 4, the lowest
+whose upper-half test still sees a cubic deviation from the chord),
+which turns an O(q^N) cost into O(N q^2).
 
 The node integrals of one layer, shifted by their start times, run as
-the components of one vector-valued engine call; the decay probe that
-may cap the layer's span rides the first one, so a layer whose span is
-not capped takes one call.  Each series is fitted by the cached inverse
-of the Chebyshev-Vandermonde matrix at the nodes.  The two-photon
+the components of one vector-valued engine call, whose kernel takes its
+span from the shift itself; the decay probe that may cap the layer's
+span rides the first one, so a layer whose span is not capped takes one
+call.  Each series is fitted by the cached inverse of the
+Chebyshev-Vandermonde matrix at the nodes.  The two-photon
 excitation and channel weights are fixed-rule sums over one axis of
 emission times (``_axis``), with panel edges at every time asked for and
 at a sampled state's nodes, so they are exact for its interpolant.
@@ -53,7 +55,7 @@ __all__ = ["ExcitationTrace", "ReflectionResult", "excitation_probability", "exc
 _MAX_NUMERIC_PHOTONS = 20
 # log layers: the series degrees tried in turn and the decay depth (in
 # e-foldings) after which contributions are treated as spent
-_CHEB_DEGREES = (8, 16, 32, 64)
+_CHEB_DEGREES = (4, 8, 16, 32, 64)
 _DECAY_FOLDINGS = 45.0
 _LOG_FLOOR = 1e-300
 # Gauss-Legendre nodes per panel of the two-photon axis: a ladder panel, and a
@@ -175,8 +177,8 @@ class _LogLayer:
     """Chebyshev series of the logs of a positive decaying layer.
 
     ``evaluator`` maps an array of times to the layer's values there.
-    The logs are tabulated at Chebyshev-Lobatto points of degree 8, 16,
-    32 and 64 in turn; the first call also takes the decay probe, and
+    The logs are tabulated at Chebyshev-Lobatto points of degree 4, 8,
+    16, 32 and 64 in turn; the first call also takes the decay probe, and
     only a span the probe caps is tabulated again at its own nodes.  The
     chord through the two end logs is kept apart from a series fitted to
     the rest (by the cached inverse of the Chebyshev-Vandermonde matrix at
@@ -266,7 +268,7 @@ def reflection_probability_numeric(n_photons: int, gamma_bw: float,
 
         def integrand(u):
             tau = tp + u
-            h = _h(tau, tp, g)  # tau >= tp >= 0 by construction
+            h = _h(tau, tp, u, g)  # tau >= tp >= 0 by construction, and the span is u
             val = h * h
             if inner is not None:
                 val = val * inner(tau)

@@ -8,9 +8,10 @@ evaluates all their children in one call.  Integrands take a 1-D array
 of nodes and return an array (complex allowed) whose last axis runs over
 them; leading axes are components of a vector-valued integral.
 
-Semi-infinite integrals march stretches of panels through the same
-loop, vector integrands included; 2-D box integrals nest a vector-valued
-inner integral in the outer one.  The composite Simpson weights of
+Arrays of bounds are independent intervals in the same loop, the panels
+of all of them in each round's one call.  Semi-infinite integrals march
+batches of stretches of panels through it, vector integrands included;
+2-D box integrals nest a vector-valued inner integral in the outer one.  The composite Simpson weights of
 uniformly sampled data (norms, overlaps, bridge end stencils) live here
 too, in one table.
 """
@@ -18,6 +19,7 @@ too, in one table.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,15 +101,23 @@ def _simpson_segment(npts: int) -> np.ndarray:
     return w
 
 
-def _gk15(f, lo: np.ndarray, hi: np.ndarray):
-    """K15 values (components x panels) and per-panel |K15 - G7|, one call of f."""
+def _gk15(f, lo: np.ndarray, hi: np.ndarray, alone=()):
+    """K15 values (components x panels) and per-panel |K15 - G7|, one call of f.
+
+    A block's rows do not depend on its size, but a product of one row sums
+    in another order: the panels ``alone`` (each its interval's only one)
+    take the rule by themselves, as a call of one panel does."""
     xk, wk = _kronrod_rule()
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi)[:, None] + half[:, None] * xk).ravel()
     y = np.asarray(f(x))
     if y.shape[-1:] != x.shape:  # a constant, or a value broadcast over the nodes
         y = np.broadcast_to(y, y.shape[:-1] + x.shape)
-    rules = (y.reshape(y.shape[:-1] + (lo.size, 15)) @ wk) * half[:, None]
+    y = y.reshape(y.shape[:-1] + (lo.size, 15))
+    rules = y @ wk
+    for k in alone:
+        rules[..., k:k + 1, :] = y[..., k:k + 1, :] @ wk
+    rules *= half[:, None]
     return rules[..., 0], np.abs(rules[..., 1]).reshape(-1, lo.size).max(axis=0)
 
 
@@ -120,45 +130,123 @@ def _edges(a: float, b: float, n: int) -> np.ndarray:
     return edges
 
 
-def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
-              panel_width: float | None = None):
-    """Integral of f over [a, b].
+def _check_bounds(a, b) -> None:
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
+    if b < a:
+        raise ValueError("integration bounds must satisfy a <= b")
+
+
+def _first_panels(a: list, b: list, counts: list):
+    """The first round's panel ends of intervals [a[i], b[i]] of counts[i] panels
+    each, one interval after another: each interval's are :func:`_edges`'."""
+    n = counts[0]
+    if len(counts) == 1:
+        edges = _edges(a[0], b[0], n)
+        return edges[:-1], edges[1:]
+    steps = [(bi - ai) / n for ai, bi in zip(a, b)]
+    if counts.count(n) == len(counts) and all(steps):
+        # one row per interval, by _edges' arithmetic
+        edges = np.arange(n + 1) * np.array(steps)[:, None] + np.array(a)[:, None]
+        edges[:, -1] = b
+        return edges[:, :-1].ravel(), edges[:, 1:].ravel()
+    edges = [_edges(ai, bi, n) for ai, bi, n in zip(a, b, counts)]
+    return np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+
+
+def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
+    """Integral of f over [a, b]; for 1-D arrays a and b, over each [a[i], b[i]].
 
     ``panel_width`` seeds the initial subdivision; pass the shortest
     timescale of the integrand (the engine caps it at the interval
     length).  Each round bisects the fewest worst panels whose error
     estimates cover the excess over abs_tol + rel_tol * |result|; a
     vector result is measured by its largest component.
+
+    Intervals given as arrays (with an array or a scalar of panel widths)
+    are independent: each has its own panels, tolerance, refinement and
+    budget, and its value is the one it takes alone, bit for bit, for an
+    integrand that acts on each node by itself.  All panels of a round go
+    to one call of f.  The values come back along the last axis.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
-    if b < a:
-        raise ValueError("integration bounds must satisfy a <= b")
-    if b == a:
-        return 0.0 + 0.0j
-    width = b - a
-    if panel_width is None or panel_width <= 0:
-        panel_width = width
-    edges = _edges(a, b, max(1, int(np.ceil(width / min(panel_width, width)))))
-    lo, hi = edges[:-1], edges[1:]
-    val, err = _gk15(f, lo, hi)
+    # (np.ndim of a float makes an array of it)
+    scalar = ((isinstance(a, float) or np.ndim(a) == 0)
+              and (isinstance(b, float) or np.ndim(b) == 0))
+    if scalar:
+        a_all, b_all, seeds = [a], [b], [panel_width]
+    else:
+        a_all, b_all = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        if a_all.shape != b_all.shape:
+            a_all, b_all = np.broadcast_arrays(a_all, b_all)
+        a_all, b_all = a_all.tolist(), b_all.tolist()
+        seeds = (np.asarray(panel_width, dtype=float).tolist() if np.ndim(panel_width)
+                 else [panel_width] * len(a_all))
+    for ai, bi in zip(a_all, b_all):
+        _check_bounds(ai, bi)
+    # the intervals still refining, with their bounds and panel counts
+    ids = [i for i, (ai, bi) in enumerate(zip(a_all, b_all)) if bi != ai]
+    if not ids:
+        return 0.0 + 0.0j if scalar else np.zeros(len(a_all), dtype=complex)
+    a_ref, b_ref = [a_all[i] for i in ids], [b_all[i] for i in ids]
+    sizes = []
+    for i, ai, bi in zip(ids, a_ref, b_ref):
+        width, seed = bi - ai, seeds[i]
+        if seed is None or not seed > 0:
+            seed = width
+        sizes.append(max(1, int(math.ceil(width / min(seed, width)))))
+    lo, hi = _first_panels(a_ref, b_ref, sizes)
+    if min(sizes) == 1 and lo.size > 1:
+        # a lone first panel's rule is a product of one row, as in a call of its own
+        ends = np.cumsum(sizes) - 1
+        val, err = _gk15(f, lo, hi, ends[np.array(sizes) == 1])
+    else:
+        val, err = _gk15(f, lo, hi)
+    out = None
     depth = None  # bisections per panel, counted once a round refines
     while True:
-        total = val.sum(axis=-1)
-        err_total = err.sum()
-        if not math.isfinite(err_total):
-            raise ConvergenceError(
-                f"integral over [{a:g}, {b:g}] has a non-finite error estimate", err_total)
-        tol = spec.abs_tol + spec.rel_tol * abs(total).max()
-        if err_total <= tol:
-            return total
-        order = np.argsort(-err, kind="stable")
-        pick = order[:np.searchsorted(np.cumsum(err[order]), err_total - tol) + 1]
+        # panels stay grouped by interval, each group in the order a lone call keeps
+        m = len(sizes)
+        if min(sizes) == max(sizes):
+            totals = val.reshape(val.shape[:-1] + (m, sizes[0])).sum(axis=-1)
+            err_totals = err.reshape(m, sizes[0]).sum(axis=-1)
+        else:
+            cuts = list(itertools.accumulate(sizes))
+            groups = list(zip([0] + cuts, cuts))
+            totals = np.stack([val[..., s:e].sum(axis=-1) for s, e in groups], axis=-1)
+            err_totals = np.array([err[s:e].sum() for s, e in groups])
+        mags = np.abs(totals)
+        if mags.ndim > 1:  # a vector result is measured by its largest component
+            mags = mags.reshape(-1, m).max(axis=0)
+        tols = spec.abs_tol + spec.rel_tol * mags
+        refine = []
+        for k, (err_total, tol) in enumerate(zip(err_totals.tolist(), tols.tolist())):
+            if not math.isfinite(err_total):
+                raise ConvergenceError(f"integral over [{a_ref[k]:g}, {b_ref[k]:g}] has a "
+                                       "non-finite error estimate", err_totals[k])
+            if err_total > tol:
+                refine.append(k)
+        if out is None:
+            if not refine and m == len(a_all):
+                return totals[..., 0][()] if scalar else totals
+            out = np.zeros(totals.shape[:-1] + (len(a_all),), dtype=totals.dtype)
+        out[..., ids] = totals
+        if not refine:
+            return out[..., 0][()] if scalar else out
         if depth is None:
             depth = np.zeros(lo.size, dtype=int)
-        if (depth[pick].max() >= spec.max_subdivisions
-                or (lo.size + pick.size) * (val.size // lo.size) > _MAX_PANELS):
-            raise ConvergenceError(f"integral over [{a:g}, {b:g}] did not converge", err_total)
+        starts = [0, *itertools.accumulate(sizes)]
+        picks = []
+        for k in refine:
+            err_k = err[starts[k]:starts[k + 1]]
+            order = np.argsort(-err_k, kind="stable")
+            excess = err_totals[k] - tols[k]
+            pick = order[:np.searchsorted(np.cumsum(err_k[order]), excess) + 1] + starts[k]
+            if (depth[pick].max() >= spec.max_subdivisions
+                    or (sizes[k] + pick.size) * (val.size // lo.size) > _MAX_PANELS):
+                raise ConvergenceError(f"integral over [{a_ref[k]:g}, {b_ref[k]:g}] did not "
+                                       "converge", err_totals[k])
+            picks.append(pick)
+        pick = np.concatenate(picks)
         # left children replace their parents, right children go last
         mid = 0.5 * (lo[pick] + hi[pick])
         kids, kid_err = _gk15(f, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]]))
@@ -169,6 +257,16 @@ def integrate(f, a: float, b: float, spec: QuadratureSpec = DEFAULT_QUAD,
         val[..., pick], err[pick] = kids[..., :pick.size], kid_err[:pick.size]
         val = np.concatenate([val, kids[..., pick.size:]], axis=-1)
         err = np.concatenate([err, kid_err[pick.size:]])
+        if m > 1:  # regroup the refining intervals' panels, and drop the rest
+            owner = np.repeat(np.arange(m), sizes)
+            owner = np.concatenate([owner, owner[pick]])
+            keep = np.flatnonzero(np.isin(owner, refine))
+            keep = keep[np.argsort(owner[keep], kind="stable")]
+            lo, hi, depth, err = lo[keep], hi[keep], depth[keep], err[keep]
+            # take keeps the component axis outer, so each row sums in a lone call's order
+            val = np.take(val, keep, axis=-1)
+        ids, a_ref, b_ref = ([v[k] for k in refine] for v in (ids, a_ref, b_ref))
+        sizes = [sizes[k] + p.size for k, p in zip(refine, picks)]
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -183,27 +281,49 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
     to the same relative accuracy; exact zeros only count once the march
     has covered several decay lengths, so a support that starts away
     from ``a`` is not mistaken for a tail.
+
+    The stretches go to ``integrate`` in batches of 1, 2, 4, ... intervals,
+    and are read in order, each as its own call would give it.  A batch
+    that fails is taken again one stretch at a time, so only a stretch the
+    march reaches can fail it.
     """
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"decay scale must be finite and positive, got {scale!r}")
-    total = 0.0 + 0.0j
-    lo, width, quiet = a, min(0.5, scale), 0
-    for _ in range(_MAX_STRETCHES):
-        hi = lo + _STRETCH_PANELS * width
-        part = integrate(f, lo, hi, spec, panel_width=width)
-        total += part
-        # every component must be negligible against its own running total
-        quiet_now = ((np.abs(part) <= spec.rel_tol * np.abs(total))
-                     & ((total != 0.0) | (hi - a >= 8.0 * scale)))
-        if np.all(quiet_now):
-            quiet += 1
-            if quiet >= 3:
-                return total
-        else:
-            quiet = 0
-        lo, width = hi, min(2.0 * width, max(4.0 * scale, 2.0))
+    total = part = None
+    lo, width, quiet, done, size = a, min(0.5, scale), 0, 0, 1
+    while done < _MAX_STRETCHES:
+        los, his, widths = [], [], []
+        for _ in range(min(size, _MAX_STRETCHES - done)):
+            los.append(lo)
+            widths.append(width)
+            lo, width = lo + _STRETCH_PANELS * width, min(2.0 * width, max(4.0 * scale, 2.0))
+            his.append(lo)
+        try:
+            chunks = [(integrate(f, np.array(los), np.array(his), spec,
+                                 panel_width=np.array(widths)), his)]
+        except ConvergenceError:
+            if len(los) == 1:
+                raise
+            chunks = ((np.asarray(integrate(f, lo_k, hi_k, spec, panel_width=w))[..., None], [hi_k])
+                      for lo_k, hi_k, w in zip(los, his, widths))
+        for parts, ends in chunks:
+            if total is None:  # the march adds its first stretch to 0j
+                total = np.zeros(parts.shape[:-1], dtype=complex)
+            sums = np.cumsum(np.concatenate([total[..., None], parts], axis=-1), axis=-1)[..., 1:]
+            # every component must be negligible against its own running total;
+            # exact zeros count only once the march has gone 8 decay lengths
+            quiet_now = np.abs(parts) <= spec.rel_tol * np.abs(sums)
+            far = [hi - a >= 8.0 * scale for hi in ends]
+            if not all(far):
+                quiet_now &= (sums != 0.0) | np.array(far)
+            for k, now in enumerate(quiet_now.reshape(-1, len(ends)).all(axis=0).tolist()):
+                quiet = quiet + 1 if now else 0
+                if quiet >= 3:
+                    return sums[..., k][()]
+            total, part = sums[..., -1], parts[..., -1]
+        done, size = done + len(his), 2 * size
     raise ConvergenceError(
         f"semi-infinite integral from {a:g} kept contributing after "
         f"{_MAX_STRETCHES} stretches", float(np.max(np.abs(part))))

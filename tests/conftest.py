@@ -20,7 +20,9 @@ window, not through the grid fill's factors.  The
 channel sums, written once over either provider, are the oracle of the
 package's point values and grids; the emitter amplitudes are read off
 any provider point by point, and a sampled state's norm is its
-interpolant's, from the hat functions' mass matrix.
+interpolant's, from the hat functions' mass matrix.  The semi-infinite
+march is kept here one engine call per stretch, the reference of the
+engine's batched march.
 """
 
 import collections
@@ -35,7 +37,8 @@ from scipy.integrate import quad
 from waveguide_scatter.amplitudes import _PairKernels
 from waveguide_scatter.kernel import _window_kernel
 from waveguide_scatter.model import Direction, _as_direction
-from waveguide_scatter.quadrature import integrate, integrate_2d_box
+from waveguide_scatter import quadrature
+from waveguide_scatter.quadrature import DEFAULT_QUAD, ConvergenceError, integrate, integrate_2d_box
 
 
 def rk4_excitation(gamma_bw: float, t_end: float, n_steps: int = 20000):
@@ -356,3 +359,25 @@ def interpolant_norm_sq(w) -> float:
         tensors = [np.asarray(w.component(n, mesh)) for n in range(3)]
     m = _hat_mass_matrix(grid)
     return sum(float(np.sum(np.conj(x) * (m @ x @ m.T)).real) for x in tensors)
+
+
+def stretch_march(f, a: float, spec=DEFAULT_QUAD, scale: float = 1.0):
+    """``integrate_semi_infinite``'s march, one scalar ``integrate`` call per
+    stretch: the same stretches, running total and stopping rule."""
+    total = 0.0 + 0.0j
+    lo, width, quiet = a, min(0.5, scale), 0
+    for _ in range(quadrature._MAX_STRETCHES):
+        hi = lo + quadrature._STRETCH_PANELS * width
+        part = integrate(f, lo, hi, spec, panel_width=width)
+        total += part
+        quiet_now = ((np.abs(part) <= spec.rel_tol * np.abs(total))
+                     & ((total != 0.0) | (hi - a >= 8.0 * scale)))
+        if np.all(quiet_now):
+            quiet += 1
+            if quiet >= 3:
+                return total
+        else:
+            quiet = 0
+        lo, width = hi, min(2.0 * width, max(4.0 * scale, 2.0))
+    raise ConvergenceError(f"semi-infinite integral from {a:g} kept contributing",
+                           float(np.max(np.abs(part))))

@@ -25,8 +25,9 @@ def test_unchecked_kernel_equals_the_checked_one_bit_for_bit():
     tau = tp + rng.exponential(3.0, 500)
     tau[:5] = tp[:5]  # d = 0
     for g in [2.0, 2.0 + 1e-8, 2.0 - 1e-8, *rng.uniform(0.01, 20.0, 6)]:
-        assert np.array_equal(kernel._h(tau, tp, g), h_closed_form(tau, tp, g))
-        assert float(kernel._h(tau[7], tp[7], g)) == h_closed_form(float(tau[7]), float(tp[7]), g)
+        assert np.array_equal(kernel._h(tau, tp, tau - tp, g), h_closed_form(tau, tp, g))
+        assert (float(kernel._h(tau[7], tp[7], tau[7] - tp[7], g))
+                == h_closed_form(float(tau[7]), float(tp[7]), g))
 
 
 @pytest.mark.parametrize("tau,tau_prev", [

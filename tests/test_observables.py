@@ -375,7 +375,7 @@ def test_log_layer_takes_node_samples_next_to_nodes():
     # exact nodes, two points within overflow of the node at 0 and one
     # float either side of an inner node, padded to an even length
     tau = np.concatenate([nodes, [5e-324, 1e-310],
-                          np.nextafter(nodes[7], [-np.inf, np.inf])])
+                          np.nextafter(nodes[3], [-np.inf, np.inf])])
     tau = np.append(tau, nodes[:tau.size % 2])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -402,7 +402,7 @@ def test_log_layer_reproduces_a_curved_log(f, span, rtol):
 
 def test_log_layer_settles_at_the_lowest_degree_for_a_log_linear_layer():
     layer = observables._LogLayer(lambda t: np.exp(-t), 10.0)
-    assert layer._nodes.size == 9
+    assert layer._nodes.size == 5
 
 
 def test_log_layer_caps_its_span_when_the_decay_probe_underflows():
@@ -415,12 +415,12 @@ def test_log_layer_caps_its_span_when_the_decay_probe_underflows():
 
 
 @pytest.mark.parametrize("f,span,sizes", [
-    (lambda t: np.exp(-t), 10.0, [10]),
-    (lambda t: np.exp(-10.0 * t), 250.0, [10, 9]),
-    (lambda t: np.exp(-30.0 - 100.0 * t), 250.0, [10, 1, 9]),
+    (lambda t: np.exp(-t), 10.0, [6]),
+    (lambda t: np.exp(-10.0 * t), 250.0, [6, 5]),
+    (lambda t: np.exp(-30.0 - 100.0 * t), 250.0, [6, 1, 5]),
 ], ids=["uncapped", "capped", "capped-after-an-underflowed-probe"])
 def test_log_layer_tabulates_once_unless_its_span_is_capped(f, span, sizes):
-    # the probe rides the degree-8 tabulation; a capped span is tabulated
+    # the probe rides the degree-4 tabulation; a capped span is tabulated
     # again at its own nodes, after any probe shrunk past an underflow
     seen = []
     observables._LogLayer(lambda t: seen.append(t.size) or f(t), span)

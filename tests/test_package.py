@@ -4,6 +4,8 @@ import collections
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import waveguide_scatter as ws
 import waveguide_scatter.cli  # noqa: F401  (the tracer wraps names in cli too)
 from waveguide_scatter import amplitudes, kernel, model, observables, quadrature, spectral
@@ -54,24 +56,47 @@ def test_no_name_is_exported_by_two_modules():
     assert [name for name, k in counts.items() if k > 1] == []
 
 
-def _benchmark_tracer():
-    """The span tracer of the benchmark harness (perfbench/spans.py), loaded by path."""
+def _benchmark_spans():
+    """The span tracer module of the benchmark harness (perfbench/spans.py), loaded by path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.Tracer()
+    return module
 
 
-def test_benchmark_tracer_wraps_the_package_and_comes_off():
+def test_benchmark_tracer_wraps_the_package_and_comes_off(monkeypatch):
     # the tracer looks up every name it wraps in the module that calls it, so
     # a package change that drops one fails here, not only in a traced run
-    tracer = _benchmark_tracer()
+    spans = _benchmark_spans()
+    tracer = spans.Tracer()
+    rules = []  # nodes of each integrand call the engine makes
+    gk15 = quadrature._gk15
+
+    def counted(f, lo, hi, *alone):
+        rules.append(15 * lo.size)
+        return gk15(f, lo, hi, *alone)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
     tracer.install(ws)
     try:
         installed = [(owner, attr, original) for owner, attr, original in tracer._installed]
         assert installed
         assert all(owner.__dict__[attr] is not original for owner, attr, original in installed)
+        # a march, and the reversal nest's marches of vector integrands
+        observables.integrate_semi_infinite(lambda t: np.exp(-t), 0.0)
+        observables.reflection_probability_numeric(3, 1.0)
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is original for owner, attr, original in installed)
+    # each integrand call is counted once, under an engine call the march made
+    # through the traced name
+    tot = tracer.totals()
+    assert tot["quadrature.integrand"]["calls"] == len(rules)
+    assert tot["quadrature.integrand"]["points"] == sum(rules)
+    marches = tot["quadrature.integrate_semi_infinite"]["calls"]
+    assert marches == 4
+    assert tot["quadrature.integrate.nested"]["calls"] >= marches
+    parents = {rec[spans.PARENT][spans.NAME] for rec in tracer.spans
+               if rec[spans.NAME] == "quadrature.integrand"}
+    assert parents == {"quadrature.integrate.nested"}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import stretch_march
 from waveguide_scatter import (
     ConvergenceError,
     QuadratureSpec,
@@ -101,6 +102,74 @@ def test_first_round_edges_are_linspace_bit_for_bit(monkeypatch):
         integrate(lambda x: np.exp(-x * x), a, b, panel_width=(b - a) / n)
         lo, hi = seen[0]
         assert np.array_equal(np.append(lo, hi[-1]), np.linspace(a, b, lo.size + 1))
+
+
+def test_array_bounds_equal_the_scalar_call_per_interval_bit_for_bit():
+    # uniform and per-interval seeds, lone panels, intervals that refine at a
+    # kink and one of zero length, for a scalar and a vector integrand
+    rng = np.random.default_rng(38)
+    a = rng.uniform(-3.0, 3.0, 9)
+    b = a + rng.exponential(3.0, 9)
+    b[4] = a[4]
+    rates = np.array([0.5, 1.0, 3.0])
+    integrands = [lambda x: np.abs(x - 0.377) * np.exp(-x),
+                  lambda x: np.exp(-rates[:, None] * x) * np.cos(3.0 * x + rates[:, None])]
+    for f in integrands:
+        for seeds in (None, 0.3, rng.uniform(0.01, 3.0, 9)):
+            batch = integrate(f, a, b, panel_width=seeds)
+            assert batch.shape[-1] == a.size
+            for i in range(a.size):
+                seed = seeds[i] if np.ndim(seeds) else seeds
+                alone = integrate(f, float(a[i]), float(b[i]), panel_width=seed)
+                if b[i] == a[i]:
+                    assert alone == 0.0 and np.all(batch[..., i] == 0.0)
+                else:
+                    assert np.array_equal(batch[..., i], alone), (i, seed)
+    # the kink refines: its rounds must not disturb the other intervals
+    panels = []
+    gk15 = quadrature._gk15
+    quadrature._gk15 = lambda f, lo, hi, *alone: panels.append(lo.size) or gk15(f, lo, hi, *alone)
+    try:
+        integrate(integrands[0], a, b, panel_width=0.3)
+    finally:
+        quadrature._gk15 = gk15
+    assert len(panels) > 2
+
+
+def test_array_bounds_raise_the_scalar_message_for_a_bad_interval():
+    for bad in ((math.nan, 2.0), (0.0, math.inf), (3.0, 1.0)):
+        with pytest.raises(ValueError) as alone:
+            integrate(lambda x: x, *bad)
+        with pytest.raises(ValueError) as batch:
+            integrate(lambda x: x, np.array([0.0, bad[0]]), np.array([1.0, bad[1]]))
+        assert str(batch.value) == str(alone.value)
+
+
+def test_batched_march_equals_the_stretch_by_stretch_march_bit_for_bit():
+    amps = np.array([1.0, math.exp(-200.0), 0.0, 3.0])
+    rates = np.array([1.0, 0.1, 2.0, 0.25])
+    cases = [
+        (lambda x: np.exp(-x), 0.0, 1.0),
+        (lambda x: amps[:, None] * np.exp(-rates[:, None] * x), 0.0, 1.0),
+        (lambda x: np.where(x < 6.0, 0.0, np.exp(-(x - 6.0))), 0.0, 1.0),
+        (lambda x: np.exp(-0.05 * x) * (1.0 + np.abs(np.sin(x))), 2.5, 20.0),
+        (lambda x: np.exp(-(7.0 + 1j) * x), 0.3, 0.1),
+    ]
+    for f, a, scale in cases:
+        assert np.array_equal(integrate_semi_infinite(f, a, scale=scale),
+                              stretch_march(f, a, scale=scale))
+
+
+def test_march_whose_integrand_fails_past_its_stopping_point_returns():
+    # e^-x stops after six stretches, at x = 124, inside the third batch
+    # (stretches 4 to 7): that batch fails and is taken again stretch by stretch
+    def tail_from(x0):
+        return lambda x: np.where(x < x0, np.exp(-x), np.nan)
+
+    assert np.array_equal(integrate_semi_infinite(tail_from(130.0), 0.0),
+                          stretch_march(lambda x: np.exp(-x), 0.0))
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        integrate_semi_infinite(tail_from(100.0), 0.0)
 
 
 def test_semi_infinite_exponential_tail():
