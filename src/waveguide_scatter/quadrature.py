@@ -53,11 +53,14 @@ def _kronrod_rule():
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to reach tolerance within the subdivision budget."""
+    """Quadrature failed to reach tolerance within the subdivision budget.
 
-    def __init__(self, message: str, estimate: float):
+    ``interval`` is the index of the interval that failed, 0 for a scalar call."""
+
+    def __init__(self, message: str, estimate: float, interval: int = 0):
         super().__init__(f"{message} (achieved error estimate {estimate:.3g})")
         self.estimate = estimate
+        self.interval = interval
 
 
 @dataclass(frozen=True)
@@ -181,19 +184,20 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
         a_all, b_all = a_all.tolist(), b_all.tolist()
         seeds = (np.asarray(panel_width, dtype=float).tolist() if np.ndim(panel_width)
                  else [panel_width] * len(a_all))
-    for ai, bi in zip(a_all, b_all):
-        _check_bounds(ai, bi)
     # the intervals still refining, with their bounds and panel counts
-    ids = [i for i, (ai, bi) in enumerate(zip(a_all, b_all)) if bi != ai]
+    ids, a_ref, b_ref, sizes = [], [], [], []
+    for i, (ai, bi, seed) in enumerate(zip(a_all, b_all, seeds)):
+        _check_bounds(ai, bi)
+        if bi != ai:
+            width = bi - ai
+            if seed is None or not seed > 0:
+                seed = width
+            ids.append(i)
+            a_ref.append(ai)
+            b_ref.append(bi)
+            sizes.append(math.ceil(width / min(seed, width)))
     if not ids:
         return 0.0 + 0.0j if scalar else np.zeros(len(a_all), dtype=complex)
-    a_ref, b_ref = [a_all[i] for i in ids], [b_all[i] for i in ids]
-    sizes = []
-    for i, ai, bi in zip(ids, a_ref, b_ref):
-        width, seed = bi - ai, seeds[i]
-        if seed is None or not seed > 0:
-            seed = width
-        sizes.append(max(1, int(math.ceil(width / min(seed, width)))))
     lo, hi = _first_panels(a_ref, b_ref, sizes)
     if min(sizes) == 1 and lo.size > 1:
         # a lone first panel's rule is a product of one row, as in a call of its own
@@ -217,21 +221,22 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
         mags = np.abs(totals)
         if mags.ndim > 1:  # a vector result is measured by its largest component
             mags = mags.reshape(-1, m).max(axis=0)
-        tols = spec.abs_tol + spec.rel_tol * mags
+        tols = [spec.abs_tol + spec.rel_tol * mag for mag in mags.tolist()]
         refine = []
-        for k, (err_total, tol) in enumerate(zip(err_totals.tolist(), tols.tolist())):
+        for k, (err_total, tol) in enumerate(zip(err_totals.tolist(), tols)):
             if not math.isfinite(err_total):
                 raise ConvergenceError(f"integral over [{a_ref[k]:g}, {b_ref[k]:g}] has a "
-                                       "non-finite error estimate", err_totals[k])
+                                       "non-finite error estimate", err_totals[k], ids[k])
             if err_total > tol:
                 refine.append(k)
-        if out is None:
-            if not refine and m == len(a_all):
-                return totals[..., 0][()] if scalar else totals
-            out = np.zeros(totals.shape[:-1] + (len(a_all),), dtype=totals.dtype)
-        out[..., ids] = totals
-        if not refine:
-            return out[..., 0][()] if scalar else out
+        if len(refine) < m:  # the totals of the intervals done are final
+            if out is None:
+                if not refine and m == len(a_all):
+                    return totals[..., 0][()] if scalar else totals
+                out = np.zeros(totals.shape[:-1] + (len(a_all),), dtype=totals.dtype)
+            out[..., ids] = totals
+            if not refine:
+                return out
         if depth is None:
             depth = np.zeros(lo.size, dtype=int)
         starts = [0, *itertools.accumulate(sizes)]
@@ -240,13 +245,15 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
             err_k = err[starts[k]:starts[k + 1]]
             order = np.argsort(-err_k, kind="stable")
             excess = err_totals[k] - tols[k]
-            pick = order[:np.searchsorted(np.cumsum(err_k[order]), excess) + 1] + starts[k]
+            pick = order[:np.searchsorted(np.cumsum(err_k[order]), excess) + 1]
+            if k:
+                pick += starts[k]
             if (depth[pick].max() >= spec.max_subdivisions
                     or (sizes[k] + pick.size) * (val.size // lo.size) > _MAX_PANELS):
                 raise ConvergenceError(f"integral over [{a_ref[k]:g}, {b_ref[k]:g}] did not "
-                                       "converge", err_totals[k])
+                                       "converge", err_totals[k], ids[k])
             picks.append(pick)
-        pick = np.concatenate(picks)
+        pick = np.concatenate(picks) if m > 1 else picks[0]
         # left children replace their parents, right children go last
         mid = 0.5 * (lo[pick] + hi[pick])
         kids, kid_err = _gk15(f, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]]))
@@ -265,7 +272,8 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
             lo, hi, depth, err = lo[keep], hi[keep], depth[keep], err[keep]
             # take keeps the component axis outer, so each row sums in a lone call's order
             val = np.take(val, keep, axis=-1)
-        ids, a_ref, b_ref = ([v[k] for k in refine] for v in (ids, a_ref, b_ref))
+        if len(refine) < m:
+            ids, a_ref, b_ref = ([v[k] for k in refine] for v in (ids, a_ref, b_ref))
         sizes = [sizes[k] + p.size for k, p in zip(refine, picks)]
 
 
@@ -273,41 +281,48 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
                             scale: float = 1.0) -> complex:
     """Integral of f over [a, inf) for integrands decaying at rate ~1/scale.
 
-    Marches stretches of panels whose width starts at min(0.5, scale)
-    and doubles up to max(4 scale, 2); stops once several consecutive
-    stretches contribute negligibly relative to the running total, for
-    a vector integrand every component relative to its own.  The test is
-    scale invariant so integrals of any absolute magnitude are resolved
-    to the same relative accuracy; exact zeros only count once the march
-    has covered several decay lengths, so a support that starts away
-    from ``a`` is not mistaken for a tail.
+    Marches stretches of _STRETCH_PANELS panels whose width starts at
+    min(0.5, scale) and doubles up to max(4 scale, 2); stops once several
+    consecutive stretches contribute negligibly relative to the running
+    total, for a vector integrand every component relative to its own.
+    The test is scale invariant so integrals of any absolute magnitude are
+    resolved to the same relative accuracy; exact zeros only count once
+    the march has covered several decay lengths, so a support that starts
+    away from ``a`` is not mistaken for a tail.
 
-    The stretches go to ``integrate`` in batches of 1, 2, 4, ... intervals,
-    and are read in order, each as its own call would give it.  A batch
-    that fails is taken again one stretch at a time, so only a stretch the
-    march reaches can fail it.
+    The stretches go to ``integrate`` in batches of 1, 2, 4, ... intervals
+    and are read in order, each as its own call would give it.  No batch
+    runs past the stretch that starts ln(1 / rel_tol) decay lengths out
+    and three more, the quiet run the stopping rule asks for of an
+    integrand that decays at 1/scale and one to spare, while the march
+    has not reached it.  A batch that fails is taken again one stretch at
+    a time up to the one that failed, so only a stretch the march reaches
+    can fail it.
     """
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
     if not (scale > 0 and math.isfinite(scale)):
         raise ValueError(f"decay scale must be finite and positive, got {scale!r}")
+    reach, left = scale * math.log(1.0 / spec.rel_tol), 4
+    for lo, _, _ in itertools.islice(_stretches(a, scale), _MAX_STRETCHES - left):
+        if lo - a >= reach:
+            break
+        left += 1
+    stretches = itertools.islice(_stretches(a, scale), _MAX_STRETCHES)
     total = part = None
-    lo, width, quiet, done, size = a, min(0.5, scale), 0, 0, 1
-    while done < _MAX_STRETCHES:
-        los, his, widths = [], [], []
-        for _ in range(min(size, _MAX_STRETCHES - done)):
-            los.append(lo)
-            widths.append(width)
-            lo, width = lo + _STRETCH_PANELS * width, min(2.0 * width, max(4.0 * scale, 2.0))
-            his.append(lo)
+    quiet, size = 0, 1
+    while batch := list(itertools.islice(stretches, min(size, left) if left > 0 else size)):
+        los, his, widths = zip(*batch)
+        failed = None
         try:
             chunks = [(integrate(f, np.array(los), np.array(his), spec,
                                  panel_width=np.array(widths)), his)]
-        except ConvergenceError:
-            if len(los) == 1:
-                raise
-            chunks = ((np.asarray(integrate(f, lo_k, hi_k, spec, panel_width=w))[..., None], [hi_k])
-                      for lo_k, hi_k, w in zip(los, his, widths))
+        except ConvergenceError as exc:
+            # the stretches before the failing one go one at a time, and the
+            # march fails with it if it gets that far
+            failed = exc
+            chunks = ((np.asarray(integrate(f, lo, hi, spec, panel_width=w))[..., None], [hi])
+                      for lo, hi, w in batch[:exc.interval])
         for parts, ends in chunks:
             if total is None:  # the march adds its first stretch to 0j
                 total = np.zeros(parts.shape[:-1], dtype=complex)
@@ -323,10 +338,23 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
                 if quiet >= 3:
                     return sums[..., k][()]
             total, part = sums[..., -1], parts[..., -1]
-        done, size = done + len(his), 2 * size
+        if failed is not None:
+            raise failed
+        size, left = 2 * size, left - len(batch)
     raise ConvergenceError(
         f"semi-infinite integral from {a:g} kept contributing after "
         f"{_MAX_STRETCHES} stretches", float(np.max(np.abs(part))))
+
+
+def _stretches(a: float, scale: float):
+    """The march's stretches from a, without end: (lo, hi, panel width).  The
+    panel width is the stretch's own share, so a rounded hi - lo never makes
+    one more panel."""
+    lo, width = a, min(0.5, scale)
+    while True:
+        hi = lo + _STRETCH_PANELS * width
+        yield lo, hi, (hi - lo) / _STRETCH_PANELS
+        lo, width = hi, min(2.0 * width, max(4.0 * scale, 2.0))
 
 
 def integrate_2d_box(f, box1, box2, spec: QuadratureSpec = DEFAULT_QUAD,

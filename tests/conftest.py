@@ -368,7 +368,7 @@ def stretch_march(f, a: float, spec=DEFAULT_QUAD, scale: float = 1.0):
     lo, width, quiet = a, min(0.5, scale), 0
     for _ in range(quadrature._MAX_STRETCHES):
         hi = lo + quadrature._STRETCH_PANELS * width
-        part = integrate(f, lo, hi, spec, panel_width=width)
+        part = integrate(f, lo, hi, spec, panel_width=(hi - lo) / quadrature._STRETCH_PANELS)
         total += part
         quiet_now = ((np.abs(part) <= spec.rel_tol * np.abs(total))
                      & ((total != 0.0) | (hi - a >= 8.0 * scale)))

@@ -172,6 +172,67 @@ def test_march_whose_integrand_fails_past_its_stopping_point_returns():
         integrate_semi_infinite(tail_from(100.0), 0.0)
 
 
+def test_march_batches_double_up_to_the_stretches_a_decay_at_its_scale_needs():
+    # e^-x/10 at scale 10: the stretches start at 0, 4, 12, 28, 60, 124, 252, ...
+    # and six of them start within ln(1e10) decay lengths (230.3), so no batch
+    # passes the tenth stretch; the march stops at the ninth
+    def batches(rate, scale):
+        sizes = []
+
+        def f(x):
+            sizes.append(x.size // (quadrature._STRETCH_PANELS * 15))
+            return np.exp(-rate * x)
+
+        assert np.array_equal(integrate_semi_infinite(f, 0.0, scale=scale),
+                              stretch_march(lambda x: np.exp(-rate * x), 0.0, scale=scale))
+        return sizes
+
+    assert batches(0.1, 10.0) == [1, 2, 4, 3]
+    assert batches(1.0, 1.0) == [1, 2, 4]
+    # a slower decay than its scale outlives the seven stretches it was given,
+    # and the batches double again from there
+    assert batches(0.05, 1.0)[:5] == [1, 2, 4, 8, 16]
+
+
+def test_march_stretches_are_whole_panel_counts():
+    # at scale 1/12 the march's hi - lo rounds up past 8 panel widths on some
+    # stretches; each is still cut into exactly 8 panels, so every call of a
+    # first-round integrand sees 8 x 15 nodes per stretch
+    sizes = []
+
+    def f(x):
+        sizes.append(x.size)
+        return np.exp(-12.0 * x)
+
+    integrate_semi_infinite(f, 0.0, scale=1.0 / 12.0)
+    assert sizes and all(n % (quadrature._STRETCH_PANELS * 15) == 0 for n in sizes)
+
+
+def test_failing_interval_is_named_by_its_index():
+    a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    with pytest.raises(ConvergenceError, match=r"\[2, 3\] has a non-finite") as err:
+        integrate(lambda x: np.where(x > 2.5, np.nan, x), a, b)
+    assert err.value.interval == 2
+    with pytest.raises(ConvergenceError) as err:
+        integrate(lambda x: np.where(x > 2.5, np.nan, x), 2.0, 3.0)
+    assert err.value.interval == 0
+
+
+def test_march_redoes_only_the_stretches_before_a_failing_one():
+    # e^-x fails from x = 100 on: in the third batch (stretches 4 to 7) the
+    # sixth stretch, [92, 124], fails; stretches 4 and 5 are taken alone and
+    # the march fails with the batch's error at the sixth
+    calls = []
+
+    def f(x):
+        calls.append(x.size // (quadrature._STRETCH_PANELS * 15))
+        return np.where(x < 100.0, np.exp(-x), np.nan)
+
+    with pytest.raises(ConvergenceError, match=r"\[92, 124\] has a non-finite"):
+        integrate_semi_infinite(f, 0.0)
+    assert calls == [1, 2, 4, 1, 1]
+
+
 def test_semi_infinite_exponential_tail():
     for a in (0.0, 1.5, 4.0):
         val = complex(integrate_semi_infinite(lambda x: np.exp(-x), a)).real
