@@ -226,12 +226,7 @@ class _LogLayer:
 
     def _interp(self, tau: np.ndarray) -> np.ndarray:
         x = tau * (2.0 / self.t_span) - 1.0
-        # Clenshaw summation, chebval's without its call cost (bit for bit)
-        x2, c = 2 * x, self._series
-        c0, c1 = c[-2], c[-1]
-        for ci in c[-3::-1]:
-            c0, c1 = ci - c1, c0 + c1 * x2
-        return self._chord[0] + self._chord[1] * x + (c0 + c1 * x)
+        return self._chord[0] + self._chord[1] * x + chebyshev.chebval(x, self._series)
 
     def __call__(self, tau):
         tau = np.asarray(tau, dtype=float)

@@ -8,12 +8,12 @@ evaluates all their children in one call.  Integrands take a 1-D array
 of nodes and return an array (complex allowed) whose last axis runs over
 them; leading axes are components of a vector-valued integral.
 
-Arrays of bounds are independent intervals in the same loop, the panels
-of all of them in each round's one call.  Semi-infinite integrals march
-batches of stretches of panels through it, vector integrands included;
-2-D box integrals nest a vector-valued inner integral in the outer one.  The composite Simpson weights of
-uniformly sampled data (norms, overlaps, bridge end stencils) live here
-too, in one table.
+Arrays of bounds are independent intervals whose first rounds share one
+call.  Semi-infinite integrals march batches of stretches of panels
+through them, vector integrands included; 2-D box integrals nest a
+vector-valued inner integral in the outer one.  The composite Simpson
+weights of uniformly sampled data (norms, overlaps, bridge end
+stencils) live here too, in one table.
 """
 
 from __future__ import annotations
@@ -53,14 +53,11 @@ def _kronrod_rule():
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature failed to reach tolerance within the subdivision budget.
+    """Quadrature failed to reach tolerance within the subdivision budget."""
 
-    ``interval`` is the index of the interval that failed, 0 for a scalar call."""
-
-    def __init__(self, message: str, estimate: float, interval: int = 0):
+    def __init__(self, message: str, estimate: float):
         super().__init__(f"{message} (achieved error estimate {estimate:.3g})")
         self.estimate = estimate
-        self.interval = interval
 
 
 @dataclass(frozen=True)
@@ -104,23 +101,15 @@ def _simpson_segment(npts: int) -> np.ndarray:
     return w
 
 
-def _gk15(f, lo: np.ndarray, hi: np.ndarray, alone=()):
-    """K15 values (components x panels) and per-panel |K15 - G7|, one call of f.
-
-    A block's rows do not depend on its size, but a product of one row sums
-    in another order: the panels ``alone`` (each its interval's only one)
-    take the rule by themselves, as a call of one panel does."""
+def _gk15(f, lo: np.ndarray, hi: np.ndarray):
+    """K15 values (components x panels) and per-panel |K15 - G7|, one call of f."""
     xk, wk = _kronrod_rule()
     half = 0.5 * (hi - lo)
     x = (0.5 * (lo + hi)[:, None] + half[:, None] * xk).ravel()
     y = np.asarray(f(x))
     if y.shape[-1:] != x.shape:  # a constant, or a value broadcast over the nodes
         y = np.broadcast_to(y, y.shape[:-1] + x.shape)
-    y = y.reshape(y.shape[:-1] + (lo.size, 15))
-    rules = y @ wk
-    for k in alone:
-        rules[..., k:k + 1, :] = y[..., k:k + 1, :] @ wk
-    rules *= half[:, None]
+    rules = (y.reshape(y.shape[:-1] + (lo.size, 15)) @ wk) * half[:, None]
     return rules[..., 0], np.abs(rules[..., 1]).reshape(-1, lo.size).max(axis=0)
 
 
@@ -133,28 +122,18 @@ def _edges(a: float, b: float, n: int) -> np.ndarray:
     return edges
 
 
-def _check_bounds(a, b) -> None:
+def _first_edges(a: float, b: float, panel_width) -> np.ndarray | None:
+    """The first round's panel edges over [a, b]; None for b == a."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"integration bounds must be finite, got [{a!r}, {b!r}]")
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
-
-
-def _first_panels(a: list, b: list, counts: list):
-    """The first round's panel ends of intervals [a[i], b[i]] of counts[i] panels
-    each, one interval after another: each interval's are :func:`_edges`'."""
-    n = counts[0]
-    if len(counts) == 1:
-        edges = _edges(a[0], b[0], n)
-        return edges[:-1], edges[1:]
-    steps = [(bi - ai) / n for ai, bi in zip(a, b)]
-    if counts.count(n) == len(counts) and all(steps):
-        # one row per interval, by _edges' arithmetic
-        edges = np.arange(n + 1) * np.array(steps)[:, None] + np.array(a)[:, None]
-        edges[:, -1] = b
-        return edges[:, :-1].ravel(), edges[:, 1:].ravel()
-    edges = [_edges(ai, bi, n) for ai, bi, n in zip(a, b, counts)]
-    return np.concatenate([e[:-1] for e in edges]), np.concatenate([e[1:] for e in edges])
+    if b == a:
+        return None
+    width = b - a
+    if panel_width is None or panel_width <= 0:
+        panel_width = width
+    return _edges(a, b, max(1, math.ceil(width / min(panel_width, width))))
 
 
 def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
@@ -166,94 +145,34 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
     estimates cover the excess over abs_tol + rel_tol * |result|; a
     vector result is measured by its largest component.
 
-    Intervals given as arrays (with an array or a scalar of panel widths)
-    are independent: each has its own panels, tolerance, refinement and
-    budget, and its value is the one it takes alone, bit for bit, for an
-    integrand that acts on each node by itself.  All panels of a round go
-    to one call of f.  The values come back along the last axis.
+    Intervals given as arrays (with an array or one value of panel widths)
+    are independent, and their values come back along the last axis.
     """
     # (np.ndim of a float makes an array of it)
-    scalar = ((isinstance(a, float) or np.ndim(a) == 0)
-              and (isinstance(b, float) or np.ndim(b) == 0))
-    if scalar:
-        a_all, b_all, seeds = [a], [b], [panel_width]
-    else:
-        a_all, b_all = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        if a_all.shape != b_all.shape:
-            a_all, b_all = np.broadcast_arrays(a_all, b_all)
-        a_all, b_all = a_all.tolist(), b_all.tolist()
-        seeds = (np.asarray(panel_width, dtype=float).tolist() if np.ndim(panel_width)
-                 else [panel_width] * len(a_all))
-    # the intervals still refining, with their bounds and panel counts
-    ids, a_ref, b_ref, sizes = [], [], [], []
-    for i, (ai, bi, seed) in enumerate(zip(a_all, b_all, seeds)):
-        _check_bounds(ai, bi)
-        if bi != ai:
-            width = bi - ai
-            if seed is None or not seed > 0:
-                seed = width
-            ids.append(i)
-            a_ref.append(ai)
-            b_ref.append(bi)
-            sizes.append(math.ceil(width / min(seed, width)))
-    if not ids:
-        return 0.0 + 0.0j if scalar else np.zeros(len(a_all), dtype=complex)
-    lo, hi = _first_panels(a_ref, b_ref, sizes)
-    if min(sizes) == 1 and lo.size > 1:
-        # a lone first panel's rule is a product of one row, as in a call of its own
-        ends = np.cumsum(sizes) - 1
-        val, err = _gk15(f, lo, hi, ends[np.array(sizes) == 1])
-    else:
-        val, err = _gk15(f, lo, hi)
-    out = None
+    if not (isinstance(a, float) and isinstance(b, float)) and (np.ndim(a) or np.ndim(b)):
+        return _integrate_each(f, a, b, spec, panel_width)
+    edges = _first_edges(a, b, panel_width)
+    if edges is None:
+        return 0.0 + 0.0j
+    lo, hi = edges[:-1], edges[1:]
+    val, err = _gk15(f, lo, hi)
     depth = None  # bisections per panel, counted once a round refines
     while True:
-        # panels stay grouped by interval, each group in the order a lone call keeps
-        m = len(sizes)
-        if min(sizes) == max(sizes):
-            totals = val.reshape(val.shape[:-1] + (m, sizes[0])).sum(axis=-1)
-            err_totals = err.reshape(m, sizes[0]).sum(axis=-1)
-        else:
-            cuts = list(itertools.accumulate(sizes))
-            groups = list(zip([0] + cuts, cuts))
-            totals = np.stack([val[..., s:e].sum(axis=-1) for s, e in groups], axis=-1)
-            err_totals = np.array([err[s:e].sum() for s, e in groups])
-        mags = np.abs(totals)
-        if mags.ndim > 1:  # a vector result is measured by its largest component
-            mags = mags.reshape(-1, m).max(axis=0)
-        tols = [spec.abs_tol + spec.rel_tol * mag for mag in mags.tolist()]
-        refine = []
-        for k, (err_total, tol) in enumerate(zip(err_totals.tolist(), tols)):
-            if not math.isfinite(err_total):
-                raise ConvergenceError(f"integral over [{a_ref[k]:g}, {b_ref[k]:g}] has a "
-                                       "non-finite error estimate", err_totals[k], ids[k])
-            if err_total > tol:
-                refine.append(k)
-        if len(refine) < m:  # the totals of the intervals done are final
-            if out is None:
-                if not refine and m == len(a_all):
-                    return totals[..., 0][()] if scalar else totals
-                out = np.zeros(totals.shape[:-1] + (len(a_all),), dtype=totals.dtype)
-            out[..., ids] = totals
-            if not refine:
-                return out
+        total = val.sum(axis=-1)
+        err_total = err.sum()
+        if not math.isfinite(err_total):
+            raise ConvergenceError(
+                f"integral over [{a:g}, {b:g}] has a non-finite error estimate", err_total)
+        tol = spec.abs_tol + spec.rel_tol * abs(total).max()
+        if err_total <= tol:
+            return total
+        order = np.argsort(-err, kind="stable")
+        pick = order[:np.searchsorted(np.cumsum(err[order]), err_total - tol) + 1]
         if depth is None:
             depth = np.zeros(lo.size, dtype=int)
-        starts = [0, *itertools.accumulate(sizes)]
-        picks = []
-        for k in refine:
-            err_k = err[starts[k]:starts[k + 1]]
-            order = np.argsort(-err_k, kind="stable")
-            excess = err_totals[k] - tols[k]
-            pick = order[:np.searchsorted(np.cumsum(err_k[order]), excess) + 1]
-            if k:
-                pick += starts[k]
-            if (depth[pick].max() >= spec.max_subdivisions
-                    or (sizes[k] + pick.size) * (val.size // lo.size) > _MAX_PANELS):
-                raise ConvergenceError(f"integral over [{a_ref[k]:g}, {b_ref[k]:g}] did not "
-                                       "converge", err_totals[k], ids[k])
-            picks.append(pick)
-        pick = np.concatenate(picks) if m > 1 else picks[0]
+        if (depth[pick].max() >= spec.max_subdivisions
+                or (lo.size + pick.size) * (val.size // lo.size) > _MAX_PANELS):
+            raise ConvergenceError(f"integral over [{a:g}, {b:g}] did not converge", err_total)
         # left children replace their parents, right children go last
         mid = 0.5 * (lo[pick] + hi[pick])
         kids, kid_err = _gk15(f, np.concatenate([lo[pick], mid]), np.concatenate([mid, hi[pick]]))
@@ -264,17 +183,48 @@ def integrate(f, a, b, spec: QuadratureSpec = DEFAULT_QUAD, panel_width=None):
         val[..., pick], err[pick] = kids[..., :pick.size], kid_err[:pick.size]
         val = np.concatenate([val, kids[..., pick.size:]], axis=-1)
         err = np.concatenate([err, kid_err[pick.size:]])
-        if m > 1:  # regroup the refining intervals' panels, and drop the rest
-            owner = np.repeat(np.arange(m), sizes)
-            owner = np.concatenate([owner, owner[pick]])
-            keep = np.flatnonzero(np.isin(owner, refine))
-            keep = keep[np.argsort(owner[keep], kind="stable")]
-            lo, hi, depth, err = lo[keep], hi[keep], depth[keep], err[keep]
-            # take keeps the component axis outer, so each row sums in a lone call's order
-            val = np.take(val, keep, axis=-1)
-        if len(refine) < m:
-            ids, a_ref, b_ref = ([v[k] for k in refine] for v in (ids, a_ref, b_ref))
-        sizes = [sizes[k] + p.size for k, p in zip(refine, picks)]
+
+
+def _integrate_each(f, a, b, spec: QuadratureSpec, panel_width):
+    """``integrate`` over each interval [a[i], b[i]], each value the one its
+    interval takes alone, bit for bit, for an integrand that acts on each
+    node by itself.
+
+    The first rounds of all intervals of two or more panels go to one call
+    of f (a block's rows sum as a lone call's do, but the product of a lone
+    panel's one row sums in another order), and each run of intervals of
+    one panel count is summed and tested as a block of rows.  An interval
+    that meets its tolerance there is done; any other is taken by a call
+    of its own."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    a, b = a.tolist(), b.tolist()
+    widths = np.asarray(panel_width).tolist() if np.ndim(panel_width) else [panel_width] * len(a)
+    edges = [_first_edges(*v) for v in zip(a, b, widths)]
+    counts = [0 if e is None else e.size - 1 for e in edges]
+    batch = [i for i, n in enumerate(counts) if n > 1]
+    values = [None] * len(a)
+    if batch:
+        val, err = _gk15(f, np.concatenate([edges[i][:-1] for i in batch]),
+                         np.concatenate([edges[i][1:] for i in batch]))
+        start = 0
+        for n, run in itertools.groupby(batch, key=counts.__getitem__):
+            run = list(run)
+            end = start + n * len(run)
+            # each row sums as its lone call's panels do, and takes that call's test
+            totals = val[..., start:end].reshape(val.shape[:-1] + (len(run), n)).sum(axis=-1)
+            mags = np.abs(totals).reshape(-1, len(run)).max(axis=0)
+            met = err[start:end].reshape(-1, n).sum(axis=-1) <= spec.abs_tol + spec.rel_tol * mags
+            if len(run) == len(a) and met.all():  # every interval, in order
+                return totals
+            for k, i in enumerate(run):
+                if met[k]:
+                    values[i] = totals[..., k]
+            start = end
+    values = [integrate(f, a[i], b[i], spec, widths[i]) if v is None else v
+              for i, v in enumerate(values)]
+    return np.stack(np.broadcast_arrays(*values), axis=-1)
 
 
 def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
@@ -291,13 +241,14 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
     away from ``a`` is not mistaken for a tail.
 
     The stretches go to ``integrate`` in batches of 1, 2, 4, ... intervals
-    and are read in order, each as its own call would give it.  No batch
+    (a batch of one as a scalar call) and are read in order, each as its
+    own call would give it.  No batch
     runs past the stretch that starts ln(1 / rel_tol) decay lengths out
     and three more, the quiet run the stopping rule asks for of an
     integrand that decays at 1/scale and one to spare, while the march
-    has not reached it.  A batch that fails is taken again one stretch at
-    a time up to the one that failed, so only a stretch the march reaches
-    can fail it.
+    has not reached it.  A batch that raises is taken again one stretch at
+    a time, so only a stretch the march reaches can fail it, with the
+    error its own call raises.
     """
     if not math.isfinite(a):
         raise ValueError(f"lower limit must be finite, got {a!r}")
@@ -312,17 +263,17 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
     total = part = None
     quiet, size = 0, 1
     while batch := list(itertools.islice(stretches, min(size, left) if left > 0 else size)):
-        los, his, widths = zip(*batch)
-        failed = None
-        try:
-            chunks = [(integrate(f, np.array(los), np.array(his), spec,
-                                 panel_width=np.array(widths)), his)]
-        except ConvergenceError as exc:
-            # the stretches before the failing one go one at a time, and the
-            # march fails with it if it gets that far
-            failed = exc
-            chunks = ((np.asarray(integrate(f, lo, hi, spec, panel_width=w))[..., None], [hi])
-                      for lo, hi, w in batch[:exc.interval])
+        chunks = ((np.asarray(integrate(f, lo, hi, spec, panel_width=w))[..., None], [hi])
+                  for lo, hi, w in batch)
+        if len(batch) > 1:
+            los, his, widths = zip(*batch)
+            try:
+                chunks = [(integrate(f, np.array(los), np.array(his), spec,
+                                     panel_width=np.array(widths)), his)]
+            except Exception:
+                # f (or the engine) may fail past the stopping point: one stretch
+                # at a time, the march stops or fails where its own calls would
+                pass
         for parts, ends in chunks:
             if total is None:  # the march adds its first stretch to 0j
                 total = np.zeros(parts.shape[:-1], dtype=complex)
@@ -338,8 +289,6 @@ def integrate_semi_infinite(f, a: float, spec: QuadratureSpec = DEFAULT_QUAD,
                 if quiet >= 3:
                     return sums[..., k][()]
             total, part = sums[..., -1], parts[..., -1]
-        if failed is not None:
-            raise failed
         size, left = 2 * size, left - len(batch)
     raise ConvergenceError(
         f"semi-infinite integral from {a:g} kept contributing after "

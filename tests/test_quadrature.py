@@ -106,34 +106,39 @@ def test_first_round_edges_are_linspace_bit_for_bit(monkeypatch):
 
 def test_array_bounds_equal_the_scalar_call_per_interval_bit_for_bit():
     # uniform and per-interval seeds, lone panels, intervals that refine at a
-    # kink and one of zero length, for a scalar and a vector integrand
+    # kink and one of zero length, for a scalar and a vector integrand; and a
+    # run of intervals of one panel count, the kink inside one of them
     rng = np.random.default_rng(38)
     a = rng.uniform(-3.0, 3.0, 9)
     b = a + rng.exponential(3.0, 9)
     b[4] = a[4]
+    run = np.arange(-2.0, 4.0)
     rates = np.array([0.5, 1.0, 3.0])
     integrands = [lambda x: np.abs(x - 0.377) * np.exp(-x),
                   lambda x: np.exp(-rates[:, None] * x) * np.cos(3.0 * x + rates[:, None])]
+    cases = [(a, b, seeds) for seeds in (None, 0.3, rng.uniform(0.01, 3.0, 9))]
+    cases.append((run, run + 1.0, 0.25))
     for f in integrands:
-        for seeds in (None, 0.3, rng.uniform(0.01, 3.0, 9)):
-            batch = integrate(f, a, b, panel_width=seeds)
-            assert batch.shape[-1] == a.size
-            for i in range(a.size):
+        for lo, hi, seeds in cases:
+            batch = integrate(f, lo, hi, panel_width=seeds)
+            assert batch.shape[-1] == lo.size
+            for i in range(lo.size):
                 seed = seeds[i] if np.ndim(seeds) else seeds
-                alone = integrate(f, float(a[i]), float(b[i]), panel_width=seed)
-                if b[i] == a[i]:
+                alone = integrate(f, float(lo[i]), float(hi[i]), panel_width=seed)
+                if hi[i] == lo[i]:
                     assert alone == 0.0 and np.all(batch[..., i] == 0.0)
                 else:
                     assert np.array_equal(batch[..., i], alone), (i, seed)
-    # the kink refines: its rounds must not disturb the other intervals
+    # the run's first rounds share one call; the kink's interval [0, 1] misses
+    # its tolerance there and refines in a call of its own
     panels = []
     gk15 = quadrature._gk15
-    quadrature._gk15 = lambda f, lo, hi, *alone: panels.append(lo.size) or gk15(f, lo, hi, *alone)
+    quadrature._gk15 = lambda f, lo, hi: panels.append(lo.size) or gk15(f, lo, hi)
     try:
-        integrate(integrands[0], a, b, panel_width=0.3)
+        integrate(integrands[0], run, run + 1.0, panel_width=0.25)
     finally:
         quadrature._gk15 = gk15
-    assert len(panels) > 2
+    assert panels[:2] == [24, 4] and len(panels) > 2
 
 
 def test_array_bounds_raise_the_scalar_message_for_a_bad_interval():
@@ -143,6 +148,15 @@ def test_array_bounds_raise_the_scalar_message_for_a_bad_interval():
         with pytest.raises(ValueError) as batch:
             integrate(lambda x: x, np.array([0.0, bad[0]]), np.array([1.0, bad[1]]))
         assert str(batch.value) == str(alone.value)
+    # an integrand that is not finite on one interval of a batch
+    def f(x):
+        return np.where(x > 2.5, np.nan, x)
+
+    with pytest.raises(ConvergenceError, match="non-finite") as alone:
+        integrate(f, 2.0, 3.0, panel_width=0.25)
+    with pytest.raises(ConvergenceError) as batch:
+        integrate(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), panel_width=0.25)
+    assert str(batch.value) == str(alone.value)
 
 
 def test_batched_march_equals_the_stretch_by_stretch_march_bit_for_bit():
@@ -168,6 +182,19 @@ def test_march_whose_integrand_fails_past_its_stopping_point_returns():
 
     assert np.array_equal(integrate_semi_infinite(tail_from(130.0), 0.0),
                           stretch_march(lambda x: np.exp(-x), 0.0))
+
+    # any error of f past the stopping point, not only the engine's
+    def raising_from(x0):
+        def f(x):
+            if x.max() >= x0:
+                raise ValueError("past the support")
+            return np.exp(-x)
+        return f
+
+    assert np.array_equal(integrate_semi_infinite(raising_from(130.0), 0.0),
+                          stretch_march(lambda x: np.exp(-x), 0.0))
+    with pytest.raises(ValueError, match="past the support"):
+        integrate_semi_infinite(raising_from(100.0), 0.0)
     with pytest.raises(ConvergenceError, match="non-finite"):
         integrate_semi_infinite(tail_from(100.0), 0.0)
 
@@ -208,20 +235,11 @@ def test_march_stretches_are_whole_panel_counts():
     assert sizes and all(n % (quadrature._STRETCH_PANELS * 15) == 0 for n in sizes)
 
 
-def test_failing_interval_is_named_by_its_index():
-    a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
-    with pytest.raises(ConvergenceError, match=r"\[2, 3\] has a non-finite") as err:
-        integrate(lambda x: np.where(x > 2.5, np.nan, x), a, b)
-    assert err.value.interval == 2
-    with pytest.raises(ConvergenceError) as err:
-        integrate(lambda x: np.where(x > 2.5, np.nan, x), 2.0, 3.0)
-    assert err.value.interval == 0
-
-
-def test_march_redoes_only_the_stretches_before_a_failing_one():
+def test_march_takes_a_failing_batch_again_stretch_by_stretch():
     # e^-x fails from x = 100 on: in the third batch (stretches 4 to 7) the
-    # sixth stretch, [92, 124], fails; stretches 4 and 5 are taken alone and
-    # the march fails with the batch's error at the sixth
+    # sixth stretch, [92, 124], misses its tolerance in the batch's first
+    # round and fails in its own call; the batch is taken again stretch by
+    # stretch and the march fails with the sixth stretch's own error
     calls = []
 
     def f(x):
@@ -230,7 +248,7 @@ def test_march_redoes_only_the_stretches_before_a_failing_one():
 
     with pytest.raises(ConvergenceError, match=r"\[92, 124\] has a non-finite"):
         integrate_semi_infinite(f, 0.0)
-    assert calls == [1, 2, 4, 1, 1]
+    assert calls == [1, 2, 4, 1, 1, 1, 1]
 
 
 def test_semi_infinite_exponential_tail():
